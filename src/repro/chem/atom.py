@@ -69,18 +69,11 @@ class Atom:
         return get_element(self.element).is_halogen
 
     def copy(self) -> "Atom":
-        """Deep copy of the atom."""
-        return Atom(
-            element=self.element,
-            position=self.position.copy(),
-            partial_charge=self.partial_charge,
-            formal_charge=self.formal_charge,
-            hydrophobic=self.hydrophobic,
-            hbond_donor=self.hbond_donor,
-            hbond_acceptor=self.hbond_acceptor,
-            aromatic=self.aromatic,
-            index=self.index,
-        )
+        """Deep copy of the atom (its fields were validated on construction)."""
+        atom = Atom.__new__(Atom)
+        atom.__dict__.update(self.__dict__)
+        atom.position = self.position.copy()
+        return atom
 
     def distance_to(self, other: "Atom") -> float:
         """Euclidean distance to another atom in Angstroms."""

@@ -9,9 +9,11 @@ followed by a few steepest-descent steps of the simplified force field.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from repro.chem.forcefield import ForceField
+from repro.chem.forcefield import ForceField, ForceFieldTopology
 from repro.chem.molecule import Molecule
 from repro.utils.rng import ensure_rng
 
@@ -42,6 +44,7 @@ def embed_3d(molecule: Molecule, rng=None, bond_length: float = BOND_LENGTH) -> 
     out = molecule.copy()
     if out.num_atoms == 0:
         return out
+    adjacency = [out.neighbors(index) for index in range(out.num_atoms)]
     coords = np.zeros((out.num_atoms, 3))
     placed = np.zeros(out.num_atoms, dtype=bool)
 
@@ -50,10 +53,10 @@ def embed_3d(molecule: Molecule, rng=None, bond_length: float = BOND_LENGTH) -> 
         root = component[0]
         coords[root] = component_offset
         placed[root] = True
-        queue = [root]
+        queue = deque([root])
         while queue:
-            current = queue.pop(0)
-            for neighbour in out.neighbors(current):
+            current = queue.popleft()
+            for neighbour in adjacency[current]:
                 if placed[neighbour]:
                     continue
                 direction = _best_direction(coords[placed], coords[current], rng)
@@ -69,21 +72,21 @@ def embed_3d(molecule: Molecule, rng=None, bond_length: float = BOND_LENGTH) -> 
 
 
 def _best_direction(existing: np.ndarray, origin: np.ndarray, rng: np.random.Generator, candidates: int = 12) -> np.ndarray:
-    """Pick, among random unit vectors, the one keeping the new atom farthest from existing atoms."""
-    best_dir = None
-    best_score = -np.inf
-    for _ in range(candidates):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction) + 1e-12
-        candidate = origin + BOND_LENGTH * direction
-        if existing.size:
-            score = np.min(np.linalg.norm(existing - candidate, axis=1))
-        else:
-            score = 1.0
-        if score > best_score:
-            best_score = score
-            best_dir = direction
-    return best_dir
+    """Pick, among random unit vectors, the one keeping the new atom farthest from existing atoms.
+
+    One ``(candidates, 3)`` draw consumes the generator exactly like
+    ``candidates`` draws of size 3, and ``argmax`` keeps the first of tied
+    candidates, so the choice matches scoring them one at a time.
+    """
+    directions = rng.normal(size=(candidates, 3))
+    # a row-wise dot (not norm(axis=-1)) reproduces np.linalg.norm of each vector
+    lengths = np.sqrt((directions[:, None, :] @ directions[:, :, None]).reshape(-1))
+    directions /= (lengths + 1e-12)[:, None]
+    if not existing.size:
+        return directions[0]
+    points = origin + BOND_LENGTH * directions
+    scores = np.linalg.norm(existing[None, :, :] - points[:, None, :], axis=-1).min(axis=1)
+    return directions[int(np.argmax(scores))]
 
 
 def minimize_conformer(
@@ -96,25 +99,27 @@ def minimize_conformer(
     """Steepest-descent minimization of the conformer under ``forcefield``.
 
     Returns the relaxed molecule and its final force-field energy. The
-    step size is adaptive: halved when a step increases the energy.
+    step size is adaptive: halved when a step increases the energy. The
+    force-field topology is built once and the descent runs on coordinate
+    arrays; atom positions are written once, at the end.
     """
     forcefield = forcefield or ForceField()
     out = molecule.copy()
+    topology = ForceFieldTopology.from_molecule(out)
     coords = out.coordinates
-    energy, forces = forcefield.energy_and_forces(out)
+    components, forces = forcefield.evaluate(topology, coords)
+    energy = components.total
     step = float(step_size)
     for _ in range(int(max_steps)):
         grad_norm = np.linalg.norm(forces)
         if grad_norm < tolerance:
             break
         trial = coords + step * forces / (grad_norm + 1e-12)
-        out.set_coordinates(trial)
-        new_energy, new_forces = forcefield.energy_and_forces(out)
-        if new_energy < energy:
-            coords, energy, forces = trial, new_energy, new_forces
+        components, new_forces = forcefield.evaluate(topology, trial)
+        if components.total < energy:
+            coords, energy, forces = trial, components.total, new_forces
             step *= 1.1
         else:
-            out.set_coordinates(coords)
             step *= 0.5
             if step < 1e-5:
                 break

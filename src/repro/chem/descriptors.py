@@ -50,11 +50,8 @@ def compute_descriptors(molecule: Molecule) -> dict[str, float]:
     tpsa = float(sum(_TPSA_CONTRIBUTION.get(a.element, 0.0) for a in molecule_copy.atoms))
     carbons = [a for a in molecule_copy.atoms if a.element == "C"]
     if carbons:
-        sp3 = sum(
-            1
-            for a in carbons
-            if all(b.order == 1 for b in molecule_copy.bonds if a.index in (b.i, b.j))
-        )
+        multiply_bonded = {index for b in molecule_copy.bonds if b.order != 1 for index in (b.i, b.j)}
+        sp3 = sum(1 for a in carbons if a.index not in multiply_bonded)
         fraction_csp3 = sp3 / len(carbons)
     else:
         fraction_csp3 = 0.0

@@ -35,8 +35,68 @@ class ForceFieldEnergy:
         return float(self.bond + self.vdw + self.electrostatic)
 
 
+@dataclass(frozen=True)
+class ForceFieldTopology:
+    """Coordinate-independent arrays of one molecule, derived once.
+
+    A conformer's energy depends on its coordinates only through these
+    index and parameter arrays, so a minimisation builds them once and
+    evaluates :meth:`ForceField.evaluate` on ``(n, 3)`` coordinate arrays.
+
+    Attributes
+    ----------
+    bond_i / bond_j:
+        Atom indices of each bond, in bond-list order.
+    pair_i / pair_j:
+        Non-bonded atom pairs ``i < j`` in row-major upper-triangle order.
+    sigma / qq:
+        Per-pair Lennard-Jones sigma and partial-charge product.
+    scatter_index:
+        Flat ``atom * 3 + axis`` targets of the force scatter, atoms in the
+        order ``[i0, j0, i1, j1, ..., pair_i..., pair_j...]``.
+    """
+
+    num_atoms: int
+    bond_i: np.ndarray
+    bond_j: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    sigma: np.ndarray
+    qq: np.ndarray
+    scatter_index: np.ndarray
+
+    @classmethod
+    def from_molecule(cls, molecule: Molecule) -> "ForceFieldTopology":
+        n = molecule.num_atoms
+        bond_i = np.array([b.i for b in molecule.bonds], dtype=np.intp)
+        bond_j = np.array([b.j for b in molecule.bonds], dtype=np.intp)
+        bonded = np.zeros((n, n), dtype=bool)
+        bonded[np.minimum(bond_i, bond_j), np.maximum(bond_i, bond_j)] = True
+        pair_i, pair_j = np.triu_indices(n, k=1)
+        nonbonded = ~bonded[pair_i, pair_j]
+        pair_i, pair_j = pair_i[nonbonded], pair_j[nonbonded]
+        radii = np.array([a.vdw_radius for a in molecule.atoms])
+        charges = np.array([a.partial_charge for a in molecule.atoms])
+        scatter_atoms = np.concatenate([np.column_stack([bond_i, bond_j]).reshape(-1), pair_i, pair_j])
+        return cls(
+            num_atoms=n,
+            bond_i=bond_i,
+            bond_j=bond_j,
+            pair_i=pair_i,
+            pair_j=pair_j,
+            sigma=0.9 * (radii[pair_i] + radii[pair_j]) / 2.0,
+            qq=charges[pair_i] * charges[pair_j],
+            scatter_index=(3 * scatter_atoms[:, None] + np.arange(3)).reshape(-1),
+        )
+
+
 class ForceField:
-    """Minimal intramolecular force field with analytic forces."""
+    """Minimal intramolecular force field with analytic forces.
+
+    :meth:`evaluate` is the kernel; every floating-point reduction in it
+    keeps the order of the per-bond loop it replaced, so results are
+    bit-identical to that loop (see ``docs/chem.md``).
+    """
 
     def __init__(
         self,
@@ -55,60 +115,59 @@ class ForceField:
     # ------------------------------------------------------------------ #
     def energy_components(self, molecule: Molecule) -> ForceFieldEnergy:
         """Return the decomposed energy of the molecule's current conformer."""
-        energy, _ = self._compute(molecule, want_forces=False)
+        energy, _ = self.evaluate(ForceFieldTopology.from_molecule(molecule), molecule.coordinates, want_forces=False)
         return energy
 
     def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
         """Return total energy and per-atom forces (negative gradient)."""
-        energy, forces = self._compute(molecule, want_forces=True)
+        energy, forces = self.evaluate(ForceFieldTopology.from_molecule(molecule), molecule.coordinates)
         return energy.total, forces
 
     # ------------------------------------------------------------------ #
-    def _compute(self, molecule: Molecule, want_forces: bool) -> tuple[ForceFieldEnergy, np.ndarray]:
-        coords = molecule.coordinates
-        n = molecule.num_atoms
-        forces = np.zeros((n, 3))
-        bond_energy = 0.0
-        bonded_pairs = set()
-        for bond in molecule.bonds:
-            i, j = bond.i, bond.j
-            bonded_pairs.add((min(i, j), max(i, j)))
-            delta = coords[i] - coords[j]
-            r = np.linalg.norm(delta) + 1e-12
-            diff = r - self.bond_r0
-            bond_energy += self.bond_k * diff**2
-            if want_forces:
-                f = -2.0 * self.bond_k * diff * delta / r
-                forces[i] += f
-                forces[j] -= f
+    def evaluate(
+        self, topology: ForceFieldTopology, coords: np.ndarray, want_forces: bool = True
+    ) -> tuple[ForceFieldEnergy, np.ndarray | None]:
+        """Energy and (optionally) forces of ``(n, 3)`` coordinates ``coords``."""
+        coords = np.asarray(coords, dtype=np.float64).reshape(topology.num_atoms, 3)
+        delta = coords[topology.bond_i] - coords[topology.bond_j]
+        # a row-wise dot (not norm(axis=-1)) reproduces np.linalg.norm of each vector
+        r = np.sqrt((delta[:, None, :] @ delta[:, :, None]).reshape(-1)) + 1e-12
+        diff = r - self.bond_r0
+        bond_terms = self.bond_k * diff**2
+        # cumsum adds left to right like the sequential loop; .sum() is pairwise
+        bond_energy = float(np.cumsum(bond_terms)[-1]) if bond_terms.size else 0.0
 
         vdw_energy = 0.0
         elec_energy = 0.0
-        if n > 1:
-            radii = np.array([a.vdw_radius for a in molecule.atoms])
-            charges = np.array([a.partial_charge for a in molecule.atoms])
-            delta = coords[:, None, :] - coords[None, :, :]
-            dist = np.linalg.norm(delta, axis=-1)
-            iu, ju = np.triu_indices(n, k=1)
-            mask = np.array([(a, b) not in bonded_pairs for a, b in zip(iu, ju)])
-            iu, ju = iu[mask], ju[mask]
-            if iu.size:
-                r = np.maximum(dist[iu, ju], 0.4)
-                sigma = 0.9 * (radii[iu] + radii[ju]) / 2.0
-                sr6 = (sigma / r) ** 6
-                pair_vdw = 4.0 * self.lj_epsilon * (sr6**2 - sr6)
-                vdw_energy = float(pair_vdw.sum())
-                qq = charges[iu] * charges[ju]
-                pair_elec = self.coulomb_constant * qq / (self.dielectric * r**2)
-                elec_energy = float(pair_elec.sum())
-                if want_forces:
-                    # dE/dr for both terms
-                    dvdw = 4.0 * self.lj_epsilon * (-12.0 * sr6**2 + 6.0 * sr6) / r
-                    delec = -2.0 * self.coulomb_constant * qq / (self.dielectric * r**3)
-                    dtotal = dvdw + delec
-                    direction = (coords[iu] - coords[ju]) / r[:, None]
-                    pair_force = -dtotal[:, None] * direction
-                    np.add.at(forces, iu, pair_force)
-                    np.add.at(forces, ju, -pair_force)
+        pair_force = np.zeros((0, 3))
+        if topology.pair_i.size:
+            pair_delta = coords[topology.pair_i] - coords[topology.pair_j]
+            # the same reduction as np.linalg.norm(pair_delta, axis=-1)
+            r_pair = np.maximum(np.sqrt((pair_delta * pair_delta).sum(axis=-1)), 0.4)
+            sr6 = (topology.sigma / r_pair) ** 6
+            pair_vdw = 4.0 * self.lj_epsilon * (sr6**2 - sr6)
+            vdw_energy = float(pair_vdw.sum())
+            pair_elec = self.coulomb_constant * topology.qq / (self.dielectric * r_pair**2)
+            elec_energy = float(pair_elec.sum())
+            if want_forces:
+                # dE/dr for both terms
+                dvdw = 4.0 * self.lj_epsilon * (-12.0 * sr6**2 + 6.0 * sr6) / r_pair
+                delec = -2.0 * self.coulomb_constant * topology.qq / (self.dielectric * r_pair**3)
+                dtotal = dvdw + delec
+                pair_force = -dtotal[:, None] * (pair_delta / r_pair[:, None])
+        energy = ForceFieldEnergy(bond=bond_energy, vdw=vdw_energy, electrostatic=elec_energy)
+        if not want_forces:
+            return energy, None
 
-        return ForceFieldEnergy(bond=float(bond_energy), vdw=vdw_energy, electrostatic=elec_energy), forces
+        bond_force = (-2.0 * self.bond_k * diff)[:, None] * delta / r[:, None]
+        # One ordered scatter (bond i, bond j, ..., then pair i's, pair j's):
+        # bincount adds each bin's values in input order starting from zero,
+        # which is the accumulation order of the loop it replaced.
+        num_bonds, num_pairs = len(bond_force), len(pair_force)
+        values = np.empty((2 * num_bonds + 2 * num_pairs, 3))
+        values[0 : 2 * num_bonds : 2] = bond_force
+        values[1 : 2 * num_bonds : 2] = -bond_force
+        values[2 * num_bonds : 2 * num_bonds + num_pairs] = pair_force
+        values[2 * num_bonds + num_pairs :] = -pair_force
+        forces = np.bincount(topology.scatter_index, weights=values.reshape(-1), minlength=3 * topology.num_atoms)
+        return energy, forces.reshape(topology.num_atoms, 3)

@@ -121,15 +121,13 @@ class MoleculeGenerator:
 
     def _build_tree(self, molecule: Molecule, rng: np.random.Generator) -> None:
         """Connect atoms into a random spanning tree respecting valences."""
+        max_valence = [get_element(atom.element).max_valence for atom in molecule.atoms]
         order = list(rng.permutation(molecule.num_atoms))
         # sort so high-valence atoms appear early and can host branches
-        order.sort(key=lambda i: -get_element(molecule.atoms[i].element).max_valence)
+        order.sort(key=lambda i: -max_valence[i])
         connected = [order[0]]
         for atom_index in order[1:]:
-            candidates = [
-                c for c in connected
-                if molecule.degree(c) < get_element(molecule.atoms[c].element).max_valence
-            ]
+            candidates = [c for c in connected if molecule.degree(c) < max_valence[c]]
             if not candidates:
                 candidates = connected  # fall back: exceed valence rather than disconnect
             weights = np.array([1.0 / (1 + molecule.degree(c)) for c in candidates])
@@ -148,14 +146,8 @@ class MoleculeGenerator:
             if i == j:
                 continue
             i, j = int(i), int(j)
-            graph = molecule.to_graph()
-            try:
-                import networkx as nx
-
-                path_length = nx.shortest_path_length(graph, i, j)
-            except Exception:
-                continue
-            if not 4 <= path_length <= 6:  # favour 5- and 6-membered rings
+            path_length = molecule.path_length(i, j)
+            if path_length is None or not 4 <= path_length <= 6:  # favour 5- and 6-membered rings
                 continue
             max_i = get_element(molecule.atoms[i].element).max_valence
             max_j = get_element(molecule.atoms[j].element).max_valence

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,28 +43,68 @@ class Molecule:
         self.atoms: list[Atom] = [a.copy() for a in atoms]
         for index, atom in enumerate(self.atoms):
             atom.index = index
-        self.bonds: list[Bond] = []
         self.name = name
-        for bond in bonds:
-            self.add_bond(bond.i, bond.j, bond.order)
+        self.bonds = bonds
 
     # -------------------------------------------------------------- #
-    # Construction helpers
+    # Topology index
     # -------------------------------------------------------------- #
+    # ``_adjacency`` maps an atom index to its sorted bonded neighbours and
+    # ``_bond_keys`` holds every bond as ``(min, max)``. Both are derived
+    # from ``bonds`` and kept in step by ``add_bond`` and the ``bonds``
+    # setter, so the bond list must not be mutated in place.
+    @property
+    def bonds(self) -> list[Bond]:
+        """The covalent bonds; assign a new list to replace them all."""
+        return self._bonds
+
+    @bonds.setter
+    def bonds(self, bonds: Iterable[Bond]) -> None:
+        self._bonds: list[Bond] = []
+        self._adjacency: dict[int, list[int]] = {}
+        self._bond_keys: set[tuple[int, int]] = set()
+        for bond in bonds:
+            self._append_bond(bond)
+
     def add_bond(self, i: int, j: int, order: int = 1) -> None:
         """Add a bond, validating atom indices and duplicates."""
+        self._append_bond(Bond(i, j, order))
+
+    def _append_bond(self, bond: Bond) -> None:
+        i, j = bond.i, bond.j
         n = len(self.atoms)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"bond ({i}, {j}) references atoms outside 0..{n - 1}")
         key = (min(i, j), max(i, j))
-        if any((min(b.i, b.j), max(b.i, b.j)) == key for b in self.bonds):
+        if key in self._bond_keys:
             raise ValueError(f"duplicate bond between atoms {i} and {j}")
-        self.bonds.append(Bond(i, j, order))
+        self._bond_keys.add(key)
+        self._bonds.append(bond)
+        insort(self._adjacency.setdefault(i, []), j)
+        insort(self._adjacency.setdefault(j, []), i)
 
     def copy(self) -> "Molecule":
-        """Deep copy of the molecule."""
-        mol = Molecule(self.atoms, self.bonds, name=self.name)
+        """Deep copy of the atoms; the immutable bonds are shared."""
+        mol = Molecule.__new__(Molecule)
+        mol.atoms = [a.copy() for a in self.atoms]
+        for index, atom in enumerate(mol.atoms):
+            atom.index = index
+        mol.name = self.name
+        mol._bonds = list(self._bonds)
+        mol._adjacency = {index: list(neighbours) for index, neighbours in self._adjacency.items()}
+        mol._bond_keys = set(self._bond_keys)
         return mol
+
+    def __getstate__(self) -> dict:
+        # The index is derived data: pickle the layout checkpoints have
+        # always held (atoms, the bond list under ``bonds``, name) and
+        # rebuild the index on load.
+        rest = {k: v for k, v in self.__dict__.items() if k not in ("atoms", "_bonds", "_adjacency", "_bond_keys")}
+        return {"atoms": self.atoms, "bonds": self._bonds, **rest}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update((k, v) for k, v in state.items() if k != "bonds")
+        self.bonds = state["bonds"]
 
     # -------------------------------------------------------------- #
     # Basic properties
@@ -136,30 +177,93 @@ class Molecule:
         return graph
 
     def neighbors(self, index: int) -> list[int]:
-        """Indices of atoms covalently bonded to ``index``."""
-        out = []
-        for bond in self.bonds:
-            if bond.i == index:
-                out.append(bond.j)
-            elif bond.j == index:
-                out.append(bond.i)
-        return sorted(out)
+        """Sorted indices of atoms covalently bonded to ``index``."""
+        return list(self._adjacency.get(index, ()))
 
     def degree(self, index: int) -> int:
         """Covalent degree of atom ``index``."""
-        return len(self.neighbors(index))
+        return len(self._adjacency.get(index, ()))
 
     def connected_components(self) -> list[list[int]]:
-        """Connected components of the covalent graph as sorted index lists."""
-        return [sorted(c) for c in nx.connected_components(self.to_graph())]
+        """Connected components of the covalent graph as sorted index lists.
+
+        Components are ordered by their lowest atom index.
+        """
+        seen = [False] * len(self.atoms)
+        components = []
+        for start in range(len(self.atoms)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            component = [start]
+            for current in component:
+                for neighbour in self._adjacency.get(current, ()):
+                    if not seen[neighbour]:
+                        seen[neighbour] = True
+                        component.append(neighbour)
+            components.append(sorted(component))
+        return components
+
+    def path_length(self, source: int, target: int) -> int | None:
+        """Bonds on a shortest path from ``source`` to ``target``; ``None`` if disconnected."""
+        if source == target:
+            return 0
+        distance = {source: 0}
+        frontier = [source]
+        while frontier:
+            next_frontier = []
+            for current in frontier:
+                for neighbour in self._adjacency.get(current, ()):
+                    if neighbour in distance:
+                        continue
+                    if neighbour == target:
+                        return distance[current] + 1
+                    distance[neighbour] = distance[current] + 1
+                    next_frontier.append(neighbour)
+            frontier = next_frontier
+        return None
 
     def rings(self) -> list[list[int]]:
         """Smallest cycle basis of the covalent graph."""
         return [sorted(ring) for ring in nx.cycle_basis(self.to_graph())]
 
     def num_rings(self) -> int:
-        """Number of independent rings."""
-        return len(self.rings())
+        """Number of independent rings (the size of any cycle basis)."""
+        return len(self._bonds) - len(self.atoms) + len(self.connected_components())
+
+    def ring_bonds(self) -> set[tuple[int, int]]:
+        """``(min, max)`` keys of the bonds lying on a cycle.
+
+        These are exactly the bonds that are not bridges, found with one
+        iterative depth-first search over the adjacency index.
+        """
+        discovered = [-1] * len(self.atoms)
+        low = [0] * len(self.atoms)
+        bridges = set()
+        clock = 0
+        for root in range(len(self.atoms)):
+            if discovered[root] != -1:
+                continue
+            discovered[root] = low[root] = clock
+            clock += 1
+            stack = [(root, -1, iter(self._adjacency.get(root, ())))]
+            while stack:
+                node, parent, pending = stack[-1]
+                for neighbour in pending:
+                    if discovered[neighbour] == -1:
+                        discovered[neighbour] = low[neighbour] = clock
+                        clock += 1
+                        stack.append((neighbour, node, iter(self._adjacency.get(neighbour, ()))))
+                        break
+                    if neighbour != parent:  # bonds are unique, so the parent bond is the only one back
+                        low[node] = min(low[node], discovered[neighbour])
+                else:
+                    stack.pop()
+                    if parent != -1:
+                        low[parent] = min(low[parent], low[node])
+                        if low[node] > discovered[parent]:
+                            bridges.add((min(parent, node), max(parent, node)))
+        return self._bond_keys - bridges
 
     def rotatable_bonds(self) -> int:
         """Count single, acyclic bonds between non-terminal heavy atoms.
@@ -167,12 +271,7 @@ class Molecule:
         This is the classic rotatable-bond definition used by docking
         codes to estimate the ligand's conformational entropy penalty.
         """
-        ring_bonds = set()
-        graph = self.to_graph()
-        for ring in nx.cycle_basis(graph):
-            cycle = list(ring) + [ring[0]]
-            for a, b in zip(cycle[:-1], cycle[1:]):
-                ring_bonds.add((min(a, b), max(a, b)))
+        ring_bonds = self.ring_bonds()
         count = 0
         for bond in self.bonds:
             if bond.order != 1:

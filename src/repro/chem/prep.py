@@ -153,13 +153,12 @@ class LigandPrepPipeline:
         out = molecule.copy()
         for atom in out.atoms:
             atom.formal_charge = 0
+        multiply_bonded = {index for b in out.bonds if b.order > 1 for index in (b.i, b.j)}
         for atom in out.atoms:
             if atom.element == "N":
                 neighbours = [out.atoms[i] for i in out.neighbors(atom.index)]
                 if neighbours and all(n.element == "C" for n in neighbours) and len(neighbours) <= 3:
-                    has_double = any(
-                        b.order > 1 for b in out.bonds if atom.index in (b.i, b.j)
-                    )
+                    has_double = atom.index in multiply_bonded
                     if not has_double and ph <= 9.0:
                         atom.formal_charge = 1
             elif atom.element == "O" and out.degree(atom.index) == 1:

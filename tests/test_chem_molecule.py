@@ -1,7 +1,14 @@
 """Tests for elements, atoms, molecules, conformers, force field and descriptors."""
 
+import copy
+import copyreg
+import io
+import pickle
+
+import networkx as nx
 import numpy as np
 import pytest
+from chem_oracle import reference_neighbors
 
 from repro.chem.atom import Atom
 from repro.chem.conformer import embed_3d, minimize_conformer, random_rotation_matrix
@@ -111,6 +118,110 @@ class TestMoleculeTopology:
         mol.assign_pharmacophores()
         nitrogen = mol.atoms[2]
         assert nitrogen.hbond_acceptor
+
+
+def _old_layout_pickle(state: dict) -> bytes:
+    """Pickle bytes of a Molecule whose bond list lived in ``__dict__["bonds"]``."""
+    molecule = Molecule.__new__(Molecule)
+
+    class OldLayoutPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            # what object.__reduce_ex__ returned before Molecule had __getstate__
+            return (copyreg.__newobj__, (Molecule,), state) if obj is molecule else NotImplemented
+
+    buffer = io.BytesIO()
+    OldLayoutPickler(buffer).dump(molecule)
+    return buffer.getvalue()
+
+
+class TestTopologyIndex:
+    """The adjacency index and bond-key set stay in step with ``bonds``."""
+
+    def test_bonds_reassignment_rebuilds_index(self):
+        mol = linear_molecule("CCCC")
+        mol.bonds = [Bond(0, 1, 2), Bond(1, 2), Bond(2, 3)]  # as _assign_bond_orders does
+        assert [b.order for b in mol.bonds] == [2, 1, 1]
+        assert mol.neighbors(1) == [0, 2] and mol.degree(3) == 1
+        mol.bonds = [Bond(0, 1), Bond(1, 2)]
+        assert mol.neighbors(3) == [] and mol.degree(2) == 1
+        mol.add_bond(3, 2)  # the dropped bond is no longer a duplicate
+        assert mol.neighbors(2) == [1, 3]
+        with pytest.raises(ValueError):
+            mol.bonds = [Bond(0, 1), Bond(1, 0)]
+
+    def test_atom_append_then_add_bond(self):
+        mol = linear_molecule("CCO")
+        metal = Atom(element="Zn", formal_charge=2)
+        mol.atoms.append(metal)  # as _attach_metal does
+        metal.index = mol.num_atoms - 1
+        assert mol.neighbors(3) == [] and mol.connected_components() == [[0, 1, 2], [3]]
+        mol.add_bond(2, 3)
+        assert mol.neighbors(3) == [2] and mol.degree(2) == 2
+        assert mol.connected_components() == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("first, second", [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1))])
+    def test_duplicate_bond_in_either_orientation(self, first, second):
+        mol = Molecule([Atom("C"), Atom("C")])
+        mol.add_bond(*first)
+        with pytest.raises(ValueError):
+            mol.add_bond(*second)
+        assert mol.num_bonds == 1 and mol.degree(0) == 1
+
+    def test_neighbors_are_sorted(self):
+        mol = Molecule([Atom("C") for _ in range(5)], [Bond(2, 4), Bond(2, 0), Bond(3, 2), Bond(1, 2)])
+        assert mol.neighbors(2) == [0, 1, 3, 4]
+        assert all(mol.neighbors(i) == reference_neighbors(mol, i) for i in range(5))
+        assert mol.neighbors(99) == []
+
+    def test_copy_is_independent(self):
+        source = linear_molecule("CCCO")
+        twin = source.copy()
+        twin.add_bond(0, 3)
+        twin.atoms[0].position[0] = 42.0
+        assert source.num_bonds == 3 and source.neighbors(0) == [1]
+        assert twin.neighbors(0) == [1, 3] and source.atoms[0].position[0] == 0.0
+        source.bonds = [Bond(0, 1)]
+        assert twin.num_bonds == 4 and twin.neighbors(2) == [1, 3]
+        assert [a.index for a in twin.atoms] == [0, 1, 2, 3]
+
+    def test_path_length_and_components_match_networkx(self, molecules):
+        for mol in molecules + [linear_molecule("CCO"), Molecule([Atom("C"), Atom("C"), Atom("Na")], [Bond(0, 1)])]:
+            graph = mol.to_graph()
+            assert mol.connected_components() == [sorted(c) for c in nx.connected_components(graph)]
+            for i in range(mol.num_atoms):
+                for j in range(mol.num_atoms):
+                    if nx.has_path(graph, i, j):
+                        assert mol.path_length(i, j) == nx.shortest_path_length(graph, i, j)
+                    else:
+                        assert mol.path_length(i, j) is None
+
+    def test_pickle_round_trip_rebuilds_index(self, molecules):
+        mol = molecules[0]
+        state = mol.__getstate__()
+        assert set(state) >= {"atoms", "bonds", "name"}
+        assert "_adjacency" not in state and "_bond_keys" not in state
+        loaded = pickle.loads(pickle.dumps(mol))
+        assert [b.as_tuple() for b in loaded.bonds] == [b.as_tuple() for b in mol.bonds]
+        assert np.array_equal(loaded.coordinates, mol.coordinates)
+        assert all(loaded.neighbors(i) == mol.neighbors(i) for i in range(mol.num_atoms))
+        with pytest.raises(ValueError):
+            loaded.add_bond(mol.bonds[0].j, mol.bonds[0].i)
+        assert copy.deepcopy(mol).neighbors(0) == mol.neighbors(0)
+
+    def test_old_layout_state_loads(self):
+        atoms = [Atom("C", [0.0, 0.0, 0.0]), Atom("C", [1.5, 0.0, 0.0]), Atom("O", [3.0, 0.0, 0.0])]
+        for index, atom in enumerate(atoms):
+            atom.index = index
+        state = {"atoms": atoms, "bonds": [Bond(0, 1), Bond(2, 1, 2)], "name": "old"}
+        old_bytes = _old_layout_pickle(state)
+        loaded = pickle.loads(old_bytes)
+        assert isinstance(loaded, Molecule) and loaded.name == "old"
+        assert loaded.neighbors(1) == [0, 2] and loaded.degree(2) == 1
+        assert [b.as_tuple() for b in loaded.bonds] == [(0, 1, 1), (2, 1, 2)]
+        with pytest.raises(ValueError):
+            loaded.add_bond(1, 2)
+        # the index is not pickled: a Molecule pickles to the old layout's bytes
+        assert pickle.dumps(loaded) == old_bytes
 
 
 class TestConformerAndForceField:
