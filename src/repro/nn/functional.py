@@ -1,11 +1,12 @@
 """Functional neural-network operations built on :class:`repro.nn.Tensor`.
 
 The 3D convolution / pooling kernels here power the voxel-based 3D-CNN
-head of the Fusion model; they are implemented with
-``numpy.lib.stride_tricks.sliding_window_view`` so the forward pass is a
-single ``einsum`` over pre-extracted patches (vectorised, no Python loop
-over voxels), following the optimization guidance for numerical NumPy
-code (vectorize the hot loop, avoid copies).
+head of the Fusion model. ``conv3d`` takes its patches as a
+``numpy.lib.stride_tricks.sliding_window_view`` and runs forward and
+backward as one fixed plan of explicit ``matmul`` calls (no Python loop
+over voxels, no per-call contraction planning); the operand layouts are
+fixed because they decide the floating-point bits. See "3-D convolution:
+one explicit GEMM plan" in ``docs/training.md``.
 """
 
 from __future__ import annotations
@@ -160,28 +161,40 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
 
     # patches: (N, C, D', H', W', kd, kh, kw) — a view, not a copy.
     patches = sliding_window_view(x_data, (kd, kh, kw), axis=(2, 3, 4))
-    out_data = np.einsum("ncdhwxyz,fcxyz->nfdhw", patches, weight.data, optimize=True)
+    n, c, do, ho, wo = patches.shape[:5]
+    f = weight.shape[0]
+    k = c * kd * kh * kw
+    m = n * do * ho * wo
+
+    def patch_matrix():
+        # C-order (K, M) copy of the patches, K = (c, kd, kh, kw), M = (n, d, h, w)
+        return patches.transpose(1, 5, 6, 7, 0, 2, 3, 4).reshape(k, m)
+
+    out_fm = np.matmul(weight.data.reshape(f, k), patch_matrix())
+    out_data = out_fm.reshape(f, n, do, ho, wo).transpose(1, 0, 2, 3, 4)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1, 1)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad):
-        # grad: (N, F, D', H', W')
-        grad_w = np.einsum("nfdhw,ncdhwxyz->fcxyz", grad, patches, optimize=True)
+        # grad: (N, F, D', H', W'); the patch matrix is rebuilt, not kept alive
+        grad_mf = grad.transpose(0, 2, 3, 4, 1).reshape(m, f)
+        grad_w = np.matmul(patch_matrix(), grad_mf).reshape(c, kd, kh, kw, f).transpose(4, 0, 1, 2, 3)
         grad_b = grad.sum(axis=(0, 2, 3, 4)) if bias is not None else None
 
-        # Gradient wrt input: scatter each kernel offset's contribution.
+        # Gradient wrt input: scatter each kernel offset's contribution, in a
+        # fixed offset order. The left operand stays the strided (C, F) view:
+        # a contiguous copy takes another BLAS path and changes the bits.
+        grad_fm = grad.transpose(1, 0, 2, 3, 4).reshape(f, m)
         grad_x_padded = np.zeros_like(x_data)
-        n, f, do, ho, wo = grad.shape
         for dz in range(kd):
             for dy in range(kh):
                 for dx in range(kw):
-                    # contribution of kernel element (dz,dy,dx) to the input window
-                    contrib = np.einsum(
-                        "nfdhw,fc->ncdhw", grad, weight.data[:, :, dz, dy, dx], optimize=True
+                    contrib = np.matmul(weight.data[:, :, dz, dy, dx].T, grad_fm)
+                    grad_x_padded[:, :, dz : dz + do, dy : dy + ho, dx : dx + wo] += (
+                        contrib.reshape(c, n, do, ho, wo).transpose(1, 0, 2, 3, 4)
                     )
-                    grad_x_padded[:, :, dz : dz + do, dy : dy + ho, dx : dx + wo] += contrib
         if padding > 0:
             grad_x = grad_x_padded[
                 :, :, padding:-padding or None, padding:-padding or None, padding:-padding or None

@@ -103,6 +103,17 @@ class TestGoldenSnapshot:
         assert cached == golden, "cache-served features changed the scores"
         assert serving == golden, "serving route diverged from the committed snapshot"
 
+    def test_routes_agree_in_process(self, workbench, campaign):
+        # no fixture: the routes must agree with each other on this platform
+        complexes = campaign_complexes(campaign)
+        direct = score_direct(workbench, complexes)
+        cold, cached = score_engine(workbench, complexes)
+        serving = score_serving(workbench, complexes)
+
+        assert cold == direct, "engine route diverged from the direct route"
+        assert cached == direct, "cache-served features changed the scores"
+        assert serving == direct, "serving route diverged from the direct route"
+
     def test_fixture_metadata_matches_session_campaign(self, workbench, campaign):
         fixture = json.loads(FIXTURE_PATH.read_text())
         assert fixture["campaign_seed"] == 99
