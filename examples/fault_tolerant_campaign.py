@@ -3,16 +3,20 @@
 The production campaign ran for days under a 12-hour LSF wall-time limit
 with 2-20 % job failure rates, so the architecture leaned on many small
 requeueable jobs.  ``repro.runtime`` brings that to the reproduction:
-the campaign runs as a graph of named stages, every completed stage is
-checkpointed under a content key, and a killed campaign resumes from the
-last completed stage.  This example:
+the campaign runs as a graph of named stages (library → streamed_screen
+→ cost_function → assays), every completed stage is checkpointed under a
+content key, the streamed screen also checkpoints every shard, and a
+killed campaign resumes from the last completed stage or shard.  This
+example:
 
-1. starts a checkpointed campaign and kills it right after docking;
-2. resumes it — the physics stages restore from checkpoints and only
+1. starts a checkpointed campaign and kills it right after the streamed
+   screen (prep, docking, MM/GBSA and fusion scoring);
+2. resumes it — the completed stages restore from checkpoints and only
    the remaining stages execute;
 3. re-runs it once more under a 30 % injected fault rate to show the
-   per-job retry/backoff machinery absorbing faults without changing a
-   single score.
+   per-shard retry/backoff machinery absorbing faults without changing a
+   single score, and projects that fault rate onto the paper-scale
+   campaign with the LSF planner.
 
 Run:  python examples/fault_tolerant_campaign.py
 Expected runtime: a few minutes (it trains the fusion model first).
@@ -25,7 +29,7 @@ import tempfile
 from repro.experiments.common import build_workbench
 from repro.hpc.faults import FaultInjector
 from repro.runtime import CampaignRuntime, RetryPolicy, RuntimeConfig
-from repro.screening import CampaignConfig, CompoundCostFunction
+from repro.screening import CampaignConfig, CampaignPlanner, CompoundCostFunction
 
 
 def make_runtime(workbench, runtime_config: RuntimeConfig) -> CampaignRuntime:
@@ -37,8 +41,7 @@ def make_runtime(workbench, runtime_config: RuntimeConfig) -> CampaignRuntime:
             poses_per_compound=2,
             compounds_tested_per_site=6,
             seed=2020,
-            nodes_per_job=2,
-            gpus_per_node=2,
+            shard_size=4,
         ),
         runtime=runtime_config,
         cost_function=CompoundCostFunction(),
@@ -60,11 +63,13 @@ def main() -> None:
     checkpoint_dir = tempfile.mkdtemp(prefix="campaign-checkpoints-")
     print(f"\ncheckpoints: {checkpoint_dir}")
 
-    print("\n=== 1. Campaign killed right after the docking stage ===")
+    print("\n=== 1. Campaign killed right after the streamed screen ===")
     killed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=checkpoint_dir))
-    killed.run(stop_after="docking")
+    killed.run(stop_after="streamed_screen")
     describe(killed)
-    print(f"  checkpointed stages: {sorted(killed.checkpoints.completed_stages())}")
+    checkpointed = killed.checkpoints.completed_stages()
+    print(f"  checkpointed stages: {sorted(name for name in checkpointed if name in killed.stages)}")
+    print(f"  checkpointed shards: {sum(name not in killed.stages for name in checkpointed)}")
 
     print("\n=== 2. Resumed campaign: completed stages restore, the rest execute ===")
     resumed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=checkpoint_dir))
@@ -74,24 +79,27 @@ def main() -> None:
     print(f"  poses scored: {summary['num_poses_scored']:.0f}  "
           f"tested: {summary['num_tested']:.0f}  hit rate: {summary['hit_rate_33pct']:.1%}")
 
-    print("\n=== 3. Fresh run under 30% injected faults (retry with backoff) ===")
+    print("\n=== 3. Fresh run under 30% injected faults (per-shard retry with backoff) ===")
+    faults = FaultInjector.uniform(0.30, seed=7)
     faulty_dir = tempfile.mkdtemp(prefix="campaign-faulty-")
     faulty = make_runtime(
         workbench,
         RuntimeConfig(
             checkpoint_dir=faulty_dir,
-            fault_injector=FaultInjector.uniform(0.30, seed=7),
+            fault_injector=faults,
             retry=RetryPolicy(max_retries=20, backoff_s=0.001),
-            modelled_schedule=True,
         ),
     )
     faulty_result = faulty.run()
     describe(faulty)
-    fusion = faulty.report.stage("fusion_scoring")
-    modelled = fusion.extra["modelled_schedule"]
-    print(f"  fusion jobs: {modelled['jobs']:.0f}  attempts: {fusion.attempts}  "
-          f"retries absorbed: {fusion.retries}")
-    print(f"  modelled LSF makespan at paper scale: {modelled['makespan_s'] / 3600:.2f} h")
+    screen = faulty.report.stage("streamed_screen")
+    print(f"  shards: {screen.extra['stream']['num_shards']:.0f}  attempts: {screen.attempts}  "
+          f"retries absorbed: {screen.retries}")
+    planner = CampaignPlanner(fault_injector=faults)
+    projected = planner.schedule(planner.plan(), max_jobs_simulated=200, seed=7)
+    print(f"  paper-scale campaign at this fault rate ({projected.plan.num_jobs} LSF jobs on "
+          f"{planner.cluster_nodes} nodes): {projected.jobs_requeued} of {projected.jobs_scheduled} "
+          f"sampled jobs requeued, projected makespan {projected.projected_wall_clock_hours:.1f} h")
 
     identical = {
         (r.site_name, r.compound_id, r.pose_id): r.fusion_pk for r in result.database.records()

@@ -4,8 +4,8 @@ The pipeline run here is the paper's, stage for stage:
 
 1. compound libraries (synthetic eMolecules / Enamine / ZINC decks);
 2. ConveyorLC: ligand prep, Vina-style docking, MM/GBSA rescoring;
-3. distributed Coherent Fusion scoring jobs (MPI-rank partitioning,
-   allgather, HDF5-like output);
+3. Coherent Fusion scoring — steps 2 and 3 stream through the campaign
+   in bounded compound shards, with per-site top-K and HDF5-like output;
 4. a compound cost function selecting candidates per binding site;
 5. simulated experimental assays (FRET at 100 µM for Mpro, pseudo-virus /
    BLI at 10 µM for spike) and the retrospective hit-rate analysis.
@@ -34,24 +34,28 @@ def main() -> None:
         compounds_tested_per_site=10,
         seed=2020,
     )
-    campaign = ScreeningCampaign(
+    runtime = ScreeningCampaign(
         model=workbench.coherent_fusion,
         featurizer=workbench.featurizer,
         config=config,
         cost_function=CompoundCostFunction(),
-    ).run()
+    ).runtime()
+    campaign = runtime.run()
 
     summary = campaign.summary()
     print(f"poses scored: {summary['num_poses_scored']:.0f}  "
           f"compounds tested: {summary['num_tested']:.0f}  "
           f"hit rate (>33% inhibition): {summary['hit_rate_33pct']:.1%}")
 
-    print("\n=== Scoring-job telemetry (Figure 3 / Table 7 structure) ===")
-    for result in campaign.job_results[:4]:
-        modelled = result.modelled
-        print(f"  {result.job_name:22s} ranks={result.num_ranks:2d} poses={result.num_poses:4d} "
-              f"eval={result.timings['evaluation']:.2f}s  "
-              f"(paper-scale model: {modelled.poses_per_second:.0f} poses/s for 2M-pose jobs)")
+    print("\n=== Streamed screen: shards and per-site scoring output ===")
+    shards = runtime.report.stage("streamed_screen").extra["stream"]
+    print(f"  {shards['num_compounds']:.0f} compounds in {shards['num_shards']:.0f} shards "
+          f"({shards['shards_executed']:.0f} executed, {shards['total_retries']:.0f} retries) "
+          f"in {shards['duration_s']:.2f}s")
+    for result in campaign.job_results:
+        stats = campaign.stream_stats[result.site_name]
+        print(f"  {result.job_name:22s} poses={result.num_poses:4d} compounds={stats['count']:.0f} "
+              f"best-pose pK mean={stats['mean']:.2f} max={stats['max']:.2f}")
 
     print("\n=== Top selected compounds per target ===")
     for site_name, selection in campaign.selections.items():

@@ -461,6 +461,13 @@ def run_spmd_process(fn: Callable[[Any], Any], size: int, timeout: float = 300.0
         payload = _SpmdWorkerPayload(fn, size, up, down, timeout)
         pool = ProcessTaskPool(payload, max_workers=size)
         try:
+            # Start every worker before any rank runs.  The executor spawns
+            # workers on demand, and its manager thread can enter its wait
+            # before the last worker's sentinel exists; a rank killed then
+            # is never noticed and the survivors starve in a collective.
+            # Each warm-up result wakes the manager thread, so once all
+            # are back it waits on every worker's sentinel.
+            wait([pool.warm() for _ in range(size)], timeout=timeout)
             futures = [pool.submit(rank) for rank in range(size)]
             _, not_done = wait(futures, timeout=timeout, return_when=FIRST_EXCEPTION)
             lost = next(

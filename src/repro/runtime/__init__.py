@@ -1,29 +1,16 @@
 """Fault-tolerant campaign runtime: stage graph, checkpoints, resumption.
 
 Decomposes the screening campaign into named, resumable stages with
-content-keyed checkpoints persisted through the HDF5-like store, retries
-fault-injected stage jobs with backoff on a bounded worker pool, and
-routes fusion scoring through either batch jobs or the online serving
-service behind one :class:`StageExecutor` interface.
+content-keyed checkpoints persisted through the HDF5-like store.  The
+prep → dock → MM/GBSA → fusion work runs as one streamed stage
+(:mod:`repro.screening.stream`) that checkpoints and retries at shard
+granularity under a :class:`RetryPolicy`.
 """
 
-from repro.runtime.campaign import (
-    CAMPAIGN_STAGES,
-    STREAMING_CAMPAIGN_STAGES,
-    CampaignRuntime,
-    RuntimeConfig,
-)
+from repro.runtime.campaign import CAMPAIGN_STAGES, CampaignRuntime, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_key
-from repro.runtime.executor import (
-    BatchStageExecutor,
-    JobRunner,
-    RetryPolicy,
-    ServingStageExecutor,
-    StageExecutor,
-    StageJob,
-    StageJobError,
-)
 from repro.runtime.stages import (
+    RetryPolicy,
     RuntimeReport,
     Stage,
     StageFailure,
@@ -33,18 +20,11 @@ from repro.runtime.stages import (
 
 __all__ = [
     "CAMPAIGN_STAGES",
-    "STREAMING_CAMPAIGN_STAGES",
     "CampaignRuntime",
     "RuntimeConfig",
     "CheckpointStore",
     "checkpoint_key",
-    "BatchStageExecutor",
-    "JobRunner",
     "RetryPolicy",
-    "ServingStageExecutor",
-    "StageExecutor",
-    "StageJob",
-    "StageJobError",
     "Stage",
     "StageGraph",
     "StageFailure",

@@ -9,20 +9,22 @@ restarting, which is what makes days-long screening allotments under a
 
 ::
 
-    library ──> ligand_prep ──> docking ──> mmgbsa ──> fusion_scoring ──> cost_function ──> assays
+    library ──> streamed_screen ──> cost_function ──> assays
+
+``streamed_screen`` runs ligand prep, docking, MM/GBSA and fusion
+scoring through the shard-streamed engine (:mod:`repro.screening.stream`)
+and collects every record.  Inside the stage, progress checkpoints and
+retries at shard granularity: each shard passes through the runtime's
+fault injector and :class:`~repro.runtime.stages.RetryPolicy`, and a
+killed or failed stage resumes from its folded shards.
 
 Stage keys chain: each key hashes the stage's own configuration
 ingredients (seeds, library counts, docking knobs, the fusion model's
 weight fingerprint, cost-function weights, ...) together with the keys
 of its dependencies.  Changing the seed invalidates everything; swapping
-the fusion model checkpoint invalidates ``fusion_scoring`` and its
-downstream stages while docking checkpoints keep being reused.
-
-The fusion stage fans out into per-site scoring jobs executed by a
-bounded worker pool with fault-injected retries (:class:`JobRunner`),
-and the same job set is projected onto the simulated LSF cluster
-(:class:`~repro.hpc.scheduler.JobScheduler`) to report paper-scale
-makespan and attempt statistics.
+the fusion model invalidates ``streamed_screen`` (its shard keys include
+the model fingerprint) and its downstream stages, while ``library``
+keeps restoring.
 """
 
 from __future__ import annotations
@@ -39,24 +41,14 @@ from repro.chem.protein import make_sarscov2_targets
 from repro.datasets.assays import make_assay_panel, simulate_campaign_assays
 from repro.datasets.libraries import build_screening_deck
 from repro.docking.ampl import AMPLSurrogate
-from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa, DockingDatabase
+from repro.docking.conveyorlc import DockingDatabase
 from repro.featurize.engine import FeaturePipeline
 from repro.featurize.pipeline import ComplexFeaturizer
-from repro.hpc.cluster import SimulatedCluster
 from repro.hpc.faults import FaultInjector
 from repro.hpc.h5store import H5Store
-from repro.hpc.scheduler import Job, JobScheduler, SchedulerConfig
 from repro.nn.module import Module
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_key
-from repro.runtime.executor import (
-    BatchStageExecutor,
-    JobRunner,
-    RetryPolicy,
-    ServingStageExecutor,
-    StageExecutor,
-    StageJob,
-)
-from repro.runtime.stages import RuntimeReport, Stage, StageFailure, StageGraph, StageReport
+from repro.runtime.stages import RetryPolicy, RuntimeReport, Stage, StageFailure, StageGraph, StageReport
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.screening.job import JobResult
 from repro.screening.output import write_job_output, write_topk
@@ -70,24 +62,10 @@ from repro.utils.rng import derive_seed
 
 logger = get_logger("repro.runtime")
 
-#: The campaign's stage graph (a chain: each stage depends on the previous).
+#: The campaign's stage graph: prep/dock/rescore/score run as one
+#: shard-streamed stage (:mod:`repro.screening.stream`) whose *internal*
+#: progress checkpoints at shard granularity through the same store.
 CAMPAIGN_STAGES = StageGraph(
-    [
-        Stage("library", provides=("sites", "deck")),
-        Stage("ligand_prep", provides=("receptors", "ligands"), deps=("library",)),
-        Stage("docking", provides=("database",), deps=("ligand_prep",)),
-        Stage("mmgbsa", provides=("database",), deps=("docking",)),
-        Stage("fusion_scoring", provides=("database", "job_results"), deps=("mmgbsa",)),
-        Stage("cost_function", provides=("selections", "ampl_models"), deps=("fusion_scoring",)),
-        Stage("assays", provides=("assays", "structural_pk"), deps=("cost_function",)),
-    ]
-)
-
-#: The streaming campaign's stage graph: prep/dock/rescore/score collapse
-#: into one shard-streamed stage (:mod:`repro.screening.stream`) whose
-#: *internal* progress checkpoints at shard granularity through the same
-#: store, while the downstream selection/assay stages are unchanged.
-STREAMING_CAMPAIGN_STAGES = StageGraph(
     [
         Stage("library", provides=("sites", "deck")),
         Stage(
@@ -111,18 +89,12 @@ class RuntimeConfig:
     #: restore completed stages from matching checkpoints (disable to
     #: force re-execution while still writing fresh checkpoints)
     resume: bool = True
-    #: bound on concurrently running stage jobs (per-site scoring)
+    #: shard workers of the streamed screen
     max_workers: int = 4
+    #: retry budget and backoff of every streamed shard
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: fault source for stage jobs; ``None`` means no injected faults
+    #: fault source for shard attempts; ``None`` means no injected faults
     fault_injector: FaultInjector | None = None
-    #: fusion-scoring route: "auto" follows ``CampaignConfig.use_serving``,
-    #: or force "batch" / "serving" explicitly
-    executor: str = "auto"
-    #: opt-in: project the fusion job set onto the simulated LSF cluster
-    #: and record makespan/attempts in the stage report (off by default
-    #: so the plain facade run does exactly the monolith's work)
-    modelled_schedule: bool = False
 
 
 class CampaignRuntime:
@@ -145,16 +117,14 @@ class CampaignRuntime:
         self.runtime = runtime or RuntimeConfig()
         self.cost_function = cost_function or CompoundCostFunction()
         self.interaction_model = interaction_model or InteractionModel()
-        if self.runtime.executor not in ("auto", "batch", "serving"):
-            raise ValueError(f"unknown executor '{self.runtime.executor}'")
-        self.campaign.validate_streaming()
+        self.campaign.validate()
         if checkpoints is not None:
             self.checkpoints: CheckpointStore | None = checkpoints
         elif self.runtime.checkpoint_dir is not None:
             self.checkpoints = CheckpointStore(self.runtime.checkpoint_dir)
         else:
             self.checkpoints = None
-        self.stages = STREAMING_CAMPAIGN_STAGES if self.campaign.streaming else CAMPAIGN_STAGES
+        self.stages = CAMPAIGN_STAGES
         self.report = RuntimeReport()
         #: how many times each stage actually executed over this
         #: runtime's lifetime (restores do not count) — the counters the
@@ -170,12 +140,6 @@ class CampaignRuntime:
         self._run_telemetry: Telemetry | None = None
 
     # ------------------------------------------------------------------ #
-    @property
-    def executor_name(self) -> str:
-        if self.runtime.executor != "auto":
-            return self.runtime.executor
-        return "serving" if self.campaign.use_serving else "batch"
-
     def model_fp(self) -> str:
         """Fingerprint of the fusion model's weights (memoized)."""
         if self._model_fp is None:
@@ -186,12 +150,12 @@ class CampaignRuntime:
         """Deterministic identity of the featurization that feeds the model.
 
         A changed grid resolution or graph cutoff changes model inputs
-        (and therefore scores), so it must invalidate the fusion
-        checkpoint just like a model-weight swap does.  The scalar
+        (and therefore scores), so it must invalidate the streamed shards
+        just like a model-weight swap does.  The scalar
         ``ComplexFeaturizer`` and the vectorized ``FeaturePipeline``
         expose the same config attributes and produce bit-identical
         features, so swapping one for the other deliberately leaves the
-        digest (and every fusion checkpoint) intact.
+        digest (and every shard checkpoint) intact.
         """
         f = self.featurizer
         return (
@@ -202,14 +166,11 @@ class CampaignRuntime:
         )
 
     # ------------------------------------------------------------------ #
-    def run(self, use_threads: bool | None = None, stop_after: str | None = None) -> CampaignResult | None:
+    def run(self, stop_after: str | None = None) -> CampaignResult | None:
         """Execute (or resume) the campaign.
 
         Parameters
         ----------
-        use_threads:
-            Forwarded to the batch scoring jobs (see
-            :meth:`repro.screening.job.FusionScoringJob.run`).
         stop_after:
             Stop once the named stage has completed and checkpointed —
             simulating a campaign killed mid-flight.  Returns ``None``
@@ -219,7 +180,7 @@ class CampaignRuntime:
         Raises
         ------
         StageFailure
-            When a stage's jobs exhaust their retry budget or its body
+            When a shard exhausts its retry budget or a stage body
             raises.  Checkpoints of completed stages survive, so a
             re-run resumes; the failed stage's report (attempts,
             retries, faults) is preserved in :attr:`report`.
@@ -265,7 +226,7 @@ class CampaignRuntime:
                         else:
                             report = StageReport(name=stage.name, key=key, status="executed")
                             try:
-                                payload = self._execute_stage(stage, context, report, use_threads)
+                                payload = getattr(self, f"_stage_{stage.name}")(context, report)
                                 missing = set(stage.provides) - set(payload)
                                 if missing:
                                     raise RuntimeError(f"stage payload missing artifacts {sorted(missing)}")
@@ -290,8 +251,8 @@ class CampaignRuntime:
                         context.update(payload)
                     report.duration_s = time.perf_counter() - started
                     # Table 7 phase attribution from the spans this stage's
-                    # window emitted (Timer sections in the scoring jobs, the
-                    # streamed screen's coordinator sections, ...)
+                    # window emitted (the streamed screen's coordinator
+                    # sections, ...)
                     report.extra["phases"] = phase_totals_of(tracer.records()[span_index:])
                     self.report.stages.append(report)
                     logger.info("stage %-14s %s in %.3fs", stage.name, report.status, report.duration_s)
@@ -360,38 +321,20 @@ class CampaignRuntime:
         dep_keys = [upstream[dep] for dep in stage.deps]
         return checkpoint_key(stage_name, self._stage_ingredients(stage_name), dep_keys)
 
+    def _sites_ingredient(self) -> object:
+        sites = self.campaign.sites
+        if sites is None:
+            return "sarscov2-default"
+        return tuple(sorted((name, site_digest(site)) for name, site in sites.items()))
+
     def _stage_ingredients(self, stage_name: str) -> dict[str, object]:
         cfg = self.campaign
         if stage_name == "library":
-            sites = "sarscov2-default"
-            if cfg.sites is not None:
-                sites = tuple(sorted((name, site_digest(site)) for name, site in cfg.sites.items()))
-            return {"seed": cfg.seed, "library_counts": tuple(sorted(cfg.library_counts.items())), "sites": sites}
-        if stage_name == "ligand_prep":
-            return {"seed": cfg.seed}
-        if stage_name == "docking":
             return {
                 "seed": cfg.seed,
-                "poses_per_compound": cfg.poses_per_compound,
-                "monte_carlo_steps": cfg.docking_mc_steps,
-                "restarts": cfg.docking_restarts,
+                "library_counts": tuple(sorted(cfg.library_counts.items())),
+                "sites": self._sites_ingredient(),
             }
-        if stage_name == "mmgbsa":
-            return {"seed": cfg.seed, "subset_fraction": cfg.mmgbsa_subset_fraction}
-        if stage_name == "fusion_scoring":
-            ingredients: dict[str, object] = {
-                "model": self.model_fp(),
-                "featurizer": self._featurizer_digest(),
-                "executor": self.executor_name,
-                "poses_per_job": cfg.poses_per_job,
-                "nodes_per_job": cfg.nodes_per_job,
-                "gpus_per_node": cfg.gpus_per_node,
-                "batch_size_per_rank": cfg.batch_size_per_rank,
-            }
-            if self.executor_name == "serving":
-                # batch composition (and therefore ulp-level rounding) follows these
-                ingredients["serving_max_batch_size"] = cfg.serving.max_batch_size
-            return ingredients
         if stage_name == "streamed_screen":
             ingredients = dict(self._stream_shard_ingredients())
             # top_k shapes the folded artifact but not shard payloads, so
@@ -417,124 +360,38 @@ class CampaignRuntime:
 
         ``shard_size`` and worker count are deliberately absent: shard
         results are bit-identical across both (the same invariance —
-        and the same reasoning — as ``docking_engine``'s exclusion from
-        the docking stage key), so retuning throughput must keep shard
-        checkpoints warm.  ``fusion_batch_size`` *is* included because
-        NN batch composition moves ulps.
+        and the same reasoning — as ``docking_engine``'s exclusion), so
+        retuning throughput must keep shard checkpoints warm.
+        ``fusion_batch_size`` *is* included because NN batch composition
+        moves ulps.  ``mmgbsa_subset_fraction`` and ``executor`` keep the
+        values they had before those options were retired, so shard
+        checkpoints written then still restore.
         """
         cfg = self.campaign
-        sites = "sarscov2-default"
-        if cfg.sites is not None:
-            sites = tuple(sorted((name, site_digest(site)) for name, site in cfg.sites.items()))
         return {
             "seed": cfg.seed,
-            "sites": sites,
+            "sites": self._sites_ingredient(),
             "poses_per_compound": cfg.poses_per_compound,
             "monte_carlo_steps": cfg.docking_mc_steps,
             "restarts": cfg.docking_restarts,
-            "mmgbsa_subset_fraction": cfg.mmgbsa_subset_fraction,
+            "mmgbsa_subset_fraction": 1.0,
             "model": self.model_fp(),
             "featurizer": self._featurizer_digest(),
-            "executor": self.executor_name,
+            "executor": "serving" if cfg.use_serving else "batch",
             "fusion_batch_size": cfg.fusion_batch_size,
-            **(
-                {"serving_max_batch_size": cfg.serving.max_batch_size}
-                if self.executor_name == "serving"
-                else {}
-            ),
+            **({"serving_max_batch_size": cfg.serving.max_batch_size} if cfg.use_serving else {}),
         }
 
     # ------------------------------------------------------------------ #
-    # stage bodies (each mirrors the corresponding slice of the original
-    # monolithic ScreeningCampaign.run, with identical seeding)
+    # stage bodies
     # ------------------------------------------------------------------ #
-    def _execute_stage(
-        self, stage: Stage, context: dict[str, Any], report: StageReport, use_threads: bool | None
-    ) -> dict[str, Any]:
-        fn = getattr(self, f"_stage_{stage.name}")
-        return fn(context, report, use_threads)
-
-    def _stage_library(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
+    def _stage_library(self, context: dict, report: StageReport) -> dict:
         cfg = self.campaign
         sites = cfg.sites or make_sarscov2_targets(seed=derive_seed(cfg.seed, "targets"))
         deck = build_screening_deck(cfg.library_counts, seed=cfg.seed)
         return {"sites": sites, "deck": deck}
 
-    def _stage_ligand_prep(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
-        receptors = CDT1Receptor().run(list(context["sites"].values()))
-        ligands = CDT2Ligand().run(context["deck"].molecules, library="campaign")
-        return {"receptors": receptors, "ligands": ligands}
-
-    def _stage_docking(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
-        cfg = self.campaign
-        # engine/workers are deliberately absent from the stage's
-        # checkpoint ingredients: the batched and scalar dockers are
-        # bit-identical, so switching engines must keep checkpoints warm
-        docking = CDT3Docking(
-            num_poses=cfg.poses_per_compound,
-            monte_carlo_steps=cfg.docking_mc_steps,
-            restarts=cfg.docking_restarts,
-            seed=derive_seed(cfg.seed, "docking"),
-            engine=cfg.docking_engine,
-            max_workers=cfg.docking_workers,
-            backend=cfg.backend,
-        )
-        database = docking.run(context["receptors"], context["ligands"])
-        return {"database": database}
-
-    def _stage_mmgbsa(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
-        cfg = self.campaign
-        mmgbsa = CDT4Mmgbsa(
-            subset_fraction=cfg.mmgbsa_subset_fraction,
-            seed=derive_seed(cfg.seed, "mmgbsa"),
-            engine=cfg.docking_engine,
-        )
-        site_map = {name: receptor.site for name, receptor in context["receptors"].items()}
-        database = mmgbsa.run(context["database"], site_map)
-        return {"database": database}
-
-    def _stage_fusion_scoring(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
-        database = context["database"]
-        sites = context["sites"]
-        feature_cache = getattr(self.featurizer, "cache", None)
-        cache_before = feature_cache.stats() if feature_cache is not None else None
-        runner = JobRunner(
-            max_workers=self.runtime.max_workers,
-            fault_injector=self.runtime.fault_injector,
-            retry=self.runtime.retry,
-        )
-        with self._make_executor() as executor:
-            jobs: list[StageJob] = []
-            for site_name, site in sites.items():
-                site_records = [r for r in database.records() if r.site_name == site_name]
-                jobs.extend(executor.site_jobs(site, site_records, use_threads=use_threads))
-            try:
-                job_results = runner.run_all(jobs)
-            finally:
-                report.attempts = runner.total_attempts
-                report.retries = runner.total_retries
-                report.faults = [str(fault) for fault in runner.fault_log]
-        if self.runtime.modelled_schedule and jobs:
-            report.extra["modelled_schedule"] = self._modelled_schedule(jobs)
-        if feature_cache is not None:
-            # observability: how much featurization this stage's scoring put
-            # through the engine's cache.  Counters are deltas over the stage
-            # (the workbench featurizer is shared across runs, so lifetime
-            # totals would conflate unrelated work); size/capacity/bytes are
-            # current values.
-            stats = feature_cache.stats()
-            report.extra["feature_cache"] = {
-                "lookups": stats.lookups - cache_before.lookups,
-                "hits": stats.hits - cache_before.hits,
-                "misses": stats.misses - cache_before.misses,
-                "evictions": stats.evictions - cache_before.evictions,
-                "size": stats.size,
-                "capacity": stats.capacity,
-                "bytes": stats.bytes,
-            }
-        return {"database": database, "job_results": job_results}
-
-    def _stage_streamed_screen(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
+    def _stage_streamed_screen(self, context: dict, report: StageReport) -> dict:
         """Shard-streamed prep → dock → MM/GBSA → fusion with bounded memory.
 
         Shards checkpoint individually through the runtime's store (under
@@ -567,7 +424,7 @@ class CampaignRuntime:
         )
         salt = checkpoint_key("stream-shard-salt", self._stream_shard_ingredients())
         service = None
-        if self.executor_name == "serving":
+        if cfg.use_serving:
             from repro.serving import ScoringService
 
             service = ScoringService(
@@ -591,10 +448,10 @@ class CampaignRuntime:
                 result = engine.run(deck.molecules, collect_predictions=True, collect_records=True)
             except StreamShardError as error:
                 # the stage failed, but the shards folded before the
-                # failure are checkpointed; preserve that progress — and
-                # the fault history, like _stage_fusion_scoring does —
-                # in the (kept) failure report so operators and the
-                # resume tests can see what a re-run will skip
+                # failure are checkpointed; preserve that progress and
+                # the fault history in the (kept) failure report so
+                # operators and the resume tests can see what a re-run
+                # will skip
                 report.attempts = error.total_attempts
                 report.retries = error.total_retries
                 report.faults = list(error.faults)
@@ -608,11 +465,14 @@ class CampaignRuntime:
             if service is not None:
                 service.close()
 
+        # shards fold site by site, so a stable sort by site lays the
+        # database out site-major in deck order — the layout of docking
+        # the whole deck one site at a time, and independent of shard_size
         database = DockingDatabase()
-        database.extend(result.records or [])
+        database.extend(sorted(result.records, key=lambda record: record.site_name))
         job_results: list[JobResult] = []
         for site_name in sorted(sites):
-            site_predictions = (result.predictions or {}).get(site_name, {})
+            site_predictions = result.predictions.get(site_name, {})
             store = H5Store()
             keys = list(site_predictions)
             write_job_output(
@@ -648,7 +508,7 @@ class CampaignRuntime:
             "stream_stats": {name: stats.as_dict() for name, stats in result.stats.items()},
         }
 
-    def _stage_cost_function(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
+    def _stage_cost_function(self, context: dict, report: StageReport) -> dict:
         database = context["database"]
         sites = context["sites"]
         ampl_models = self._fit_ampl_models(database, sites)
@@ -659,7 +519,7 @@ class CampaignRuntime:
             )
         return {"selections": selections, "ampl_models": ampl_models}
 
-    def _stage_assays(self, context: dict, report: StageReport, use_threads: bool | None) -> dict:
+    def _stage_assays(self, context: dict, report: StageReport) -> dict:
         cfg = self.campaign
         database = context["database"]
         sites = context["sites"]
@@ -682,19 +542,6 @@ class CampaignRuntime:
         return {"assays": assays, "structural_pk": structural_pk}
 
     # ------------------------------------------------------------------ #
-    def _make_executor(self) -> StageExecutor:
-        cfg = self.campaign
-        if self.executor_name == "serving":
-            return ServingStageExecutor(self.model, self.featurizer, serving_config=cfg.serving)
-        return BatchStageExecutor(
-            self.model,
-            self.featurizer,
-            poses_per_job=cfg.poses_per_job,
-            num_nodes=cfg.nodes_per_job,
-            gpus_per_node=cfg.gpus_per_node,
-            batch_size_per_rank=cfg.batch_size_per_rank,
-        )
-
     def _fit_ampl_models(self, database, sites) -> dict[str, AMPLSurrogate]:
         """Fit one AMPL surrogate per site on the MM/GBSA-rescored poses."""
         models: dict[str, AMPLSurrogate] = {}
@@ -710,41 +557,6 @@ class CampaignRuntime:
                 models[site_name] = AMPLSurrogate(target=site_name).fit(ligands, np.array(scores))
         return models
 
-    def _modelled_schedule(self, jobs: list[StageJob]) -> dict[str, float]:
-        """Project the fusion job set onto the simulated LSF cluster.
-
-        The scheduler shares the runner's fault statistics (same seed,
-        same per-(job, attempt) draws), so the simulated requeue pattern
-        matches the retries the real execution just performed — while
-        virtual time reports what the job set would cost at paper scale.
-        """
-        max_nodes = max(job.num_nodes for job in jobs)
-        cluster = SimulatedCluster(num_nodes=max(self.runtime.max_workers, 1) * max_nodes)
-        source = self.runtime.fault_injector
-        injector = FaultInjector(
-            failure_rates=source.failure_rates if source else None,
-            seed=source.seed if source else 0,
-            enabled=bool(source and source.enabled),
-        )
-        scheduler = JobScheduler(cluster, SchedulerConfig(), fault_injector=injector)
-        for job in jobs:
-            scheduler.submit(
-                Job(
-                    name=job.name,
-                    num_nodes=job.num_nodes,
-                    duration_seconds=max(job.modelled_seconds, 1.0),
-                    max_retries=self.runtime.retry.max_retries,
-                )
-            )
-        scheduler.run()
-        completed = scheduler.completed_jobs()
-        return {
-            "makespan_s": scheduler.makespan(),
-            "jobs": float(len(jobs)),
-            "completed": float(len(completed)),
-            "attempts": float(sum(j.attempts for j in scheduler.jobs.values())),
-        }
-
     # ------------------------------------------------------------------ #
     def _assemble_result(self, context: dict[str, Any]) -> CampaignResult:
         job_results = context["job_results"]
@@ -757,6 +569,6 @@ class CampaignRuntime:
             stores=[result.store for result in job_results],
             ampl_models=context["ampl_models"],
             structural_pk=context["structural_pk"],
-            topk=context.get("topk"),
-            stream_stats=context.get("stream_stats"),
+            topk=context["topk"],
+            stream_stats=context["stream_stats"],
         )

@@ -1,8 +1,8 @@
-"""Stage graph of the fault-tolerant campaign runtime.
+"""Stage graph and retry policy of the fault-tolerant campaign runtime.
 
-The screening campaign is a linear-looking pipeline (library build,
-ligand prep, docking, MM/GBSA, fusion scoring, cost function, assays),
-but treating it as one monolithic pass means any fault restarts it from
+The screening campaign is a linear-looking pipeline (library build, the
+streamed prep/dock/rescore/score screen, cost function, assays), but
+treating it as one monolithic pass means any fault restarts it from
 scratch — the opposite of what a days-long Sierra-class campaign can
 afford.  The runtime instead models the campaign as a graph of named
 stages with explicit dependencies; every stage's output can be
@@ -13,6 +13,25 @@ completed stages instead of re-executing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Retry budget and backoff schedule for fault-injected attempts."""
+
+    max_retries: int = 3
+    backoff_s: float = 0.0
+    backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if self.backoff_s < 0:
+            raise ValueError("backoff_s must be non-negative")
+
+    def backoff_for(self, attempt: int) -> float:
+        """Seconds to wait before re-running after a failed ``attempt``."""
+        return self.backoff_s * self.backoff_factor ** max(attempt - 1, 0)
 
 
 class StageFailure(RuntimeError):
@@ -112,10 +131,10 @@ class StageGraph:
 class StageReport:
     """What happened to one stage during one :meth:`CampaignRuntime.run`.
 
-    ``extra`` carries stage-specific observability payloads; the fusion
-    scoring stage records ``"modelled_schedule"`` (simulated-LSF
-    projection) and ``"feature_cache"`` (hit/miss/eviction counters of
-    the featurization engine's content-addressed cache) there.
+    ``extra`` carries stage-specific observability payloads; every stage
+    records its ``"phases"`` there, and the streamed screen adds its
+    ``"stream"`` summary (shards executed/restored/failed, steals,
+    retries).
     """
 
     name: str

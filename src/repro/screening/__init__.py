@@ -10,9 +10,9 @@ from repro.screening.planner import CampaignPlan, CampaignPlanner, CampaignSched
 
 #: Lazily re-exported from :mod:`repro.screening.stream` (PEP 562).  The
 #: stream module imports ``repro.runtime`` (checkpoints, retry policy)
-#: while ``repro.runtime.executor`` imports ``repro.screening.job`` — an
-#: eager import here would make ``import repro.runtime`` fail as a first
-#: import with a partially-initialized-module error.
+#: while ``repro.runtime.campaign`` imports ``repro.screening.pipeline`` —
+#: an eager import here would make ``import repro.runtime`` fail as a
+#: first import with a partially-initialized-module error.
 _STREAM_EXPORTS = frozenset(
     {
         "ShardOutcome",

@@ -2,18 +2,19 @@
 
 Chains every stage of the paper's §4-§5 pipeline on the synthetic
 substrate: compound-library generation, ligand preparation, Vina docking
-and MM/GBSA rescoring (ConveyorLC), distributed Coherent Fusion scoring
-jobs, the compound cost function selecting candidates per binding site,
-and the simulated experimental assays producing percent-inhibition
-values for the retrospective analysis (Figures 5-7 and Table 8).
+and MM/GBSA rescoring (ConveyorLC), Coherent Fusion scoring, the compound
+cost function selecting candidates per binding site, and the simulated
+experimental assays producing percent-inhibition values for the
+retrospective analysis (Figures 5-7 and Table 8).
 
 Execution is delegated to the fault-tolerant stage runtime
-(:mod:`repro.runtime`): :class:`ScreeningCampaign` is a thin facade that
-drives a :class:`~repro.runtime.CampaignRuntime` without checkpointing,
-producing bit-identical results to the historical monolithic pass for a
-fixed seed.  Campaigns that need kill/resume semantics, fault-injected
-retries or bounded-concurrency site scoring construct the runtime
-directly with a checkpoint directory.
+(:mod:`repro.runtime`), whose prep → dock → MM/GBSA → fusion work runs
+through the shard-streamed engine (:mod:`repro.screening.stream`) with
+every record collected.  :class:`ScreeningCampaign` is a thin facade
+that drives a :class:`~repro.runtime.CampaignRuntime` without
+checkpointing; campaigns that need kill/resume semantics or
+fault-injected shard retries construct the runtime directly with a
+checkpoint directory.
 """
 
 from __future__ import annotations
@@ -45,36 +46,23 @@ class CampaignConfig:
     docking_restarts: int = 2
     #: docking/rescoring engine: "batched" (lockstep MC on the pairwise
     #: kernel) or "scalar" (golden reference) — bit-identical results, so
-    #: the choice (like ``docking_workers``) never enters checkpoint keys
+    #: the choice never enters checkpoint keys
     docking_engine: str = "batched"
-    #: bound on the per-site compound pool of ``dock_many``
-    docking_workers: int = 1
-    #: execution backend of the campaign's parallel stages: ``"thread"``
-    #: (historical default) or ``"process"`` (spawned worker processes,
-    #: :mod:`repro.parallel`).  Flows into ``dock_many`` pools and the
-    #: streaming engine's shard workers.  Results are bit-identical
-    #: either way, so — exactly like ``docking_engine`` and
-    #: ``docking_workers`` — the backend never enters checkpoint keys:
-    #: retuning it keeps every stage and shard checkpoint warm.
+    #: execution backend of the streamed screen's shard workers:
+    #: ``"thread"`` or ``"process"`` (spawned worker processes,
+    #: :mod:`repro.parallel`).  Results are bit-identical either way, so —
+    #: exactly like ``docking_engine`` — the backend never enters
+    #: checkpoint keys: retuning it keeps every stage and shard checkpoint
+    #: warm.
     backend: str = "thread"
-    mmgbsa_subset_fraction: float = 1.0
-    poses_per_job: int = 200
-    nodes_per_job: int = 4
-    gpus_per_node: int = 4
-    batch_size_per_rank: int = 8
     compounds_tested_per_site: int = 12
     biology_penalty_mean: float = 2.6
     seed: int = 2020
-    #: route candidate rescoring through the online ``repro.serving`` service
-    #: (micro-batching + replica pool + result cache) instead of batch jobs
+    #: route fusion scoring through the online ``repro.serving`` service
+    #: (micro-batching + replica pool + result cache) instead of scoring
+    #: each compound's poses directly in the shard workers
     use_serving: bool = False
     serving: ServingConfig = field(default_factory=ServingConfig)
-    #: stream the deck through the shard-parallel engine
-    #: (:mod:`repro.screening.stream`) instead of materializing every
-    #: intermediate stage result.  Bit-identical to the materialized path
-    #: when both score fusion with the same batch protocol (see
-    #: ``fusion_batch_size`` and docs/streaming.md).
-    streaming: bool = False
     #: compounds per streamed shard — a pure throughput/memory knob:
     #: results are bit-identical for every shard size, so (like
     #: ``docking_engine``) it never enters checkpoint keys
@@ -83,22 +71,19 @@ class CampaignConfig:
     #: bounded-memory selector; ``0`` defaults to
     #: ``compounds_tested_per_site``
     top_k: int = 0
-    #: fusion-scoring batch protocol of the streaming path: poses per NN
-    #: batch *within* one compound (batches never span compounds, so the
-    #: composition — and therefore every ulp — is shard-size- and
-    #: worker-invariant); ``0`` scores each compound's poses in one batch.
-    #: ``1`` is the protocol shared with a ``batch_size_per_rank=1``
-    #: single-rank materialized campaign, which is what makes the two
-    #: paths bit-identical end to end.
+    #: fusion-scoring batch protocol: poses per NN batch *within* one
+    #: compound (batches never span compounds, so the composition — and
+    #: therefore every ulp — is shard-size- and worker-invariant); ``0``
+    #: scores each compound's poses in one batch.  ``1`` scores one pose
+    #: per batch, the protocol of the straight-line reference campaign in
+    #: ``tests/campaign_oracle.py``.
     fusion_batch_size: int = 0
 
     def resolved_top_k(self) -> int:
         return self.top_k if self.top_k > 0 else self.compounds_tested_per_site
 
-    def validate_streaming(self) -> None:
-        """Reject configurations the streaming path cannot honour exactly."""
-        if not self.streaming:
-            return
+    def validate(self) -> None:
+        """Reject configurations the streamed campaign cannot honour exactly."""
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
         if self.fusion_batch_size < 0:
@@ -108,12 +93,6 @@ class CampaignConfig:
             # in-process replica pool; a shard worker in another process
             # cannot reach it (see repro.screening.stream)
             raise ValueError("streaming campaigns cannot combine use_serving with backend='process'")
-        if self.mmgbsa_subset_fraction != 1.0:
-            # the subset draw is a single global RNG choice over every
-            # compound — inherently unstreamable without materializing
-            # the compound list, and silently changing the subset would
-            # break bit-identity with the materialized path
-            raise ValueError("streaming campaigns require mmgbsa_subset_fraction == 1.0")
 
 
 @dataclass
@@ -128,11 +107,10 @@ class CampaignResult:
     stores: list[H5Store]
     ampl_models: dict[str, AMPLSurrogate]
     structural_pk: dict[str, dict[str, float]]  # site -> compound -> latent pK of best pose
-    #: streaming-path extras: per-site exact top-K ranking (by best
-    #: fusion pK) and streaming score statistics; ``None`` on the
-    #: materialized path
-    topk: dict | None = None
-    stream_stats: dict | None = None
+    #: per-site exact top-K ranking (by best fusion pK) and streaming
+    #: score statistics
+    topk: dict
+    stream_stats: dict
 
     def tested_compounds(self, site_name: str) -> list[str]:
         return [score.compound_id for score in self.selections.get(site_name, [])]
@@ -174,7 +152,7 @@ class ScreeningCampaign:
         self.interaction_model = interaction_model or InteractionModel()
 
     # ------------------------------------------------------------------ #
-    def run(self, use_threads: bool | None = None) -> CampaignResult:
+    def run(self) -> CampaignResult:
         """Execute every stage front to back (no checkpointing).
 
         The fusion-scoring route follows ``config.use_serving``; for
@@ -182,7 +160,7 @@ class ScreeningCampaign:
         with a checkpoint directory instead.
         """
         runtime = self.runtime()
-        result = runtime.run(use_threads=use_threads)
+        result = runtime.run()
         assert result is not None  # no stop_after: the run always completes
         return result
 
@@ -193,9 +171,9 @@ class ScreeningCampaign:
         from repro.runtime.campaign import CampaignRuntime, RuntimeConfig
 
         if runtime_config is None:
-            # The facade preserves the monolith's resource profile: one
-            # fusion job at a time (scores are order-independent either
-            # way, but concurrent jobs multiply peak memory).
+            # The facade streams shards serially: scores are
+            # worker-count-invariant, but concurrent shards multiply
+            # peak memory.
             runtime_config = RuntimeConfig(max_workers=1)
         return CampaignRuntime(
             model=self.model,

@@ -80,7 +80,7 @@ from repro.parallel import (
     validate_backend,
 )
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_key
-from repro.runtime.executor import RetryPolicy
+from repro.runtime.stages import RetryPolicy
 from repro.screening.partition import shard_bounds
 from repro.telemetry import Telemetry, activate, build_run_record, stage_entry, worker_occupancy
 from repro.telemetry import current as current_telemetry
@@ -607,7 +607,7 @@ class StreamingScreen:
         changed configuration can never restore stale shards.
     fault_injector:
         Optional fault source; each shard attempt passes through one
-        draw exactly like the runtime's :class:`JobRunner` jobs.
+        draw, keyed by shard name and attempt number.
     process_killer:
         Optional :class:`~repro.hpc.faults.ProcessKillFault` for chaos
         testing the process backend: unlike the coordinator-side
@@ -1037,10 +1037,8 @@ class StreamingScreen:
         def fold(outcome: ShardOutcome) -> None:
             nonlocal executed, restored, failed, num_compounds, total_attempts, total_retries
             total_attempts += outcome.attempts
-            # attempts beyond the first — the same definition as
-            # JobRunner.total_retries, so the streamed stage's retry
-            # metric is comparable to every other stage's (a terminal
-            # fault that exhausts the budget is not a retry)
+            # attempts beyond the first (a terminal fault that
+            # exhausts the budget is not a retry)
             total_retries += max(outcome.attempts - 1, 0)
             count_retries.inc(max(outcome.attempts - 1, 0))
             fault_log.extend(outcome.faults)

@@ -3,8 +3,11 @@
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,19 @@ def _spmd_raise_rank_one(ctx):
     if ctx.rank == 1:
         raise ValueError("rank payload exploded")
     return ctx.allgather(ctx.rank, tag="ranks")
+
+
+# One rank-kill case in a fresh interpreter: exit 0 iff RankLostError.
+_KILL_CASE_SCRIPT = """
+from repro.hpc.mpi import RankLostError, run_spmd_process
+from test_hpc import _spmd_kill_rank_one
+
+try:
+    run_spmd_process(_spmd_kill_rank_one, 2, timeout=120.0)
+except RankLostError:
+    raise SystemExit(0)
+raise SystemExit("run_spmd_process returned although rank 1 was killed")
+"""
 
 
 class TestCluster:
@@ -386,6 +402,32 @@ class TestProcessSpmdFaults:
         with pytest.raises(RankLostError, match="was lost during an SPMD step"):
             run_spmd_process(_spmd_kill_rank_one, 2, timeout=120.0)
         assert time.perf_counter() - started < 60.0
+
+    def test_killed_rank_never_hangs_across_fresh_interpreters(self):
+        """Regression: a rank killed before the executor's manager thread
+        tracked its worker used to leave the survivor starving in a
+        collective (about one run in two).  Each iteration runs in its own
+        interpreter and process group, so a hang is a timeout here, not a
+        stuck suite."""
+        tests_dir = Path(__file__).resolve().parent
+        path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        for iteration in range(10):
+            child = subprocess.Popen(
+                [sys.executable, "-c", _KILL_CASE_SCRIPT],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            )
+            try:
+                _, stderr = child.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)  # the child and its rank workers
+                child.communicate()
+                pytest.fail(f"iteration {iteration}: run_spmd_process hung after a rank was killed")
+            assert child.returncode == 0, f"iteration {iteration}: {stderr[-2000:]}"
 
     def test_raising_rank_poisons_survivors_fast(self):
         with pytest.raises(RankLostError, match="ValueError: rank payload exploded"):

@@ -1,10 +1,10 @@
 """Tests for the fault-tolerant campaign runtime (repro.runtime).
 
 The mini-campaign here is deliberately tiny (one library, two poses per
-compound) so that kill/resume scenarios can afford several full runs;
-bitwise equality assertions are exact (``==`` on floats), because the
-runtime's contract is bit-identical results across facade, checkpointed,
-resumed and fault-retried executions of the same seed.
+compound, three shards) so that kill/resume scenarios can afford several
+full runs; bitwise equality assertions are exact (``==`` on floats),
+because the runtime's contract is bit-identical results across facade,
+checkpointed, resumed and fault-retried executions of the same seed.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ import pytest
 from repro.hpc.faults import FaultInjector
 from repro.runtime import (
     CheckpointStore,
-    JobRunner,
     RetryPolicy,
     RuntimeConfig,
     CampaignRuntime,
     Stage,
     StageFailure,
     StageGraph,
-    StageJob,
-    StageJobError,
     checkpoint_key,
 )
 from repro.screening.costfunction import CompoundCostFunction
@@ -36,8 +33,7 @@ def mini_config(**overrides) -> CampaignConfig:
         poses_per_compound=2,
         compounds_tested_per_site=3,
         seed=13,
-        nodes_per_job=2,
-        gpus_per_node=2,
+        shard_size=2,
     )
     base.update(overrides)
     return CampaignConfig(**base)
@@ -60,6 +56,11 @@ def fusion_map(result) -> dict[tuple[str, str, int], float]:
 
 def selection_map(result) -> dict[str, list[str]]:
     return {site: [score.compound_id for score in scores] for site, scores in result.selections.items()}
+
+
+def stage_checkpoints(runtime) -> list[str]:
+    """Checkpointed stage names, without the streamed screen's shard files."""
+    return sorted(name for name in runtime.checkpoints.completed_stages() if name in runtime.stages)
 
 
 @pytest.fixture(scope="module")
@@ -147,39 +148,9 @@ class TestCheckpointStore:
 
 
 # --------------------------------------------------------------------- #
-# job runner
+# retry policy
 # --------------------------------------------------------------------- #
-class TestJobRunner:
-    def test_results_in_submission_order(self):
-        import time as _time
-
-        def make(value, delay):
-            def fn():
-                _time.sleep(delay)
-                return value
-
-            return fn
-
-        runner = JobRunner(max_workers=4)
-        jobs = [StageJob(name=f"j{i}", fn=make(i, 0.02 * (3 - i))) for i in range(4)]
-        assert runner.run_all(jobs) == [0, 1, 2, 3]
-        assert runner.total_retries == 0
-
-    def test_retries_then_exhaustion(self):
-        always = FaultInjector.uniform(1.0, seed=1)
-        runner = JobRunner(max_workers=1, fault_injector=always, retry=RetryPolicy(max_retries=2))
-        with pytest.raises(StageJobError) as excinfo:
-            runner.run_all([StageJob(name="doomed", fn=lambda: "never")])
-        assert excinfo.value.attempts == 3  # 1 try + 2 retries
-        assert runner.attempts["doomed"] == 3
-
-    def test_transient_faults_recovered(self):
-        flaky = FaultInjector.uniform(0.6, seed=4)
-        runner = JobRunner(max_workers=2, fault_injector=flaky, retry=RetryPolicy(max_retries=20))
-        results = runner.run_all([StageJob(name=f"job{i}", fn=lambda i=i: i * 10) for i in range(6)])
-        assert results == [0, 10, 20, 30, 40, 50]
-        assert runner.total_attempts >= 6
-
+class TestRetryPolicy:
     def test_retry_policy_backoff_schedule(self):
         policy = RetryPolicy(max_retries=3, backoff_s=0.1, backoff_factor=2.0)
         assert policy.backoff_for(1) == pytest.approx(0.1)
@@ -187,7 +158,7 @@ class TestJobRunner:
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            JobRunner(max_workers=0)
+            RetryPolicy(backoff_s=-1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -213,20 +184,21 @@ class TestCampaignRuntime:
         assert fusion_map(result) == fusion_map(baseline)
         assert result.structural_pk == baseline.structural_pk
 
-    def test_kill_after_docking_then_resume(self, workbench, baseline, checkpoint_dir):
-        """Acceptance: a campaign killed after docking resumes, skips completed
-        stages (stage counters prove it) and yields bit-identical results."""
+    def test_kill_after_streamed_screen_then_resume(self, workbench, baseline, checkpoint_dir):
+        """Acceptance: a campaign killed after the streamed screen resumes,
+        skips completed stages (stage counters prove it) and yields
+        bit-identical results."""
         killed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir)))
-        assert killed.run(stop_after="docking") is None
-        assert killed.report.executed_stages() == ["library", "ligand_prep", "docking"]
-        assert sorted(killed.checkpoints.completed_stages()) == ["docking", "library", "ligand_prep"]
+        assert killed.run(stop_after="streamed_screen") is None
+        assert killed.report.executed_stages() == ["library", "streamed_screen"]
+        assert stage_checkpoints(killed) == ["library", "streamed_screen"]
 
         resumed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir)))
         result = resumed.run()
-        assert resumed.report.restored_stages() == ["library", "ligand_prep", "docking"]
-        assert resumed.report.executed_stages() == ["mmgbsa", "fusion_scoring", "cost_function", "assays"]
+        assert resumed.report.restored_stages() == ["library", "streamed_screen"]
+        assert resumed.report.executed_stages() == ["cost_function", "assays"]
         # completed stages were not re-executed
-        for name in ("library", "ligand_prep", "docking"):
+        for name in ("library", "streamed_screen"):
             assert resumed.execution_counts[name] == 0
         assert fusion_map(result) == fusion_map(baseline)
         assert result.structural_pk == baseline.structural_pk
@@ -234,30 +206,38 @@ class TestCampaignRuntime:
         assert result.summary() == baseline.summary()
 
     def test_fault_exhaustion_kills_then_resume_skips_completed(self, workbench, baseline, checkpoint_dir):
-        """FaultInjector-driven kill: fusion jobs keep faulting until the
+        """FaultInjector-driven kill: one shard keeps faulting until the
         retry budget runs out, the campaign dies, and a re-run resumes from
-        the checkpoints without re-executing the physics stages."""
+        the library checkpoint and the shards folded before the failure."""
+        # seed 20: shard 0 recovers after one retry, shard 1 faults on
+        # both of its attempts; one worker folds shard 0 first
         lethal = RuntimeConfig(
             checkpoint_dir=str(checkpoint_dir),
-            fault_injector=FaultInjector.uniform(1.0, seed=5),
+            fault_injector=FaultInjector.uniform(0.5, seed=20),
             retry=RetryPolicy(max_retries=1),
+            max_workers=1,
         )
         dying = make_runtime(workbench, lethal)
         with pytest.raises(StageFailure) as excinfo:
             dying.run()
-        assert excinfo.value.stage == "fusion_scoring"
-        assert sorted(dying.checkpoints.completed_stages()) == ["docking", "library", "ligand_prep", "mmgbsa"]
-        # the failed stage's fault diagnostics survive the failure
-        failed_report = dying.report.stage("fusion_scoring")
+        assert excinfo.value.stage == "streamed_screen"
+        assert stage_checkpoints(dying) == ["library"]
+        # the failed stage's fault diagnostics and shard progress survive
+        failed_report = dying.report.stage("streamed_screen")
         assert failed_report.retries > 0
         assert failed_report.faults
+        folded = failed_report.extra["stream"]["shards_executed"]
+        assert folded > 0
 
         resumed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir)))
         result = resumed.run()
-        assert resumed.report.restored_stages() == ["library", "ligand_prep", "docking", "mmgbsa"]
-        assert resumed.report.executed_stages() == ["fusion_scoring", "cost_function", "assays"]
-        assert resumed.execution_counts["docking"] == 0
-        assert resumed.execution_counts["fusion_scoring"] == 1
+        assert resumed.report.restored_stages() == ["library"]
+        assert resumed.report.executed_stages() == ["streamed_screen", "cost_function", "assays"]
+        stream = resumed.report.stage("streamed_screen").extra["stream"]
+        assert stream["shards_restored"] == folded
+        assert stream["shards_executed"] == stream["num_shards"] - folded
+        assert resumed.execution_counts["library"] == 0
+        assert resumed.execution_counts["streamed_screen"] == 1
         assert fusion_map(result) == fusion_map(baseline)
 
     def test_transient_faults_retry_with_identical_results(self, workbench, baseline, checkpoint_dir):
@@ -265,24 +245,17 @@ class TestCampaignRuntime:
             checkpoint_dir=str(checkpoint_dir),
             fault_injector=FaultInjector.uniform(0.5, seed=11),
             retry=RetryPolicy(max_retries=12),
-            modelled_schedule=True,
         )
         runtime = make_runtime(workbench, flaky)
         result = runtime.run()
-        report = runtime.report.stage("fusion_scoring")
+        report = runtime.report.stage("streamed_screen")
         assert report.retries > 0
         assert len(report.faults) == report.retries  # every logged fault cost exactly one retry
-        assert report.attempts - report.retries == 4  # one scoring job per site succeeded
+        assert report.attempts - report.retries == report.extra["stream"]["num_shards"]  # each shard succeeded once
         # faults only cost retries, never results
         assert fusion_map(result) == fusion_map(baseline)
-        # the LSF projection shares the fault draws, so its simulated
-        # requeue pattern matches the attempts the runner just made
-        modelled = report.extra["modelled_schedule"]
-        assert modelled["attempts"] == report.attempts
-        assert modelled["completed"] == modelled["jobs"]
-        assert modelled["makespan_s"] > 0
 
-    def test_model_swap_invalidates_fusion_and_downstream_only(self, workbench, checkpoint_dir):
+    def test_model_swap_invalidates_screen_and_downstream_only(self, workbench, checkpoint_dir):
         make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir))).run()
         swapped = CampaignRuntime(
             model=workbench.mid_fusion,  # different weights -> different fingerprint
@@ -293,10 +266,12 @@ class TestCampaignRuntime:
             interaction_model=workbench.interaction_model,
         )
         swapped.run()
-        assert swapped.report.restored_stages() == ["library", "ligand_prep", "docking", "mmgbsa"]
-        assert swapped.report.executed_stages() == ["fusion_scoring", "cost_function", "assays"]
+        assert swapped.report.restored_stages() == ["library"]
+        assert swapped.report.executed_stages() == ["streamed_screen", "cost_function", "assays"]
+        # shard keys carry the model fingerprint, so no shard restores
+        assert swapped.report.stage("streamed_screen").extra["stream"]["shards_restored"] == 0
 
-    def test_featurizer_change_invalidates_fusion_checkpoint(self, workbench, checkpoint_dir):
+    def test_featurizer_change_invalidates_screen_checkpoint(self, workbench, checkpoint_dir):
         from repro.featurize.graph import GraphConfig
         from repro.featurize.pipeline import ComplexFeaturizer
         from repro.featurize.voxelize import VoxelGridConfig
@@ -316,8 +291,8 @@ class TestCampaignRuntime:
             interaction_model=workbench.interaction_model,
         )
         refeaturized.run()
-        assert "fusion_scoring" in refeaturized.report.executed_stages()
-        assert "docking" in refeaturized.report.restored_stages()
+        assert refeaturized.report.restored_stages() == ["library"]
+        assert refeaturized.report.executed_stages() == ["streamed_screen", "cost_function", "assays"]
 
     def test_restored_payload_missing_artifact_reexecutes(self, workbench, checkpoint_dir):
         runtime = make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir)))
@@ -338,7 +313,7 @@ class TestCampaignRuntime:
     def test_stage_body_error_wrapped_and_report_preserved(self, workbench):
         runtime = make_runtime(workbench)
         # a stage body raising a generic error (simulating e.g. bad metadata)
-        runtime._stage_library = lambda context, report, use_threads: (_ for _ in ()).throw(
+        runtime._stage_library = lambda context, report: (_ for _ in ()).throw(
             KeyError("bad metadata")
         )
         with pytest.raises(StageFailure) as excinfo:
@@ -348,14 +323,12 @@ class TestCampaignRuntime:
 
     def test_executed_payload_missing_artifact_fails_with_report(self, workbench):
         runtime = make_runtime(workbench)
-        runtime._stage_library = lambda context, report, use_threads: {"sites": {}}  # no 'deck'
+        runtime._stage_library = lambda context, report: {"sites": {}}  # no 'deck'
         with pytest.raises(StageFailure, match="missing artifacts"):
             runtime.run()
         assert runtime.report.stage("library").status == "executed"
 
     def test_invalid_configuration_rejected(self, workbench):
-        with pytest.raises(ValueError, match="executor"):
-            make_runtime(workbench, RuntimeConfig(executor="quantum"))
         runtime = make_runtime(workbench)
         with pytest.raises(KeyError):
             runtime.run(stop_after="not-a-stage")
@@ -369,7 +342,7 @@ def test_golden_determinism_across_direct_serving_and_resumed(workbench, baselin
     serving-routed path and a runtime run resumed from checkpoints."""
     serving_result = make_runtime(workbench, use_serving=True).run()
 
-    make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir))).run(stop_after="mmgbsa")
+    make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir))).run(stop_after="streamed_screen")
     resumed_result = make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir))).run()
 
     golden = baseline.summary()
@@ -378,7 +351,7 @@ def test_golden_determinism_across_direct_serving_and_resumed(workbench, baselin
     # the snapshot holds because selection itself is identical
     assert selection_map(serving_result) == selection_map(baseline)
     assert selection_map(resumed_result) == selection_map(baseline)
-    # serving and batch agree to floating-point associativity on raw scores
+    # serving and direct scoring agree to floating-point associativity on raw scores
     base_scores = fusion_map(baseline)
     for key, score in fusion_map(serving_result).items():
         assert score == pytest.approx(base_scores[key], rel=1e-9, abs=1e-9)

@@ -241,16 +241,16 @@ def test_service_drain_and_metrics(workbench, traffic):
         service.start()  # closed services cannot be restarted
 
 
-def test_campaign_routed_through_serving_matches_job_path(workbench):
+def test_campaign_routed_through_serving_matches_direct_scoring(workbench):
     from repro.screening.costfunction import CompoundCostFunction
     from repro.screening.pipeline import CampaignConfig, ScreeningCampaign
 
     library_counts = {"emolecules": 6}
     base = dict(
         library_counts=library_counts, poses_per_compound=2,
-        compounds_tested_per_site=4, seed=7, nodes_per_job=2, gpus_per_node=2,
+        compounds_tested_per_site=4, seed=7,
     )
-    jobs_campaign = ScreeningCampaign(
+    direct_campaign = ScreeningCampaign(
         model=workbench.coherent_fusion,
         featurizer=workbench.featurizer,
         config=CampaignConfig(**base),
@@ -266,23 +266,23 @@ def test_campaign_routed_through_serving_matches_job_path(workbench):
         interaction_model=workbench.interaction_model,
     ).run()
 
-    jobs_predictions: dict = {}
-    for result in jobs_campaign.job_results:
+    direct_predictions: dict = {}
+    for result in direct_campaign.job_results:
         for (cid, pid), score in result.predictions.items():
-            jobs_predictions[(result.site_name, cid, pid)] = score
+            direct_predictions[(result.site_name, cid, pid)] = score
     serving_predictions: dict = {}
     for result in serving_campaign.job_results:
         for (cid, pid), score in result.predictions.items():
             serving_predictions[(result.site_name, cid, pid)] = score
 
-    assert serving_predictions.keys() == jobs_predictions.keys()
+    assert serving_predictions.keys() == direct_predictions.keys()
     for key, score in serving_predictions.items():
-        # job ranks and the service batch differently, so agreement is up
-        # to floating-point associativity, not bitwise
-        assert score == pytest.approx(jobs_predictions[key], rel=1e-9, abs=1e-9), key
+        # shard workers and the service batch differently, so agreement
+        # is up to floating-point associativity, not bitwise
+        assert score == pytest.approx(direct_predictions[key], rel=1e-9, abs=1e-9), key
     # downstream selection is therefore identical as well
     assert {s: [c.compound_id for c in v] for s, v in serving_campaign.selections.items()} == {
-        s: [c.compound_id for c in v] for s, v in jobs_campaign.selections.items()
+        s: [c.compound_id for c in v] for s, v in direct_campaign.selections.items()
     }
 
 

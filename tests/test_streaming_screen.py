@@ -6,18 +6,18 @@ contract bit-for-bit (``np.array_equal``, no tolerances):
 * top-K ids, scores and summary statistics are identical across
   ``shard_size`` ∈ {1, 7, 64}, ``workers`` ∈ {1, 4} and ``backend`` ∈
   {thread, process} (spawned worker processes, :mod:`repro.parallel`);
-* the streaming campaign path reproduces the materialized
-  :class:`ScreeningCampaign` path exactly (records, selections,
-  structural pK, assays) when both score fusion with the shared batch-1
-  protocol;
+* the streamed campaign reproduces the straight-line reference
+  composition of ``tests/campaign_oracle.py`` exactly (records,
+  selections, structural pK, assays) when both score one pose per NN
+  batch;
 * a run killed mid-stream resumes from shard checkpoints without
   rescoring finished shards, bit-identical to an uninterrupted run.
 
 Regenerating goldens: there are no committed golden files here — the
 suite is self-referential (every configuration must agree with every
-other), so a deliberate numerical change to prep/docking/featurization/
-models needs no regeneration step in this file; the cross-path campaign
-test inherits any regeneration done for ``tests/data/golden_fusion_scores.json``.
+other, and the campaign oracle is recomputed from the same code), so a
+deliberate numerical change to prep/docking/featurization/models needs
+no regeneration step in this file.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from repro.screening.stream import (
     topk_by_full_sort,
 )
 from repro.utils.rng import derive_seed
+
+from campaign_oracle import reference_campaign
 
 SEED = 41
 SITE_NAMES = ("protease1", "protease2")
@@ -113,25 +115,18 @@ CAMPAIGN_KWARGS = dict(
     docking_restarts=1,
     compounds_tested_per_site=4,
     seed=SEED,
-    # the shared fusion batch protocol: single-rank jobs scoring one pose
-    # per NN batch, the composition both paths can reproduce exactly
-    nodes_per_job=1,
-    gpus_per_node=1,
-    batch_size_per_rank=1,
 )
 
 
 @pytest.fixture(scope="module")
 def materialized_campaign(workbench, stream_sites):
-    config = CampaignConfig(sites=stream_sites, **CAMPAIGN_KWARGS)
-    return ScreeningCampaign(workbench.coherent_fusion, workbench.featurizer, config).run()
+    """The straight-line reference: whole-deck stages, one pose per NN batch."""
+    return reference_campaign(workbench.coherent_fusion, workbench.featurizer, stream_sites, **CAMPAIGN_KWARGS)
 
 
 @pytest.fixture(scope="module")
 def streaming_campaign(workbench, stream_sites):
-    config = CampaignConfig(
-        sites=stream_sites, streaming=True, shard_size=4, top_k=5, fusion_batch_size=1, **CAMPAIGN_KWARGS
-    )
+    config = CampaignConfig(sites=stream_sites, shard_size=4, top_k=5, fusion_batch_size=1, **CAMPAIGN_KWARGS)
     return ScreeningCampaign(workbench.coherent_fusion, workbench.featurizer, config).run()
 
 
@@ -328,10 +323,10 @@ class TestProcessBackend:
                 service=object(),
             )
 
-    def test_validate_streaming_rejects_serving_with_process_backend(self):
-        config = CampaignConfig(streaming=True, use_serving=True, backend="process")
+    def test_validate_rejects_serving_with_process_backend(self):
+        config = CampaignConfig(use_serving=True, backend="process")
         with pytest.raises(ValueError, match="use_serving"):
-            config.validate_streaming()
+            config.validate()
 
     def test_unknown_backend_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -378,7 +373,7 @@ class TestProcessBackend:
         thread-backend campaign bit for bit — selections, structural pK,
         top-K and assays."""
         config = CampaignConfig(
-            sites=stream_sites, streaming=True, shard_size=4, top_k=5,
+            sites=stream_sites, shard_size=4, top_k=5,
             fusion_batch_size=1, backend="process", **CAMPAIGN_KWARGS,
         )
         by_process = ScreeningCampaign(
@@ -574,8 +569,7 @@ class TestStreamingCampaignRuntime:
         from repro.runtime import CampaignRuntime, RuntimeConfig, StageFailure
 
         config = CampaignConfig(
-            sites=stream_sites, streaming=True, shard_size=1, top_k=5, fusion_batch_size=1,
-            **CAMPAIGN_KWARGS,
+            sites=stream_sites, shard_size=1, top_k=5, fusion_batch_size=1, **CAMPAIGN_KWARGS
         )
         campaign = ScreeningCampaign(workbench.coherent_fusion, workbench.featurizer, config)
         # seed 5: shards 0-1 draw no fault, shard 2 does — so at least two
@@ -624,13 +618,6 @@ class TestStreamingCampaignRuntime:
             assert np.array_equal(scores, np.array([e.score for e in entries]))
             stats = streaming_campaign.stream_stats[job.site_name]
             assert job.store.attrs(f"topk/{job.site_name}")["count"] == stats["count"]
-
-    def test_streaming_requires_full_mmgbsa_subset(self, workbench, stream_sites):
-        config = CampaignConfig(
-            sites=stream_sites, streaming=True, mmgbsa_subset_fraction=0.5, **CAMPAIGN_KWARGS
-        )
-        with pytest.raises(ValueError, match="subset_fraction"):
-            ScreeningCampaign(workbench.coherent_fusion, workbench.featurizer, config).runtime()
 
 
 # --------------------------------------------------------------------------- #
