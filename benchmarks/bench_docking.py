@@ -1,15 +1,16 @@
-"""Docking throughput — scalar golden reference vs the batched lockstep engine.
+"""Docking throughput — scalar oracle vs the lockstep docking engine.
 
 Docking dominates the campaign's physics budget (§4.1: ~10 poses/s/node,
 about one minute per compound per core), so poses/s here bounds campaign
 throughput before featurization and scoring even start.  This benchmark
-docks identical compound traffic through the scalar ``PoseGenerator``,
-the lockstep ``BatchedMonteCarloDocker`` and the pooled ``dock_many``
-path, sweeping restart counts and ligand sizes, and writes the poses/s
-table to ``benchmarks/artifacts/docking_throughput.json`` — the perf
-trajectory later PRs must not regress.  The batched engine is
-bit-identical to the scalar docker (see ``tests/test_docking_engine.py``),
-so every speedup row is a pure win.
+docks identical compound traffic through the scalar oracle
+(``ScalarPoseGenerator`` in ``tests/docking_oracle.py``) and the lockstep
+``PoseGenerator``, sweeping restart counts and ligand sizes, and writes
+the poses/s table to ``benchmarks/artifacts/docking_throughput.json`` —
+the perf trajectory later changes must not regress.  The engine is
+bit-identical to the oracle (see ``tests/test_docking_engine.py``), so
+every speedup row is a pure win.  Run with ``PYTHONPATH=src:tests`` so
+the oracle imports.
 
 A "pose" is one Monte-Carlo pose evaluation: ``restarts × (steps + 1)``
 per compound.  The acceptance trajectory tracks the >= 5x batched
@@ -26,10 +27,11 @@ from benchmarks.conftest import write_artifact
 from repro.chem.generator import GeneratorProfile, MoleculeGenerator
 from repro.chem.prep import LigandPrepPipeline
 from repro.chem.protein import make_sarscov2_targets
-from repro.docking.engine import BatchedMonteCarloDocker, dock_many
-from repro.docking.poses import PoseGenerator
+from repro.docking.engine import PoseGenerator
 from repro.docking.vina import VinaScorer
 from repro.utils.rng import derive_seed
+
+from docking_oracle import ScalarPoseGenerator
 
 DEFAULT_RESTARTS = 4
 DEFAULT_MC_STEPS = 60
@@ -75,7 +77,7 @@ def _best_of(rounds: int, fn) -> float:
     return best
 
 
-def _sweep(site, ligand_sets, restart_counts, mc_steps: int, workers: int, rounds: int) -> list[dict]:
+def _sweep(site, ligand_sets, restart_counts, mc_steps: int, rounds: int) -> list[dict]:
     scorer = VinaScorer()
     rows = []
     for label, prepared in ligand_sets:
@@ -86,22 +88,18 @@ def _sweep(site, ligand_sets, restart_counts, mc_steps: int, workers: int, round
 
             def run_scalar():
                 for compound_id, molecule in pairs:
-                    PoseGenerator(
+                    ScalarPoseGenerator(
                         scorer, seed=derive_seed(0, "dock", site.name, compound_id), **kwargs
                     ).dock(site, molecule, complex_id=compound_id)
 
             def run_batched():
                 for compound_id, molecule in pairs:
-                    BatchedMonteCarloDocker(
+                    PoseGenerator(
                         scorer, seed=derive_seed(0, "dock", site.name, compound_id), **kwargs
                     ).dock(site, molecule, complex_id=compound_id)
 
-            def run_pooled():
-                dock_many(site, pairs, scorer=scorer, seed=0, max_workers=workers, **kwargs)
-
             scalar_s = _best_of(rounds, run_scalar)
             batched_s = _best_of(rounds, run_batched)
-            pooled_s = _best_of(rounds, run_pooled)
 
             rows.append(
                 {
@@ -113,9 +111,7 @@ def _sweep(site, ligand_sets, restart_counts, mc_steps: int, workers: int, round
                     "monte_carlo_steps": mc_steps,
                     "scalar_pps": _poses_per_second(scalar_s, len(pairs), restarts, mc_steps),
                     "batched_pps": _poses_per_second(batched_s, len(pairs), restarts, mc_steps),
-                    "pooled_pps": _poses_per_second(pooled_s, len(pairs), restarts, mc_steps),
                     "batched_speedup": scalar_s / batched_s if batched_s > 0 else float("inf"),
-                    "pooled_speedup": scalar_s / pooled_s if pooled_s > 0 else float("inf"),
                 }
             )
     return rows
@@ -139,7 +135,7 @@ def test_docking_throughput_sweep(benchmark, bench_scale):
         rounds = 2
 
     rows = benchmark.pedantic(
-        lambda: _sweep(site, ligand_sets, restart_counts, DEFAULT_MC_STEPS, workers=4, rounds=rounds),
+        lambda: _sweep(site, ligand_sets, restart_counts, DEFAULT_MC_STEPS, rounds=rounds),
         rounds=1,
         iterations=1,
     )
@@ -147,7 +143,7 @@ def test_docking_throughput_sweep(benchmark, bench_scale):
 
     assert {row["restarts"] for row in rows} >= {DEFAULT_RESTARTS}
     for row in rows:
-        assert row["scalar_pps"] > 0 and row["batched_pps"] > 0 and row["pooled_pps"] > 0
+        assert row["scalar_pps"] > 0 and row["batched_pps"] > 0
 
     at_default = [row for row in rows if row["restarts"] == DEFAULT_RESTARTS]
     best_speedup = max(row["batched_speedup"] for row in at_default)
@@ -156,4 +152,3 @@ def test_docking_throughput_sweep(benchmark, bench_scale):
         f"at restarts={DEFAULT_RESTARTS}, monte_carlo_steps={DEFAULT_MC_STEPS}"
     )
     benchmark.extra_info["batched_speedup_at_default"] = best_speedup
-    benchmark.extra_info["best_pooled_speedup"] = max(r["pooled_speedup"] for r in rows)

@@ -1,4 +1,4 @@
-"""Featurization throughput — scalar reference vs the vectorized engine.
+"""Featurization throughput — scalar oracle vs the vectorized engine.
 
 Featurization is the stage between docking output and fusion scoring,
 so its complexes/s bounds campaign throughput whenever the scorer is
@@ -6,9 +6,11 @@ fast.  This benchmark sweeps grid dimension and batch size over
 identical pose traffic and records scalar vs vectorized throughput (and
 the fully cache-served replay) to a JSON artifact
 (``benchmarks/artifacts/featurize_throughput.json``) — the perf
-trajectory later PRs must not regress.  The engine is bit-identical to
-the scalar path (see ``tests/test_featurize_engine.py``), so every
-speedup row here is a pure win.
+trajectory later changes must not regress.  The scalar side is the
+per-atom oracle in ``tests/featurize_oracle.py`` (run with
+``PYTHONPATH=src:tests`` so it imports); the engine is bit-identical to
+it (see ``tests/test_featurize_engine.py``), so every speedup row here
+is a pure win.
 
 Scale knob: ``REPRO_BENCH_SCALE=tiny`` shrinks the traffic for the CI
 smoke run; grid_dim 24 stays in the sweep at every scale because the
@@ -28,8 +30,9 @@ from repro.chem.generator import GeneratorProfile, MoleculeGenerator
 from repro.chem.prep import LigandPrepPipeline
 from repro.chem.protein import make_sarscov2_targets
 from repro.featurize.engine import FeaturePipeline, VectorizedVoxelizer
-from repro.featurize.pipeline import ComplexFeaturizer
-from repro.featurize.voxelize import VoxelGridConfig, Voxelizer
+from repro.featurize.voxelize import VoxelGridConfig
+
+from featurize_oracle import ComplexFeaturizer, Voxelizer
 
 GRID_DIMS = (8, 16, 24)
 MIN_SPEEDUP_AT_24 = 5.0

@@ -20,7 +20,7 @@ import numpy as np
 from repro.datasets import PDBbindConfig, generate_pdbbind
 from repro.eval import regression_report
 from repro.eval.reports import format_table
-from repro.featurize import ComplexFeaturizer, GraphConfig, VoxelGridConfig
+from repro.featurize import FeaturePipeline, GraphConfig, VoxelGridConfig
 from repro.models import CNN3D, CNN3DConfig, LateFusion, SGCNN, SGCNNConfig, Trainer, TrainerConfig
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         print(f"  {subset:8s} pK mean={stats['mean']:.2f} sd={stats['std']:.2f} range=[{stats['min']:.1f}, {stats['max']:.1f}]")
 
     print("\n=== 2. Featurizing (voxel grids + spatial graphs) ===")
-    featurizer = ComplexFeaturizer(
+    featurizer = FeaturePipeline(
         voxel_config=VoxelGridConfig(grid_dim=12, channel_set="reduced"),
         graph_config=GraphConfig(),  # paper Table 2 thresholds by default
         augment=True,

@@ -29,9 +29,10 @@ from repro.chem.generator import GeneratorProfile, MoleculeGenerator
 from repro.chem.prep import LigandPrepPipeline
 from repro.chem.protein import BindingSite, PocketFamily, generate_binding_site
 from repro.datasets.splits import quintile_split
-from repro.docking.engine import BatchedMonteCarloDocker
+from repro.docking.engine import PoseGenerator
 from repro.docking.poses import MaximizePkScorer
-from repro.featurize.pipeline import ComplexFeaturizer, FeaturizedComplex
+from repro.featurize.engine import FeaturePipeline
+from repro.featurize.pipeline import FeaturizedComplex
 from repro.utils.rng import derive_seed, ensure_rng
 
 
@@ -121,7 +122,7 @@ class PDBbindDataset:
     @staticmethod
     def featurize_entries(
         entries: list[PDBbindEntry],
-        featurizer: ComplexFeaturizer,
+        featurizer: FeaturePipeline,
         training: bool = False,
     ) -> list[FeaturizedComplex]:
         """Featurize entries into model-ready samples labelled with experimental pK."""
@@ -197,7 +198,7 @@ def generate_pdbbind(
                 continue
             ligand = prepared.molecule
 
-        pose_generator = BatchedMonteCarloDocker(
+        pose_generator = PoseGenerator(
             scorer,
             num_poses=1,
             monte_carlo_steps=config.pose_search_steps,

@@ -10,15 +10,8 @@ error characteristics and computational costs mirroring the paper.
 """
 
 from repro.docking.vina import VinaScorer
-from repro.docking.poses import DockedPose, PoseGenerator, place_ligand_randomly, rmsd
-from repro.docking.engine import (
-    DOCKING_ENGINES,
-    BatchedMonteCarloDocker,
-    dock_many,
-    make_docker,
-    pairwise_rmsd,
-    select_pose_indices,
-)
+from repro.docking.poses import DockedPose, place_ligand_randomly, rmsd
+from repro.docking.engine import PoseGenerator, dock_many, pairwise_rmsd, select_pose_indices
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.ampl import AMPLSurrogate
 from repro.docking.conveyorlc import (
@@ -37,10 +30,7 @@ __all__ = [
     "AMPLSurrogate",
     "DockedPose",
     "PoseGenerator",
-    "BatchedMonteCarloDocker",
-    "DOCKING_ENGINES",
     "dock_many",
-    "make_docker",
     "pairwise_rmsd",
     "select_pose_indices",
     "place_ligand_randomly",

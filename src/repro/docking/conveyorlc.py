@@ -28,8 +28,7 @@ import numpy as np
 from repro.chem.molecule import Molecule
 from repro.chem.prep import LigandPrepPipeline, PreparedLigand
 from repro.chem.protein import BindingSite
-from repro.docking.engine import dock_many, validate_engine
-from repro.parallel import validate_backend
+from repro.docking.engine import check_search_parameters, dock_many
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.vina import VinaScorer
 from repro.utils.rng import ensure_rng
@@ -165,12 +164,7 @@ class CDT2Ligand:
 class CDT3Docking:
     """Stage 3: Vina-style docking producing up to ``num_poses`` poses per pair.
 
-    ``engine`` selects the batched lockstep docker (default) or the scalar
-    golden reference — the two are bit-identical, so the choice affects
-    throughput only; ``max_workers`` bounds the per-site compound pool of
-    :func:`repro.docking.engine.dock_many` and ``backend`` picks its
-    thread or process execution (also bit-identical; see
-    :mod:`repro.parallel`).
+    Each site's compounds dock through :func:`repro.docking.engine.dock_many`.
     """
 
     def __init__(
@@ -180,20 +174,13 @@ class CDT3Docking:
         monte_carlo_steps: int = 40,
         restarts: int = 3,
         seed: int = 0,
-        engine: str = "batched",
-        max_workers: int = 1,
-        backend: str = "thread",
     ) -> None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
+        check_search_parameters(num_poses, monte_carlo_steps, restarts)
         self.scorer = scorer or VinaScorer()
-        self.engine = validate_engine(engine)
-        self.backend = validate_backend(backend)
         self.num_poses = int(num_poses)
         self.monte_carlo_steps = int(monte_carlo_steps)
         self.restarts = int(restarts)
         self.seed = int(seed)
-        self.max_workers = int(max_workers)
         self.modelled_cost_seconds = 0.0
 
     def run(
@@ -222,9 +209,6 @@ class CDT3Docking:
                 restarts=self.restarts,
                 site_name=site_name,
                 references=site_references,
-                engine=self.engine,
-                max_workers=self.max_workers,
-                backend=self.backend,
             )
             for compound_id, poses in results.items():
                 for pose in poses:
@@ -256,7 +240,6 @@ class CDT4Mmgbsa:
         max_poses: int = 10,
         subset_fraction: float = 1.0,
         seed: int = 0,
-        engine: str = "batched",
     ) -> None:
         if not 0.0 < subset_fraction <= 1.0:
             raise ValueError("subset_fraction must be in (0, 1]")
@@ -264,7 +247,6 @@ class CDT4Mmgbsa:
         self.max_poses = int(max_poses)
         self.subset_fraction = float(subset_fraction)
         self.seed = int(seed)
-        self.engine = validate_engine(engine)
         self.modelled_cost_seconds = 0.0
 
     def run(self, database: DockingDatabase, sites: dict[str, BindingSite]) -> DockingDatabase:
@@ -283,14 +265,7 @@ class CDT4Mmgbsa:
                 records.extend(sorted(poses, key=lambda r: r.vina_score)[: self.max_poses])
             if not records:
                 continue
-            complexes = [_record_to_complex(site, record) for record in records]
-            score_many = getattr(self.rescorer, "score_many", None)
-            if self.engine == "batched" and score_many is not None:
-                scores = score_many(complexes)
-            else:
-                # scalar golden path — also the graceful fallback for
-                # custom rescorers that only implement score()
-                scores = [self.rescorer.score(complex_) for complex_ in complexes]
+            scores = self.rescorer.score_many([_record_to_complex(site, record) for record in records])
             for record, score in zip(records, scores):
                 record.mmgbsa_score = float(score)
                 self.modelled_cost_seconds += MMGBSARescorer.cost_seconds(1)

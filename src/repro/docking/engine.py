@@ -1,31 +1,40 @@
-"""Batched docking engine: lockstep Monte-Carlo restarts on the pairwise kernel.
+"""Docking engine: lockstep Monte-Carlo restarts on the pairwise kernel.
 
 Docking is the campaign's dominant compute stage (§4.1: ~10 poses/s/node,
-about one minute per compound per core), and the scalar
-:class:`~repro.docking.poses.PoseGenerator` spends nearly all of it in
-``restarts × monte_carlo_steps`` scalar ``InteractionModel.compute_terms``
-calls that rebuild per-atom property arrays from Python ``Atom`` objects
-on every step.  This module applies the PR-3 featurization treatment to
-docking:
+about one minute per compound per core).  :class:`PoseGenerator` performs
+rigid-body Monte-Carlo search of a ligand inside a binding site under a
+scoring function (Vina-style when producing docking data, the latent
+interaction model when constructing the "crystal" poses of the synthetic
+PDBbind set) and keeps up to 10 best poses per compound and site, as
+ConveyorLC's CDT3Docking stage does:
 
-* :class:`BatchedMonteCarloDocker` runs all restart chains in lockstep —
-  per MC step it perturbs, scores and Metropolis-accepts every chain at
-  once, scoring the stacked ``(restarts, N, 3)`` pose tensor through one
-  ``score_batch`` kernel call (``InteractionModel.compute_terms_batch``
-  underneath).  Chains draw from the per-restart streams defined by the
-  scalar docker, so the batched search is **bit-identical** to the scalar
-  golden reference at any batch width.
-* :func:`select_pose_indices` replaces the nested ``rmsd()`` clustering
-  loops with one pairwise-RMSD matrix (:func:`pairwise_rmsd`).
-* :func:`dock_many` docks a batch of ligands into one site on a bounded
-  thread pool; per-compound seeds match ``CDT3Docking`` exactly, so
-  results are independent of pool width.
+* all restart chains run in lockstep — per MC step the docker perturbs,
+  scores and Metropolis-accepts every chain at once, scoring the stacked
+  ``(restarts, N, 3)`` pose tensor through one
+  ``scorer.make_batch_kernel`` call (``InteractionModel.batch_kernel``
+  underneath);
+* :func:`select_pose_indices` clusters the candidates over one
+  pairwise-RMSD matrix (:func:`pairwise_rmsd`);
+* :func:`dock_many` docks a batch of ligands into one site, one compound
+  after another, under per-compound seeds that match ``CDT3Docking``.
+
+Random-stream protocol
+----------------------
+Each Monte-Carlo restart draws from its own ``numpy`` generator seeded
+via ``derive_seed(base_seed, "mc-restart", restart_index)``.  Restart
+chains are therefore statistically independent *and* reproducible
+regardless of how many chains run, or in what order — chain ``r`` of a
+width-``R`` run equals chain ``r`` of any wider run.  Within a chain the
+draw order is fixed: placement rotation, placement jitter, then per step
+translation → angle → axis, and a Metropolis uniform drawn *only* when
+the proposal did not improve the score.  The per-pose scalar loop this
+engine replaced is kept as a test oracle (``tests/docking_oracle.py``);
+the two are bit-identical.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,31 +43,21 @@ from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.poses import (
     DockedPose,
-    PoseGenerator,
     initial_pose_coords,
     molecule_with_coordinates,
     perturbed_coords,
 )
-from repro.parallel import (
-    SupervisedTaskPool,
-    TaskFailure,
-    isolated_registry,
-    validate_backend,
-)
 from repro.telemetry import current as current_telemetry
 from repro.utils.rng import derive_seed
-
-#: Engine names accepted by the ConveyorLC stages and the campaign config.
-DOCKING_ENGINES = ("batched", "scalar")
 
 
 def pairwise_rmsd(coords: np.ndarray) -> np.ndarray:
     """``(M, M)`` heavy-atom RMSD matrix of ``M`` stacked poses ``(M, N, 3)``.
 
-    One broadcast computation replaces the ``M²`` nested
-    :func:`repro.docking.poses.rmsd` calls of the scalar clustering loop;
-    each entry reduces over the same contiguous per-pair layout as the
-    scalar ``Molecule.rmsd_to``, so entries are bit-identical to it.
+    One broadcast computation replaces ``M²`` nested
+    :func:`repro.docking.poses.rmsd` calls; each entry reduces over the
+    same contiguous per-pair layout as ``Molecule.rmsd_to``, so entries
+    are bit-identical to it.
     """
     coords = np.asarray(coords, dtype=np.float64)
     diff = coords[:, None, :, :] - coords[None, :, :, :]
@@ -80,8 +79,8 @@ def select_pose_indices(
     """Greedy diverse-pose selection over a precomputed RMSD matrix.
 
     Candidates are visited in increasing-score order (stable for ties, so
-    chain order breaks them exactly like the scalar ``list.sort``); a
-    candidate is kept when it sits at least ``min_separation`` from every
+    chain order breaks them exactly like ``list.sort``); a candidate is
+    kept when it sits at least ``min_separation`` from every
     already-kept pose.  The output depends only on the ordered candidate
     list — not on how many Monte-Carlo chains produced it — which is the
     batch-width invariance the property tests pin down.
@@ -96,17 +95,72 @@ def select_pose_indices(
     return selected
 
 
-class BatchedMonteCarloDocker(PoseGenerator):
-    """Lockstep batched Monte-Carlo docking, bit-identical to the scalar docker.
+def check_search_parameters(
+    num_poses: int, monte_carlo_steps: int, restarts: int, temperature: float = 1.2
+) -> None:
+    """Reject a Monte-Carlo search configuration before any docking runs."""
+    if num_poses <= 0:
+        raise ValueError("num_poses must be positive")
+    if restarts <= 0:
+        raise ValueError("restarts must be positive")
+    if monte_carlo_steps < 0:
+        raise ValueError("monte_carlo_steps must be non-negative")
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
 
-    Accepts the same parameters as :class:`PoseGenerator` and produces
-    ``np.array_equal`` pose coordinates, scores and RMSDs for any seed.
-    The scorer should expose
-    ``score_batch(site, ligand, coords, complex_id=...) -> (P,)``
-    (``VinaScorer``, ``MMGBSARescorer`` and ``MaximizePkScorer`` all do);
-    scorers without it fall back to a per-pose scalar loop that keeps the
-    lockstep semantics.
+
+class PoseGenerator:
+    """Lockstep Monte-Carlo rigid-body pose search.
+
+    Parameters
+    ----------
+    scorer:
+        Object exposing ``make_batch_kernel(site, ligand, complex_id=...)``
+        that returns a closure scoring stacked ``(P, N, 3)`` poses, lower
+        is better (kcal/mol-like) — ``VinaScorer``, ``MMGBSARescorer`` and
+        ``MaximizePkScorer`` all do.
+    num_poses:
+        Number of distinct poses to retain (10 in ConveyorLC).
+    monte_carlo_steps:
+        Number of MC perturbation steps per restart.
+    restarts:
+        Number of independent random restarts (8 MC simulations per
+        compound in the paper's Vina configuration).
+    temperature:
+        Metropolis acceptance temperature in score units (positive).
+    min_pose_separation:
+        Minimum heavy-atom RMSD between two retained poses.
+    seed:
+        Base seed of the per-restart streams (module docstring). An
+        existing generator (or ``None``) contributes one integer draw
+        (or OS entropy) as the base seed.
     """
+
+    def __init__(
+        self,
+        scorer,
+        num_poses: int = 10,
+        monte_carlo_steps: int = 60,
+        restarts: int = 4,
+        temperature: float = 1.2,
+        min_pose_separation: float = 0.75,
+        seed=None,
+    ) -> None:
+        check_search_parameters(num_poses, monte_carlo_steps, restarts, temperature)
+        if not callable(getattr(scorer, "make_batch_kernel", None)):
+            raise TypeError(f"scorer {type(scorer).__name__} does not implement make_batch_kernel")
+        self.scorer = scorer
+        self.num_poses = int(num_poses)
+        self.monte_carlo_steps = int(monte_carlo_steps)
+        self.restarts = int(restarts)
+        self.temperature = float(temperature)
+        self.min_pose_separation = float(min_pose_separation)
+        self.base_seed = _normalize_seed(seed)
+
+    # ------------------------------------------------------------------ #
+    def restart_rng(self, restart: int) -> np.random.Generator:
+        """The independent random stream of one Monte-Carlo restart chain."""
+        return np.random.default_rng(derive_seed(self.base_seed, "mc-restart", int(restart)))
 
     # ------------------------------------------------------------------ #
     def dock(
@@ -116,6 +170,12 @@ class BatchedMonteCarloDocker(PoseGenerator):
         complex_id: str = "",
         reference: Molecule | None = None,
     ) -> list[DockedPose]:
+        """Dock ``ligand`` into ``site`` and return up to ``num_poses`` poses.
+
+        Poses are sorted by increasing score (best first). If ``reference``
+        is given, each pose's RMSD to it is recorded (the paper filters
+        core-set docking poses at RMSD < 1 A of the crystal pose).
+        """
         # observation only: spans and counters never touch the restart RNG
         # streams, so tracing on/off cannot move a bit of any pose
         telemetry = current_telemetry()
@@ -156,9 +216,11 @@ class BatchedMonteCarloDocker(PoseGenerator):
 
         Returns ``(scores, coords)`` of the ``2 × restarts`` clustering
         candidates in chain order — each chain contributes its best pose
-        followed by its final pose, exactly like the scalar loop.
+        followed by its final pose.
         """
-        kernel = self._batch_scorer(site, ligand, complex_id)
+        # the kernel binds the (site, ligand) pair constants once for the
+        # whole MC search — this is where the batched win lives
+        kernel = self.scorer.make_batch_kernel(site, ligand, complex_id=complex_id)
         base_coords = ligand.coordinates
         rngs = [self.restart_rng(restart) for restart in range(self.restarts)]
         coords = np.stack([initial_pose_coords(site, base_coords, rng) for rng in rngs])
@@ -192,73 +254,6 @@ class BatchedMonteCarloDocker(PoseGenerator):
             candidate_coords[2 * index + 1] = coords[index]
         return candidate_scores, candidate_coords
 
-    # ------------------------------------------------------------------ #
-    def _batch_scorer(
-        self, site: BindingSite, ligand: Molecule, complex_id: str
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        make_kernel = getattr(self.scorer, "make_batch_kernel", None)
-        if make_kernel is not None:
-            # the kernel binds the (site, ligand) pair constants once for
-            # the whole MC search — this is where the batched win lives
-            return make_kernel(site, ligand, complex_id=complex_id)
-        score_batch = getattr(self.scorer, "score_batch", None)
-        if score_batch is not None:
-            return lambda coords: np.asarray(
-                score_batch(site, ligand, coords, complex_id=complex_id), dtype=np.float64
-            )
-
-        def fallback(coords: np.ndarray) -> np.ndarray:
-            return np.array(
-                [self._score(site, ligand, pose_coords, complex_id) for pose_coords in coords]
-            )
-
-        return fallback
-
-
-def validate_engine(engine: str) -> str:
-    """Check ``engine`` against :data:`DOCKING_ENGINES` and return it."""
-    if engine not in DOCKING_ENGINES:
-        raise ValueError(f"unknown docking engine '{engine}'; expected one of {DOCKING_ENGINES}")
-    return engine
-
-
-def make_docker(engine: str, scorer, **kwargs) -> PoseGenerator:
-    """Construct the scalar or batched docker named by ``engine``."""
-    cls = BatchedMonteCarloDocker if validate_engine(engine) == "batched" else PoseGenerator
-    return cls(scorer, **kwargs)
-
-
-class _DockManyPayload:
-    """Shipped once to every ``dock_many`` worker process.
-
-    Carries the site, scorer and docking parameters; per-task dispatch is
-    one ``(compound_id, molecule, reference)`` tuple (molecules here are
-    already materialized by the caller — a few KB each — so a descriptor
-    protocol would save nothing).  Per-compound seeds are derived inside
-    the worker exactly as the thread path derives them, so poses are
-    bit-identical across backends and pool widths.
-    """
-
-    def __init__(self, site: BindingSite, scorer, seed: int, site_name: str, engine: str, docker_kwargs: dict) -> None:
-        self.site = site
-        self.scorer = scorer
-        self.seed = seed
-        self.site_name = site_name
-        self.engine = engine
-        self.docker_kwargs = docker_kwargs
-
-    def run_task(self, task: tuple[str, Molecule, Molecule | None]) -> tuple[list[DockedPose], dict]:
-        compound_id, molecule, reference = task
-        with isolated_registry() as registry:
-            docker = make_docker(
-                self.engine,
-                self.scorer,
-                seed=derive_seed(self.seed, "dock", self.site_name, compound_id),
-                **self.docker_kwargs,
-            )
-            poses = docker.dock(self.site, molecule, complex_id=compound_id, reference=reference)
-        return poses, registry.export_mergeable()
-
 
 def dock_many(
     site: BindingSite,
@@ -273,11 +268,8 @@ def dock_many(
     min_pose_separation: float = 0.75,
     site_name: str | None = None,
     references: Mapping[str, Molecule] | None = None,
-    engine: str = "batched",
-    max_workers: int = 1,
-    backend: str = "thread",
 ) -> dict[str, list[DockedPose]]:
-    """Dock many ligands into one site, optionally on a bounded worker pool.
+    """Dock many ligands into one site, one compound after another.
 
     Parameters
     ----------
@@ -292,70 +284,36 @@ def dock_many(
         Stage-level seed.  Each compound docks under
         ``derive_seed(seed, "dock", site_name, compound_id)`` — the exact
         derivation ``CDT3Docking`` has always used, so results are
-        independent of batch composition and worker count.
+        independent of batch composition.  Parallelism lives one level
+        up, in the streamed screen's shard workers.
     references:
         Optional per-compound crystal poses for RMSD bookkeeping.
-    max_workers:
-        Worker-pool bound; ``1`` docks inline.  Compounds are
-        independent, so any pool width produces identical results.
-    backend:
-        ``"thread"`` pools on a :class:`ThreadPoolExecutor` (GIL-shared);
-        ``"process"`` pools on a :class:`~repro.parallel.ProcessTaskPool`
-        — the site/scorer payload ships once per worker process, and the
-        workers' kernel counters merge back into the active registry.
-        Per-compound seeding is identical, so (like ``engine``) the
-        backend never changes a pose bit and never enters checkpoint keys.
     """
-    validate_backend(backend)
     site_name = site.name if site_name is None else site_name
     references = references or {}
-    docker_kwargs = dict(
-        num_poses=num_poses,
-        monte_carlo_steps=monte_carlo_steps,
-        restarts=restarts,
-        temperature=temperature,
-        min_pose_separation=min_pose_separation,
-    )
-
-    def dock_one(compound_id: str, molecule: Molecule) -> list[DockedPose]:
-        docker = make_docker(
-            engine,
-            scorer,
-            seed=derive_seed(seed, "dock", site_name, compound_id),
-            **docker_kwargs,
-        )
-        return docker.dock(site, molecule, complex_id=compound_id, reference=references.get(compound_id))
-
+    results: dict[str, list[DockedPose]] = {}
     with current_telemetry().span("dock-many") as span:
         span.set("ligands", len(ligands))
-        span.set("max_workers", max_workers)
-        span.set("process_backend", float(backend == "process"))
-        if backend == "process" and max_workers > 1 and len(ligands) > 1:
-            payload = _DockManyPayload(site, scorer, seed, site_name, engine, docker_kwargs)
-            registry = current_telemetry().registry
-            results: dict[str, list[DockedPose]] = {}
-            # Supervised pool: a killed worker respawns and the affected
-            # compounds re-dock from their seeds, bit-identically.
-            supervised = SupervisedTaskPool(
-                payload,
-                max_workers=min(max_workers, len(ligands)),
-                registry=registry,
+        for compound_id, molecule in ligands:
+            docker = PoseGenerator(
+                scorer,
+                num_poses=num_poses,
+                monte_carlo_steps=monte_carlo_steps,
+                restarts=restarts,
+                temperature=temperature,
+                min_pose_separation=min_pose_separation,
+                seed=derive_seed(seed, "dock", site_name, compound_id),
             )
-            with supervised as pool:
-                futures = [
-                    (compound_id, pool.submit((compound_id, molecule, references.get(compound_id))))
-                    for compound_id, molecule in ligands
-                ]
-                for compound_id, future in futures:
-                    result = future.result()
-                    if isinstance(result, TaskFailure):
-                        raise result.to_exception()
-                    poses, worker_metrics = result
-                    registry.absorb(worker_metrics)
-                    results[compound_id] = poses
-            return results
-        if max_workers > 1 and len(ligands) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [(compound_id, pool.submit(dock_one, compound_id, molecule)) for compound_id, molecule in ligands]
-                return {compound_id: future.result() for compound_id, future in futures}
-        return {compound_id: dock_one(compound_id, molecule) for compound_id, molecule in ligands}
+            results[compound_id] = docker.dock(
+                site, molecule, complex_id=compound_id, reference=references.get(compound_id)
+            )
+    return results
+
+
+def _normalize_seed(seed) -> int:
+    """Normalize ``seed`` into the integer base seed of the restart streams."""
+    if seed is None:
+        return int(np.random.default_rng().integers(0, 2**63 - 1))
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(0, 2**63 - 1))
+    return int(seed)

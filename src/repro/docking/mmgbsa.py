@@ -67,12 +67,7 @@ class MMGBSARescorer(KernelScoringMixin):
         return float(-self.score(complex_) / PK_TO_KCAL)
 
     def rescore(self, poses, max_poses: int | None = None) -> list[float]:
-        """Re-score :class:`repro.docking.poses.DockedPose` objects (scalar reference)."""
-        selected = poses if max_poses is None else poses[: int(max_poses)]
-        return [self.score(p.complex) for p in selected]
-
-    def rescore_many(self, poses, max_poses: int | None = None) -> list[float]:
-        """Batched :meth:`rescore` on the shared kernel (bit-identical)."""
+        """Re-score :class:`repro.docking.poses.DockedPose` objects on the shared kernel."""
         selected = poses if max_poses is None else poses[: int(max_poses)]
         return [float(score) for score in self.score_many([p.complex for p in selected])]
 

@@ -1,30 +1,11 @@
-"""Docking pose generation and RMSD utilities.
+"""Docking pose records, rigid-body move geometry and RMSD utilities.
 
-``PoseGenerator`` performs rigid-body Monte-Carlo search of a ligand
-inside a binding site under a scoring function (Vina-style when producing
-docking data, the latent interaction model when constructing the
-"crystal" poses of the synthetic PDBbind set). ConveyorLC's CDT3Docking
-stage keeps up to 10 best poses per compound and site, which is the
-default here as well.
-
-Random-stream protocol
-----------------------
-Each Monte-Carlo restart draws from its own ``numpy`` generator seeded
-via ``derive_seed(base_seed, "mc-restart", restart_index)``.  Restart
-chains are therefore statistically independent *and* reproducible
-regardless of how many chains run, or in what order — which is what lets
-:class:`repro.docking.engine.BatchedMonteCarloDocker` run all restarts in
-lockstep while staying bit-identical to this scalar reference.  Within a
-chain the draw order is fixed: placement rotation, placement jitter,
-then per step translation → angle → axis, and a Metropolis uniform drawn
-*only* when the proposal did not improve the score.
-
-The geometry of a move lives in the coordinate-level helpers
-:func:`initial_pose_coords` and :func:`perturbed_coords`, shared by the
-scalar and batched dockers so both paths apply floating-point-identical
-rigid transforms; scoring in this scalar reference still flows through
-per-pose :class:`~repro.chem.complexes.ProteinLigandComplex` objects and
-the scalar ``InteractionModel.compute_terms``.
+The coordinate-level helpers :func:`initial_pose_coords` and
+:func:`perturbed_coords` define the geometry (and the random-draw order)
+of one Monte-Carlo move for :class:`repro.docking.engine.PoseGenerator`;
+:class:`DockedPose` is what the docker returns, and
+:class:`MaximizePkScorer` adapts the latent interaction model into a
+minimizable docking score for the synthetic "crystal" poses.
 """
 
 from __future__ import annotations
@@ -37,7 +18,7 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.conformer import random_rotation_matrix
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
-from repro.utils.rng import derive_seed, ensure_rng
+from repro.utils.rng import ensure_rng
 
 
 def rmsd(pose_a: Molecule, pose_b: Molecule) -> float:
@@ -56,7 +37,7 @@ def initial_pose_coords(site: BindingSite, coords: np.ndarray, rng: np.random.Ge
     """Coordinates of a random initial placement near the pocket mouth.
 
     Draw order (rotation, then jitter) is part of the restart stream
-    protocol — both dockers rely on it.
+    protocol (:mod:`repro.docking.engine`).
     """
     rotation = random_rotation_matrix(rng)
     centered = coords - coords.mean(axis=0)
@@ -97,115 +78,6 @@ class DockedPose:
     metadata: dict = field(default_factory=dict)
 
 
-class PoseGenerator:
-    """Monte-Carlo rigid-body pose search (scalar golden reference).
-
-    Parameters
-    ----------
-    scorer:
-        Object exposing ``score(complex) -> float`` where lower is better
-        (kcal/mol-like). Pass an adapter when maximizing pK.
-    num_poses:
-        Number of distinct poses to retain (10 in ConveyorLC).
-    monte_carlo_steps:
-        Number of MC perturbation steps per restart.
-    restarts:
-        Number of independent random restarts (8 MC simulations per
-        compound in the paper's Vina configuration).
-    temperature:
-        Metropolis acceptance temperature in score units.
-    min_pose_separation:
-        Minimum heavy-atom RMSD between two retained poses.
-    seed:
-        Base seed of the per-restart streams (module docstring). An
-        existing generator (or ``None``) contributes one integer draw
-        (or OS entropy) as the base seed.
-    """
-
-    def __init__(
-        self,
-        scorer,
-        num_poses: int = 10,
-        monte_carlo_steps: int = 60,
-        restarts: int = 4,
-        temperature: float = 1.2,
-        min_pose_separation: float = 0.75,
-        seed=None,
-    ) -> None:
-        if num_poses <= 0:
-            raise ValueError("num_poses must be positive")
-        if restarts <= 0:
-            raise ValueError("restarts must be positive")
-        if monte_carlo_steps < 0:
-            raise ValueError("monte_carlo_steps must be non-negative")
-        self.scorer = scorer
-        self.num_poses = int(num_poses)
-        self.monte_carlo_steps = int(monte_carlo_steps)
-        self.restarts = int(restarts)
-        self.temperature = float(temperature)
-        self.min_pose_separation = float(min_pose_separation)
-        self.base_seed = _normalize_seed(seed)
-
-    # ------------------------------------------------------------------ #
-    def restart_rng(self, restart: int) -> np.random.Generator:
-        """The independent random stream of one Monte-Carlo restart chain."""
-        return np.random.default_rng(derive_seed(self.base_seed, "mc-restart", int(restart)))
-
-    # ------------------------------------------------------------------ #
-    def dock(
-        self,
-        site: BindingSite,
-        ligand: Molecule,
-        complex_id: str = "",
-        reference: Molecule | None = None,
-    ) -> list[DockedPose]:
-        """Dock ``ligand`` into ``site`` and return up to ``num_poses`` poses.
-
-        Poses are sorted by increasing score (best first). If ``reference``
-        is given, each pose's RMSD to it is recorded (the paper filters
-        core-set docking poses at RMSD < 1 A of the crystal pose).
-        """
-        base_coords = ligand.coordinates
-        candidates: list[tuple[float, np.ndarray]] = []
-        for restart in range(self.restarts):
-            rng = self.restart_rng(restart)
-            coords = initial_pose_coords(site, base_coords, rng)
-            current = self._score(site, ligand, coords, complex_id)
-            best_coords, best_score = coords, current
-            for step in range(self.monte_carlo_steps):
-                proposal = perturbed_coords(coords, rng, step, self.monte_carlo_steps)
-                proposal_score = self._score(site, ligand, proposal, complex_id)
-                delta = proposal_score - current
-                if delta < 0 or rng.random() < np.exp(-delta / self.temperature):
-                    coords, current = proposal, proposal_score
-                    if current < best_score:
-                        best_coords, best_score = coords, current
-            candidates.append((best_score, best_coords))
-            # keep intermediate snapshots too, so clustering has material
-            candidates.append((current, coords))
-
-        candidates.sort(key=lambda item: item[0])
-        selected: list[tuple[float, Molecule]] = []
-        for score, coords in candidates:
-            if len(selected) >= self.num_poses:
-                break
-            pose = molecule_with_coordinates(ligand, coords)
-            if all(rmsd(pose, kept) >= self.min_pose_separation for _, kept in selected):
-                selected.append((score, pose))
-
-        poses: list[DockedPose] = []
-        for pose_id, (score, pose) in enumerate(selected):
-            complex_ = ProteinLigandComplex(site, pose, complex_id=complex_id, pose_id=pose_id)
-            pose_rmsd = rmsd(pose, reference) if reference is not None else float("nan")
-            poses.append(DockedPose(complex=complex_, score=float(score), pose_id=pose_id, rmsd_to_reference=pose_rmsd))
-        return poses
-
-    # ------------------------------------------------------------------ #
-    def _score(self, site: BindingSite, ligand: Molecule, coords: np.ndarray, complex_id: str) -> float:
-        pose = molecule_with_coordinates(ligand, coords)
-        return float(self.scorer.score(ProteinLigandComplex(site, pose, complex_id=complex_id)))
-
-
 class MaximizePkScorer:
     """Adapter turning a pK-maximizing objective into a minimizable score.
 
@@ -229,21 +101,6 @@ class MaximizePkScorer:
             return -self.interaction_model.pk_from_terms_batch(terms_kernel(coords))
 
         return kernel
-
-    def score_batch(
-        self, site: BindingSite, ligand: Molecule, coords, complex_id: str = "", pose_id: int = 0
-    ) -> np.ndarray:
-        """Batched :meth:`score` over stacked pose coordinates ``(P, N, 3)``."""
-        return -self.interaction_model.true_pk_batch(site, ligand, coords)
-
-
-def _normalize_seed(seed) -> int:
-    """Normalize ``seed`` into the integer base seed of the restart streams."""
-    if seed is None:
-        return int(np.random.default_rng().integers(0, 2**63 - 1))
-    if isinstance(seed, np.random.Generator):
-        return int(seed.integers(0, 2**63 - 1))
-    return int(seed)
 
 
 _EYE3 = np.eye(3)

@@ -17,7 +17,7 @@ from repro.chem.complexes import InteractionModel
 from repro.datasets.pdbbind import PDBbindConfig, PDBbindDataset, generate_pdbbind
 from repro.featurize.engine import FeaturePipeline
 from repro.featurize.graph import GraphConfig
-from repro.featurize.pipeline import ComplexFeaturizer, FeaturizedComplex
+from repro.featurize.pipeline import FeaturizedComplex
 from repro.featurize.voxelize import VoxelGridConfig
 from repro.models.cnn3d import CNN3D
 from repro.models.config import CNN3DConfig, CoherentFusionConfig, MidFusionConfig, SGCNNConfig
@@ -77,7 +77,7 @@ class Workbench:
 
     scale: WorkbenchScale
     dataset: PDBbindDataset
-    featurizer: ComplexFeaturizer | FeaturePipeline
+    featurizer: FeaturePipeline
     train_samples: list[FeaturizedComplex]
     val_samples: list[FeaturizedComplex]
     core_samples: list[FeaturizedComplex]
@@ -142,10 +142,8 @@ def _build_workbench(scale: WorkbenchScale) -> Workbench:
         seed=scale.seed,
     )
     dataset = generate_pdbbind(config)
-    # the vectorized engine: bit-identical to ComplexFeaturizer (including
-    # the seeded augmentation stream), with a content-addressed feature
-    # cache that serves repeat featurizations across evaluation passes,
-    # campaign rescoring and the serving route
+    # the content-addressed feature cache serves repeat featurizations
+    # across evaluation passes, campaign rescoring and the serving route
     featurizer = FeaturePipeline(
         voxel_config=VoxelGridConfig(grid_dim=scale.grid_dim, channel_set="reduced"),
         graph_config=GraphConfig(),

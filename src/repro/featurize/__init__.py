@@ -13,12 +13,11 @@ from repro.featurize.atom_features import (
     ATOM_FEATURE_DIM,
     AtomArrays,
     atom_arrays,
-    atom_feature_vector,
     feature_matrix_from_arrays,
 )
-from repro.featurize.voxelize import VoxelGridConfig, Voxelizer, random_axis_rotation
-from repro.featurize.graph import GraphBuilder, GraphConfig
-from repro.featurize.pipeline import ComplexFeaturizer, FeaturizedComplex, collate_complexes
+from repro.featurize.voxelize import VoxelGridConfig, random_axis_rotation
+from repro.featurize.graph import GraphConfig
+from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.featurize.cache import (
     FeatureCache,
     FeatureCacheStats,
@@ -36,14 +35,10 @@ __all__ = [
     "ATOM_FEATURE_DIM",
     "AtomArrays",
     "atom_arrays",
-    "atom_feature_vector",
     "feature_matrix_from_arrays",
     "VoxelGridConfig",
-    "Voxelizer",
     "random_axis_rotation",
     "GraphConfig",
-    "GraphBuilder",
-    "ComplexFeaturizer",
     "FeaturizedComplex",
     "collate_complexes",
     "FeatureCache",

@@ -1,14 +1,23 @@
-"""Per-atom feature vectors shared by the voxel and graph featurizers.
+"""Per-atom features shared by the voxel and graph featurizers.
 
-Two representations live here:
+:class:`AtomArrays` / :func:`feature_matrix_from_arrays` feed
+:mod:`repro.featurize.engine`: atom objects are read once into flat
+NumPy arrays and every downstream quantity (one-hot encodings, channel
+memberships, Gaussian widths) is computed by array operations.
 
-* :func:`atom_feature_vector` / :func:`atom_feature_matrix` — the scalar
-  reference path, one Python call per atom;
-* :class:`AtomArrays` / :func:`feature_matrix_from_arrays` — the
-  vectorized path used by :mod:`repro.featurize.engine`.  Atom objects
-  are read once into flat NumPy arrays and every downstream quantity
-  (one-hot encodings, channel memberships, Gaussian widths) is computed
-  by array operations.  The two paths produce bit-identical matrices.
+Feature-matrix layout (one row per atom, :data:`ATOM_FEATURE_DIM`
+columns):
+
+==========================  =========
+element one-hot             7
+hydrophobic flag            1
+H-bond donor flag           1
+H-bond acceptor flag        1
+aromatic flag               1
+partial charge              1
+formal charge               1
+ligand flag (vs pocket)     1
+==========================  =========
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from repro.chem.atom import Atom
 #: Element classes used for one-hot encoding.
 ELEMENT_CLASSES: tuple[str, ...] = ("C", "N", "O", "S", "P", "halogen", "other")
 
-#: Dimensionality of :func:`atom_feature_vector`.
+#: Number of per-atom feature columns (module docstring).
 ATOM_FEATURE_DIM = len(ELEMENT_CLASSES) + 7
 
 
@@ -36,53 +45,13 @@ def element_class(atom: Atom) -> int:
     return ELEMENT_CLASSES.index("other")
 
 
-def atom_feature_vector(atom: Atom, is_ligand: bool) -> np.ndarray:
-    """Feature vector for one atom.
-
-    Layout (length :data:`ATOM_FEATURE_DIM`):
-
-    ==========================  =========
-    element one-hot             7
-    hydrophobic flag            1
-    H-bond donor flag           1
-    H-bond acceptor flag        1
-    aromatic flag               1
-    partial charge              1
-    formal charge               1
-    ligand flag (vs pocket)     1
-    ==========================  =========
-    """
-    vec = np.zeros(ATOM_FEATURE_DIM)
-    vec[element_class(atom)] = 1.0
-    offset = len(ELEMENT_CLASSES)
-    vec[offset + 0] = float(atom.hydrophobic)
-    vec[offset + 1] = float(atom.hbond_donor)
-    vec[offset + 2] = float(atom.hbond_acceptor)
-    vec[offset + 3] = float(atom.aromatic)
-    vec[offset + 4] = float(atom.partial_charge)
-    vec[offset + 5] = float(atom.formal_charge)
-    vec[offset + 6] = 1.0 if is_ligand else 0.0
-    return vec
-
-
-def atom_feature_matrix(atoms, is_ligand_flags) -> np.ndarray:
-    """Stack feature vectors for a list of atoms."""
-    return np.array(
-        [atom_feature_vector(a, flag) for a, flag in zip(atoms, is_ligand_flags)], dtype=np.float64
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized path
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class AtomArrays:
     """Flat per-atom property arrays extracted in one pass over the atoms.
 
     Every field has length ``num_atoms``; boolean flags are stored as
     float64 0/1 so they can be used directly as channel weights and
-    feature-matrix columns (``float(flag)`` in the scalar path produces
-    exactly the same 0.0/1.0 values).
+    feature-matrix columns.
     """
 
     coords: np.ndarray  # (N, 3) float64
@@ -136,11 +105,11 @@ def atom_arrays(atoms: Sequence[Atom]) -> AtomArrays:
 
 
 def feature_matrix_from_arrays(arrays: AtomArrays, is_ligand: bool | np.ndarray) -> np.ndarray:
-    """Vectorized equivalent of :func:`atom_feature_matrix`.
+    """Per-atom feature matrix ``(N, ATOM_FEATURE_DIM)`` (module docstring).
 
     ``is_ligand`` is either one flag for all atoms or a per-atom boolean
-    array.  Bit-identical to the scalar path: every column is either an
-    exact 0/1 one-hot or a copy of the same float64 values.
+    array.  Every column is either an exact 0/1 one-hot or a copy of the
+    atoms' float64 values.
     """
     n = arrays.num_atoms
     matrix = np.zeros((n, ATOM_FEATURE_DIM), dtype=np.float64)

@@ -1,47 +1,39 @@
 """Batched, vectorized featurization engine with a content-addressed cache.
 
-This module is the fast path between docking output and fusion scoring.
-The scalar featurizers (:class:`repro.featurize.voxelize.Voxelizer`,
-:class:`repro.featurize.graph.GraphBuilder`) splat and assemble one atom
-at a time from Python; the engine computes the same tensors with whole-
-array NumPy operations:
+This module is the path between docking output and fusion scoring.  It
+computes the voxel grid and the spatial graph of a complex with
+whole-array NumPy operations instead of one Python call per atom:
 
 * :class:`VectorizedVoxelizer` gathers every atom's Gaussian density
   over a broadcast neighbourhood box of precomputed grid coordinates and
-  scatter-adds all channels with ``np.bincount`` — **bit-identical** to
-  the scalar voxelizer (same float64 operands, same per-cell accumulation
-  order), which the golden-equivalence suite in
-  ``tests/test_featurize_engine.py`` locks in with ``np.array_equal``.
+  scatter-adds all channels with ``np.bincount``;
 * :class:`VectorizedGraphBuilder` builds node features, covalent and
   non-covalent adjacencies from flat atom arrays, with pocket-side
-  extraction memoized per binding site.
-* :class:`FeaturePipeline` fronts both behind the same interface as
-  :class:`~repro.featurize.pipeline.ComplexFeaturizer`, adds a
-  content-addressed :class:`~repro.featurize.cache.FeatureCache`
-  (key = pose + binding site + featurizer config, mirroring the serving
-  result-cache design), optional :class:`H5Store` persistence and a
-  bounded parallel-worker prefetcher.
+  extraction memoized per binding site;
+* :class:`FeaturePipeline` fronts both, adds a content-addressed
+  :class:`~repro.featurize.cache.FeatureCache` (key = pose + binding
+  site + featurizer config, mirroring the serving result-cache design)
+  and optional :class:`H5Store` persistence.
 
-Why bit-identity is preserved by vectorization (the invariants the
-golden tests enforce):
+The per-atom reference loops these replaced are kept as test oracles
+(``tests/featurize_oracle.py``), and ``tests/test_featurize_engine.py``
+holds the engine **bit-identical** to them with ``np.array_equal``.
+Why vectorization preserves every bit:
 
 1. every elementwise float64 operation (subtract, square, exp, divide,
    multiply) produces the same bits regardless of array shape;
 2. ``np.bincount`` accumulates weights in input order, so ordering the
-   scatter entries by atom reproduces the scalar loop's per-cell
+   scatter entries by atom reproduces the per-atom loop's per-cell
    addition sequence exactly;
-3. contributions the scalar path adds as ``±0.0`` (beyond the Gaussian
+3. contributions the per-atom loop adds as ``±0.0`` (beyond the Gaussian
    cutoff, zero channel weights) never change stored bits, so the
    engine may skip or include them freely;
-4. neighbour capping breaks ties with a stable sort in both paths, so
-   full-row and compacted-row selections agree even for equidistant
-   neighbours.
+4. neighbour capping breaks ties with a stable sort, so full-row and
+   compacted-row selections agree even for equidistant neighbours.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +64,7 @@ from repro.utils.rng import ensure_rng
 # Voxelization
 # --------------------------------------------------------------------------- #
 class VectorizedVoxelizer:
-    """Vectorized drop-in for :class:`repro.featurize.voxelize.Voxelizer`."""
+    """Splat a :class:`ProteinLigandComplex` into a ``(C, D, D, D)`` voxel grid."""
 
     def __init__(self, config: VoxelGridConfig | None = None) -> None:
         self.config = config or VoxelGridConfig()
@@ -80,7 +72,7 @@ class VectorizedVoxelizer:
         if dim < 4:
             raise ValueError("grid_dim must be at least 4")
         half = self.config.extent / 2.0
-        # identical to the scalar voxelizer's axis: voxel centres, grid at origin
+        # voxel centre coordinates along one axis, grid centred at origin
         self._axis = (np.arange(dim) + 0.5) * self.config.resolution - half
         # channels are laid out ligand-first in both channel sets
         self._n_lig_channels = sum(
@@ -96,14 +88,17 @@ class VectorizedVoxelizer:
         lig_arrays: AtomArrays | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Voxel tensor of shape ``(C, D, D, D)``; see the scalar Voxelizer.
+        """Voxel tensor of shape ``(C, D, D, D)``.
 
+        Coordinates are interpreted in the binding-site frame, with the
+        grid centred at the site centre; ``rotation`` (3x3) rotates every
+        atom about the grid centre (training-time augmentation).
         Ligand and pocket channels are disjoint, and the pocket is rigid
         and shared by every pose docked into a site, so for unrotated
         grids the pocket channels are splatted once per (site, config)
-        and reused; only the ligand atoms are splatted per pose.  The
-        scalar reference accumulates ligand and pocket atoms into
-        different channels, so the split is bit-exact.  ``lig_arrays``
+        and reused; only the ligand atoms are splatted per pose.  Ligand
+        and pocket atoms accumulate into different channels, so the
+        split is bit-exact.  ``lig_arrays``
         lets callers that also build the graph share one ligand-array
         extraction; ``out`` (shape ``(C, D, D, D)``) receives the grid
         with no extra copy, which is how :meth:`voxelize_many` fills
@@ -123,7 +118,7 @@ class VectorizedVoxelizer:
         # the cached pocket channels do not apply
         positions = np.concatenate([lig.coords, poc.coords], axis=0) - site.center
         if len(positions):
-            # applied per atom with the exact matmul the scalar path uses,
+            # applied per atom with the exact matmul of the per-atom loop,
             # so rotated coordinates carry identical bits
             positions = np.array([rotation @ p for p in positions])
         is_ligand = np.zeros(lig.num_atoms + poc.num_atoms, dtype=bool)
@@ -209,7 +204,7 @@ class VectorizedVoxelizer:
 
         Every atom's Gaussian density is evaluated over a broadcast
         neighbourhood box and scatter-added per channel with one ordered
-        ``np.bincount``, which reproduces the scalar loop's per-cell
+        ``np.bincount``, which reproduces the per-atom loop's per-cell
         accumulation (from a zero grid, in atom order) bit-for-bit.
         Returned arrays have length ``dim**3 + 1``: the final element is
         an overflow bucket for out-of-box entries that callers slice off.
@@ -221,7 +216,7 @@ class VectorizedVoxelizer:
         if n == 0:
             return sums
 
-        # per-atom Gaussian geometry (same float64 expressions as the scalar path)
+        # per-atom Gaussian geometry (same float64 expressions as the per-atom loop)
         sigma = np.maximum(cfg.sigma_scale * vdw_radius, 1e-3)
         cutoff = cfg.cutoff_sigmas * sigma
         denom = 2.0 * sigma**2
@@ -270,12 +265,12 @@ class VectorizedVoxelizer:
 
     # ------------------------------------------------------------------ #
     def total_density(self, grid: np.ndarray) -> float:
-        """Sum of all channels (parity with the scalar voxelizer)."""
+        """Sum of all channels (used by conservation tests)."""
         return float(grid.sum())
 
 
 def _concat_arrays(lig: AtomArrays, poc: AtomArrays) -> AtomArrays:
-    """Concatenate ligand and pocket atom arrays (ligand first, like the scalar loop)."""
+    """Concatenate ligand and pocket atom arrays (ligand first, like the per-atom loop)."""
     return AtomArrays(
         coords=np.concatenate([lig.coords, poc.coords], axis=0),
         elem_idx=np.concatenate([lig.elem_idx, poc.elem_idx]),
@@ -297,8 +292,8 @@ def _channel_members(
 
     Atom indices stay in ascending order inside every channel, which is
     what keeps the scatter's per-cell accumulation order identical to the
-    scalar atom loop.  Zero-weight charge contributions are dropped: the
-    scalar path adds them as ``±0.0``, which never changes stored bits.
+    per-atom loop.  Zero-weight charge contributions are dropped: the
+    per-atom loop adds them as ``±0.0``, which never changes stored bits.
     """
     e = arrays.elem_idx
     lig = is_ligand
@@ -347,7 +342,7 @@ def _channel_members(
 # Graph construction
 # --------------------------------------------------------------------------- #
 class VectorizedGraphBuilder:
-    """Vectorized drop-in for :class:`repro.featurize.graph.GraphBuilder`."""
+    """Build SG-CNN input graphs from protein-ligand complexes."""
 
     def __init__(self, config: GraphConfig | None = None) -> None:
         self.config = config or GraphConfig()
@@ -355,7 +350,11 @@ class VectorizedGraphBuilder:
     def build(
         self, complex_: ProteinLigandComplex, lig_arrays: AtomArrays | None = None
     ) -> dict:
-        """Graph dictionary identical to the scalar ``GraphBuilder.build``."""
+        """Graph dictionary consumable by :class:`repro.nn.GraphBatch`.
+
+        Keys: ``node_features``, ``adjacency`` (covalent / noncovalent),
+        ``ligand_mask``, ``id``.
+        """
         cfg = self.config
         ligand = complex_.ligand
         lig = lig_arrays if lig_arrays is not None else atom_arrays(ligand.atoms)
@@ -418,11 +417,11 @@ class VectorizedGraphBuilder:
 
 
 def _cap_neighbours_vectorized(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """All-rows-at-once equivalent of ``graph._cap_neighbours``.
+    """Keep only the ``k`` strongest entries per row (symmetrized afterwards).
 
     A stable full-row argsort selects, per row, the ``min(k, nnz)``
     largest non-zero entries with ties resolved towards higher column
-    indices — exactly the entries the scalar reference selects from its
+    indices — exactly the entries a per-row loop selects from its
     compacted rows (stability makes the two tie-break orders agree).
     """
     n = adjacency.shape[0]
@@ -442,17 +441,28 @@ def _cap_neighbours_vectorized(adjacency: np.ndarray, k: int) -> np.ndarray:
 # Pipeline facade
 # --------------------------------------------------------------------------- #
 class FeaturePipeline:
-    """Vectorized featurization behind the ``ComplexFeaturizer`` interface.
+    """Featurize complexes for both model heads.
 
-    Drop-in for :class:`~repro.featurize.pipeline.ComplexFeaturizer`
-    everywhere a featurizer is consumed (scoring jobs, the serving
-    service, the campaign runtime): it exposes the same ``featurize`` /
-    ``featurize_many`` signatures and the same ``voxelizer.config`` /
+    The one featurizer every consumer uses (scoring jobs, the serving
+    service, the campaign runtime).  ``voxelizer.config`` /
     ``graph_builder.config`` / ``augment`` / ``rotation_probability``
-    attributes the runtime's checkpoint keys digest.
+    are the attributes the runtime's checkpoint keys digest.
 
-    On top of the scalar behaviour (bit-identical outputs, including the
-    seeded rotation-augmentation stream) it adds:
+    Parameters
+    ----------
+    voxel_config / graph_config:
+        Configurations of the two featurizers.
+    augment:
+        Enable random rotational augmentation of the voxel representation
+        (applied only when ``training=True`` is passed); the graph
+        representation is rotation invariant and is never augmented,
+        exactly as in the paper.
+    rotation_probability:
+        Per-axis rotation probability (10 % in the paper).
+    seed:
+        Seed of the augmentation stream.
+
+    On top of featurization it keeps:
 
     * a content-addressed :class:`FeatureCache` — key = pose + binding
       site + featurizer config — serving repeat featurizations without
@@ -460,9 +470,7 @@ class FeaturePipeline:
       drawn (``augment`` and ``training``), because augmented tensors
       are sample-unique by design;
     * optional persistence of the warm cache through
-      :class:`H5FeatureStore`;
-    * :meth:`prefetch`, a bounded parallel-worker warmer that featurizes
-      upcoming poses into the cache ahead of consumption.
+      :class:`H5FeatureStore`.
 
     Cached tensors are shared between hits and must be treated as
     read-only; batch collation always copies them into fresh arrays.
@@ -499,7 +507,7 @@ class FeaturePipeline:
 
     @classmethod
     def from_featurizer(cls, featurizer, seed: int | None = 0, **kwargs) -> "FeaturePipeline":
-        """Build a pipeline sharing a scalar featurizer's configuration."""
+        """Build a pipeline sharing another featurizer's configuration."""
         return cls(
             voxel_config=featurizer.voxelizer.config,
             graph_config=featurizer.graph_builder.config,
@@ -526,7 +534,7 @@ class FeaturePipeline:
         target: float = float("nan"),
         training: bool = False,
     ) -> FeaturizedComplex:
-        """Featurize one complex (bit-identical to ``ComplexFeaturizer``)."""
+        """Featurize one complex into a :class:`FeaturizedComplex`."""
         rotation = None
         if self.augment and training:
             rotation = random_axis_rotation(self._rng, self.rotation_probability)
@@ -548,7 +556,7 @@ class FeaturePipeline:
             span.set("batch", len(complexes))
             if self.augment and training:
                 # one rotation draw per complex, in order — the same RNG
-                # consumption sequence as the scalar featurize_many loop
+                # consumption sequence as calling featurize() per complex
                 rotations = [
                     random_axis_rotation(self._rng, self.rotation_probability) for _ in complexes
                 ]
@@ -559,63 +567,6 @@ class FeaturePipeline:
             return [
                 self._wrap(c, *self._compute(c, None), t) for c, t in zip(complexes, targets)
             ]
-
-    # ------------------------------------------------------------------ #
-    def prefetch(
-        self,
-        complexes: Sequence[ProteinLigandComplex],
-        max_workers: int = 2,
-        max_pending: int | None = None,
-    ) -> int:
-        """Warm the cache for upcoming poses with a bounded worker pool.
-
-        At most ``max_workers`` features are computed concurrently and at
-        most ``max_pending`` (default ``2 * max_workers``) submissions
-        are in flight, so prefetching a large campaign slice cannot
-        balloon memory.  Poses are deduplicated by content key before
-        submission, so repeats in ``complexes`` are computed once.
-        Returns the number of freshly computed entries; poses already
-        cached cost one lookup.  Inference features only — the
-        stochastic augmentation path is never prefetched.  (Featurizing
-        the same pose concurrently from another thread is harmless: the
-        last identical payload wins.)
-        """
-        if self.cache is None:
-            raise RuntimeError("prefetch requires the feature cache to be enabled")
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        budget = threading.Semaphore(max_pending if max_pending is not None else 2 * max_workers)
-        computed = 0
-        lock = threading.Lock()
-
-        unique: list[tuple[str, ProteinLigandComplex]] = []
-        seen: set[str] = set()
-        for complex_ in complexes:
-            key = self.key_for(complex_)
-            if key not in seen:
-                seen.add(key)
-                unique.append((key, complex_))
-
-        def warm_one(key: str, complex_: ProteinLigandComplex) -> None:
-            nonlocal computed
-            try:
-                if self.cache.get(key) is not None:
-                    return
-                voxel, graph = self._compute_fresh(complex_, None)
-                self.cache.put(key, voxel, graph)
-                with lock:
-                    computed += 1
-            finally:
-                budget.release()
-
-        with ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="feat-prefetch") as pool:
-            futures = []
-            for key, complex_ in unique:
-                budget.acquire()
-                futures.append(pool.submit(warm_one, key, complex_))
-            for future in futures:
-                future.result()
-        return computed
 
     # ------------------------------------------------------------------ #
     def stats(self) -> FeatureCacheStats | None:

@@ -15,7 +15,9 @@ types are built:
 
 Adjacency entries are weighted by a smooth distance kernel so that closer
 contacts pass larger messages, and rows are degree-normalized to keep the
-gated propagation numerically stable.
+gated propagation numerically stable.  This module holds the graph
+configuration and the row normalization; the construction itself is
+:class:`repro.featurize.engine.VectorizedGraphBuilder`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chem.complexes import ProteinLigandComplex
-from repro.featurize.atom_features import atom_feature_matrix
 
 
 @dataclass(frozen=True)
@@ -63,101 +63,6 @@ class GraphConfig:
             raise ValueError("distance thresholds must be positive")
         if self.covalent_k <= 0 or self.noncovalent_k <= 0:
             raise ValueError("neighbour caps must be positive")
-
-
-class GraphBuilder:
-    """Build SG-CNN input graphs from protein-ligand complexes."""
-
-    def __init__(self, config: GraphConfig | None = None) -> None:
-        self.config = config or GraphConfig()
-
-    def build(self, complex_: ProteinLigandComplex) -> dict:
-        """Return a graph dictionary consumable by :class:`repro.nn.GraphBatch`.
-
-        Keys: ``node_features``, ``adjacency`` (covalent / noncovalent),
-        ``ligand_mask``, ``id``.
-        """
-        cfg = self.config
-        ligand = complex_.ligand
-        lig_coords = ligand.coordinates
-        pocket_atoms = complex_.site.atoms
-        pocket_coords = complex_.site.coordinates()
-
-        if lig_coords.size == 0:
-            raise ValueError("cannot build a graph for an empty ligand")
-
-        # pocket atoms within the interaction shell of any ligand atom
-        if pocket_coords.size:
-            dists = np.linalg.norm(pocket_coords[:, None, :] - lig_coords[None, :, :], axis=-1)
-            keep = np.where(dists.min(axis=1) <= cfg.pocket_shell)[0]
-        else:
-            keep = np.array([], dtype=int)
-        kept_pocket_atoms = [pocket_atoms[i] for i in keep]
-
-        atoms = list(ligand.atoms) + kept_pocket_atoms
-        is_ligand = [True] * ligand.num_atoms + [False] * len(kept_pocket_atoms)
-        coords = np.vstack([lig_coords, pocket_coords[keep]]) if len(keep) else lig_coords
-        n = len(atoms)
-
-        node_features = atom_feature_matrix(atoms, is_ligand)
-        all_dist = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
-        kernel = np.exp(-all_dist / cfg.distance_kernel_width)
-
-        covalent = np.zeros((n, n))
-        long_bond = max(cfg.covalent_threshold, 2.0)
-        for bond in ligand.bonds:
-            # bonds longer than the covalent threshold (after conformer noise)
-            # are still chemically covalent, so the threshold only trims bonds
-            # stretched far beyond a typical bond length.
-            if all_dist[bond.i, bond.j] > long_bond:
-                continue
-            weight = kernel[bond.i, bond.j] * bond.order
-            covalent[bond.i, bond.j] = weight
-            covalent[bond.j, bond.i] = weight
-        covalent = _cap_neighbours(covalent, cfg.covalent_k)
-
-        noncovalent = np.where(all_dist <= cfg.noncovalent_threshold, kernel, 0.0)
-        np.fill_diagonal(noncovalent, 0.0)
-        # exclude pairs already covalently bonded
-        noncovalent[covalent > 0] = 0.0
-        noncovalent = _cap_neighbours(noncovalent, cfg.noncovalent_k)
-
-        return {
-            "node_features": node_features,
-            "adjacency": {
-                "covalent": _row_normalize(covalent),
-                "noncovalent": _row_normalize(noncovalent),
-            },
-            "ligand_mask": np.array(is_ligand, dtype=bool),
-            "id": complex_.complex_id or complex_.ligand.name,
-        }
-
-
-def _cap_neighbours(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """Keep only the ``k`` strongest entries per row (symmetrized afterwards).
-
-    Ties are broken deterministically (stable sort, higher column index
-    wins) so that the vectorized engine in
-    :mod:`repro.featurize.engine`, which selects the same entries via a
-    full-row stable argsort, is bit-identical to this reference even when
-    two neighbours sit at exactly the same distance.
-    """
-    n = adjacency.shape[0]
-    if n == 0 or k >= n:
-        return adjacency
-    capped = np.zeros_like(adjacency)
-    for i in range(n):
-        row = adjacency[i]
-        nonzero = np.nonzero(row)[0]
-        if nonzero.size == 0:
-            continue
-        if nonzero.size > k:
-            top = nonzero[np.argsort(row[nonzero], kind="stable")[-k:]]
-        else:
-            top = nonzero
-        capped[i, top] = row[top]
-    # symmetrize: keep an edge if either endpoint selected it
-    return np.maximum(capped, capped.T)
 
 
 def _row_normalize(adjacency: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""End-to-end featurization pipeline producing model-ready samples."""
+"""Featurized samples and their collation into model-ready batches."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.chem.complexes import ProteinLigandComplex
-from repro.featurize.graph import GraphBuilder, GraphConfig
-from repro.featurize.voxelize import VoxelGridConfig, Voxelizer, random_axis_rotation
 from repro.nn.graph_layers import FlatGraphBatch, GraphBatch
-from repro.utils.rng import ensure_rng
 
 
 @dataclass
@@ -39,71 +35,6 @@ class FeaturizedComplex:
     metadata: dict = field(default_factory=dict)
 
 
-class ComplexFeaturizer:
-    """Featurize complexes for both model heads.
-
-    Parameters
-    ----------
-    voxel_config / graph_config:
-        Configurations of the two featurizers.
-    augment:
-        Enable random rotational augmentation of the voxel representation
-        (applied only when ``training=True`` is passed to
-        :meth:`featurize`); the graph representation is rotation
-        invariant and is never augmented, exactly as in the paper.
-    rotation_probability:
-        Per-axis rotation probability (10 % in the paper).
-    seed:
-        Seed of the augmentation stream.
-    """
-
-    def __init__(
-        self,
-        voxel_config: VoxelGridConfig | None = None,
-        graph_config: GraphConfig | None = None,
-        augment: bool = False,
-        rotation_probability: float = 0.1,
-        seed: int | None = 0,
-    ) -> None:
-        self.voxelizer = Voxelizer(voxel_config)
-        self.graph_builder = GraphBuilder(graph_config)
-        self.augment = bool(augment)
-        self.rotation_probability = float(rotation_probability)
-        self._rng = ensure_rng(seed)
-
-    def featurize(
-        self,
-        complex_: ProteinLigandComplex,
-        target: float = float("nan"),
-        training: bool = False,
-    ) -> FeaturizedComplex:
-        """Featurize one complex into a :class:`FeaturizedComplex`."""
-        rotation = None
-        if self.augment and training:
-            rotation = random_axis_rotation(self._rng, self.rotation_probability)
-        voxel = self.voxelizer.voxelize(complex_, rotation=rotation)
-        graph = self.graph_builder.build(complex_)
-        return FeaturizedComplex(
-            voxel=voxel,
-            graph=graph,
-            target=float(target),
-            complex_id=complex_.complex_id,
-            pose_id=complex_.pose_id,
-            metadata=dict(complex_.metadata),
-        )
-
-    def featurize_many(
-        self,
-        complexes: Sequence[ProteinLigandComplex],
-        targets: Sequence[float] | None = None,
-        training: bool = False,
-    ) -> list[FeaturizedComplex]:
-        """Featurize a sequence of complexes (targets default to ``nan``)."""
-        if targets is None:
-            targets = [float("nan")] * len(complexes)
-        if len(targets) != len(complexes):
-            raise ValueError("targets must match complexes in length")
-        return [self.featurize(c, t, training=training) for c, t in zip(complexes, targets)]
 
 
 def collate_complexes(samples: Sequence[FeaturizedComplex], graph_layout: str = "dense") -> dict:

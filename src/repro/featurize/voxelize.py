@@ -5,7 +5,9 @@ Gaussian densities with width tied to the van der Waals radius.  Channels
 separate ligand and pocket atoms and, within each, encode element class
 and pharmacophore properties.  The voxelizer also implements the random
 rotational augmentation described in §3.3.1 of the paper (each of X, Y,
-Z rotated with 10 % probability during training).
+Z rotated with 10 % probability during training).  This module holds
+the grid configuration and the augmentation draw; the splatting itself
+is :class:`repro.featurize.engine.VectorizedVoxelizer`.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.chem.complexes import ProteinLigandComplex
-from repro.utils.rng import ensure_rng
 
 #: Channel layouts. Each entry maps a channel name to a predicate over
 #: (atom, is_ligand).
@@ -97,114 +96,3 @@ def random_axis_rotation(rng: np.random.Generator, probability: float = 0.1) -> 
         rotation[other[1], other[1]] = c
         matrix = rotation @ matrix
     return matrix
-
-
-class Voxelizer:
-    """Convert a :class:`ProteinLigandComplex` into a voxel grid tensor."""
-
-    def __init__(self, config: VoxelGridConfig | None = None) -> None:
-        self.config = config or VoxelGridConfig()
-        dim = self.config.grid_dim
-        if dim < 4:
-            raise ValueError("grid_dim must be at least 4")
-        # voxel centre coordinates along one axis, grid centred at origin
-        half = self.config.extent / 2.0
-        self._axis = (np.arange(dim) + 0.5) * self.config.resolution - half
-
-    # ------------------------------------------------------------------ #
-    def voxelize(
-        self,
-        complex_: ProteinLigandComplex,
-        rotation: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return the voxel tensor of shape ``(C, D, D, D)``.
-
-        Parameters
-        ----------
-        complex_:
-            The complex to voxelize; coordinates are interpreted in the
-            binding-site frame, with the grid centred at the site centre.
-        rotation:
-            Optional 3x3 rotation applied to all coordinates about the
-            grid centre (training-time augmentation).
-        """
-        cfg = self.config
-        grid = np.zeros((cfg.num_channels, cfg.grid_dim, cfg.grid_dim, cfg.grid_dim))
-        center = complex_.site.center
-        for atoms, is_ligand in ((complex_.ligand.atoms, True), (complex_.site.atoms, False)):
-            for atom in atoms:
-                position = atom.position - center
-                if rotation is not None:
-                    position = rotation @ position
-                self._splat(grid, atom, position, is_ligand)
-        return grid
-
-    # ------------------------------------------------------------------ #
-    def _channel_indices(self, atom, is_ligand: bool) -> list[tuple[int, float]]:
-        """Channels (index, weight) an atom contributes to."""
-        cfg = self.config
-        channels = cfg.channels
-        out: list[tuple[int, float]] = []
-
-        def add(name: str, weight: float = 1.0) -> None:
-            out.append((channels.index(name), weight))
-
-        if cfg.channel_set == "reduced":
-            if is_ligand:
-                if atom.element == "C":
-                    add("lig_carbon")
-                elif atom.element in ("N", "O"):
-                    add("lig_polar")
-                else:
-                    add("lig_other")
-                add("lig_occupancy")
-            else:
-                if atom.hydrophobic:
-                    add("poc_hydrophobic")
-                if atom.hbond_donor:
-                    add("poc_donor")
-                if atom.hbond_acceptor:
-                    add("poc_acceptor")
-                add("poc_occupancy")
-        else:
-            prefix = "lig" if is_ligand else "poc"
-            if atom.element in ("C", "N", "O", "S"):
-                add(f"{prefix}_{atom.element}")
-            elif atom.is_halogen:
-                add(f"{prefix}_halogen")
-            if atom.hydrophobic:
-                add(f"{prefix}_hydrophobic")
-            if atom.hbond_donor:
-                add(f"{prefix}_donor")
-            if atom.hbond_acceptor:
-                add(f"{prefix}_acceptor")
-            add(f"{prefix}_charge", float(atom.partial_charge))
-        return out
-
-    def _splat(self, grid: np.ndarray, atom, position: np.ndarray, is_ligand: bool) -> None:
-        cfg = self.config
-        sigma = max(cfg.sigma_scale * atom.vdw_radius, 1e-3)
-        cutoff = cfg.cutoff_sigmas * sigma
-        # indices of voxels possibly within the cutoff along each axis
-        los, his, axes = [], [], []
-        for axis_coord in position:
-            lo = np.searchsorted(self._axis, axis_coord - cutoff)
-            hi = np.searchsorted(self._axis, axis_coord + cutoff)
-            if lo >= len(self._axis) or hi <= 0:
-                return  # atom entirely outside the grid
-            los.append(lo)
-            his.append(hi)
-            axes.append(self._axis[lo:hi])
-        dx = axes[0][:, None, None] - position[0]
-        dy = axes[1][None, :, None] - position[1]
-        dz = axes[2][None, None, :] - position[2]
-        dist2 = dx**2 + dy**2 + dz**2
-        density = np.exp(-dist2 / (2.0 * sigma**2))
-        density[dist2 > cutoff**2] = 0.0
-        for channel, weight in self._channel_indices(atom, is_ligand):
-            grid[channel, los[0]:his[0], los[1]:his[1], los[2]:his[2]] += weight * density
-
-    # ------------------------------------------------------------------ #
-    def total_density(self, grid: np.ndarray) -> float:
-        """Sum of the occupancy channels (used by conservation tests)."""
-        return float(grid.sum())

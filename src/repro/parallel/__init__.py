@@ -8,14 +8,11 @@ sites select it with a ``backend="thread" | "process"`` knob:
 
 * ``StreamConfig(backend=...)`` — streaming shard execution
   (:mod:`repro.screening.stream`);
-* ``dock_many(..., backend=...)`` — per-compound docking pools
-  (:mod:`repro.docking.engine`);
 * ``ServingConfig(backend=...)`` — per-process model replicas
   (:class:`repro.serving.workers.ProcessModelBackend`).
 
 Results are bit-identical across backends (the streaming golden suite
-pins it), so like ``docking_engine`` the choice never enters checkpoint
-or shard keys.  Worker-process metrics flow back to the coordinator via
+pins it), so the choice never enters checkpoint or shard keys.  Worker-process metrics flow back to the coordinator via
 :func:`isolated_registry` + :meth:`~repro.telemetry.MetricsRegistry.absorb`.
 
 Crash resilience lives in :mod:`repro.parallel.supervisor`: every

@@ -1,8 +1,9 @@
 """A spawn-based process pool with one-time payload shipping.
 
 :class:`ProcessTaskPool` is the primitive behind every process backend in
-the repo (`StreamConfig(backend="process")`, ``dock_many(backend=)``,
-:class:`repro.serving.workers.ProcessModelBackend`).  The design follows
+the repo (``StreamConfig(backend="process")``,
+:class:`repro.serving.workers.ProcessModelBackend`, the SPMD ranks of
+:func:`repro.hpc.mpi.run_spmd_process`).  The design follows
 one rule: **ship the heavy state once, dispatch light descriptors
 forever**.
 
@@ -47,8 +48,8 @@ __all__ = [
 #: Every execution backend a parallel path accepts.  ``"thread"`` is the
 #: in-process pool each call site always had; ``"process"`` routes the
 #: same work through a :class:`ProcessTaskPool`.  Results are
-#: bit-identical either way, which is why (like ``docking_engine``) the
-#: choice never enters checkpoint or shard keys.
+#: bit-identical either way, which is why the choice never enters
+#: checkpoint or shard keys.
 PARALLEL_BACKENDS = ("thread", "process")
 
 

@@ -22,8 +22,8 @@ ordinary, bounded retry:
 * **Poison-task quarantine.**  A task whose execution has now crashed
   the pool ``max_task_retries`` times is *returned* as a structured
   :class:`TaskFailure` instead of being retried forever — the caller
-  decides whether that is fatal (``dock_many`` raises, streaming turns
-  it into a failed shard outcome subject to ``on_shard_failure``).
+  decides whether that is fatal (streaming turns it into a failed shard
+  outcome subject to ``on_shard_failure``).
   Ordinary task exceptions are **never** retried: they propagate
   unchanged, which is what keeps the no-fault path bit-identical to an
   unsupervised pool.

@@ -43,7 +43,6 @@ from repro.datasets.libraries import build_screening_deck
 from repro.docking.ampl import AMPLSurrogate
 from repro.docking.conveyorlc import DockingDatabase
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer
 from repro.hpc.faults import FaultInjector
 from repro.hpc.h5store import H5Store
 from repro.nn.module import Module
@@ -103,7 +102,7 @@ class CampaignRuntime:
     def __init__(
         self,
         model: Module,
-        featurizer: ComplexFeaturizer | FeaturePipeline,
+        featurizer: FeaturePipeline,
         campaign: CampaignConfig | None = None,
         runtime: RuntimeConfig | None = None,
         cost_function: CompoundCostFunction | None = None,
@@ -151,11 +150,9 @@ class CampaignRuntime:
 
         A changed grid resolution or graph cutoff changes model inputs
         (and therefore scores), so it must invalidate the streamed shards
-        just like a model-weight swap does.  The scalar
-        ``ComplexFeaturizer`` and the vectorized ``FeaturePipeline``
-        expose the same config attributes and produce bit-identical
-        features, so swapping one for the other deliberately leaves the
-        digest (and every shard checkpoint) intact.
+        just like a model-weight swap does.  Cache settings do not change
+        a feature bit, so they stay out of the digest (and out of every
+        shard checkpoint key).
         """
         f = self.featurizer
         return (
@@ -359,9 +356,8 @@ class CampaignRuntime:
         """Everything that shapes one streamed shard's payload.
 
         ``shard_size`` and worker count are deliberately absent: shard
-        results are bit-identical across both (the same invariance —
-        and the same reasoning — as ``docking_engine``'s exclusion), so
-        retuning throughput must keep shard checkpoints warm.
+        results are bit-identical across both, so retuning throughput
+        must keep shard checkpoints warm.
         ``fusion_batch_size`` *is* included because NN batch composition
         moves ulps.  ``mmgbsa_subset_fraction`` and ``executor`` keep the
         values they had before those options were retired, so shard
@@ -417,7 +413,6 @@ class CampaignRuntime:
             poses_per_compound=cfg.poses_per_compound,
             docking_mc_steps=cfg.docking_mc_steps,
             docking_restarts=cfg.docking_restarts,
-            docking_engine=cfg.docking_engine,
             mmgbsa=True,
             seed=cfg.seed,
             retry=self.runtime.retry,

@@ -22,7 +22,7 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.protein import BindingSite
 from repro.docking.conveyorlc import DockingRecord
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer, collate_complexes
+from repro.featurize.pipeline import collate_complexes
 from repro.hpc.h5store import H5Store
 from repro.hpc.horovod import HorovodContext
 from repro.hpc.mpi import RankContext, run_spmd
@@ -85,7 +85,7 @@ class FusionScoringJob:
     """
 
     model: Module
-    featurizer: ComplexFeaturizer | FeaturePipeline
+    featurizer: FeaturePipeline
     site: BindingSite
     records: Sequence[DockingRecord]
     num_nodes: int = 4
@@ -143,9 +143,7 @@ class FusionScoringJob:
             predictions: list[float] = []
             if my_records:
                 # featurize the rank's slice through the featurizer's batch
-                # entry point: the vectorized engine featurizes (and caches)
-                # whole pose batches, while the scalar reference loops —
-                # either way the samples are bit-identical
+                # entry point, which featurizes (and caches) whole pose batches
                 samples = self.featurizer.featurize_many(
                     [
                         ProteinLigandComplex(

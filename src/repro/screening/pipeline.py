@@ -27,7 +27,6 @@ from repro.datasets.assays import CampaignAssayTable
 from repro.docking.ampl import AMPLSurrogate
 from repro.docking.conveyorlc import DockingDatabase
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer
 from repro.hpc.h5store import H5Store
 from repro.nn.module import Module
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
@@ -44,16 +43,11 @@ class CampaignConfig:
     poses_per_compound: int = 4
     docking_mc_steps: int = 25
     docking_restarts: int = 2
-    #: docking/rescoring engine: "batched" (lockstep MC on the pairwise
-    #: kernel) or "scalar" (golden reference) — bit-identical results, so
-    #: the choice never enters checkpoint keys
-    docking_engine: str = "batched"
     #: execution backend of the streamed screen's shard workers:
     #: ``"thread"`` or ``"process"`` (spawned worker processes,
-    #: :mod:`repro.parallel`).  Results are bit-identical either way, so —
-    #: exactly like ``docking_engine`` — the backend never enters
-    #: checkpoint keys: retuning it keeps every stage and shard checkpoint
-    #: warm.
+    #: :mod:`repro.parallel`).  Results are bit-identical either way, so
+    #: the backend never enters checkpoint keys: retuning it keeps every
+    #: stage and shard checkpoint warm.
     backend: str = "thread"
     compounds_tested_per_site: int = 12
     biology_penalty_mean: float = 2.6
@@ -64,8 +58,8 @@ class CampaignConfig:
     use_serving: bool = False
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: compounds per streamed shard — a pure throughput/memory knob:
-    #: results are bit-identical for every shard size, so (like
-    #: ``docking_engine``) it never enters checkpoint keys
+    #: results are bit-identical for every shard size, so it never enters
+    #: checkpoint keys
     shard_size: int = 64
     #: per-site top-K retained by the streaming engine's exact
     #: bounded-memory selector; ``0`` defaults to
@@ -128,19 +122,12 @@ class CampaignResult:
 
 
 class ScreeningCampaign:
-    """Run the full screening campaign with a trained fusion model.
-
-    ``featurizer`` may be the scalar reference
-    (:class:`~repro.featurize.pipeline.ComplexFeaturizer`) or the
-    vectorized engine (:class:`~repro.featurize.engine.FeaturePipeline`);
-    the two produce bit-identical features, so campaign results do not
-    depend on the choice — only throughput does.
-    """
+    """Run the full screening campaign with a trained fusion model."""
 
     def __init__(
         self,
         model: Module,
-        featurizer: ComplexFeaturizer | FeaturePipeline,
+        featurizer: FeaturePipeline,
         config: CampaignConfig | None = None,
         cost_function: CompoundCostFunction | None = None,
         interaction_model: InteractionModel | None = None,

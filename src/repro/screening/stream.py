@@ -37,9 +37,8 @@ Determinism contract (the golden suite in
   first.
 
 Consequently top-K ids, scores and summary statistics are bit-identical
-across any ``shard_size`` and any ``workers`` — which is also why (like
-``docking_engine`` in PR 4) those two knobs are deliberately excluded
-from checkpoint keys.
+across any ``shard_size`` and any ``workers`` — which is also why those
+two knobs are deliberately excluded from checkpoint keys.
 
 Each completed shard can be checkpointed under a content key through
 :class:`~repro.runtime.checkpoint.CheckpointStore`; a killed streaming
@@ -67,9 +66,7 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa, DockingRecord
-from repro.docking.engine import validate_engine
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer
 from repro.hpc.faults import FaultEvent, FaultInjector, ProcessKillFault
 from repro.nn.module import Module
 from repro.parallel import (
@@ -375,7 +372,7 @@ class StreamConfig:
     #: work-stealing thread pool (the historical default); ``"process"``
     #: keeps the same threads as dispatchers but executes each shard body
     #: in a spawned worker process (:mod:`repro.parallel`), breaking the
-    #: GIL.  Like ``shard_size``/``workers``/``docking_engine`` this is a
+    #: GIL.  Like ``shard_size``/``workers`` this is a
     #: pure throughput knob — results are bit-identical (golden suite),
     #: so it never enters checkpoint/shard keys.
     backend: str = "thread"
@@ -384,7 +381,6 @@ class StreamConfig:
     poses_per_compound: int = 4
     docking_mc_steps: int = 25
     docking_restarts: int = 2
-    docking_engine: str = "batched"
     mmgbsa: bool = True
     mmgbsa_max_poses: int = 10
     seed: int = 2020
@@ -431,7 +427,6 @@ class StreamConfig:
             raise ValueError("max_task_retries must be >= 1")
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError("shard_deadline_s must be positive when set")
-        validate_engine(self.docking_engine)
         validate_backend(self.backend)
 
 
@@ -631,7 +626,7 @@ class StreamingScreen:
     def __init__(
         self,
         model: Module | None,
-        featurizer: ComplexFeaturizer | FeaturePipeline,
+        featurizer: FeaturePipeline,
         sites: Mapping[str, BindingSite],
         config: StreamConfig | None = None,
         *,
@@ -721,10 +716,9 @@ class StreamingScreen:
         caller-provided salt) so a direct user of the checkpointing API
         can never restore shards scored under a different seed, docking
         budget or fusion batch protocol.  The invariance knobs —
-        ``shard_size``, ``workers``, ``top_k``, ``docking_engine``,
-        ``nan_policy`` — are deliberately absent: they cannot move a bit
-        of any shard payload (module docstring), so retuning them keeps
-        checkpoints warm.  Model and featurizer identity are the
+        ``shard_size``, ``workers``, ``top_k``, ``nan_policy`` — are
+        deliberately absent: they cannot move a bit of any shard payload
+        (module docstring), so retuning them keeps checkpoints warm.  Model and featurizer identity are the
         caller's to digest into ``checkpoint_salt`` (the campaign
         runtime mixes both via its stage ingredients).
         """
@@ -781,14 +775,12 @@ class StreamingScreen:
             monte_carlo_steps=cfg.docking_mc_steps,
             restarts=cfg.docking_restarts,
             seed=derive_seed(cfg.seed, "docking"),
-            engine=cfg.docking_engine,
         )
         database = docking.run(self.receptors, prepared)
         if cfg.mmgbsa:
             CDT4Mmgbsa(
                 max_poses=cfg.mmgbsa_max_poses,
                 seed=derive_seed(cfg.seed, "mmgbsa"),
-                engine=cfg.docking_engine,
             ).run(database, self._site_map)
 
         best_scores: dict[str, list[tuple[str, float]]] = {name: [] for name in self.sites}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.chem.complexes import ProteinLigandComplex
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer, FeaturizedComplex
+from repro.featurize.pipeline import FeaturizedComplex
 from repro.nn.module import Module
 from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed, collate_request_batch
 from repro.serving.cache import H5CacheAdapter, ResultCache
@@ -159,7 +159,7 @@ class ScoringService:
     def __init__(
         self,
         model: Module | None = None,
-        featurizer: ComplexFeaturizer | FeaturePipeline | None = None,
+        featurizer: FeaturePipeline | None = None,
         config: ServingConfig | None = None,
         backend: ScoringBackend | None = None,
         cache_store: H5CacheAdapter | None = None,
@@ -168,7 +168,7 @@ class ScoringService:
         if (model is None) == (backend is None):
             raise ValueError("provide exactly one of model= or backend=")
         if featurizer is None:
-            raise ValueError("a ComplexFeaturizer is required")
+            raise ValueError("a FeaturePipeline is required")
         self.config = config or ServingConfig()
         cfg = self.config
         validate_backend(cfg.backend)

@@ -13,7 +13,7 @@ from repro.datasets.assays import (
 from repro.datasets.libraries import LIBRARY_PROFILES, TOTAL_LIBRARY_SIZE, build_screening_deck
 from repro.datasets.pdbbind import PDBbindConfig, generate_pdbbind
 from repro.datasets.splits import coverage_by_bin, quintile_split, random_split
-from repro.featurize.pipeline import ComplexFeaturizer
+from repro.featurize.engine import FeaturePipeline
 from repro.featurize.voxelize import VoxelGridConfig
 
 
@@ -86,7 +86,7 @@ class TestPDBbind:
         assert stats["general"]["count"] == 16
 
     def test_featurize_entries(self, tiny_pdbbind):
-        featurizer = ComplexFeaturizer(VoxelGridConfig(grid_dim=10))
+        featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10))
         samples = tiny_pdbbind.featurize_entries(tiny_pdbbind.core[:3], featurizer)
         assert len(samples) == 3
         assert samples[0].target == pytest.approx(tiny_pdbbind.core[0].experimental_pk)

@@ -15,7 +15,8 @@ from repro.docking.conveyorlc import (
     DockingRecord,
 )
 from repro.docking.mmgbsa import MMGBSARescorer
-from repro.docking.poses import MaximizePkScorer, PoseGenerator, place_ligand_randomly, rmsd
+from repro.docking.engine import PoseGenerator
+from repro.docking.poses import MaximizePkScorer, place_ligand_randomly, rmsd
 from repro.docking.vina import VinaScorer
 
 

@@ -1,12 +1,13 @@
-"""Golden-equivalence suite for the batched docking engine.
+"""Golden-equivalence suite for the docking engine.
 
-The scalar ``PoseGenerator`` (per-pose ``compute_terms`` on Python Atom
-objects) is the golden reference; the batched kernel and the lockstep
-``BatchedMonteCarloDocker`` must reproduce it **bit-identically** —
-``np.array_equal`` / ``==`` on every pose coordinate, score and RMSD, no
-tolerances — across restart counts, ligand sizes, scorers and the
-with/without-reference paths.  Hypothesis property tests pin down the
-clustering function's batch-width invariance.
+The scalar ``ScalarPoseGenerator`` oracle (``tests/docking_oracle.py``:
+per-pose ``compute_terms`` on Python Atom objects) is the golden
+reference; the batched kernel and the lockstep ``PoseGenerator`` must
+reproduce it **bit-identically** — ``np.array_equal`` / ``==`` on every
+pose coordinate, score and RMSD, no tolerances — across restart counts,
+ligand sizes, scorers and the with/without-reference paths.  Hypothesis
+property tests pin down the clustering function's batch-width
+invariance.
 """
 
 from __future__ import annotations
@@ -18,21 +19,13 @@ from hypothesis import strategies as st
 
 from repro.chem.complexes import InteractionModel, ProteinLigandComplex
 from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa
-from repro.docking.engine import (
-    BatchedMonteCarloDocker,
-    dock_many,
-    make_docker,
-    pairwise_rmsd,
-    select_pose_indices,
-)
+from repro.docking.engine import PoseGenerator, dock_many, pairwise_rmsd, select_pose_indices
 from repro.docking.mmgbsa import MMGBSARescorer
-from repro.docking.poses import (
-    MaximizePkScorer,
-    PoseGenerator,
-    molecule_with_coordinates,
-    rmsd,
-)
+from repro.docking.poses import MaximizePkScorer, molecule_with_coordinates, rmsd
 from repro.docking.vina import VinaScorer
+from repro.utils.rng import derive_seed
+
+from docking_oracle import ScalarPoseGenerator, reference_rescore
 
 
 def _posed(ligand, site, offset=(0.0, 0.0, -2.0)):
@@ -165,12 +158,12 @@ class TestBatchedScorers:
         chunked = VinaScorer().score_many(complexes)
         assert np.array_equal(unchunked, chunked)
 
-    def test_rescore_many_matches_rescore(self, protease_site, prepared_ligands):
-        generator = BatchedMonteCarloDocker(VinaScorer(), num_poses=4, monte_carlo_steps=8, restarts=2, seed=3)
+    def test_rescore_matches_scalar_reference(self, protease_site, prepared_ligands):
+        generator = PoseGenerator(VinaScorer(), num_poses=4, monte_carlo_steps=8, restarts=2, seed=3)
         poses = generator.dock(protease_site, prepared_ligands[0].molecule, complex_id="c")
         rescorer = MMGBSARescorer()
-        assert rescorer.rescore_many(poses) == rescorer.rescore(poses)
-        assert rescorer.rescore_many(poses, max_poses=2) == rescorer.rescore(poses, max_poses=2)
+        assert rescorer.rescore(poses) == reference_rescore(rescorer, poses)
+        assert rescorer.rescore(poses, max_poses=2) == reference_rescore(rescorer, poses, max_poses=2)
 
     def test_systematic_error_memoized(self, example_complex):
         vina = VinaScorer()
@@ -188,8 +181,8 @@ class TestDockerGoldenEquivalence:
         scorer = VinaScorer()
         kwargs = dict(num_poses=6, monte_carlo_steps=10, restarts=restarts, seed=11)
         ligand = prepared_ligands[0].molecule
-        scalar = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
-        batched = BatchedMonteCarloDocker(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
+        scalar = ScalarPoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
+        batched = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
         _assert_poses_identical(scalar, batched)
 
     def test_bit_identical_across_ligand_sizes(self, protease_site, prepared_ligands):
@@ -199,8 +192,8 @@ class TestDockerGoldenEquivalence:
         for prepared in prepared_ligands:
             ligand = prepared.molecule
             sizes.add(ligand.num_atoms)
-            scalar = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
-            batched = BatchedMonteCarloDocker(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
+            scalar = ScalarPoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
+            batched = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
             _assert_poses_identical(scalar, batched)
         assert len(sizes) > 1, "fixture should cover multiple ligand sizes"
 
@@ -212,10 +205,10 @@ class TestDockerGoldenEquivalence:
         ligand = prepared_ligands[1].molecule
         reference = _posed(ligand, protease_site) if with_reference else None
         kwargs = dict(num_poses=5, monte_carlo_steps=12, restarts=2, seed=17)
-        scalar = PoseGenerator(scorer, **kwargs).dock(
+        scalar = ScalarPoseGenerator(scorer, **kwargs).dock(
             protease_site, ligand, complex_id="c", reference=reference
         )
-        batched = BatchedMonteCarloDocker(scorer, **kwargs).dock(
+        batched = PoseGenerator(scorer, **kwargs).dock(
             protease_site, ligand, complex_id="c", reference=reference
         )
         _assert_poses_identical(scalar, batched)
@@ -230,24 +223,8 @@ class TestDockerGoldenEquivalence:
         scorer = scorer_factory()
         kwargs = dict(num_poses=4, monte_carlo_steps=10, restarts=2, seed=23)
         ligand = prepared_ligands[2].molecule
-        scalar = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
-        batched = BatchedMonteCarloDocker(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
-        _assert_poses_identical(scalar, batched)
-
-    def test_scalar_scorer_fallback_path(self, protease_site, prepared_ligands):
-        """A scorer without score_batch still docks lockstep, bit-identically."""
-
-        class ScalarOnly:
-            def __init__(self):
-                self._vina = VinaScorer()
-
-            def score(self, complex_):
-                return self._vina.score(complex_)
-
-        kwargs = dict(num_poses=3, monte_carlo_steps=6, restarts=2, seed=31)
-        ligand = prepared_ligands[0].molecule
-        scalar = PoseGenerator(ScalarOnly(), **kwargs).dock(protease_site, ligand, complex_id="c")
-        batched = BatchedMonteCarloDocker(ScalarOnly(), **kwargs).dock(protease_site, ligand, complex_id="c")
+        scalar = ScalarPoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
+        batched = PoseGenerator(scorer, **kwargs).dock(protease_site, ligand, complex_id="c")
         _assert_poses_identical(scalar, batched)
 
     def test_restart_chains_independent_of_batch_width(self, protease_site, prepared_ligands):
@@ -257,7 +234,7 @@ class TestDockerGoldenEquivalence:
         ligand = prepared_ligands[0].molecule
         chains = {}
         for restarts in (1, 2, 6):
-            docker = BatchedMonteCarloDocker(
+            docker = PoseGenerator(
                 scorer, num_poses=4, monte_carlo_steps=8, restarts=restarts, seed=13
             )
             chains[restarts] = docker.run_chains(protease_site, ligand, complex_id="c")
@@ -269,20 +246,35 @@ class TestDockerGoldenEquivalence:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            BatchedMonteCarloDocker(VinaScorer(), num_poses=0)
+            PoseGenerator(VinaScorer(), num_poses=0)
         with pytest.raises(ValueError):
-            BatchedMonteCarloDocker(VinaScorer(), restarts=0)
+            PoseGenerator(VinaScorer(), restarts=0)
         with pytest.raises(ValueError):
             PoseGenerator(VinaScorer(), monte_carlo_steps=-1)
-        with pytest.raises(ValueError):
-            make_docker("nope", VinaScorer())
+        # a non-positive temperature used to fail mid-search (0.0: division
+        # by zero on the first uphill proposal) or accept every uphill move
+        # silently (< 0); both are rejected at construction
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                PoseGenerator(VinaScorer(), temperature=temperature)
+
+    def test_scorer_without_batch_kernel_rejected(self):
+        """A scalar-only scorer fails at construction with a typed error,
+        not with an AttributeError partway into the first dock."""
+
+        class ScalarOnly:
+            def score(self, complex_):
+                return VinaScorer().score(complex_)
+
+        with pytest.raises(TypeError, match="ScalarOnly does not implement make_batch_kernel"):
+            PoseGenerator(ScalarOnly())
 
 
 # --------------------------------------------------------------------------- #
 # clustering properties
 # --------------------------------------------------------------------------- #
 def _reference_selection(scores, coords, num_poses, min_separation):
-    """Nested-loop greedy selection mirroring the scalar docker's clustering."""
+    """Nested-loop greedy selection mirroring the oracle docker's clustering."""
     order = sorted(range(len(scores)), key=lambda i: scores[i])
     selected: list[int] = []
     for index in order:
@@ -367,16 +359,57 @@ class TestClusteringProperties:
 # dock_many and the ConveyorLC / runtime wiring
 # --------------------------------------------------------------------------- #
 class TestDockMany:
-    def test_invariant_to_pool_width_and_engine(self, protease_site, prepared_ligands):
+    def test_matches_oracle_docker_per_compound(self, protease_site, prepared_ligands):
+        pairs = [(p.compound_id, p.molecule) for p in prepared_ligands[:4]]
+        scorer = VinaScorer()
+        kwargs = dict(num_poses=3, monte_carlo_steps=6, restarts=2)
+        docked = dock_many(protease_site, pairs, scorer=scorer, seed=9, **kwargs)
+        assert list(docked) == [cid for cid, _ in pairs]
+        for compound_id, molecule in pairs:
+            oracle = ScalarPoseGenerator(
+                scorer, seed=derive_seed(9, "dock", protease_site.name, compound_id), **kwargs
+            )
+            expected = oracle.dock(protease_site, molecule, complex_id=compound_id)
+            _assert_poses_identical(expected, docked[compound_id])
+
+    def test_invariant_to_batch_composition(self, protease_site, prepared_ligands):
+        """Per-compound seeds make a compound's poses independent of which
+        other compounds share its call and in what order — the property the
+        streamed screen's shard split relies on."""
         pairs = [(p.compound_id, p.molecule) for p in prepared_ligands[:4]]
         kwargs = dict(scorer=VinaScorer(), seed=9, num_poses=3, monte_carlo_steps=6, restarts=2)
-        serial = dock_many(protease_site, pairs, max_workers=1, **kwargs)
-        pooled = dock_many(protease_site, pairs, max_workers=4, **kwargs)
-        scalar = dock_many(protease_site, pairs, max_workers=2, engine="scalar", **kwargs)
-        assert list(serial) == [cid for cid, _ in pairs]
-        for compound_id in serial:
-            _assert_poses_identical(serial[compound_id], pooled[compound_id])
-            _assert_poses_identical(serial[compound_id], scalar[compound_id])
+        whole = dock_many(protease_site, pairs, **kwargs)
+        split = dock_many(protease_site, pairs[:1], **kwargs)
+        split.update(dock_many(protease_site, pairs[:0:-1], **kwargs))
+        assert list(split) == [pairs[0][0]] + [cid for cid, _ in pairs[:0:-1]]
+        for compound_id, _ in pairs:
+            _assert_poses_identical(whole[compound_id], split[compound_id])
+
+    def test_duplicate_compound_ids_collapse_to_last(self, protease_site, prepared_ligands):
+        first, second = prepared_ligands[0], prepared_ligands[1]
+        kwargs = dict(scorer=VinaScorer(), seed=5, num_poses=2, monte_carlo_steps=5, restarts=1)
+        docked = dock_many(
+            protease_site,
+            [("dup", first.molecule), (second.compound_id, second.molecule), ("dup", second.molecule)],
+            **kwargs,
+        )
+        assert list(docked) == ["dup", second.compound_id]
+        alone = dock_many(protease_site, [("dup", second.molecule)], **kwargs)
+        _assert_poses_identical(alone["dup"], docked["dup"])
+
+    def test_invalid_temperature_rejected_before_any_docking(self, protease_site, prepared_ligands):
+        kernels = []
+
+        class CountingVina(VinaScorer):
+            def make_batch_kernel(self, *args, **kwargs):
+                kernels.append(args)
+                return super().make_batch_kernel(*args, **kwargs)
+
+        pairs = [(p.compound_id, p.molecule) for p in prepared_ligands[:2]]
+        for temperature in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                dock_many(protease_site, pairs, scorer=CountingVina(), seed=1, temperature=temperature)
+        assert kernels == []
 
     def test_references_recorded(self, protease_site, prepared_ligands):
         compound_id = prepared_ligands[0].compound_id
@@ -396,43 +429,63 @@ class TestDockMany:
 
 class TestConveyorEngineEquivalence:
     def test_cdt3_cdt4_engines_bit_identical(self, sarscov2_sites, molecules):
+        """CDT3/CDT4 reproduce the oracle docker and the per-complex
+        MM/GBSA loop on every record."""
         sites = [sarscov2_sites["protease1"], sarscov2_sites["spike1"]]
         receptors = CDT1Receptor().run(sites)
         ligands = CDT2Ligand().run(molecules[:3], library="t")
         site_map = {name: record.site for name, record in receptors.items()}
-        databases = {}
-        for engine in ("batched", "scalar"):
-            docking = CDT3Docking(num_poses=3, monte_carlo_steps=6, restarts=2, seed=0, engine=engine)
-            database = docking.run(receptors, ligands)
-            CDT4Mmgbsa(max_poses=2, engine=engine).run(database, site_map)
-            databases[engine] = database
-        batched, scalar = databases["batched"].records(), databases["scalar"].records()
-        assert len(batched) == len(scalar) > 0
-        for a, b in zip(batched, scalar):
-            assert a.key == b.key
-            assert a.vina_score == b.vina_score
-            assert np.array_equal(a.pose.coordinates, b.pose.coordinates)
-            if np.isnan(a.mmgbsa_score):
-                assert np.isnan(b.mmgbsa_score)
+        docking = CDT3Docking(num_poses=3, monte_carlo_steps=6, restarts=2, seed=0)
+        database = docking.run(receptors, ligands)
+        mmgbsa = CDT4Mmgbsa(max_poses=2)
+        mmgbsa.run(database, site_map)
+        expected = []
+        for site_name in sorted(site_map):
+            for ligand in ligands:
+                oracle = ScalarPoseGenerator(
+                    docking.scorer,
+                    num_poses=3,
+                    monte_carlo_steps=6,
+                    restarts=2,
+                    seed=derive_seed(0, "dock", site_name, ligand.compound_id),
+                )
+                for rank, pose in enumerate(
+                    oracle.dock(site_map[site_name], ligand.molecule, complex_id=ligand.compound_id)
+                ):
+                    rescored = rank < 2  # poses come best-first; max_poses=2
+                    mmgbsa_score = mmgbsa.rescorer.score(pose.complex) if rescored else float("nan")
+                    expected.append((site_name, ligand.compound_id, pose, mmgbsa_score))
+        records = database.records()
+        assert len(records) == len(expected) > 0
+        for record, (site_name, compound_id, pose, mmgbsa_score) in zip(records, expected):
+            assert record.key == (site_name, compound_id, pose.pose_id)
+            assert record.vina_score == pose.score
+            assert np.array_equal(record.pose.coordinates, pose.complex.ligand.coordinates)
+            if np.isnan(mmgbsa_score):
+                assert np.isnan(record.mmgbsa_score)
             else:
-                assert a.mmgbsa_score == b.mmgbsa_score
+                assert record.mmgbsa_score == mmgbsa_score
 
-    def test_cdt3_pooled_workers_bit_identical(self, sarscov2_sites, molecules):
+    def test_cdt3_records_invariant_to_ligand_split(self, sarscov2_sites, molecules):
+        """Docking the ligands in two runs yields the records of one run."""
         receptors = CDT1Receptor().run([sarscov2_sites["protease1"]])
         ligands = CDT2Ligand().run(molecules[:3], library="t")
-        serial = CDT3Docking(num_poses=2, monte_carlo_steps=5, restarts=2, seed=4).run(receptors, ligands)
-        pooled = CDT3Docking(
-            num_poses=2, monte_carlo_steps=5, restarts=2, seed=4, max_workers=3
-        ).run(receptors, ligands)
-        assert len(serial) == len(pooled)
-        for a, b in zip(serial.records(), pooled.records()):
+        docking = CDT3Docking(num_poses=2, monte_carlo_steps=5, restarts=2, seed=4)
+        whole = docking.run(receptors, ligands).records()
+        split = docking.run(receptors, ligands[:1]).records() + docking.run(receptors, ligands[1:]).records()
+        assert len(whole) == len(split) > 0
+        for a, b in zip(whole, split):
             assert a.key == b.key and a.vina_score == b.vina_score
             assert np.array_equal(a.pose.coordinates, b.pose.coordinates)
 
     def test_engine_validation(self):
-        with pytest.raises(ValueError):
-            CDT3Docking(engine="nope")
-        with pytest.raises(ValueError):
-            CDT3Docking(max_workers=0)
-        with pytest.raises(ValueError):
-            CDT4Mmgbsa(engine="nope")
+        """Both stages reject a bad configuration at construction."""
+        with pytest.raises(ValueError, match="num_poses must be positive"):
+            CDT3Docking(num_poses=0)
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            CDT3Docking(restarts=0)
+        with pytest.raises(ValueError, match="monte_carlo_steps must be non-negative"):
+            CDT3Docking(monte_carlo_steps=-1)
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ValueError, match="subset_fraction"):
+                CDT4Mmgbsa(subset_fraction=fraction)

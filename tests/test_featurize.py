@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.featurize.atom_features import ATOM_FEATURE_DIM, atom_feature_vector, element_class
-from repro.featurize.graph import GraphBuilder, GraphConfig
-from repro.featurize.pipeline import ComplexFeaturizer, collate_complexes
-from repro.featurize.voxelize import VoxelGridConfig, Voxelizer, random_axis_rotation
+from repro.featurize.atom_features import (
+    ATOM_FEATURE_DIM,
+    atom_arrays,
+    element_class,
+    feature_matrix_from_arrays,
+)
+from repro.featurize.engine import FeaturePipeline, VectorizedGraphBuilder, VectorizedVoxelizer
+from repro.featurize.graph import GraphConfig
+from repro.featurize.pipeline import collate_complexes
+from repro.featurize.voxelize import VoxelGridConfig, random_axis_rotation
 from repro.chem.atom import Atom
 
 
 class TestAtomFeatures:
     def test_vector_layout(self):
         atom = Atom("N", hydrophobic=False, hbond_donor=True, hbond_acceptor=True, partial_charge=-0.3)
-        vec = atom_feature_vector(atom, is_ligand=True)
+        vec = feature_matrix_from_arrays(atom_arrays([atom]), is_ligand=True)[0]
         assert vec.shape == (ATOM_FEATURE_DIM,)
         assert vec[element_class(atom)] == 1.0
         assert vec[-1] == 1.0  # ligand flag
-        pocket_vec = atom_feature_vector(atom, is_ligand=False)
+        pocket_vec = feature_matrix_from_arrays(atom_arrays([atom]), is_ligand=False)[0]
         assert pocket_vec[-1] == 0.0
 
     def test_halogen_class(self):
@@ -28,25 +34,25 @@ class TestAtomFeatures:
 
 class TestVoxelizer:
     def test_output_shape_and_positivity(self, example_complex):
-        voxelizer = Voxelizer(VoxelGridConfig(grid_dim=12))
+        voxelizer = VectorizedVoxelizer(VoxelGridConfig(grid_dim=12))
         grid = voxelizer.voxelize(example_complex)
         assert grid.shape == (8, 12, 12, 12)
         assert grid.min() >= 0.0 or VoxelGridConfig().channel_set == "full"
         assert grid.sum() > 0.0
 
     def test_full_channel_set(self, example_complex):
-        voxelizer = Voxelizer(VoxelGridConfig(grid_dim=10, channel_set="full"))
+        voxelizer = VectorizedVoxelizer(VoxelGridConfig(grid_dim=10, channel_set="full"))
         grid = voxelizer.voxelize(example_complex)
         assert grid.shape[0] == 18
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            Voxelizer(VoxelGridConfig(grid_dim=2))
+            VectorizedVoxelizer(VoxelGridConfig(grid_dim=2))
         with pytest.raises(ValueError):
             VoxelGridConfig(channel_set="weird").channels
 
     def test_rotation_preserves_total_density_approximately(self, example_complex):
-        voxelizer = Voxelizer(VoxelGridConfig(grid_dim=16, resolution=1.5))
+        voxelizer = VectorizedVoxelizer(VoxelGridConfig(grid_dim=16, resolution=1.5))
         base = voxelizer.voxelize(example_complex).sum()
         rotated = voxelizer.voxelize(
             example_complex, rotation=random_axis_rotation(np.random.default_rng(0), probability=1.0)
@@ -54,12 +60,12 @@ class TestVoxelizer:
         assert rotated == pytest.approx(base, rel=0.15)
 
     def test_atom_outside_grid_ignored(self, example_complex):
-        tiny = Voxelizer(VoxelGridConfig(grid_dim=4, resolution=0.5))
+        tiny = VectorizedVoxelizer(VoxelGridConfig(grid_dim=4, resolution=0.5))
         grid = tiny.voxelize(example_complex)
         assert np.isfinite(grid).all()
 
     def test_identity_rotation_matches_unrotated(self, example_complex):
-        voxelizer = Voxelizer(VoxelGridConfig(grid_dim=10))
+        voxelizer = VectorizedVoxelizer(VoxelGridConfig(grid_dim=10))
         a = voxelizer.voxelize(example_complex)
         b = voxelizer.voxelize(example_complex, rotation=np.eye(3))
         np.testing.assert_allclose(a, b)
@@ -73,7 +79,7 @@ class TestVoxelizer:
 
 class TestGraphBuilder:
     def test_graph_structure(self, example_complex):
-        builder = GraphBuilder(GraphConfig())
+        builder = VectorizedGraphBuilder(GraphConfig())
         graph = builder.build(example_complex)
         n_lig = example_complex.ligand.num_atoms
         n_total = graph["node_features"].shape[0]
@@ -87,29 +93,29 @@ class TestGraphBuilder:
             assert np.allclose(np.diag(adj), 0.0)
 
     def test_pocket_atoms_have_no_covalent_edges(self, example_complex):
-        graph = GraphBuilder().build(example_complex)
+        graph = VectorizedGraphBuilder().build(example_complex)
         n_lig = example_complex.ligand.num_atoms
         cov = graph["adjacency"]["covalent"]
         assert np.all(cov[n_lig:, :] == 0)
         assert np.all(cov[:, n_lig:] == 0)
 
     def test_row_normalization(self, example_complex):
-        graph = GraphBuilder().build(example_complex)
+        graph = VectorizedGraphBuilder().build(example_complex)
         for adj in graph["adjacency"].values():
             sums = adj.sum(axis=1)
             nonzero = sums > 0
             np.testing.assert_allclose(sums[nonzero], 1.0)
 
     def test_neighbour_cap(self, example_complex):
-        tight = GraphBuilder(GraphConfig(noncovalent_k=2))
-        loose = GraphBuilder(GraphConfig(noncovalent_k=8))
+        tight = VectorizedGraphBuilder(GraphConfig(noncovalent_k=2))
+        loose = VectorizedGraphBuilder(GraphConfig(noncovalent_k=8))
         edges_tight = (tight.build(example_complex)["adjacency"]["noncovalent"] > 0).sum()
         edges_loose = (loose.build(example_complex)["adjacency"]["noncovalent"] > 0).sum()
         assert edges_tight <= edges_loose
 
     def test_pocket_shell_filters_far_atoms(self, example_complex):
-        small_shell = GraphBuilder(GraphConfig(pocket_shell=2.0)).build(example_complex)
-        big_shell = GraphBuilder(GraphConfig(pocket_shell=10.0)).build(example_complex)
+        small_shell = VectorizedGraphBuilder(GraphConfig(pocket_shell=2.0)).build(example_complex)
+        big_shell = VectorizedGraphBuilder(GraphConfig(pocket_shell=10.0)).build(example_complex)
         assert small_shell["node_features"].shape[0] <= big_shell["node_features"].shape[0]
 
     def test_config_validation(self):
@@ -121,7 +127,7 @@ class TestGraphBuilder:
 
 class TestFeaturizerPipeline:
     def test_featurize_and_collate(self, example_complex):
-        featurizer = ComplexFeaturizer(VoxelGridConfig(grid_dim=10))
+        featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10))
         samples = featurizer.featurize_many([example_complex, example_complex], targets=[5.0, 6.0])
         batch = collate_complexes(samples)
         assert batch["voxel"].shape[0] == 2
@@ -130,7 +136,7 @@ class TestFeaturizerPipeline:
         assert batch["ids"] == ["testcomplex", "testcomplex"]
 
     def test_augmentation_only_during_training(self, example_complex):
-        featurizer = ComplexFeaturizer(VoxelGridConfig(grid_dim=10), augment=True, rotation_probability=1.0, seed=5)
+        featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10), augment=True, rotation_probability=1.0, seed=5)
         eval_a = featurizer.featurize(example_complex, training=False).voxel
         eval_b = featurizer.featurize(example_complex, training=False).voxel
         np.testing.assert_allclose(eval_a, eval_b)
@@ -138,13 +144,13 @@ class TestFeaturizerPipeline:
         assert not np.allclose(train, eval_a)
 
     def test_graph_not_augmented(self, example_complex):
-        featurizer = ComplexFeaturizer(VoxelGridConfig(grid_dim=10), augment=True, rotation_probability=1.0, seed=5)
+        featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10), augment=True, rotation_probability=1.0, seed=5)
         g1 = featurizer.featurize(example_complex, training=True).graph
         g2 = featurizer.featurize(example_complex, training=False).graph
         np.testing.assert_allclose(g1["node_features"], g2["node_features"])
 
     def test_target_length_mismatch(self, example_complex):
-        featurizer = ComplexFeaturizer(VoxelGridConfig(grid_dim=10))
+        featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10))
         with pytest.raises(ValueError):
             featurizer.featurize_many([example_complex], targets=[1.0, 2.0])
 

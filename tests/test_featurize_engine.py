@@ -1,18 +1,16 @@
 """Golden-equivalence suite for the vectorized featurization engine.
 
 The vectorized voxelizer and graph featurizer must be *bit-identical*
-(``np.array_equal``, no tolerances) to the scalar reference across
-channel sets, grid dimensions and seeded rotation augmentation — this is
-the contract that lets the engine replace the scalar path everywhere
-without perturbing a single campaign score.
+(``np.array_equal``, no tolerances) to the scalar oracles in
+``tests/featurize_oracle.py`` across channel sets, grid dimensions and
+seeded rotation augmentation — the contract that let the engine replace
+the per-atom loops without perturbing a single campaign score.
 """
-
-import threading
 
 import numpy as np
 import pytest
 
-from repro.featurize.atom_features import atom_arrays, atom_feature_matrix, feature_matrix_from_arrays
+from repro.featurize.atom_features import atom_arrays, feature_matrix_from_arrays
 from repro.featurize.cache import H5FeatureStore
 from repro.featurize.engine import (
     FeaturePipeline,
@@ -20,10 +18,18 @@ from repro.featurize.engine import (
     VectorizedVoxelizer,
     _cap_neighbours_vectorized,
 )
-from repro.featurize.graph import GraphBuilder, GraphConfig, _cap_neighbours, _row_normalize
-from repro.featurize.pipeline import ComplexFeaturizer, collate_complexes
-from repro.featurize.voxelize import VoxelGridConfig, Voxelizer, random_axis_rotation
+from repro.featurize.graph import GraphConfig, _row_normalize
+from repro.featurize.pipeline import collate_complexes
+from repro.featurize.voxelize import VoxelGridConfig, random_axis_rotation
 from repro.hpc.h5store import H5Store
+
+from featurize_oracle import (
+    ComplexFeaturizer,
+    GraphBuilder,
+    Voxelizer,
+    _cap_neighbours,
+    atom_feature_matrix,
+)
 
 GRID_DIMS = (8, 16, 24)
 CHANNEL_SETS = ("reduced", "full")
@@ -216,6 +222,32 @@ class TestFeaturePipelineEquivalence:
         for a, b in zip(cold, warm):
             assert_samples_identical(a, b)
 
+    def test_featurize_many_computes_only_uncached_poses(self, pose_complexes):
+        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        engine.featurize_many(pose_complexes[:2])
+        engine.featurize_many(pose_complexes)
+        stats = engine.stats()
+        assert stats.misses == len(pose_complexes)
+        assert stats.hits == 2
+        assert len(engine.cache) == len(pose_complexes)
+
+    def test_featurize_many_deduplicates_repeated_poses(self, pose_complexes):
+        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        repeated = list(pose_complexes) * 3
+        served = engine.featurize_many(repeated)
+        assert engine.stats().misses == len(pose_complexes)
+        assert len(engine.cache) == len(pose_complexes)
+        uncached = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_enabled=False)
+        assert uncached.stats() is None
+        for a, b in zip(served, uncached.featurize_many(repeated)):
+            assert_samples_identical(a, b)
+
+    def test_featurize_many_rejects_mismatched_targets(self, pose_complexes):
+        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        with pytest.raises(ValueError, match="targets must match"):
+            engine.featurize_many(pose_complexes, targets=[0.0])
+        assert engine.stats().lookups == 0
+
     def test_cached_graph_id_restamped_per_request(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         original = pose_complexes[0]
@@ -252,61 +284,6 @@ class TestFeaturePipelineEquivalence:
         # same config -> same key, regardless of pipeline instance
         twin = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         assert small.key_for(pose_complexes[0]) == twin.key_for(pose_complexes[0])
-
-
-class TestPrefetcher:
-    def test_prefetch_warms_cache_with_identical_features(self, pose_complexes):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        computed = engine.prefetch(pose_complexes, max_workers=3)
-        assert computed == len(pose_complexes)
-        assert len(engine.cache) == len(pose_complexes)
-        fresh = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_enabled=False)
-        served = engine.featurize_many(pose_complexes)
-        reference = fresh.featurize_many(pose_complexes)
-        assert engine.stats().hits >= len(pose_complexes)
-        for a, b in zip(served, reference):
-            assert_samples_identical(a, b)
-
-    def test_prefetch_skips_already_cached(self, pose_complexes):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        engine.featurize_many(pose_complexes[:2])
-        computed = engine.prefetch(pose_complexes, max_workers=2)
-        assert computed == len(pose_complexes) - 2
-
-    def test_prefetch_deduplicates_repeated_poses(self, pose_complexes):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        repeated = list(pose_complexes) * 3
-        computed = engine.prefetch(repeated, max_workers=4)
-        assert computed == len(pose_complexes)
-        assert len(engine.cache) == len(pose_complexes)
-
-    def test_prefetch_bounds_in_flight_submissions(self, pose_complexes):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        active = 0
-        peak = 0
-        lock = threading.Lock()
-        original = engine._compute_fresh
-
-        def tracked(complex_, rotation):
-            nonlocal active, peak
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            try:
-                return original(complex_, rotation)
-            finally:
-                with lock:
-                    active -= 1
-        engine._compute_fresh = tracked
-        engine.prefetch(list(pose_complexes) * 4, max_workers=2, max_pending=3)
-        assert peak <= 2
-
-    def test_prefetch_requires_cache(self, pose_complexes):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_enabled=False)
-        with pytest.raises(RuntimeError):
-            engine.prefetch(pose_complexes)
-        with pytest.raises(ValueError):
-            FeaturePipeline(VoxelGridConfig(grid_dim=8)).prefetch(pose_complexes, max_workers=0)
 
 
 class TestCachePersistence:

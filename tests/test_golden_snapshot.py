@@ -5,8 +5,8 @@ Coherent Fusion scores of the first poses of the session mini-campaign.
 The suite asserts the snapshot is reproduced *identically* through three
 scoring routes:
 
-* **direct** — scalar reference featurizer + the batched model entry
-  point, one pose per batch;
+* **direct** — the scalar oracle featurizer (``tests/featurize_oracle.py``)
+  + the batched model entry point, one pose per batch;
 * **engine-cached** — the vectorized ``FeaturePipeline``, scored cold
   and again fully cache-served;
 * **serving-routed** — the online ``ScoringService`` with deterministic
@@ -28,8 +28,9 @@ import pytest
 
 from repro.chem.complexes import ProteinLigandComplex
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import ComplexFeaturizer
 from repro.serving import ScoringService, ServingConfig
+
+from featurize_oracle import ComplexFeaturizer
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "golden_fusion_scores.json"
 NUM_POSES = 6
@@ -52,7 +53,7 @@ def featurizer_configs(workbench):
 
 
 def score_direct(workbench, complexes) -> list[float]:
-    """Reference route: scalar featurizer, one pose per model batch."""
+    """Reference route: scalar oracle featurizer, one pose per model batch."""
     voxel_config, graph_config = featurizer_configs(workbench)
     scalar = ComplexFeaturizer(voxel_config, graph_config)
     model = workbench.coherent_fusion

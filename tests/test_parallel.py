@@ -9,8 +9,7 @@ here:
   coordinator absorbs exactly (counter adds, exact histogram merges);
 * spawn-safety of the shipped state — ``StreamingHistogram`` and
   ``FeatureCache`` pickle by design (locks recreated, cache entries
-  deliberately left behind), and ``dock_many`` is bit-identical across
-  backends because per-compound seeds derive inside the worker.
+  deliberately left behind).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.docking.engine import dock_many
-from repro.docking.vina import VinaScorer
 from repro.featurize.cache import FeatureCache
 from repro.parallel import (
     PARALLEL_BACKENDS,
@@ -187,59 +184,3 @@ class TestPickleContracts:
         assert clone.stats().lookups == 0
         clone.put("other", np.zeros(2), {"node_features": np.zeros(1)})
         assert "other" in clone
-
-
-# --------------------------------------------------------------------------- #
-# dock_many across backends
-# --------------------------------------------------------------------------- #
-class TestDockManyBackends:
-    def test_thread_and_process_poses_bit_identical(self, protease_site, prepared_ligands):
-        pairs = [(ligand.compound_id, ligand.molecule) for ligand in prepared_ligands[:3]]
-        kwargs = dict(
-            scorer=VinaScorer(),
-            seed=11,
-            num_poses=2,
-            monte_carlo_steps=5,
-            restarts=1,
-            site_name="protease1",
-        )
-        by_thread = dock_many(protease_site, pairs, max_workers=2, backend="thread", **kwargs)
-        by_process = dock_many(protease_site, pairs, max_workers=2, backend="process", **kwargs)
-        assert set(by_thread) == set(by_process)
-        for compound_id, poses in by_thread.items():
-            others = by_process[compound_id]
-            assert [p.pose_id for p in poses] == [p.pose_id for p in others]
-            assert np.array_equal(
-                np.array([p.score for p in poses]), np.array([p.score for p in others])
-            )
-            for pose, other in zip(poses, others):
-                assert np.array_equal(
-                    pose.complex.ligand.coordinates, other.complex.ligand.coordinates
-                )
-
-    def test_process_backend_merges_worker_docking_counters(self, protease_site, prepared_ligands):
-        from repro.telemetry import Telemetry, activate
-
-        pairs = [(ligand.compound_id, ligand.molecule) for ligand in prepared_ligands[:2]]
-        bundle = Telemetry.disabled()
-        with activate(bundle):
-            dock_many(
-                protease_site,
-                pairs,
-                scorer=VinaScorer(),
-                seed=11,
-                num_poses=1,
-                monte_carlo_steps=3,
-                restarts=1,
-                site_name="protease1",
-                max_workers=2,
-                backend="process",
-            )
-            counters = bundle.registry.snapshot()["counters"]
-        assert counters.get("docking.compounds") == len(pairs)
-        assert counters.get("docking.kernel_calls", 0) > 0
-
-    def test_rejects_unknown_backend(self, protease_site, prepared_ligands):
-        pairs = [(ligand.compound_id, ligand.molecule) for ligand in prepared_ligands[:1]]
-        with pytest.raises(ValueError, match="backend"):
-            dock_many(protease_site, pairs, scorer=VinaScorer(), seed=1, backend="greenlet")

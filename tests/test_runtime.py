@@ -273,13 +273,13 @@ class TestCampaignRuntime:
 
     def test_featurizer_change_invalidates_screen_checkpoint(self, workbench, checkpoint_dir):
         from repro.featurize.graph import GraphConfig
-        from repro.featurize.pipeline import ComplexFeaturizer
+        from repro.featurize.engine import FeaturePipeline
         from repro.featurize.voxelize import VoxelGridConfig
 
         make_runtime(workbench, RuntimeConfig(checkpoint_dir=str(checkpoint_dir))).run()
         refeaturized = CampaignRuntime(
             model=workbench.coherent_fusion,
-            featurizer=ComplexFeaturizer(  # different grid -> different model inputs
+            featurizer=FeaturePipeline(  # different grid -> different model inputs
                 voxel_config=VoxelGridConfig(grid_dim=12, resolution=1.5, channel_set="reduced"),
                 graph_config=GraphConfig(),
                 augment=True,
