@@ -133,8 +133,7 @@ class StageReport:
 
     ``extra`` carries stage-specific observability payloads; every stage
     records its ``"phases"`` there, and the streamed screen adds its
-    ``"stream"`` summary (shards executed/restored/failed, steals,
-    retries).
+    ``"stream"`` summary (shards executed/restored/failed, retries).
     """
 
     name: str

@@ -8,8 +8,8 @@ module closes that gap: :class:`StreamingScreen` iterates a compound
 source (a materialized deck or a lazily-generated
 :class:`~repro.datasets.libraries.StreamingLibrary`) in bounded-size
 shards, drives each shard through ligand prep → :func:`dock_many` →
-MM/GBSA → fusion scoring on a bounded work-stealing worker pool, and
-folds results into
+MM/GBSA → fusion scoring on a bounded, ordered thread pool, and folds
+results into
 
 * an exact bounded-memory top-K selector per binding site
   (:class:`TopKSelector` — a heap with deterministic
@@ -32,9 +32,9 @@ Determinism contract (the golden suite in
   compound), so NN batch composition — the one ulp-sensitive knob — is a
   function of the compound alone, never of shard boundaries or worker
   scheduling;
-* shard results are folded in shard-index order behind a bounded
-  reorder window, so the output is independent of which worker finished
-  first.
+* shard results are folded in shard-index order, with at most
+  ``2 × workers`` shards submitted but not yet folded, so the output is
+  independent of which worker finished first.
 
 Consequently top-K ids, scores and summary statistics are bit-identical
 across any ``shard_size`` and any ``workers`` — which is also why those
@@ -56,8 +56,10 @@ import math
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -369,9 +371,10 @@ class StreamConfig:
     shard_size: int = 64
     workers: int = 1
     #: worker execution backend: ``"thread"`` runs shard bodies on the
-    #: work-stealing thread pool (the historical default); ``"process"``
-    #: keeps the same threads as dispatchers but executes each shard body
-    #: in a spawned worker process (:mod:`repro.parallel`), breaking the
+    #: engine's ordered thread pool (the default); ``"process"`` keeps the
+    #: same threads as dispatchers but executes each shard body in a
+    #: spawned worker process (:mod:`repro.parallel`, supervised with the
+    #: :class:`~repro.parallel.SupervisionConfig` defaults), breaking the
     #: GIL.  Like ``shard_size``/``workers`` this is a
     #: pure throughput knob — results are bit-identical (golden suite),
     #: so it never enters checkpoint/shard keys.
@@ -386,31 +389,17 @@ class StreamConfig:
     seed: int = 2020
     library_name: str = "campaign"
     nan_policy: str = "drop"
+    #: re-runs a shard whose attempt drew an injected ``FaultInjector``
+    #: fault.  An exception raised by the shard body itself (a
+    #: quarantined process-backend shard included) is not retried: shard
+    #: bodies are deterministic, so it fails the shard on that attempt
+    #: and goes straight to ``on_shard_failure``.  Never enters shard keys.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: crash budget per shard under ``backend="process"``: a shard whose
-    #: worker process dies (SIGKILL, OOM) is re-dispatched into a
-    #: respawned pool up to this many total attempts before it is
-    #: quarantined and handled as a failed shard (``on_shard_failure``).
-    #: Distinct from ``retry``, which governs *exceptions* in the shard
-    #: body; like ``retry`` it never enters shard keys.
-    max_task_retries: int = 3
-    #: optional per-shard wall-clock deadline under ``backend="process"``;
-    #: an overdue shard fails with ``TimeoutError`` (flowing into the
-    #: ``retry`` policy) without tearing down healthy workers
-    shard_deadline_s: float | None = None
-    #: escape hatch: when respawning crashed worker processes itself
-    #: keeps failing, finish remaining shards on in-process threads
-    #: instead of failing the stream (results are unchanged — shard
-    #: bodies are pure functions of the shard descriptor)
-    degrade_to_thread: bool = False
     #: ``"raise"`` stops the stream on retry exhaustion (completed shards
     #: keep their checkpoints); ``"skip"`` records the shard as failed
     #: and continues — the accounting invariant
     #: ``submitted == completed + failed`` holds either way
     on_shard_failure: str = "raise"
-    #: reorder-window factor: at most ``reorder_window_factor * workers``
-    #: shards may be completed-but-unfolded, bounding buffered memory
-    reorder_window_factor: int = 2
 
     def __post_init__(self) -> None:
         if self.shard_size <= 0:
@@ -423,10 +412,6 @@ class StreamConfig:
             raise ValueError("fusion_batch_size must be non-negative (0 = per-compound)")
         if self.on_shard_failure not in ("raise", "skip"):
             raise ValueError(f"unknown on_shard_failure policy '{self.on_shard_failure}'")
-        if self.max_task_retries < 1:
-            raise ValueError("max_task_retries must be >= 1")
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError("shard_deadline_s must be positive when set")
         validate_backend(self.backend)
 
 
@@ -463,7 +448,6 @@ class StreamingScreenResult:
     shards_restored: int
     shards_failed: int
     failed_shards: list[int]
-    steals: int
     total_attempts: int
     total_retries: int
     faults: list[str]
@@ -497,46 +481,9 @@ class StreamingScreenResult:
             "shards_executed": float(self.shards_executed),
             "shards_restored": float(self.shards_restored),
             "shards_failed": float(self.shards_failed),
-            "steals": float(self.steals),
             "total_retries": float(self.total_retries),
             "duration_s": self.duration_s,
         }
-
-
-# --------------------------------------------------------------------------- #
-# Work-stealing scheduler
-# --------------------------------------------------------------------------- #
-class _WorkStealingQueues:
-    """Per-worker shard deques with frontier-first stealing.
-
-    Shards are dealt round-robin; a worker drains its own deque from the
-    front and, when empty, steals from the longest other deque — so a
-    worker stuck on an expensive shard sheds its queued work to idle
-    peers.
-    """
-
-    def __init__(self, num_items: int, workers: int) -> None:
-        self._deques: list[deque[int]] = [deque() for _ in range(workers)]
-        for index in range(num_items):
-            self._deques[index % workers].append(index)
-        self._lock = threading.Lock()
-        self.steals = 0
-
-    def next_for(self, worker: int) -> int | None:
-        with self._lock:
-            own = self._deques[worker]
-            if own:
-                return own.popleft()
-            victim = max(range(len(self._deques)), key=lambda v: len(self._deques[v]))
-            if self._deques[victim]:
-                self.steals += 1
-                # steal the victim's *lowest* shard (its front), not the
-                # classic back: the reorder-window admission gate favours
-                # indices near the fold frontier, so a back-steal is the
-                # shard most likely to park the thief while admissible
-                # work sits queued behind the slow victim
-                return self._deques[victim].popleft()
-            return None
 
 
 # --------------------------------------------------------------------------- #
@@ -947,11 +894,7 @@ class StreamingScreen:
             self._shard_pool = SupervisedTaskPool(
                 _ShardWorkerPayload(self, source),
                 max_workers=min(cfg.workers, limit),
-                config=SupervisionConfig(
-                    max_task_retries=cfg.max_task_retries,
-                    task_deadline_s=cfg.shard_deadline_s,
-                    degrade_to_thread=cfg.degrade_to_thread,
-                ),
+                config=SupervisionConfig(),
                 registry=registry,
             )
             self._shard_pool.warm()
@@ -971,60 +914,42 @@ class StreamingScreen:
         fault_log: list[str] = []
         num_compounds = 0
 
-        queues = _WorkStealingQueues(limit, cfg.workers)
-        outcomes: dict[int, ShardOutcome] = {}
-        cond = threading.Condition()
-        # The reorder window bounds admitted-but-unfolded shards, so a
-        # slow shard cannot let fast workers buffer the whole library.
-        # Admission is by *shard index* relative to the fold frontier,
-        # not by counting slots: a slot semaphore deadlocks once fast
-        # workers fill every slot with far-ahead (stolen) results that
-        # cannot fold until the frontier shard runs — while the frontier
-        # shard's worker starves waiting for a slot.  Index-based
-        # admission keeps the frontier shard admissible by construction
-        # (``frontier - frontier < window``), so the fold always
-        # advances and parked workers always wake.
-        window = max(cfg.reorder_window_factor * cfg.workers, 2)
-        admission = threading.Condition()
-        frontier = 0  # shards folded so far == the index the fold loop needs next
-        stop_flag = threading.Event()
-        # per-worker busy seconds; each slot is written by one thread only
-        busy = [0.0] * cfg.workers
+        # Shards run on one ordered executor.  At most ``window`` shards
+        # are submitted but not yet folded, which bounds buffered memory,
+        # and the coordinator folds strictly in shard-index order.  It only
+        # ever waits on the frontier shard's future, which is always
+        # submitted, so the stream cannot deadlock.
+        window = 2 * cfg.workers
+        pending: deque[Future] = deque()
+        upcoming = iter(range(limit))
+        # per-thread busy seconds; each key is written by its own thread only
+        busy: dict[str, float] = {}
 
-        def worker(worker_index: int) -> None:
-            while not stop_flag.is_set():
-                shard = queues.next_for(worker_index)
-                if shard is None:
-                    return
-                with admission:
-                    while not stop_flag.is_set() and shard - frontier >= window:
-                        admission.wait()
-                if stop_flag.is_set():
-                    return
-                start, stop = bounds[shard]
-                shard_started = time.perf_counter()
-                try:
-                    with tracer.span(self.shard_name(shard), stage="streamed_screen", parent=run_span) as span:
-                        outcome = self._run_shard(shard, start, stop, source)
-                        span.set("compounds", outcome.num_compounds)
-                        span.set("attempts", outcome.attempts)
-                except BaseException as error:  # defensive: _run_shard catches job errors
-                    outcome = ShardOutcome(
-                        index=shard, start=start, stop=stop, status="failed", error=str(error)
-                    )
-                shard_elapsed = time.perf_counter() - shard_started
-                busy[worker_index] += shard_elapsed
-                shard_seconds.observe(shard_elapsed)
-                with cond:
-                    outcomes[shard] = outcome
-                    cond.notify_all()
+        def run_on_worker(shard: int) -> ShardOutcome:
+            start, stop = bounds[shard]
+            shard_started = time.perf_counter()
+            try:
+                with tracer.span(self.shard_name(shard), stage="streamed_screen", parent=run_span) as span:
+                    outcome = self._run_shard(shard, start, stop, source)
+                    span.set("compounds", outcome.num_compounds)
+                    span.set("attempts", outcome.attempts)
+            except BaseException as error:  # defensive: _run_shard catches job errors
+                outcome = ShardOutcome(index=shard, start=start, stop=stop, status="failed", error=str(error))
+            shard_elapsed = time.perf_counter() - shard_started
+            thread = threading.current_thread().name
+            busy[thread] = busy.get(thread, 0.0) + shard_elapsed
+            shard_seconds.observe(shard_elapsed)
+            return outcome
 
-        threads = [
-            threading.Thread(target=worker, args=(w,), name=f"stream-worker-{w}", daemon=True)
-            for w in range(min(cfg.workers, max(limit, 1)))
-        ]
-        for thread in threads:
-            thread.start()
+        executor = ThreadPoolExecutor(
+            max_workers=min(cfg.workers, max(limit, 1)), thread_name_prefix="stream-worker"
+        )
+
+        def submit_ahead() -> None:
+            for shard in islice(upcoming, window - len(pending)):
+                pending.append(executor.submit(run_on_worker, shard))
+
+        submit_ahead()
 
         def fold(outcome: ShardOutcome) -> None:
             nonlocal executed, restored, failed, num_compounds, total_attempts, total_retries
@@ -1048,13 +973,10 @@ class StreamingScreen:
                 executed += 1
                 count_executed.inc()
                 if self.checkpoints is not None:
-                    key = outcome.checkpoint_key or self.shard_key(
-                        outcome.index, self._shard_compound_ids(source, outcome.start, outcome.stop)
-                    )
                     try:
                         self.checkpoints.save(
                             self.shard_name(outcome.index),
-                            key,
+                            outcome.checkpoint_key,
                             {
                                 "best_scores": outcome.best_scores,
                                 "records": outcome.records,
@@ -1075,39 +997,29 @@ class StreamingScreen:
                 for record in outcome.records:
                     predictions[record.site_name][(record.compound_id, record.pose_id)] = record.fusion_pk
 
-        def shutdown_workers() -> None:
-            stop_flag.set()
-            # wake any worker parked at the reorder-window admission gate
-            with admission:
-                admission.notify_all()
-            for thread in threads:
-                thread.join()
-
         startup_section.__exit__(None, None, None)
         try:
-            for next_index in range(limit):
+            for _ in range(limit):
                 # the coordinating thread's own Table 7 accounting:
                 # "evaluation" while it waits on shard computation,
                 # "output" while it folds/checkpoints — disjoint sections,
                 # so the phases sum to at most the stage's wall time
                 with timer.section("evaluation"):
-                    with cond:
-                        while next_index not in outcomes:
-                            cond.wait()
-                        outcome = outcomes.pop(next_index)
-                    with admission:
-                        frontier = next_index + 1
-                        admission.notify_all()
+                    outcome = pending[0].result()
+                    pending.popleft()
+                    submit_ahead()
                 with timer.section("output"):
                     fold(outcome)
         except BaseException as error:
-            # durability on the failure path: let in-flight shards finish,
-            # then fold (and checkpoint) every completed shard before
-            # propagating, so a resumed run only redoes what genuinely
-            # never finished
-            shutdown_workers()
-            for index in sorted(outcomes):
-                outcome = outcomes.pop(index)
+            # durability on the failure path: drop queued shards, let
+            # in-flight ones finish, then fold (and checkpoint) every
+            # completed shard before propagating, so a resumed run only
+            # redoes what genuinely never finished
+            executor.shutdown(wait=True, cancel_futures=True)
+            for future in pending:
+                if future.cancelled():
+                    continue
+                outcome = future.result()
                 if outcome.status != "failed":
                     try:
                         fold(outcome)
@@ -1122,7 +1034,7 @@ class StreamingScreen:
                 error.faults = list(fault_log)
             raise
         finally:
-            shutdown_workers()
+            executor.shutdown(wait=True)
             if self._shard_pool is not None:
                 self._shard_pool.close()
                 self._shard_pool = None
@@ -1139,7 +1051,6 @@ class StreamingScreen:
             shards_restored=restored,
             shards_failed=failed,
             failed_shards=failed_shards,
-            steals=queues.steals,
             total_attempts=total_attempts,
             total_retries=total_retries,
             faults=fault_log,
@@ -1148,11 +1059,9 @@ class StreamingScreen:
             predictions=predictions,
             records=records,
         )
-        registry.gauge("stream.steals").add(queues.steals)
         self._last_run = {
             "timer": timer.as_dict(),
-            "busy": {index: busy[index] for index in range(len(threads))},
-            "steals": queues.steals,
+            "busy": {index: busy[thread] for index, thread in enumerate(sorted(busy))},
             "result": result,
             "duration_s": duration,
             "telemetry": telemetry,
@@ -1169,7 +1078,7 @@ class StreamingScreen:
         carrying the streamed stage's startup/evaluation/output phase
         breakdown (Table 7, measured on the coordinating thread — the
         phases sum exactly to the stage's wall time), per-worker
-        occupancy and steal counts, the metrics-registry snapshot and
+        occupancy, the metrics-registry snapshot and
         the fold's retry/fault history.
         """
         if self._last_run is None:
@@ -1192,7 +1101,7 @@ class StreamingScreen:
             duration_s=info["duration_s"],
             stages=[stage],
             metrics=telemetry.snapshot(),
-            workers=worker_occupancy(info["busy"], info["duration_s"], steals=info["steals"]),
+            workers=worker_occupancy(info["busy"], info["duration_s"]),
             trace={"num_spans": len(telemetry.tracer)},
             faults=result.faults,
         )

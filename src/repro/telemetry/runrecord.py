@@ -59,10 +59,9 @@ STAGE_SCHEMA = {
 
 WORKERS_SCHEMA = {
     "type": "object",
-    "required": ["count", "steals", "occupancy"],
+    "required": ["count", "occupancy"],
     "properties": {
         "count": {"type": "integer"},
-        "steals": {"type": "integer"},
         "occupancy": {
             "type": "array",
             "items": {
@@ -189,12 +188,11 @@ def stage_entry(
     return entry
 
 
-def worker_occupancy(busy_by_worker: Mapping[int, float], wall_s: float, steals: int = 0) -> dict:
+def worker_occupancy(busy_by_worker: Mapping[int, float], wall_s: float) -> dict:
     """The ``workers`` block: per-worker busy time against the run's wall."""
     wall = max(float(wall_s), 1e-12)
     return {
         "count": len(busy_by_worker),
-        "steals": int(steals),
         "occupancy": [
             {"worker": int(worker), "busy_s": float(busy), "utilization": float(busy) / wall}
             for worker, busy in sorted(busy_by_worker.items())

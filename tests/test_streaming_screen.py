@@ -27,6 +27,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import types
 
@@ -519,7 +520,7 @@ class TestImportOrder:
 
 
 # --------------------------------------------------------------------------- #
-# reorder-window scheduling
+# ordered-executor scheduling
 # --------------------------------------------------------------------------- #
 class _SyntheticShardEngine(StreamingScreen):
     """The real scheduler/fold loop over an instant synthetic shard stage."""
@@ -528,8 +529,8 @@ class _SyntheticShardEngine(StreamingScreen):
         super().__init__(model=object(), featurizer=None, sites=sites, config=config)
 
     def _execute_shard(self, index, start, stop, source):
-        # uneven shard durations force out-of-order completion, steals
-        # and far-ahead results parked at the admission gate
+        # uneven shard durations force out-of-order completion, so
+        # far-ahead results wait in the window for the frontier shard
         time.sleep((index % 7) * 0.0003)
         best_scores = {
             name: [(f"SYN-{i:05d}", math.sin(i * 0.7) + site_i) for i in range(start, stop)]
@@ -543,11 +544,11 @@ class _SyntheticShardEngine(StreamingScreen):
 
 class TestReorderWindow:
     def test_many_shards_fold_exactly_without_deadlock(self, stream_sites):
-        """Regression: a slot-counting reorder window deadlocked once fast
-        workers filled every slot with far-ahead (stolen) results that could
-        not fold until the frontier shard ran — while the frontier shard's
-        worker starved waiting for a slot.  Index-based admission keeps the
-        frontier shard admissible by construction."""
+        """Regression: an earlier slot-counting reorder window deadlocked
+        once fast workers filled every slot with far-ahead results that
+        could not fold until the frontier shard ran — while the frontier
+        shard's worker starved waiting for a slot.  The ordered executor
+        always has the frontier shard submitted, so the fold advances."""
         total = 300
         config = make_stream_config(shard_size=1, workers=4, top_k=25)
         result = _SyntheticShardEngine(stream_sites, config).run(
@@ -559,6 +560,99 @@ class TestReorderWindow:
         site = sorted(stream_sites)[0]
         assert result.top_k[site] == topk_by_full_sort(offers, 25)
         assert result.stats[site].count == total
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocked_frontier_shard_bounds_started_shards(self, stream_sites, workers):
+        """While shard 0 blocks, no shard at or past ``2 × workers`` starts."""
+        window = 2 * workers
+        release = threading.Event()
+        started: list[int] = []
+
+        class _BlockingEngine(_SyntheticShardEngine):
+            def _execute_shard(self, index, start, stop, source):
+                started.append(index)
+                if index == 0:
+                    release.wait(timeout=30)
+                return super()._execute_shard(index, start, stop, source)
+
+        total = 40
+        engine = _BlockingEngine(stream_sites, make_stream_config(shard_size=1, workers=workers))
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(
+                engine.run([types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(total)])
+            )
+        )
+        runner.start()
+        try:
+            # every shard the window admits runs on the unblocked workers
+            deadline = time.monotonic() + 10
+            while len(started) < (window if workers > 1 else 1) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.2)
+            assert 0 in started
+            assert max(started) < window
+        finally:
+            release.set()
+            runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert results[0].shards_executed == total
+        assert sorted(started) == list(range(total))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_worker_thread_outlives_run(self, stream_sites, workers):
+        """No ``stream-worker`` thread is alive after ``run()`` returns or raises."""
+
+        def live_workers():
+            return [t.name for t in threading.enumerate() if t.name.startswith("stream-worker")]
+
+        deck = [types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(30)]
+        config = make_stream_config(shard_size=1, workers=workers)
+        _SyntheticShardEngine(stream_sites, config).run(deck)
+        assert live_workers() == []
+        failing = _RaisingShardEngine(stream_sites, config, raise_on=5)
+        with pytest.raises(StreamShardError):
+            failing.run(deck)
+        assert live_workers() == []
+
+
+class _RaisingShardEngine(_SyntheticShardEngine):
+    """The synthetic stage, with one shard whose body raises."""
+
+    def __init__(self, sites, config, raise_on):
+        super().__init__(sites, config)
+        self.raise_on = raise_on
+
+    def _execute_shard(self, index, start, stop, source):
+        if index == self.raise_on:
+            raise ValueError(f"shard body {index} raised")
+        return super()._execute_shard(index, start, stop, source)
+
+
+class TestShardBodyExceptions:
+    """``retry`` re-runs injected faults only: a shard body that raises
+    fails its shard on the first attempt, whatever the retry budget."""
+
+    DECK = [types.SimpleNamespace(name=f"SYN-{i:05d}") for i in range(12)]
+
+    def test_skip_policy_records_one_failed_shard_without_retries(self, stream_sites):
+        config = make_stream_config(
+            shard_size=1, workers=2, retry=RetryPolicy(max_retries=5), on_shard_failure="skip",
+        )
+        result = _RaisingShardEngine(stream_sites, config, raise_on=3).run(self.DECK)
+        assert result.failed_shards == [3]
+        assert result.total_retries == 0
+        assert result.shards_submitted == result.shards_executed + result.shards_restored + result.shards_failed
+        assert result.shards_submitted == result.num_shards == len(self.DECK)
+
+    def test_raise_policy_fails_on_the_first_attempt(self, stream_sites):
+        config = make_stream_config(
+            shard_size=1, workers=2, retry=RetryPolicy(max_retries=5), on_shard_failure="raise",
+        )
+        with pytest.raises(StreamShardError) as caught:
+            _RaisingShardEngine(stream_sites, config, raise_on=3).run(self.DECK)
+        assert caught.value.shard_index == 3
+        assert caught.value.attempts == 1
 
 
 # --------------------------------------------------------------------------- #

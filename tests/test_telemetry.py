@@ -402,7 +402,7 @@ class TestRunRecord:
             duration_s=1.5,
             stages=[stage_entry("library", "executed", 0.5, {"startup": 0.5})],
             metrics={"counters": {"x": np.int64(3)}},
-            workers=worker_occupancy({0: 0.4, 1: 0.2}, 1.5, steals=1),
+            workers=worker_occupancy({0: 0.4, 1: 0.2}, 1.5),
             trace={"num_spans": 12},
             faults=["node_failure@lib"],
         )
