@@ -46,7 +46,6 @@ def _drive(
 ) -> dict:
     config = ServingConfig(
         max_batch_size=max_batch_size,
-        max_wait_s=0.002,
         num_replicas=num_replicas,
         queue_capacity=max(len(traffic), max_batch_size),
         cache_enabled=False,  # measure raw scoring throughput, not cache hits

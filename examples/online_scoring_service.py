@@ -2,7 +2,7 @@
 
 Demonstrates the ``repro.serving`` subsystem: a ``ScoringService`` is
 started over the trained Coherent Fusion model with two model replicas,
-a dynamic micro-batcher and a content-addressed result cache.  A burst
+a demand-driven micro-batcher and a content-addressed result cache.  A burst
 of docked poses is scored request-by-request (online path), the same
 traffic is replayed against the warm cache, admission control is pushed
 until the service rejects with ``Overloaded``, and the latency /
@@ -28,6 +28,7 @@ def print_snapshot(title: str, snap) -> None:
     print(f"  completed        : {snap.completed} requests ({snap.rejected} rejected)")
     print(f"  sustained rate   : {snap.requests_per_second:8.1f} requests/s")
     print(f"  latency p50/p99  : {snap.latency_p50_ms:6.2f} / {snap.latency_p99_ms:6.2f} ms")
+    print(f"  queue wait p50   : {snap.queue_wait_p50_ms:6.2f} ms")
     print(f"  batch occupancy  : {snap.batch_occupancy:6.2f} (mean size {snap.mean_batch_size:.1f})")
     print(f"  cache hit rate   : {snap.cache_hit_rate:6.2%}")
 
@@ -47,7 +48,7 @@ def main() -> None:
     ]
     print(f"docked {len(complexes)} poses to serve as requests")
 
-    config = ServingConfig(max_batch_size=8, max_wait_s=0.01, num_replicas=2, queue_capacity=64)
+    config = ServingConfig(max_batch_size=8, num_replicas=2, queue_capacity=64)
     print(f"\n=== Cold pass: {len(complexes)} requests from 8 concurrent clients, {config.num_replicas} replicas ===")
     with ScoringService(model=workbench.coherent_fusion, featurizer=workbench.featurizer, config=config) as service:
         with ThreadPoolExecutor(max_workers=8) as clients:
@@ -68,7 +69,7 @@ def main() -> None:
         tiny = ScoringService(
             model=workbench.coherent_fusion,
             featurizer=workbench.featurizer,
-            config=ServingConfig(max_batch_size=2, max_wait_s=0.05, num_replicas=1, queue_capacity=2,
+            config=ServingConfig(max_batch_size=2, num_replicas=1, queue_capacity=2,
                                  cache_enabled=False),
         ).start()
         def flood(complex_) -> int:

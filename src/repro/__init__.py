@@ -26,6 +26,20 @@ Sub-packages
 ``repro.experiments``  Drivers regenerating every paper table and figure.
 """
 
-from repro.version import __version__
+import os
+import sys
 
-__all__ = ["__version__"]
+# The numerics' reference environment is BLAS on one thread: OpenBLAS
+# splits some reductions across threads, which moves the last ulp of
+# scores and trained weights.  A value already set is kept, and the pin
+# only works before numpy's first import.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: True when numpy was imported before ``repro`` (the pin came too late)
+NUMPY_PRELOADED = "numpy" in sys.modules
+for _name in BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+del _name
+
+from repro.version import __version__  # noqa: E402
+
+__all__ = ["__version__", "BLAS_THREAD_VARS", "NUMPY_PRELOADED"]

@@ -2,12 +2,12 @@
 
 Complements the offline ``repro.screening`` batch jobs with a
 request/response path: callers submit posed complexes and receive pK
-predictions, with dynamic micro-batching, a pool of model replicas,
+predictions, with demand-driven micro-batching, a pool of model replicas,
 content-addressed result caching, explicit backpressure and latency /
 throughput metrics.
 """
 
-from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed, collate_request_batch
+from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
 from repro.serving.cache import CacheStats, H5CacheAdapter, ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import (
@@ -25,7 +25,6 @@ __all__ = [
     "MicroBatch",
     "MicroBatcher",
     "QueueClosed",
-    "collate_request_batch",
     "CacheStats",
     "H5CacheAdapter",
     "ResultCache",

@@ -1,12 +1,14 @@
-"""Dynamic micro-batching of queued scoring requests.
+"""Demand-driven micro-batching of queued scoring requests.
 
 Online traffic arrives one request at a time, but the fusion models are
 far more efficient on batches (one voxel stack, one batched graph).  The
 micro-batcher bridges the two regimes: admitted requests accumulate in a
-bounded queue, and a consumer drains them in batches that close as soon
-as either ``max_batch_size`` requests are waiting or the oldest request
-has waited ``max_wait_s`` — the classic latency/throughput trade-off dial
-of online inference servers.
+bounded queue, and the consumer takes them as batches.  A batch is cut
+on demand — whenever the consumer asks for one, it gets everything
+queued, up to ``max_batch_size`` — and never waits on a timer.  The
+service asks only when a model replica is free, so an idle service
+scores a lone request at once, while requests that arrive while every
+replica is busy pile up and leave together as one batch.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
-
-from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 
 
 class QueueClosed(RuntimeError):
@@ -30,8 +29,8 @@ class MicroBatch:
 
     ``items`` are opaque work units (the service enqueues request/sample
     pairs); ``oldest_wait_s`` is how long the head-of-line item waited in
-    the queue before the batch closed, i.e. the queueing component of its
-    latency.
+    the queue before the batch was cut, i.e. the queueing component of
+    its latency.
     """
 
     items: list = field(default_factory=list)
@@ -42,29 +41,23 @@ class MicroBatch:
 
 
 class MicroBatcher:
-    """Bounded request queue with size- and deadline-triggered batching.
+    """Bounded request queue drained in batches of up to ``max_batch_size``.
 
     Parameters
     ----------
     max_batch_size:
-        A batch closes immediately once this many items are queued.
-    max_wait_s:
-        A batch with at least one item closes at most this long after its
-        first item arrived, even if under-full.
+        Upper bound on the items one :meth:`next_batch` returns.
     capacity:
         Bound on queued items; :meth:`put` refuses beyond it, which is
         the service's backpressure signal.
     """
 
-    def __init__(self, max_batch_size: int = 8, max_wait_s: float = 0.002, capacity: int = 64) -> None:
+    def __init__(self, max_batch_size: int = 8, capacity: int = 64) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s}")
         if capacity < max_batch_size:
             raise ValueError("capacity must be at least max_batch_size")
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
         self.capacity = int(capacity)
         self._queue: deque[tuple[float, object]] = deque()
         self._cond = threading.Condition()
@@ -94,39 +87,15 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ #
     def next_batch(self) -> MicroBatch | None:
-        """Block until a batch is ready; ``None`` once closed and drained.
-
-        The wait has two phases: wait (indefinitely) for the first item,
-        then hold the batch open until it fills or the first item's
-        ``max_wait_s`` deadline passes.
-        """
+        """Block until an item is queued, then return up to
+        ``max_batch_size`` queued items at once; ``None`` once closed and
+        drained."""
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait()
-            deadline = self._queue[0][0] + self.max_wait_s
-            while len(self._queue) < self.max_batch_size and not self._closed:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-                if not self._queue:
-                    # a competing consumer drained the queue while we slept
-                    return self.next_batch()
-            now = time.perf_counter()
-            batch = MicroBatch(oldest_wait_s=max(now - self._queue[0][0], 0.0))
+            batch = MicroBatch(oldest_wait_s=max(time.perf_counter() - self._queue[0][0], 0.0))
             while self._queue and len(batch.items) < self.max_batch_size:
                 batch.items.append(self._queue.popleft()[1])
-            self._cond.notify_all()
             return batch
-
-
-def collate_request_batch(samples: Sequence[FeaturizedComplex]) -> dict:
-    """Collate featurized requests with the training/scoring-job collate.
-
-    Reusing :func:`repro.featurize.pipeline.collate_complexes` guarantees
-    the online path feeds models byte-identical batch structures to the
-    offline scoring jobs.
-    """
-    return collate_complexes(list(samples))

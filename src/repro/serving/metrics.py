@@ -50,6 +50,9 @@ class MetricsSnapshot:
     latency_p90_ms: float
     latency_p99_ms: float
     latency_mean_ms: float
+    #: median head-of-line queue wait of the online batches: from the
+    #: oldest request entering the batcher to its batch being cut
+    queue_wait_p50_ms: float
     num_batches: int
     mean_batch_size: float
     batch_occupancy: float
@@ -99,6 +102,7 @@ class ServingMetrics:
         self._cache_misses = self.registry.counter(f"{prefix}.cache_misses")
         self._latency = self.registry.histogram(f"{prefix}.latency_s", **self.LATENCY_HISTOGRAM)
         self._batch_sizes = self.registry.histogram(f"{prefix}.batch_size", **self.BATCH_HISTOGRAM)
+        self._queue_wait = self.registry.histogram(f"{prefix}.queue_wait_s", **self.LATENCY_HISTOGRAM)
         self._lock = threading.Lock()
         self.reset()
 
@@ -114,6 +118,7 @@ class ServingMetrics:
             self._cache_misses,
             self._latency,
             self._batch_sizes,
+            self._queue_wait,
         ):
             handle.reset()
         with self._lock:
@@ -148,6 +153,10 @@ class ServingMetrics:
 
     def record_batch(self, batch_size: int) -> None:
         self._batch_sizes.observe(float(batch_size))
+
+    def record_queue_wait(self, wait_s: float) -> None:
+        """Observe how long an online batch's oldest request was queued."""
+        self._queue_wait.observe(wait_s)
 
     # ------------------------------------------------------------------ #
     @property
@@ -188,6 +197,7 @@ class ServingMetrics:
             latency_p90_ms=self._finite(latency["p90"]) * 1e3,
             latency_p99_ms=self._finite(latency["p99"]) * 1e3,
             latency_mean_ms=self._finite(latency["mean"]) * 1e3,
+            queue_wait_p50_ms=self._finite(self._queue_wait.quantile(0.5)) * 1e3,
             num_batches=int(batches["count"]),
             mean_batch_size=mean_batch,
             batch_occupancy=mean_batch / self.max_batch_size,

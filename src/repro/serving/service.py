@@ -4,13 +4,14 @@
 scorer: callers submit posed complexes and receive pK predictions, while
 internally requests flow through admission control (bounded queue with
 explicit ``Overloaded`` rejection), a content-addressed result cache, a
-dynamic micro-batcher and a pool of sharded model replicas.
+demand-driven micro-batcher and a pool of sharded model replicas.
 
 Two calling conventions are offered:
 
 * :meth:`submit` / :meth:`score` — the online path.  Each request is
-  admitted individually and coalesced with whatever else is in flight,
-  so batch composition depends on arrival timing.
+  admitted individually; a batch is cut whenever a replica is free and
+  holds whatever is queued, so batch composition depends on arrival
+  timing.
 * :meth:`score_many` — the bulk path.  The request list is partitioned
   into deterministic ``max_batch_size`` chunks, making the exact batches
   (and therefore the exact floating-point scores) reproducible; this is
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.chem.complexes import ProteinLigandComplex
 from repro.featurize.engine import FeaturePipeline
-from repro.featurize.pipeline import FeaturizedComplex
+from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.nn.module import Module
-from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed, collate_request_batch
+from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
 from repro.serving.cache import H5CacheAdapter, ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import ScoreRequest, ScoreResponse
@@ -46,17 +47,22 @@ class Overloaded(RuntimeError):
 
 @dataclass
 class ServingConfig:
-    """Knobs of the online scoring service."""
+    """Knobs of the online scoring service.
+
+    Online batching is demand-driven: at most ``num_replicas`` online
+    batches are outstanding, and the next is cut the moment a replica
+    frees, holding everything queued up to ``max_batch_size``, so an
+    idle service scores a lone request at once and a busy one coalesces
+    with no timer.  Batches go to the least-loaded healthy replica.
+    """
 
     max_batch_size: int = 8
-    max_wait_s: float = 0.002
     num_replicas: int = 2
     #: bound on admitted-but-incomplete requests (queued, batched or being
     #: scored); :meth:`ScoringService.submit` rejects beyond it
     queue_capacity: int = 64
     cache_capacity: int = 4096
     cache_enabled: bool = True
-    dispatch: str = "least_loaded"
     #: deep-copy the model per replica instead of sharing one instance
     replicate_weights: bool = False
     #: replica execution backend: ``"thread"`` scores on the replica's
@@ -201,14 +207,14 @@ class ScoringService:
         self.featurizer = featurizer
         self.pool = ReplicaPool(
             backends,
-            dispatch=cfg.dispatch,
             breaker_threshold=cfg.breaker_threshold,
             breaker_reset_s=cfg.breaker_reset_s,
             registry=shared_registry,
         )
-        self.batcher = MicroBatcher(
-            max_batch_size=cfg.max_batch_size, max_wait_s=cfg.max_wait_s, capacity=cfg.queue_capacity
-        )
+        self.batcher = MicroBatcher(max_batch_size=cfg.max_batch_size, capacity=cfg.queue_capacity)
+        # one permit per replica: the dispatcher cuts an online batch only
+        # while it holds one, and the batch returns it when it ends
+        self._free_replicas = threading.BoundedSemaphore(cfg.num_replicas)
         self.cache = ResultCache(cfg.cache_capacity)
         feature_cache = getattr(featurizer, "cache", None)
         if feature_cache is not None:
@@ -354,7 +360,8 @@ class ScoringService:
         Cache misses are partitioned, in submission order, into chunks of
         exactly ``max_batch_size`` (last chunk may be smaller) and each
         chunk is dispatched to the replica pool directly, bypassing the
-        timing-dependent coalescing.  Responses come back in input order.
+        timing-dependent online batching and its replica permits.
+        Responses come back in input order.
 
         ``admission=True`` makes the bulk path backpressure-aware: each
         chunk waits until it fits under ``queue_capacity`` in-flight
@@ -473,20 +480,25 @@ class ScoringService:
 
     def _dispatch_loop(self) -> None:
         while True:
+            self._free_replicas.acquire()
             batch = self.batcher.next_batch()
             if batch is None:
+                self._free_replicas.release()
                 return
+            self.metrics.record_queue_wait(batch.oldest_wait_s)
             self.pool.submit(
-                lambda replica, backend, batch=batch: self._execute(replica, backend, batch)
+                lambda replica, backend, batch=batch: self._execute(replica, backend, batch, online=True)
             )
 
-    def _execute(self, replica: int, backend: ScoringBackend, batch: MicroBatch) -> None:
+    def _execute(self, replica: int, backend: ScoringBackend, batch: MicroBatch, online: bool = False) -> None:
+        """Score one batch; an ``online`` batch returns its replica permit."""
         items: list[_WorkItem] = batch.items
         try:
             with current_telemetry().span("serving-batch") as span:
                 span.set("replica", replica)
                 span.set("batch_size", len(items))
-                collated = collate_request_batch([w.sample for w in items])
+                # the offline scoring jobs' collate: byte-identical batches
+                collated = collate_complexes([w.sample for w in items])
                 scores = backend.score_batch(collated)
             if scores.shape[0] != len(items):
                 raise RuntimeError(
@@ -513,5 +525,7 @@ class ScoringService:
                 self.metrics.record_failure()
                 work.pending._fail(error)
         finally:
+            if online:
+                self._free_replicas.release()
             for work in items:
                 self._finish_one(work.request.request_id)

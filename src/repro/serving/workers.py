@@ -4,8 +4,8 @@ The service scores batches on a pool of model replicas, one worker
 thread per replica, mirroring the paper's per-GPU model instances at
 in-process scale.  Replicas either share the underlying module (safe:
 eval-mode forward passes are read-only and gradient recording is
-per-thread) or own a deep copy each, and a dispatcher assigns batches
-round-robin or to the least-loaded replica.
+per-thread) or own a deep copy each, and each batch goes to the
+least-loaded replica.
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ class _Replica:
 class ReplicaPool:
     """Dispatch batches across model replicas.
 
+    Each batch goes to the replica with the fewest queued + running
+    batches (lowest index on ties), among those whose breaker allows it.
+
     Parameters
     ----------
     backends:
@@ -253,9 +256,6 @@ class ReplicaPool:
         :meth:`ModuleBackend.replicate` for independent weight copies, or
         pass the same backend N times to shard a shared model across
         threads.
-    dispatch:
-        ``"round_robin"`` cycles replicas; ``"least_loaded"`` picks the
-        replica with the fewest queued + running batches.
     breaker_threshold:
         Consecutive failures on one replica before its circuit breaker
         opens.  ``0`` (the default) disables breakers entirely: dispatch
@@ -270,30 +270,22 @@ class ReplicaPool:
         the per-replica breakers.
     """
 
-    DISPATCH_POLICIES = ("round_robin", "least_loaded")
-
     def __init__(
         self,
         backends: Sequence[ScoringBackend],
-        dispatch: str = "least_loaded",
         breaker_threshold: int = 0,
         breaker_reset_s: float = 1.0,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if not backends:
             raise ValueError("ReplicaPool needs at least one backend")
-        if dispatch not in self.DISPATCH_POLICIES:
-            raise ValueError(f"dispatch must be one of {self.DISPATCH_POLICIES}, got '{dispatch}'")
         if breaker_threshold < 0:
             raise ValueError(f"breaker_threshold must be >= 0, got {breaker_threshold}")
-        self.dispatch = dispatch
         self._backends = list(backends)
         self._breaker_threshold = breaker_threshold
         self._breaker_reset_s = breaker_reset_s
         self._registry = registry
         self._replicas = self._build_replicas()
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
         self._started = False
         self._closed = False
 
@@ -367,14 +359,8 @@ class ReplicaPool:
             else:
                 # every breaker is open: queue onto the replica whose probe
                 # window opens soonest rather than failing the request
-                soonest = min(candidates, key=lambda r: (r.breaker.seconds_until_probe(), r.index))
-                return soonest
-        if self.dispatch == "round_robin":
-            with self._rr_lock:
-                replica = candidates[self._rr_next % len(candidates)]
-                self._rr_next += 1
-        else:
-            replica = min(candidates, key=lambda r: (r.load(), r.index))
+                return min(candidates, key=lambda r: (r.breaker.seconds_until_probe(), r.index))
+        replica = min(candidates, key=lambda r: (r.load(), r.index))
         if replica.breaker is not None:
             # claim the half-open probe slot if this pick is the probe
             replica.breaker.allow()

@@ -8,6 +8,10 @@ the pipeline end to end.
 
 from __future__ import annotations
 
+# ``import repro`` pins BLAS to one thread (the numerics' reference
+# environment); it only takes effect before numpy's first import
+import repro  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

@@ -13,7 +13,9 @@ scoring routes:
   single-pose batches.
 
 Identical means ``==`` on floats: any perturbation of featurization,
-collation or forward-pass numerics fails this test.
+collation or forward-pass numerics fails this test.  The fixture holds
+for the numerics' reference environment, BLAS on one thread, which
+``import repro`` pins; the test first checks that the pin took effect.
 
 Regenerating the fixture (only after an intentional numerical change):
 ``PYTHONPATH=src:tests python -c "import test_golden_snapshot as m; m.regenerate()"``
@@ -22,10 +24,12 @@ Regenerating the fixture (only after an intentional numerical change):
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.chem.complexes import ProteinLigandComplex
 from repro.featurize.engine import FeaturePipeline
 from repro.serving import ScoringService, ServingConfig
@@ -34,6 +38,17 @@ from featurize_oracle import ComplexFeaturizer
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "golden_fusion_scores.json"
 NUM_POSES = 6
+
+
+def blas_pin_problem() -> str | None:
+    """Why this process is not in the fixture's one-thread BLAS
+    environment, or ``None`` when it is."""
+    if repro.NUMPY_PRELOADED:
+        return "numpy imported before repro, so the BLAS thread pin came too late"
+    values = {name: os.environ.get(name) for name in repro.BLAS_THREAD_VARS}
+    if any(value != "1" for value in values.values()):
+        return f"BLAS not pinned to one thread: {values}"
+    return None
 
 
 def campaign_complexes(campaign) -> list[ProteinLigandComplex]:
@@ -88,6 +103,8 @@ def score_serving(workbench, complexes) -> list[float]:
 
 class TestGoldenSnapshot:
     def test_fixture_reproduced_via_all_routes(self, workbench, campaign):
+        problem = blas_pin_problem()
+        assert problem is None, problem
         fixture = json.loads(FIXTURE_PATH.read_text())
         complexes = campaign_complexes(campaign)
 
@@ -132,6 +149,9 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
     """Rebuild the committed fixture after an intentional numerical change."""
     from repro.experiments.common import build_workbench, run_campaign
 
+    problem = blas_pin_problem()
+    if problem is not None:
+        raise RuntimeError(f"refusing to regenerate the fixture: {problem}")
     workbench = build_workbench("tiny")
     campaign = run_campaign(
         workbench,

@@ -95,29 +95,44 @@ def test_cache_thread_safety_under_contention():
 # micro-batcher
 # --------------------------------------------------------------------- #
 def test_batcher_coalesces_up_to_max_batch_size():
-    batcher = MicroBatcher(max_batch_size=4, max_wait_s=5.0, capacity=16)
-    for item in range(4):
+    batcher = MicroBatcher(max_batch_size=4, capacity=16)
+    for item in range(6):
         assert batcher.put(item)
-    batch = batcher.next_batch()  # size trigger: returns without waiting 5 s
-    assert list(batch.items) == [0, 1, 2, 3]
+    assert list(batcher.next_batch().items) == [0, 1, 2, 3]
+    assert list(batcher.next_batch().items) == [4, 5]
 
 
-def test_batcher_flushes_partial_batch_after_max_wait():
-    batcher = MicroBatcher(max_batch_size=64, max_wait_s=0.05, capacity=64)
-    batcher.put("only")
-    start = time.perf_counter()
-    batch = batcher.next_batch()
-    waited = time.perf_counter() - start
+def _next_batch_in_thread(batcher: MicroBatcher, before_join=None):
+    """Call ``next_batch()`` on a helper thread; the batch, or None if it
+    is still blocked after the join timeout."""
+    batches = []
+    consumer = threading.Thread(target=lambda: batches.append(batcher.next_batch()), daemon=True)
+    consumer.start()
+    if before_join is not None:
+        before_join()
+    consumer.join(timeout=10.0)
+    return None if consumer.is_alive() else batches[0]
+
+
+def test_batcher_returns_underfull_queue_at_once():
+    """An under-full queue leaves as one batch as soon as it is asked
+    for, and a waiting consumer gets a lone item the moment it arrives."""
+    batcher = MicroBatcher(max_batch_size=64, capacity=64)
+    for item in ("a", "b", "c"):
+        batcher.put(item)
+    batch = _next_batch_in_thread(batcher)
+    assert batch is not None, "next_batch() held an under-full queue open"
+    assert list(batch.items) == ["a", "b", "c"]
+    batch = _next_batch_in_thread(batcher, before_join=lambda: batcher.put("only"))
+    assert batch is not None, "next_batch() held a lone item open"
     assert list(batch.items) == ["only"]
-    assert batch.oldest_wait_s >= 0.05
-    assert waited < 2.0  # deadline-triggered, not size-triggered
 
 
 def test_batcher_close_drains_then_returns_none():
-    batcher = MicroBatcher(max_batch_size=4, max_wait_s=10.0, capacity=16)
+    batcher = MicroBatcher(max_batch_size=4, capacity=16)
     batcher.put("x")
     batcher.close()
-    batch = batcher.next_batch()  # close releases the under-full batch
+    batch = batcher.next_batch()  # queued items still drain after close
     assert list(batch.items) == ["x"]
     assert batcher.next_batch() is None
     with pytest.raises(Exception):
@@ -158,9 +173,7 @@ class _SlowBackend:
 
 
 def test_backpressure_rejects_when_queue_full(workbench, traffic):
-    config = ServingConfig(
-        max_batch_size=1, max_wait_s=0.0, num_replicas=1, queue_capacity=2, cache_enabled=False
-    )
+    config = ServingConfig(max_batch_size=1, num_replicas=1, queue_capacity=2, cache_enabled=False)
     service = ScoringService(
         backend=_SlowBackend(), featurizer=workbench.featurizer, config=config
     ).start()
@@ -222,7 +235,7 @@ def test_warm_cache_repeat_hit_rate(workbench, traffic):
 
 
 def test_service_drain_and_metrics(workbench, traffic):
-    config = ServingConfig(max_batch_size=4, max_wait_s=0.01, num_replicas=2, queue_capacity=64)
+    config = ServingConfig(max_batch_size=4, num_replicas=2, queue_capacity=64)
     service = ScoringService(
         model=workbench.coherent_fusion, featurizer=workbench.featurizer, config=config
     ).start()
@@ -239,6 +252,84 @@ def test_service_drain_and_metrics(workbench, traffic):
         service.submit(traffic[0])
     with pytest.raises(RuntimeError):
         service.start()  # closed services cannot be restarted
+
+
+class _GatedBackend:
+    """Holds every batch until ``gate`` is set; records each batch's size
+    and how many batches the replica pool held when it started."""
+
+    name = "gated-stub"
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        self.cond = threading.Condition()
+        self.sizes: list[int] = []
+        self.pool_loads: list[int] = []
+        self.pool = None
+
+    def fingerprint(self) -> str:
+        return "gated-stub"
+
+    def score_batch(self, batch: dict) -> np.ndarray:
+        with self.cond:
+            self.sizes.append(len(batch["ids"]))
+            self.pool_loads.append(sum(self.pool.loads()))
+            self.cond.notify_all()
+        assert self.gate.wait(timeout=60.0)
+        return np.zeros(len(batch["ids"]), dtype=np.float64)
+
+    def wait_started(self, count: int) -> None:
+        with self.cond:
+            assert self.cond.wait_for(lambda: len(self.sizes) >= count, timeout=30.0)
+
+
+@pytest.mark.parametrize("queued", [3, 6])
+@pytest.mark.parametrize("num_replicas", [1, 2])
+def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replicas, queued):
+    """At most ``num_replicas`` online batches are outstanding; requests
+    queued while every replica is busy leave together, up to
+    ``max_batch_size`` a batch, the moment a replica frees."""
+    max_batch = 4
+    backend = _GatedBackend()
+    config = ServingConfig(
+        max_batch_size=max_batch, num_replicas=num_replicas, queue_capacity=32, cache_enabled=False
+    )
+    service = ScoringService(backend=backend, featurizer=workbench.featurizer, config=config).start()
+    backend.pool = service.pool
+    complexes = [traffic[i % len(traffic)] for i in range(num_replicas + queued)]
+    try:
+        handles = []
+        for index in range(num_replicas):  # occupy every replica with a lone request
+            handles.append(service.submit(complexes[index]))
+            backend.wait_started(index + 1)
+        for complex_ in complexes[num_replicas:]:
+            handles.append(service.submit(complex_))
+        time.sleep(0.05)
+        # every replica is blocked: the queued requests wait in the batcher
+        assert backend.sizes == [1] * num_replicas
+        assert sum(service.pool.loads()) == num_replicas
+        assert service.batcher.pending() == queued
+        backend.gate.set()
+        for handle in handles:
+            handle.result(timeout=60.0)
+        assert service.drain(timeout=60.0)
+        snap = service.snapshot()
+    finally:
+        backend.gate.set()
+        service.close()
+    assert max(backend.pool_loads) <= num_replicas
+    assert backend.sizes[:num_replicas] == [1] * num_replicas
+    # the first freed replica takes min(queued, max_batch); any remainder
+    # leaves with the next (two replicas may start them in either order)
+    coalesced = [min(queued, max_batch)] + ([queued - max_batch] if queued > max_batch else [])
+    assert sorted(backend.sizes[num_replicas:]) == sorted(coalesced)
+    assert snap.submitted == snap.completed + snap.failed == num_replicas + queued
+    assert snap.failed == 0
+    # every online batch fed the queue-wait histogram; the coalesced
+    # batches waited behind the blocked replicas
+    queue_wait = service.metrics.registry.snapshot()["histograms"]["serving.queue_wait_s"]
+    assert queue_wait["count"] == len(backend.sizes)
+    assert queue_wait["max"] >= 0.05
 
 
 def test_campaign_routed_through_serving_matches_direct_scoring(workbench):

@@ -34,7 +34,7 @@ from repro.serving import MicroBatcher, Overloaded, ScoringService, ServingConfi
 @settings(max_examples=60, deadline=None)
 def test_batcher_never_drops_duplicates_or_reorders(num_items, max_batch, extra_capacity):
     """Any arrival/drain schedule yields exactly the enqueued sequence."""
-    batcher = MicroBatcher(max_batch_size=max_batch, max_wait_s=0.0, capacity=max_batch + extra_capacity)
+    batcher = MicroBatcher(max_batch_size=max_batch, capacity=max_batch + extra_capacity)
     enqueued: list = []
     drained: list = []
     for index in range(num_items):
@@ -62,7 +62,7 @@ def test_batcher_never_drops_duplicates_or_reorders(num_items, max_batch, extra_
 @settings(max_examples=40, deadline=None)
 def test_batcher_size_trigger_never_exceeds_max_batch_size(prefill, max_batch):
     """However many items wait, a batch never exceeds ``max_batch_size``."""
-    batcher = MicroBatcher(max_batch_size=max_batch, max_wait_s=0.0, capacity=32)
+    batcher = MicroBatcher(max_batch_size=max_batch, capacity=32)
     for index in range(prefill):
         assert batcher.put(index)
     batch = batcher.next_batch()
@@ -70,21 +70,11 @@ def test_batcher_size_trigger_never_exceeds_max_batch_size(prefill, max_batch):
     assert list(batch.items) == list(range(len(batch.items)))
 
 
-def test_batcher_max_wait_flushes_underfull_batch():
-    """An under-full batch closes once the head item waited ``max_wait_s``."""
-    batcher = MicroBatcher(max_batch_size=8, max_wait_s=0.02, capacity=16)
-    for index in range(3):
-        batcher.put(index)
-    batch = batcher.next_batch()
-    assert list(batch.items) == [0, 1, 2]
-    assert batch.oldest_wait_s >= 0.02  # deadline-triggered close, not size-triggered
-
-
 def test_batcher_threaded_producers_preserve_per_producer_order():
     """Concurrent producers: the drain interleaves, but each producer's
     items come out exactly once and in their submission order."""
     num_producers, per_producer = 4, 120
-    batcher = MicroBatcher(max_batch_size=5, max_wait_s=0.001, capacity=16)
+    batcher = MicroBatcher(max_batch_size=5, capacity=16)
 
     def produce(producer_id: int) -> None:
         for index in range(per_producer):
@@ -154,9 +144,7 @@ def stress_traffic(campaign):
 def test_concurrent_stress_metrics_ledger_closes(workbench, stress_traffic):
     """Many clients, small queue: every request is either rejected at
     admission or completes; submitted == completed + failed exactly."""
-    config = ServingConfig(
-        max_batch_size=2, max_wait_s=0.001, num_replicas=2, queue_capacity=4, cache_enabled=True
-    )
+    config = ServingConfig(max_batch_size=2, num_replicas=2, queue_capacity=4, cache_enabled=True)
     service = ScoringService(
         backend=_CountingBackend(delay_s=0.002), featurizer=workbench.featurizer, config=config
     ).start()
@@ -240,9 +228,7 @@ def test_featurization_failure_keeps_metrics_ledger_closed(workbench, stress_tra
 def test_concurrent_stress_with_failing_batches(workbench, stress_traffic):
     """Backend failures propagate to exactly the affected callers and are
     counted in ``failed``; the ledger still closes."""
-    config = ServingConfig(
-        max_batch_size=2, max_wait_s=0.001, num_replicas=2, queue_capacity=16, cache_enabled=False
-    )
+    config = ServingConfig(max_batch_size=2, num_replicas=2, queue_capacity=16, cache_enabled=False)
     service = ScoringService(
         backend=_CountingBackend(delay_s=0.001, fail_every=3),
         featurizer=workbench.featurizer,
@@ -283,6 +269,40 @@ def test_concurrent_stress_with_failing_batches(workbench, stress_traffic):
     assert snap.completed == outcomes["ok"]
     assert snap.rejected == outcomes["rejected"]
     assert snap.submitted == snap.completed + snap.failed
+
+
+@pytest.mark.parametrize("num_replicas", [1, 2])
+@pytest.mark.parametrize("fail_every", [0, 1], ids=["healthy", "all-batches-fail"])
+def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replicas, fail_every):
+    """No ``serving-dispatcher`` or ``serving-replica-*`` thread this
+    service started is alive after ``close()``, whether its batches
+    succeed or all fail."""
+
+    def live_serving_threads():
+        return {
+            t for t in threading.enumerate()
+            if t.name == "serving-dispatcher" or t.name.startswith("serving-replica-")
+        }
+
+    before = live_serving_threads()
+    config = ServingConfig(max_batch_size=2, num_replicas=num_replicas, queue_capacity=16, cache_enabled=False)
+    service = ScoringService(
+        backend=_CountingBackend(delay_s=0.001, fail_every=fail_every),
+        featurizer=workbench.featurizer,
+        config=config,
+    ).start()
+    handles = [service.submit(c) for c in stress_traffic]
+    for handle in handles:
+        if fail_every:
+            with pytest.raises(RuntimeError, match="injected backend failure"):
+                handle.result(timeout=60.0)
+        else:
+            handle.result(timeout=60.0)
+    service.close()
+    snap = service.snapshot()
+    assert snap.submitted == snap.completed + snap.failed == len(stress_traffic)
+    assert snap.failed == (len(stress_traffic) if fail_every else 0)
+    assert sorted(t.name for t in live_serving_threads() - before) == []
 
 
 # --------------------------------------------------------------------- #
@@ -336,7 +356,7 @@ def test_replica_worker_kill_under_load_ledger_closes(workbench, stress_traffic)
 
     registry = MetricsRegistry()
     config = ServingConfig(
-        max_batch_size=2, max_wait_s=0.001, num_replicas=1,
+        max_batch_size=2, num_replicas=1,
         queue_capacity=32, cache_enabled=False, backend="process",
     )
     service = ScoringService(
@@ -423,10 +443,7 @@ def test_drain_timeout_names_pending_request_ids(workbench, stress_traffic):
             release.wait(timeout=60.0)
             return np.zeros(len(batch["ids"]), dtype=np.float64)
 
-    config = ServingConfig(
-        max_batch_size=8, max_wait_s=0.001, num_replicas=1,
-        queue_capacity=8, cache_enabled=False,
-    )
+    config = ServingConfig(max_batch_size=8, num_replicas=1, queue_capacity=8, cache_enabled=False)
     service = ScoringService(
         backend=_StalledBackend(), featurizer=workbench.featurizer, config=config
     ).start()
@@ -465,14 +482,12 @@ def test_replica_pool_routes_around_open_breaker():
 
     pool = ReplicaPool(
         [_StubBackend("a"), _StubBackend("b")],
-        dispatch="round_robin",
         breaker_threshold=1,
         breaker_reset_s=30.0,
     )
     assert pool.breaker_states() == ["closed", "closed"]
     pool.record_result(0, ok=False)  # threshold 1: opens immediately
     assert pool.breaker_states()[0] == "open"
-    # round-robin now cycles over the healthy candidate only
     assert [pool._pick().index for _ in range(4)] == [1, 1, 1, 1]
     pool.record_result(1, ok=False)
     assert pool.breaker_states() == ["open", "open"]

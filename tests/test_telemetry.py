@@ -539,6 +539,17 @@ class TestServingMetrics:
         assert snapshot["histograms"]["serving.latency_s"]["count"] == 1.0
         assert snapshot["histograms"]["serving.batch_size"]["max"] == 4.0
 
+    def test_queue_wait_histogram_is_fed_and_reset(self):
+        registry = MetricsRegistry()
+        metrics = ServingMetrics(registry=registry)
+        for wait_s in (0.001, 0.002, 0.003):
+            metrics.record_queue_wait(wait_s)
+        assert registry.snapshot()["histograms"]["serving.queue_wait_s"]["count"] == 3.0
+        assert metrics.snapshot().queue_wait_p50_ms == pytest.approx(2.0, rel=0.05)
+        metrics.reset()
+        assert registry.snapshot()["histograms"]["serving.queue_wait_s"]["count"] == 0.0
+        assert metrics.snapshot().queue_wait_p50_ms == 0.0
+
     def test_empty_snapshot_is_zeroed(self):
         snap = ServingMetrics().snapshot()
         assert snap.latency_p50_ms == snap.latency_p99_ms == 0.0
