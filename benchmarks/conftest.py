@@ -6,7 +6,8 @@ per session at a scale controlled by the ``REPRO_BENCH_SCALE`` environment
 variable (``small`` by default, ``tiny`` for a quick smoke run) and shared
 across benchmarks.  Rendered tables are written to
 ``benchmarks/artifacts/`` so the regenerated rows can be inspected after a
-run and compared against the paper (see EXPERIMENTS.md).
+run and compared against the paper.  The code that computes each table and
+figure lives in ``src/repro/experiments/``, one module per paper artefact.
 """
 
 from __future__ import annotations

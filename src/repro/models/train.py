@@ -310,6 +310,24 @@ def _epoch_chunks(num_samples: int, config: DistributedTrainerConfig, epoch: int
     return [order[i : i + config.chunk_size] for i in range(0, num_samples, config.chunk_size)]
 
 
+def _distributed_validate(model: Module, samples: Sequence[FeaturizedComplex], chunk_size: int, ctx) -> float:
+    """Validation MSE, with the ``chunk_size`` chunks dealt round-robin to ranks.
+
+    Every rank gathers every chunk's predictions and computes the same
+    ``_masked_mse`` over them in chunk order. A chunk's predictions do not
+    depend on which rank ran it (replicas hold identical weights), so the
+    loss is the one-rank loss bit for bit.
+    """
+    if not samples:
+        return float("nan")
+    starts = range(0, len(samples), chunk_size)
+    mine = [_predict_flat(model, samples[i : i + chunk_size], chunk_size) for i in starts[ctx.rank :: ctx.size]]
+    gathered = ctx.allgather(mine, tag="val-predictions")
+    # chunk j ran on rank j % size, as that rank's (j // size)-th chunk
+    predictions = np.concatenate([gathered[j % ctx.size][j // ctx.size] for j in range(len(starts))])
+    return _masked_mse(predictions, np.array([s.target for s in samples]))
+
+
 def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
     """The SPMD program run by every rank (module-level for spawn-safety).
 
@@ -369,18 +387,7 @@ def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
             optimizer.step_fused(grad)
             step_losses.append(step_loss)
         train_losses.append(float(np.mean(step_losses)))
-        # All ranks hold identical weights, so validation is computed once
-        # on rank 0 and broadcast — cheaper, and identical by construction.
-        if ctx.rank == 0:
-            if spec.val_samples:
-                predictions = _predict_flat(model, spec.val_samples, cfg.chunk_size)
-                targets = np.array([s.target for s in spec.val_samples])
-                val_loss = _masked_mse(predictions, targets)
-            else:
-                val_loss = float("nan")
-        else:
-            val_loss = None
-        val_losses.append(float(ctx.bcast(val_loss, root=0, tag="val-loss")))
+        val_losses.append(_distributed_validate(model, spec.val_samples, cfg.chunk_size, ctx))
     hvd.broadcast_parameters(model, root_rank=0)
     return {
         "state": model.state_dict(),

@@ -178,32 +178,33 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad):
-        # grad: (N, F, D', H', W'); the patch matrix is rebuilt, not kept alive
-        grad_mf = grad.transpose(0, 2, 3, 4, 1).reshape(m, f)
-        grad_w = np.matmul(patch_matrix(), grad_mf).reshape(c, kd, kh, kw, f).transpose(4, 0, 1, 2, 3)
-        grad_b = grad.sum(axis=(0, 2, 3, 4)) if bias is not None else None
-
-        # Gradient wrt input: scatter each kernel offset's contribution, in a
-        # fixed offset order. The left operand stays the strided (C, F) view:
-        # a contiguous copy takes another BLAS path and changes the bits.
-        grad_fm = grad.transpose(1, 0, 2, 3, 4).reshape(f, m)
-        grad_x_padded = np.zeros_like(x_data)
-        for dz in range(kd):
-            for dy in range(kh):
-                for dx in range(kw):
-                    contrib = np.matmul(weight.data[:, :, dz, dy, dx].T, grad_fm)
-                    grad_x_padded[:, :, dz : dz + do, dy : dy + ho, dx : dx + wo] += (
-                        contrib.reshape(c, n, do, ho, wo).transpose(1, 0, 2, 3, 4)
-                    )
-        if padding > 0:
-            grad_x = grad_x_padded[
-                :, :, padding:-padding or None, padding:-padding or None, padding:-padding or None
-            ]
-        else:
-            grad_x = grad_x_padded
-        grads = [grad_x, grad_w]
-        if bias is not None:
-            grads.append(grad_b)
+        # grad: (N, F, D', H', W'). Only gradients of parents that require
+        # grad are built: conv1's input is the voxel grid, which never does.
+        grads = [None, None] + ([None] if bias is not None else [])
+        if weight.requires_grad:
+            # the patch matrix is rebuilt, not kept alive
+            grad_mf = grad.transpose(0, 2, 3, 4, 1).reshape(m, f)
+            grads[1] = np.matmul(patch_matrix(), grad_mf).reshape(c, kd, kh, kw, f).transpose(4, 0, 1, 2, 3)
+        if bias is not None and bias.requires_grad:
+            grads[2] = grad.sum(axis=(0, 2, 3, 4))
+        if x.requires_grad:
+            # Scatter each kernel offset's contribution, in a fixed offset
+            # order. The left operand stays the strided (C, F) view: a
+            # contiguous copy takes another BLAS path and changes the bits.
+            grad_fm = grad.transpose(1, 0, 2, 3, 4).reshape(f, m)
+            grad_x = np.zeros_like(x_data)
+            for dz in range(kd):
+                for dy in range(kh):
+                    for dx in range(kw):
+                        contrib = np.matmul(weight.data[:, :, dz, dy, dx].T, grad_fm)
+                        grad_x[:, :, dz : dz + do, dy : dy + ho, dx : dx + wo] += (
+                            contrib.reshape(c, n, do, ho, wo).transpose(1, 0, 2, 3, 4)
+                        )
+            if padding > 0:
+                grad_x = grad_x[
+                    :, :, padding:-padding or None, padding:-padding or None, padding:-padding or None
+                ]
+            grads[0] = grad_x
         return tuple(grads)
 
     return x._make(out_data, tuple(parents), backward)

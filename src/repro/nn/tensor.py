@@ -185,6 +185,9 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None or node._backward is None:
                 continue
+            # A closure returns None for a parent whose gradient it skipped:
+            # matmul, *, / and conv3d build a parent's gradient only if that
+            # parent requires grad, read when backward runs.
             parent_grads = node._backward(node_grad)
             if parent_grads is None:
                 continue
@@ -239,8 +242,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other.data, self.shape),
-                _unbroadcast(grad * self.data, other.shape),
+                _unbroadcast(grad * other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.shape) if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -254,8 +257,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad / other.data, self.shape),
-                _unbroadcast(-grad * self.data / (other.data**2), other.shape),
+                _unbroadcast(grad / other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other.data**2), other.shape) if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -295,13 +298,18 @@ class Tensor:
                 grad2 = grad[..., None, :]
             if b.ndim == 1 and a.ndim >= 2:
                 grad2 = grad[..., :, None]
-            ga = grad2 @ np.swapaxes(b2, -1, -2)
-            gb = np.swapaxes(a2, -1, -2) @ grad2
-            if a.ndim == 1:
-                ga = ga.reshape(-1, a.shape[0]).sum(axis=0) if ga.ndim > 1 else ga
-            if b.ndim == 1:
-                gb = gb.reshape(b.shape[0], -1).sum(axis=-1) if gb.ndim > 1 else gb
-            return (_unbroadcast(np.asarray(ga), self.shape), _unbroadcast(np.asarray(gb), other.shape))
+            ga = gb = None
+            if self.requires_grad:
+                ga = grad2 @ np.swapaxes(b2, -1, -2)
+                if a.ndim == 1:
+                    ga = ga.reshape(-1, a.shape[0]).sum(axis=0) if ga.ndim > 1 else ga
+                ga = _unbroadcast(np.asarray(ga), self.shape)
+            if other.requires_grad:
+                gb = np.swapaxes(a2, -1, -2) @ grad2
+                if b.ndim == 1:
+                    gb = gb.reshape(b.shape[0], -1).sum(axis=-1) if gb.ndim > 1 else gb
+                gb = _unbroadcast(np.asarray(gb), other.shape)
+            return (ga, gb)
 
         return self._make(data, (self, other), backward)
 

@@ -214,6 +214,49 @@ class TestRankInvarianceGolden:
         assert np.isfinite(train_losses).all() and np.isfinite(val_losses).all()
 
 
+@pytest.fixture(scope="module")
+def validation_runs(workbench):
+    """Per-epoch validation losses over three validation chunks (two full,
+    one partial) for ranks 1-4 on both backends; at four ranks one rank
+    holds no validation chunk."""
+    train = workbench.train_samples[:4]
+    val = workbench.val_samples[:5]
+
+    def run(backend, ranks):
+        config = DistributedTrainerConfig(
+            epochs=2, chunk_size=2, chunks_per_step=2, learning_rate=2e-3,
+            seed=5, ranks=ranks, backend=backend,
+        )
+        trainer = DistributedTrainer(SGCNN(SGCNNConfig.scaled_down(), seed=3), train, val, config=config)
+        return np.asarray(trainer.fit().val_losses)
+
+    assert len(val) == 5
+    return {
+        (backend, ranks): run(backend, ranks)
+        for backend in ("thread", "process")
+        for ranks in (1, 2, 3, 4)
+    }
+
+
+class TestDistributedValidation:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
+    def test_val_losses_bit_identical_across_ranks(self, validation_runs, backend, ranks):
+        reference = validation_runs[("thread", 1)]
+        assert reference.shape == (2,) and np.isfinite(reference).all()
+        assert np.array_equal(validation_runs[(backend, ranks)], reference)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_empty_validation_set_yields_nan(self, workbench, backend):
+        trainer = DistributedTrainer(
+            SGCNN(SGCNNConfig.scaled_down(), seed=3),
+            workbench.train_samples[:4],
+            config=DistributedTrainerConfig(epochs=1, chunk_size=2, chunks_per_step=2, ranks=3, backend=backend),
+        )
+        history = trainer.fit()
+        assert len(history.val_losses) == 1 and np.isnan(history.val_losses[0])
+
+
 class TestDistributedTrainer:
     def test_predicts_after_fit_and_validates_config(self, workbench):
         samples = workbench.train_samples[:6]

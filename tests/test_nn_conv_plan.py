@@ -4,7 +4,8 @@ The production kernel runs forward and backward as fixed ``matmul``
 calls over a C-order patch matrix; ``nn_oracle.reference_conv3d`` is the
 ``np.einsum`` formulation it replaced. Output and every gradient must be
 byte-equal (``tobytes``) on the kernel level and through the Coherent
-Fusion model, and no ``einsum`` may run inside the kernel.
+Fusion model, and no ``einsum`` may run inside the kernel. An input that
+requires no grad gets none built.
 """
 
 from __future__ import annotations
@@ -97,6 +98,44 @@ def test_kernel_matches_oracle(seed, n, c, f, size, k, padding, bias):
 def test_fixed_shapes_match_oracle(n, c, f, size, k, padding, bias):
     x, w, b, grad = conv_case(7, n, c, f, size, k, padding, bias)
     assert_matches_oracle(x, w, b, padding, grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    c=st.integers(min_value=1, max_value=12),
+    f=st.integers(min_value=1, max_value=12),
+    size=st.integers(min_value=3, max_value=8),
+    k=st.sampled_from((3, 5)),
+    padding=st.integers(min_value=0, max_value=2),
+    bias=st.booleans(),
+)
+def test_constant_input_gets_no_gradient(seed, n, c, f, size, k, padding, bias):
+    """An input that requires no grad (conv1's voxel grid) gets ``None``
+    from backward, and the weight and bias gradients keep their bits."""
+    size = max(size, k - 2 * padding)
+    x, w, b, grad = conv_case(seed, n, c, f, size, k, padding, bias)
+
+    def run(conv):
+        xt = Tensor(x.copy())
+        wt = Tensor(w.copy(), requires_grad=True)
+        bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
+        out = conv(xt, wt, bt, padding=padding)
+        slots = out._backward(grad)
+        out.backward(grad)
+        assert xt.grad is None
+        return slots, [wt.grad] + ([bt.grad] if bt is not None else [])
+
+    slots, got = run(F.conv3d)
+    _, want = run(reference_conv3d)
+    assert slots[0] is None
+    m = grad[:, 0].size
+    for name, a, r in zip(("grad_w", "grad_b"), got, want):
+        if m > 1:
+            assert a.tobytes() == r.tobytes(), f"{name} differs from the einsum oracle"
+        else:  # one output voxel: einsum contracts in another orientation
+            np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def model_scores_and_grads(model, samples, layout):

@@ -172,3 +172,51 @@ class TestGraphMechanics:
         out.backward()
         assert x.grad.shape == (n, m)
         assert np.isfinite(x.grad).all()
+
+
+# (name, op, shape of a, shape of b): broadcasting, 1-D and batched operands
+BINARY_CASES = [
+    ("matmul", lambda a, b: a @ b, (3, 4), (4, 5)),
+    ("matmul-vector-left", lambda a, b: a @ b, (4,), (4, 5)),
+    ("matmul-vector-right", lambda a, b: a @ b, (3, 4), (4,)),
+    ("matmul-batched-broadcast", lambda a, b: a @ b, (2, 3, 4), (4, 5)),
+    ("matmul-batched", lambda a, b: a @ b, (2, 3, 4), (2, 4, 5)),
+    ("mul", lambda a, b: a * b, (3, 4), (3, 4)),
+    ("mul-broadcast", lambda a, b: a * b, (3, 1), (1, 4)),
+    ("mul-scalar", lambda a, b: a * b, (3, 4), ()),
+    ("div", lambda a, b: a / b, (3, 4), (3, 4)),
+    ("div-broadcast", lambda a, b: a / b, (2, 3, 4), (4,)),
+    ("div-scalar", lambda a, b: a / b, (), (3, 4)),
+]
+
+
+class TestGradientsOnlyWhereRequired:
+    """matmul, * and / build a parent's gradient only if that parent requires grad."""
+
+    @pytest.mark.parametrize("name,op,shape_a,shape_b", BINARY_CASES, ids=[c[0] for c in BINARY_CASES])
+    @pytest.mark.parametrize("requires", [(True, False), (False, True), (False, False)])
+    def test_required_gradients_match_the_all_required_run(self, name, op, shape_a, shape_b, requires):
+        rng = np.random.default_rng(5)
+        a_data = rng.normal(size=shape_a)
+        b_data = np.abs(rng.normal(size=shape_b)) + 0.5  # a safe divisor
+        upstream = np.asarray(rng.normal(size=op(Tensor(a_data), Tensor(b_data)).shape))
+
+        def run(req_a, req_b):
+            a, b = Tensor(a_data, requires_grad=req_a), Tensor(b_data, requires_grad=req_b)
+            return op(a, b), a, b
+
+        full_out, full_a, full_b = run(True, True)
+        full_out.backward(upstream)
+        out, a, b = run(*requires)
+        assert out.data.tobytes() == full_out.data.tobytes()
+        if not any(requires):
+            assert not out.requires_grad and out._backward is None
+            return
+        slots = out._backward(upstream)
+        out.backward(upstream)
+        for tensor, full, slot, required in zip((a, b), (full_a, full_b), slots, requires):
+            if required:
+                assert tensor.grad.tobytes() == full.grad.tobytes()
+            else:
+                assert slot is None
+                assert tensor.grad is None
