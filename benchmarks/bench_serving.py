@@ -5,10 +5,7 @@ subsystem's contract is sustained requests/s and tail latency.  This
 benchmark sweeps the two first-order knobs — micro-batch size and
 replica count — over identical request traffic and records a JSON
 artifact (``benchmarks/artifacts/serving_throughput.json``) so later
-PRs have a perf trajectory to beat.  A second sweep drives the same
-traffic through process-backend replicas (``ServingConfig(backend=
-"process")``: one spawned model process per replica, scores bit-identical
-to the thread rows) so the artifact tracks both execution backends.
+PRs have a perf trajectory to beat.
 """
 
 from __future__ import annotations
@@ -42,14 +39,12 @@ def _drive(
     num_replicas: int,
     max_batch_size: int,
     registry: MetricsRegistry | None = None,
-    backend: str = "thread",
 ) -> dict:
     config = ServingConfig(
         max_batch_size=max_batch_size,
         num_replicas=num_replicas,
         queue_capacity=max(len(traffic), max_batch_size),
         cache_enabled=False,  # measure raw scoring throughput, not cache hits
-        backend=backend,
     )
     with ScoringService(
         model=workbench.coherent_fusion,
@@ -65,7 +60,6 @@ def _drive(
     return {
         "num_replicas": num_replicas,
         "max_batch_size": max_batch_size,
-        "backend": backend,
         "num_clients": NUM_CLIENTS,
         "num_requests": len(traffic),
         "requests_per_second": snap.requests_per_second,
@@ -87,16 +81,6 @@ def test_serving_throughput_sweep(benchmark, workbench, campaign):
         for num_replicas in REPLICA_COUNTS:
             for max_batch_size in BATCH_SIZES:
                 rows.append(_drive(workbench, traffic, num_replicas, max_batch_size, registry))
-        # process-backend replicas (one spawned model process each, weights
-        # shipped once at startup): same traffic, largest batch size only —
-        # the thread rows already map the batch-size axis
-        for num_replicas in REPLICA_COUNTS:
-            rows.append(
-                _drive(
-                    workbench, traffic, num_replicas, BATCH_SIZES[-1], registry,
-                    backend="process",
-                )
-            )
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -5,15 +5,8 @@ rescoring and Fusion inference (10 poses/s, 0.067 poses/s, 2.7x / 403x
 speedups); (b) the job-failure statistics by node count; (c) an LSF-style
 scheduling simulation of a many-job screening campaign with fault
 injection and requeueing, showing that small 4-node jobs lose little
-throughput to failures; (d) the supervised process pool's steady-state
-overhead and its recovery behaviour after a real seeded worker kill
-(``supervision.json``).
+throughput to failures.
 """
-
-import json
-import time
-
-import numpy as np
 
 from benchmarks.conftest import write_artifact
 from repro.eval.reports import format_table
@@ -22,20 +15,6 @@ from repro.hpc.faults import FaultInjector
 from repro.hpc.performance import FusionThroughputModel, ScorerCostModel
 from repro.hpc.scheduler import Job, JobScheduler, JobState, SchedulerConfig
 from repro.screening.throughput import speedup_summary
-
-
-class _SleepDoublePayload:
-    """Spawn-safe bench payload: a ~20 ms task body, optionally killable."""
-
-    def __init__(self, delay_s: float, killer=None) -> None:
-        self.delay_s = delay_s
-        self.killer = killer
-
-    def run_task(self, task: int) -> int:
-        if self.killer is not None:
-            self.killer.check(f"bench-task-{task}")
-        time.sleep(self.delay_s)
-        return task * 2
 
 
 def test_scorer_speed_comparison(benchmark):
@@ -107,95 +86,3 @@ def test_fault_tolerant_campaign_scheduling(benchmark):
     assert completed == 125  # requeueing recovers every failed job
     # failures only add waves for the affected jobs; overall makespan stays below 3 fault-free waves
     assert makespan_hours < 3.2 * job_minutes / 60.0
-
-
-def test_supervised_pool_overhead_and_kill_recovery(benchmark):
-    """Supervision must be free when nothing fails and cheap when a worker dies.
-
-    Row 1: steady-state overhead of ``SupervisedTaskPool`` over a bare
-    ``ProcessTaskPool`` on ~20 ms task bodies (< 1.05x — dispatch stays
-    in the caller's thread).  Row 2: a seeded ``ProcessKillFault``
-    SIGKILLs a worker mid-run; the pool respawns, the lost task re-runs,
-    and the artifact records the recovery latency and respawn count.
-    """
-    from repro.parallel import ProcessTaskPool, SupervisedTaskPool
-    from repro.telemetry import MetricsRegistry
-
-    num_tasks, delay_s, workers = 40, 0.02, 2
-    tasks = list(range(num_tasks))
-    expected = [t * 2 for t in tasks]
-
-    # Steady-state overhead is measured as *serial dispatch round-trips*
-    # (submit → worker → result, one task in flight): the per-task cost
-    # supervision adds is a callback hop, and serial round-trips expose
-    # it without the scheduler noise a saturated pipeline suffers on
-    # small CI machines.  Min-of-3 trials rejects contention spikes.
-    def timed_serial(pool):
-        started = time.perf_counter()
-        results = [pool.run(t) for t in tasks]
-        return results, time.perf_counter() - started
-
-    with ProcessTaskPool(_SleepDoublePayload(delay_s), max_workers=1) as bare:
-        bare.warm()
-        timed_serial(bare)  # absorb spawn cost before timing
-        trials = [timed_serial(bare) for _ in range(3)]
-        bare_results = trials[0][0]
-        bare_s = min(elapsed for _, elapsed in trials)
-
-    registry = MetricsRegistry()
-    with SupervisedTaskPool(
-        _SleepDoublePayload(delay_s), max_workers=1, registry=registry
-    ) as supervised:
-        supervised.warm(wait=True)
-        timed_serial(supervised)
-        trials = [timed_serial(supervised) for _ in range(3)]
-        supervised_results = trials[0][0]
-        supervised_s = min(elapsed for _, elapsed in trials)
-    assert bare_results == supervised_results == expected
-    overhead = supervised_s / bare_s
-    assert registry.snapshot()["counters"].get("supervision.respawns", 0) == 0
-
-    # seeded chaos: one worker is SIGKILL'd on its first attempt at a
-    # deterministic task; the run must still return every result
-    injector = FaultInjector(seed=11)
-    killer = injector.plan_process_kills([f"bench-task-{t}" for t in tasks], count=1)
-    chaos_registry = MetricsRegistry()
-
-    def faulted_run():
-        with SupervisedTaskPool(
-            _SleepDoublePayload(delay_s, killer=killer),
-            max_workers=workers,
-            registry=chaos_registry,
-        ) as pool:
-            pool.warm(wait=True)
-            # batch submission keeps tasks in flight so the kill hits a busy pool
-            started = time.perf_counter()
-            results = [future.result() for future in [pool.submit(t) for t in tasks]]
-            return results, time.perf_counter() - started
-
-    (faulted_results, faulted_s) = benchmark.pedantic(faulted_run, rounds=1, iterations=1)
-    assert faulted_results == expected
-    chaos = chaos_registry.snapshot()
-    respawns = chaos["counters"]["supervision.respawns"]
-    respawn_summary = chaos["histograms"]["supervision.respawn_s"]
-    assert respawns >= 1
-    document = {
-        "steady_state": {
-            "tasks": num_tasks,
-            "task_body_s": delay_s,
-            "bare_pool_s": round(bare_s, 4),
-            "supervised_pool_s": round(supervised_s, 4),
-            "overhead_ratio": round(overhead, 4),
-        },
-        "kill_recovery": {
-            "respawns": int(respawns),
-            "redispatches": int(chaos["counters"].get("supervision.redispatches", 0)),
-            "faulted_run_s": round(faulted_s, 4),
-            "recovery_latency_s": {
-                "mean": round(respawn_summary["mean"], 4),
-                "max": round(respawn_summary["max"], 4),
-            },
-        },
-    }
-    write_artifact("supervision.json", json.dumps(document, indent=2))
-    assert overhead < 1.05

@@ -13,13 +13,9 @@ claims into ``benchmarks/artifacts/streaming_throughput.json``:
   Peak traced memory must stay < ``MAX_MEMORY_GROWTH``x across the 10x
   library growth — the fold path, not the library, owns the RSS.
 * **worker scaling** — the same synthetic engine (NumPy-heavy shard
-  bodies that release the GIL) swept over ``workers`` ∈ {1, 4} for both
-  execution backends; compounds/s must scale >= ``MIN_WORKER_SCALING``x
-  on machines with >= 4 cores (recorded, not asserted, on smaller
-  runners).  Process rows also record a *steady-state* throughput with
-  the pool's one-time spawn/import cost (measured by a calibration run)
-  subtracted — that is what a long campaign sees, and what the scaling
-  assertion uses; raw elapsed wall clock is recorded next to it.
+  bodies that release the GIL) swept over ``workers`` ∈ {1, 4};
+  compounds/s must scale >= ``MIN_WORKER_SCALING``x on machines with
+  >= 4 cores (recorded, not asserted, on smaller runners).
 * **pipeline throughput** — the full prep → dock → MM/GBSA → fusion
   stream on a real (tiny) deck and model, swept over shard size and
   worker count, recording end-to-end compounds/s for the perf
@@ -59,7 +55,6 @@ MIN_WORKER_SCALING = 2.0
 MAX_TELEMETRY_OVERHEAD = 1.05
 MEMORY_SIZES = (10_000, 100_000)
 SCALING_COMPOUNDS = 20_000
-PROCESS_SCALING_COMPOUNDS = 200_000
 WORKER_COUNTS = (1, 4)
 
 
@@ -125,9 +120,8 @@ def _run_synthetic(
     workers: int,
     shard_size: int = 512,
     telemetry: Telemetry | None = None,
-    backend: str = "thread",
 ) -> tuple[float, object]:
-    config = StreamConfig(shard_size=shard_size, workers=workers, top_k=50, seed=0, backend=backend)
+    config = StreamConfig(shard_size=shard_size, workers=workers, top_k=50, seed=0)
     engine = _SyntheticFoldEngine(sites, config, telemetry=telemetry)
     started = time.perf_counter()
     result = engine.run(_SyntheticRange(compounds))
@@ -163,40 +157,9 @@ def _scaling_rows(sites) -> list[dict]:
         elapsed = min(_run_synthetic(sites, SCALING_COMPOUNDS, workers)[0] for _ in range(2))
         rows.append(
             {
-                "backend": "thread",
                 "workers": workers,
                 "compounds": SCALING_COMPOUNDS,
                 "compounds_per_s": SCALING_COMPOUNDS / elapsed if elapsed > 0 else float("inf"),
-            }
-        )
-    rows.extend(_process_scaling_rows(sites))
-    return rows
-
-
-def _process_scaling_rows(sites) -> list[dict]:
-    """Process-backend sweep with the one-time spawn cost factored out.
-
-    A ``ProcessTaskPool`` pays a fixed startup toll — spawning children
-    and importing the stack — that a campaign pays once per run, not per
-    shard.  A calibration run (one trivial shard per worker, so the pool
-    spawns its full width) measures that toll per worker count; the
-    steady-state throughput divides by the remainder.  Raw elapsed wall
-    clock is recorded alongside so the artifact keeps both truths.
-    """
-    rows = []
-    for workers in WORKER_COUNTS:
-        startup = _run_synthetic(sites, 512 * workers, workers, backend="process")[0]
-        elapsed = _run_synthetic(sites, PROCESS_SCALING_COMPOUNDS, workers, backend="process")[0]
-        steady = max(elapsed - startup, 1e-9)
-        rows.append(
-            {
-                "backend": "process",
-                "workers": workers,
-                "compounds": PROCESS_SCALING_COMPOUNDS,
-                "elapsed_s": elapsed,
-                "startup_s": startup,
-                "compounds_per_s": PROCESS_SCALING_COMPOUNDS / elapsed if elapsed > 0 else float("inf"),
-                "steady_state_compounds_per_s": PROCESS_SCALING_COMPOUNDS / steady,
             }
         )
     return rows
@@ -209,16 +172,10 @@ def _pipeline_rows(workbench, bench_scale: str) -> list[dict]:
         {"emolecules": 4 if bench_scale == "tiny" else 12}, seed=2020
     )
     rows = []
-    for shard_size, workers, backend in (
-        (2, 1, "thread"),
-        (2, 4, "thread"),
-        (2, 4, "process"),
-        (len(deck), 1, "thread"),
-    ):
+    for shard_size, workers in ((2, 1), (2, 4), (len(deck), 1)):
         config = StreamConfig(
             shard_size=shard_size,
             workers=workers,
-            backend=backend,
             top_k=10,
             poses_per_compound=2,
             docking_mc_steps=6,
@@ -235,7 +192,6 @@ def _pipeline_rows(workbench, bench_scale: str) -> list[dict]:
                 "compounds": len(deck),
                 "shard_size": shard_size,
                 "workers": workers,
-                "backend": backend,
                 "num_shards": result.num_shards,
                 "compounds_per_s": len(deck) / elapsed if elapsed > 0 else float("inf"),
             }
@@ -261,15 +217,10 @@ def test_streaming_throughput_and_memory(benchmark, workbench, bench_scale):
     growth = memory[-1]["peak_traced_mb"] / memory[0]["peak_traced_mb"]
     scaling = payload["scaling"]
 
-    def speedup(backend: str, metric: str) -> float:
-        by_workers = {r["workers"]: r[metric] for r in scaling if r["backend"] == backend}
-        return by_workers[WORKER_COUNTS[-1]] / by_workers[WORKER_COUNTS[0]]
-
-    worker_speedup = speedup("thread", "compounds_per_s")
-    process_speedup = speedup("process", "steady_state_compounds_per_s")
+    by_workers = {r["workers"]: r["compounds_per_s"] for r in scaling}
+    worker_speedup = by_workers[WORKER_COUNTS[-1]] / by_workers[WORKER_COUNTS[0]]
     payload["memory_growth_10x_library"] = growth
     payload["worker_scaling_1_to_4"] = worker_speedup
-    payload["process_worker_scaling_1_to_4"] = process_speedup
     payload["cpu_count"] = os.cpu_count()
     write_artifact("streaming_throughput.json", json.dumps(payload, indent=2))
 
@@ -285,14 +236,8 @@ def test_streaming_throughput_and_memory(benchmark, workbench, bench_scale):
             f"worker scaling regressed: 1 -> 4 workers gave {worker_speedup:.2f}x "
             f"< {MIN_WORKER_SCALING}x on a {os.cpu_count()}-core machine"
         )
-        assert process_speedup >= MIN_WORKER_SCALING, (
-            f"process-backend scaling regressed: 1 -> 4 workers gave "
-            f"{process_speedup:.2f}x steady-state < {MIN_WORKER_SCALING}x "
-            f"on a {os.cpu_count()}-core machine"
-        )
     benchmark.extra_info["memory_growth_10x_library"] = growth
     benchmark.extra_info["worker_scaling_1_to_4"] = worker_speedup
-    benchmark.extra_info["process_worker_scaling_1_to_4"] = process_speedup
 
 
 # --------------------------------------------------------------------------- #

@@ -125,12 +125,10 @@ class FeatureCache:
         self._evictions = 0
 
     # ------------------------------------------------------------------ #
-    # pickling: featurizers (and the caches inside them) ship to worker
-    # processes as part of a process-backend payload.  Only the cache
-    # *configuration* travels — entries are per-process working state
-    # (full voxel grids; shipping them would dwarf the payload) and the
-    # hit/miss ledger describes the parent's traffic, not the child's.
-    # Each worker process warms its own cache.
+    # pickling: only the cache *configuration* travels with a pickled
+    # featurizer — entries are per-process working state (full voxel
+    # grids; shipping them would dwarf everything else) and the hit/miss
+    # ledger describes this process's traffic.  A copy warms its own cache.
     def __getstate__(self) -> dict:
         return {"capacity": self.capacity, "max_bytes": self.max_bytes}
 

@@ -11,10 +11,7 @@ ones.
 
 from __future__ import annotations
 
-import os
-import signal
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,44 +39,6 @@ class FaultEvent:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mode} in {self.job_name} at {self.at_fraction:.0%} of runtime"
-
-
-@dataclass(frozen=True)
-class ProcessKillFault:
-    """A *real* process-kill fault: ``os.kill`` inside a named worker task.
-
-    Picklable by design — it ships to worker processes inside payloads
-    (e.g. ``StreamingScreen(process_killer=...)``) and fires when the
-    worker executes one of the named tasks on the targeted attempt:
-
-    * the kill only fires **inside a process-pool worker** — when
-      :func:`~repro.parallel.pool.current_task_attempt` is ``None``
-      (thread backend, coordinator), :meth:`check` is a no-op, so the
-      same engine config is safe on every backend;
-    * it fires only when the worker-side attempt number equals
-      ``at_attempt`` (default 1), so the supervised re-dispatch of the
-      same task runs clean and the chaos test converges
-      deterministically; ``at_attempt=0`` means *every* attempt — a
-      poison task that is killed until quarantine.
-
-    ``signal.SIGKILL`` is the default on purpose: it is the one signal
-    Python cannot intercept, i.e. exactly the crash class
-    (OOM-killer, node preemption) that supervision exists for.
-    """
-
-    names: frozenset = field(default_factory=frozenset)
-    at_attempt: int = 1
-    sig: int = int(signal.SIGKILL)
-
-    def check(self, name: str) -> None:
-        """Kill this worker process iff ``name`` is targeted on this attempt."""
-        if name not in self.names:
-            return
-        from repro.parallel.pool import current_task_attempt
-
-        attempt = current_task_attempt()
-        if attempt is not None and self.at_attempt in (0, attempt):
-            os.kill(os.getpid(), self.sig)  # pragma: no cover - dies here
 
 
 class FaultInjector:
@@ -141,41 +100,6 @@ class FaultInjector:
         event = FaultEvent(job_name=job_name, mode=mode, at_fraction=float(rng.uniform(0.05, 0.95)))
         self.injected.append(event)
         return event
-
-    def plan_process_kills(
-        self,
-        candidates: Sequence[str],
-        count: int = 1,
-        at_attempt: int = 1,
-        sig: int = int(signal.SIGKILL),
-    ) -> ProcessKillFault:
-        """Pick ``count`` task names (seeded) whose workers will be killed.
-
-        Unlike :meth:`check` — which *simulates* a failure by raising in
-        the job body — the returned :class:`ProcessKillFault` delivers a
-        real signal to a real worker process, exercising the
-        ``BrokenProcessPool`` → respawn → re-dispatch path of
-        :class:`~repro.parallel.supervisor.SupervisedTaskPool`.  The
-        selection is deterministic in (seed, candidate list), and each
-        chosen name is recorded in :attr:`injected` as a
-        ``"process_kill"`` :class:`FaultEvent`.
-        """
-        names: list[str] = []
-        if self.enabled and candidates and count > 0:
-            rng = np.random.default_rng(
-                derive_seed(self.seed, "process-kill", len(candidates))
-            )
-            picks = rng.choice(
-                len(candidates), size=min(count, len(candidates)), replace=False
-            )
-            names = [str(candidates[int(i)]) for i in np.sort(picks)]
-        for name in names:
-            self.injected.append(
-                FaultEvent(job_name=name, mode="process_kill", at_fraction=0.0)
-            )
-        return ProcessKillFault(
-            names=frozenset(names), at_attempt=int(at_attempt), sig=int(sig)
-        )
 
     def observed_failure_rate(self) -> float:
         """Fraction of checks that produced a fault (diagnostics)."""

@@ -26,8 +26,9 @@ class HorovodContext:
         The underlying :class:`repro.hpc.mpi.RankContext` — or any
         object with the same collective surface (``rank``/``size``/
         ``allgather``/``bcast``/``barrier``/``allreduce_exact``), such
-        as the process-backed star context :func:`repro.hpc.mpi.run_spmd_process`
-        hands its ranks.
+        as the star context :func:`repro.hpc.mpi.run_spmd_process` hands
+        the ranks of the training process backend
+        (``DistributedTrainerConfig(backend="process")``).
     gpus_per_node:
         Number of GPUs per node; used to derive the local rank -> GPU
         binding exactly as ``hvd.local_rank()`` would.

@@ -285,6 +285,12 @@ class Tensor:
 
         def backward(grad):
             a, b = self.data, other.data
+            if a.ndim == 1 and b.ndim == 1:
+                # inner product: the upstream gradient is a 0-d scalar
+                return (
+                    grad * b if self.requires_grad else None,
+                    grad * a if other.requires_grad else None,
+                )
             if a.ndim == 1:
                 a2 = a[None, :]
             else:

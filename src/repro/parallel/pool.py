@@ -1,16 +1,14 @@
 """A spawn-based process pool with one-time payload shipping.
 
-:class:`ProcessTaskPool` is the primitive behind every process backend in
-the repo (``StreamConfig(backend="process")``,
-:class:`repro.serving.workers.ProcessModelBackend`, the SPMD ranks of
-:func:`repro.hpc.mpi.run_spmd_process`).  The design follows
-one rule: **ship the heavy state once, dispatch light descriptors
-forever**.
+:class:`ProcessTaskPool` runs the ranks of
+:func:`repro.hpc.mpi.run_spmd_process`, the process backend of
+``DistributedTrainerConfig``.  The design follows one rule: **ship the
+heavy state once, dispatch light descriptors forever**.
 
-* The *payload* — model weights, binding sites, a stripped streaming
-  engine — is pickled exactly once in the parent and handed to each
-  worker process through the executor initializer, so per-task messages
-  stay small (shard index triples, compound ids, collated batches).
+* The *payload* — the rank body with everything it captured — is
+  pickled exactly once in the parent and handed to each worker process
+  through the executor initializer, so per-task messages stay small
+  (a rank number).
 * Workers are started with ``multiprocessing.get_context("spawn")``:
   children run a fresh interpreter (no inherited locks mid-acquire, no
   copied thread state — fork's classic hazards), import the payload's
@@ -25,8 +23,8 @@ Spawn-safety rules for payloads (see also ``docs/parallel.md``):
    ``threading`` primitives need ``__getstate__`` (e.g.
    :class:`~repro.telemetry.StreamingHistogram`,
    :class:`~repro.featurize.cache.FeatureCache`);
-3. payloads must not expect parent-side mutable state: checkpoints,
-   services and fault injectors stay in the coordinator.
+3. payloads must not expect parent-side mutable state: ranks exchange
+   data only through their rank context's collectives.
 """
 
 from __future__ import annotations
@@ -41,15 +39,12 @@ __all__ = [
     "PoolClosedError",
     "ProcessTaskPool",
     "WorkerPayload",
-    "current_task_attempt",
     "validate_backend",
 ]
 
-#: Every execution backend a parallel path accepts.  ``"thread"`` is the
-#: in-process pool each call site always had; ``"process"`` routes the
-#: same work through a :class:`ProcessTaskPool`.  Results are
-#: bit-identical either way, which is why the choice never enters
-#: checkpoint or shard keys.
+#: Every execution backend the data-parallel trainer accepts.
+#: ``"thread"`` runs ranks on in-process threads; ``"process"`` runs them
+#: on a :class:`ProcessTaskPool`.  Results are bit-identical either way.
 PARALLEL_BACKENDS = ("thread", "process")
 
 
@@ -95,46 +90,8 @@ class _Warmup:
     """Sentinel task: spawns a worker and ships the payload, does nothing."""
 
 
-class _AttemptedTask:
-    """A task wrapped with its dispatch attempt number.
-
-    :class:`~repro.parallel.supervisor.SupervisedTaskPool` wraps every
-    task it re-dispatches after a crash so fault injectors inside the
-    worker (:class:`repro.hpc.faults.ProcessKillFault`) can fire on a
-    *specific* attempt — kill attempt 1, let the respawned attempt 2
-    run clean — keeping chaos tests deterministic.
-    """
-
-    __slots__ = ("task", "attempt")
-
-    def __init__(self, task: Any, attempt: int) -> None:
-        self.task = task
-        self.attempt = int(attempt)
-
-    def __getstate__(self):
-        return (self.task, self.attempt)
-
-    def __setstate__(self, state):
-        self.task, self.attempt = state
-
-
 #: One payload per worker *process*, installed by the initializer.
 _PAYLOAD: Any = None
-
-#: Attempt number of the task currently executing in *this* worker
-#: process; ``None`` outside a worker (coordinator, thread backends).
-_TASK_ATTEMPT: int | None = None
-
-
-def current_task_attempt() -> int | None:
-    """Attempt number of the task running in this worker process.
-
-    ``1`` on first dispatch, ``2`` after one crash re-dispatch, and so
-    on; ``None`` when not inside a process-pool worker (so in-worker
-    fault injectors stay inert on thread backends and in the
-    coordinator).
-    """
-    return _TASK_ATTEMPT
 
 
 def _initialize_worker(payload_bytes: bytes) -> None:
@@ -143,19 +100,11 @@ def _initialize_worker(payload_bytes: bytes) -> None:
 
 
 def _run_task(task: Any) -> Any:
-    global _TASK_ATTEMPT
     if _PAYLOAD is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker process has no payload; initializer did not run")
-    attempt = 1
-    if task.__class__ is _AttemptedTask:
-        attempt, task = task.attempt, task.task
     if task.__class__ is _Warmup:
         return None
-    _TASK_ATTEMPT = attempt
-    try:
-        return _PAYLOAD.run_task(task)
-    finally:
-        _TASK_ATTEMPT = None
+    return _PAYLOAD.run_task(task)
 
 
 class ProcessTaskPool:
@@ -175,37 +124,11 @@ class ProcessTaskPool:
     """
 
     def __init__(self, payload: WorkerPayload, max_workers: int = 1) -> None:
-        self._init_from_bytes(
-            pickle.dumps(payload), max_workers, type(payload).__name__
-        )
-
-    @classmethod
-    def from_bytes(
-        cls,
-        payload_bytes: bytes,
-        max_workers: int = 1,
-        payload_type: str = "payload",
-    ) -> "ProcessTaskPool":
-        """Build a pool from an already-pickled payload.
-
-        This is the respawn path of
-        :class:`~repro.parallel.supervisor.SupervisedTaskPool`: the
-        payload was serialized exactly once up front, so replacing a
-        crashed pool costs only process spawns, never re-pickling model
-        weights or binding sites.
-        """
-        pool = cls.__new__(cls)
-        pool._init_from_bytes(payload_bytes, max_workers, payload_type)
-        return pool
-
-    def _init_from_bytes(
-        self, payload_bytes: bytes, max_workers: int, payload_type: str
-    ) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = int(max_workers)
-        self._payload_bytes = payload_bytes
-        self._payload_type = payload_type
+        self._payload_bytes = pickle.dumps(payload)
+        self._payload_type = type(payload).__name__
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=multiprocessing.get_context("spawn"),
@@ -223,19 +146,6 @@ class ProcessTaskPool:
     def payload_type(self) -> str:
         """Class name of the shipped payload (diagnostics)."""
         return self._payload_type
-
-    def is_broken(self) -> bool:
-        """Whether a worker death has poisoned the underlying executor."""
-        executor = self._executor
-        return bool(executor is not None and getattr(executor, "_broken", False))
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of live worker processes (chaos tests kill these)."""
-        executor = self._executor
-        if executor is None:
-            return []
-        processes = getattr(executor, "_processes", None) or {}
-        return [proc.pid for proc in list(processes.values()) if proc.is_alive()]
 
     def submit(self, task: Any) -> Future:
         """Dispatch one task descriptor; returns its future."""

@@ -407,7 +407,6 @@ class CampaignRuntime:
         stream_config = StreamConfig(
             shard_size=cfg.shard_size,
             workers=self.runtime.max_workers,
-            backend=cfg.backend,
             top_k=cfg.resolved_top_k(),
             fusion_batch_size=cfg.fusion_batch_size,
             poses_per_compound=cfg.poses_per_compound,

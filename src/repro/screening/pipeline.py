@@ -43,12 +43,6 @@ class CampaignConfig:
     poses_per_compound: int = 4
     docking_mc_steps: int = 25
     docking_restarts: int = 2
-    #: execution backend of the streamed screen's shard workers:
-    #: ``"thread"`` or ``"process"`` (spawned worker processes,
-    #: :mod:`repro.parallel`).  Results are bit-identical either way, so
-    #: the backend never enters checkpoint keys: retuning it keeps every
-    #: stage and shard checkpoint warm.
-    backend: str = "thread"
     compounds_tested_per_site: int = 12
     biology_penalty_mean: float = 2.6
     seed: int = 2020
@@ -82,11 +76,6 @@ class CampaignConfig:
             raise ValueError("shard_size must be positive")
         if self.fusion_batch_size < 0:
             raise ValueError("fusion_batch_size must be non-negative")
-        if self.use_serving and self.backend == "process":
-            # the streaming engine scores through the serving service's
-            # in-process replica pool; a shard worker in another process
-            # cannot reach it (see repro.screening.stream)
-            raise ValueError("streaming campaigns cannot combine use_serving with backend='process'")
 
 
 @dataclass

@@ -69,15 +69,8 @@ from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa, DockingRecord
 from repro.featurize.engine import FeaturePipeline
-from repro.hpc.faults import FaultEvent, FaultInjector, ProcessKillFault
+from repro.hpc.faults import FaultEvent, FaultInjector
 from repro.nn.module import Module
-from repro.parallel import (
-    SupervisedTaskPool,
-    SupervisionConfig,
-    TaskFailure,
-    isolated_registry,
-    validate_backend,
-)
 from repro.runtime.checkpoint import CheckpointStore, checkpoint_key
 from repro.runtime.stages import RetryPolicy
 from repro.screening.partition import shard_bounds
@@ -370,14 +363,9 @@ class StreamConfig:
 
     shard_size: int = 64
     workers: int = 1
-    #: worker execution backend: ``"thread"`` runs shard bodies on the
-    #: engine's ordered thread pool (the default); ``"process"`` keeps the
-    #: same threads as dispatchers but executes each shard body in a
-    #: spawned worker process (:mod:`repro.parallel`, supervised with the
-    #: :class:`~repro.parallel.SupervisionConfig` defaults), breaking the
-    #: GIL.  Like ``shard_size``/``workers`` this is a
-    #: pure throughput knob — results are bit-identical (golden suite),
-    #: so it never enters checkpoint/shard keys.
+    #: accepts ``"thread"`` only: shards always run on the engine's
+    #: ordered thread pool.  Kept so existing callers that spell the
+    #: backend out still construct; nothing reads it.
     backend: str = "thread"
     top_k: int = 50
     fusion_batch_size: int = 0
@@ -390,10 +378,10 @@ class StreamConfig:
     library_name: str = "campaign"
     nan_policy: str = "drop"
     #: re-runs a shard whose attempt drew an injected ``FaultInjector``
-    #: fault.  An exception raised by the shard body itself (a
-    #: quarantined process-backend shard included) is not retried: shard
-    #: bodies are deterministic, so it fails the shard on that attempt
-    #: and goes straight to ``on_shard_failure``.  Never enters shard keys.
+    #: fault.  An exception raised by the shard body itself is not
+    #: retried: shard bodies are deterministic, so it fails the shard on
+    #: that attempt and goes straight to ``on_shard_failure``.  Never
+    #: enters shard keys.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: ``"raise"`` stops the stream on retry exhaustion (completed shards
     #: keep their checkpoints); ``"skip"`` records the shard as failed
@@ -412,7 +400,11 @@ class StreamConfig:
             raise ValueError("fusion_batch_size must be non-negative (0 = per-compound)")
         if self.on_shard_failure not in ("raise", "skip"):
             raise ValueError(f"unknown on_shard_failure policy '{self.on_shard_failure}'")
-        validate_backend(self.backend)
+        if self.backend != "thread":
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}: shards run on threads only "
+                "(the process backend was removed)"
+            )
 
 
 @dataclass
@@ -487,35 +479,6 @@ class StreamingScreenResult:
 
 
 # --------------------------------------------------------------------------- #
-# Process-backend shard payload
-# --------------------------------------------------------------------------- #
-class _ShardWorkerPayload:
-    """Shipped once to every spawned shard worker (``backend="process"``).
-
-    Carries the engine (with coordinator-only state stripped — see
-    :meth:`StreamingScreen.__getstate__`) and the compound source, so
-    per-shard dispatch is a bare ``(index, start, stop)`` descriptor:
-    molecules are regenerated *inside* the worker via the source's pure
-    per-index protocol (``generate_range`` for a
-    :class:`~repro.datasets.libraries.StreamingLibrary`), never pickled
-    per task.  Each task runs under an isolated telemetry registry whose
-    mergeable export travels back with the outcome, so the coordinator's
-    metrics (docking kernel counters, cache ledgers, histograms) match
-    the thread backend's exactly.
-    """
-
-    def __init__(self, engine: "StreamingScreen", source: Any) -> None:
-        self.engine = engine
-        self.source = source
-
-    def run_task(self, task: tuple[int, int, int]) -> tuple[ShardOutcome, dict]:
-        index, start, stop = task
-        with isolated_registry() as registry:
-            outcome = self.engine._execute_shard(index, start, stop, self.source)
-        return outcome, registry.export_mergeable()
-
-
-# --------------------------------------------------------------------------- #
 # The streaming engine
 # --------------------------------------------------------------------------- #
 class StreamingScreen:
@@ -550,14 +513,6 @@ class StreamingScreen:
     fault_injector:
         Optional fault source; each shard attempt passes through one
         draw, keyed by shard name and attempt number.
-    process_killer:
-        Optional :class:`~repro.hpc.faults.ProcessKillFault` for chaos
-        testing the process backend: unlike the coordinator-side
-        ``fault_injector`` it *ships with the worker payload* and
-        SIGKILLs the worker process executing a named shard, exercising
-        the real crash → respawn → re-dispatch supervision path.  Inert
-        on the thread backend (the kill only fires inside a pool
-        worker), so one engine config is safe on both backends.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When given,
         it is *activated* for the duration of :meth:`run`, so spans from
@@ -581,20 +536,12 @@ class StreamingScreen:
         checkpoints: CheckpointStore | None = None,
         checkpoint_salt: str = "",
         fault_injector: FaultInjector | None = None,
-        process_killer: ProcessKillFault | None = None,
         prep_factory: Callable[[], CDT2Ligand] | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if model is None and service is None:
             raise ValueError("provide a model, a service, or both")
         config = config or StreamConfig()
-        if service is not None and config.backend == "process":
-            raise ValueError(
-                "backend='process' cannot score through a ScoringService: worker "
-                "processes cannot reach the coordinator's service threads — use "
-                "backend='thread' with a service, or drop the service and let each "
-                "worker process score with its own model copy"
-            )
         self.model = model
         self.featurizer = featurizer
         self.sites = dict(sorted(sites.items()))
@@ -603,35 +550,11 @@ class StreamingScreen:
         self.checkpoints = checkpoints
         self.checkpoint_salt = str(checkpoint_salt)
         self.faults = fault_injector or FaultInjector(enabled=False)
-        # Travels in the worker payload (not coordinator-only): the kill
-        # must fire inside the worker process it targets.
-        self.process_killer = process_killer
         self.prep_factory = prep_factory or CDT2Ligand
         self.telemetry = telemetry
         self._last_run: dict | None = None
-        self._shard_pool: SupervisedTaskPool | None = None
         self.receptors = CDT1Receptor().run(list(self.sites.values()))
         self._site_map = {name: receptor.site for name, receptor in self.receptors.items()}
-
-    # ------------------------------------------------------------------ #
-    # pickling (process backend): the engine travels to shard workers
-    # once, inside the pool payload.  Coordinator-only state — the
-    # serving route, checkpoint store, fault injector, telemetry bundle
-    # and the pool itself — stays behind: checkpoint restore, retries and
-    # fault draws run in the coordinator's dispatcher threads either way,
-    # which is exactly what keeps the two backends bit-identical.
-    # ------------------------------------------------------------------ #
-    _COORDINATOR_ONLY = ("service", "checkpoints", "faults", "telemetry", "_last_run", "_shard_pool")
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for name in self._COORDINATOR_ONLY:
-            state[name] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.faults = FaultInjector(enabled=False)
 
     # ------------------------------------------------------------------ #
     # source access
@@ -711,10 +634,6 @@ class StreamingScreen:
 
     def _execute_shard(self, index: int, start: int, stop: int, source: Any) -> ShardOutcome:
         cfg = self.config
-        if self.process_killer is not None:
-            # chaos hook: SIGKILL this worker if the fault targets this
-            # shard on this attempt (inert outside pool workers)
-            self.process_killer.check(self.shard_name(index))
         molecules = self._source_slice(source, start, stop)
         prepared = self.prep_factory().run(molecules, library=cfg.library_name)
         docking = CDT3Docking(
@@ -751,29 +670,6 @@ class StreamingScreen:
             num_compounds=len(molecules),
         )
 
-    def _dispatch_shard(self, index: int, start: int, stop: int, source: Any) -> ShardOutcome:
-        """Run one shard attempt on the configured backend.
-
-        Thread backend: execute inline on the calling worker thread.
-        Process backend: submit the ``(index, start, stop)`` descriptor to
-        the shard pool, then fold the worker process's exported metrics
-        into the active registry — exact counter adds and histogram
-        merges, so telemetry is backend-invariant too.  Exceptions raised
-        in the worker process surface here exactly like inline ones and
-        flow into :meth:`_run_shard`'s failure handling.
-        """
-        pool = self._shard_pool
-        if pool is None:
-            return self._execute_shard(index, start, stop, source)
-        result = pool.run((index, start, stop))
-        if isinstance(result, TaskFailure):
-            # Quarantined poison shard: escalate into the ordinary
-            # shard-failure flow (retry budget, then on_shard_failure).
-            raise result.to_exception()
-        outcome, worker_metrics = result
-        current_telemetry().registry.absorb(worker_metrics)
-        return outcome
-
     def _shard_compound_ids(self, source: Any, start: int, stop: int) -> tuple[str, ...]:
         """Compound ids of one shard, without materializing molecules when
         the source can name compounds by index (``StreamingLibrary``)."""
@@ -808,7 +704,7 @@ class StreamingScreen:
             fault = self.faults.check(self.shard_name(index), 1, attempt=attempt)
             if fault is None:
                 try:
-                    outcome = self._dispatch_shard(index, start, stop, source)
+                    outcome = self._execute_shard(index, start, stop, source)
                 except Exception as error:
                     outcome = ShardOutcome(
                         index=index, start=start, stop=stop, status="failed",
@@ -882,23 +778,6 @@ class StreamingScreen:
         bounds = shard_bounds(total, cfg.shard_size)
         limit = len(bounds) if stop_after_shards is None else min(max(int(stop_after_shards), 0), len(bounds))
         run_span.set("num_shards", limit)
-
-        if cfg.backend == "process" and limit > 0:
-            # one payload (stripped engine + source) shipped per worker
-            # process; capped at the shard count so tiny runs do not pay
-            # for processes that would never receive a task.  The pool
-            # runs under supervision: a SIGKILL'd shard worker respawns
-            # the pool and re-executes the shard from its seed (shard
-            # bodies are pure functions of the descriptor, so recovery
-            # never changes a result bit).
-            self._shard_pool = SupervisedTaskPool(
-                _ShardWorkerPayload(self, source),
-                max_workers=min(cfg.workers, limit),
-                config=SupervisionConfig(),
-                registry=registry,
-            )
-            self._shard_pool.warm()
-            run_span.set("process_workers", self._shard_pool.max_workers)
 
         top_k = {name: TopKSelector(cfg.top_k, nan_policy=cfg.nan_policy) for name in self.sites}
         stats = {name: StreamingStats() for name in self.sites}
@@ -1035,9 +914,6 @@ class StreamingScreen:
             raise
         finally:
             executor.shutdown(wait=True)
-            if self._shard_pool is not None:
-                self._shard_pool.close()
-                self._shard_pool = None
             run_span.__exit__(None, None, None)
             scope.__exit__(None, None, None)
 

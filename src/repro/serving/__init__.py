@@ -19,7 +19,8 @@ from repro.serving.requests import (
     site_digest,
 )
 from repro.serving.service import DrainResult, Overloaded, PendingScore, ScoringService, ServingConfig
-from repro.serving.workers import ModuleBackend, ProcessModelBackend, ReplicaPool, ScoringBackend
+from repro.serving.breaker import CircuitBreaker
+from repro.serving.workers import ModuleBackend, ReplicaPool, ScoringBackend
 
 __all__ = [
     "MicroBatch",
@@ -41,8 +42,8 @@ __all__ = [
     "PendingScore",
     "ScoringService",
     "ServingConfig",
+    "CircuitBreaker",
     "ModuleBackend",
-    "ProcessModelBackend",
     "ReplicaPool",
     "ScoringBackend",
 ]

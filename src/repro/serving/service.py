@@ -32,8 +32,7 @@ from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
 from repro.serving.cache import H5CacheAdapter, ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import ScoreRequest, ScoreResponse
-from repro.parallel import validate_backend
-from repro.serving.workers import ModuleBackend, ProcessModelBackend, ReplicaPool, ScoringBackend
+from repro.serving.workers import ModuleBackend, ReplicaPool, ScoringBackend
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import current as current_telemetry
 from repro.utils.logging import get_logger
@@ -65,13 +64,6 @@ class ServingConfig:
     cache_enabled: bool = True
     #: deep-copy the model per replica instead of sharing one instance
     replicate_weights: bool = False
-    #: replica execution backend: ``"thread"`` scores on the replica's
-    #: worker thread (GIL-shared), ``"process"`` gives each replica a
-    #: spawned worker process with its own weights copy (shipped once at
-    #: startup).  Scores are bit-identical either way — the model, the
-    #: collate and the batch protocol are unchanged — so the choice never
-    #: enters result-cache or checkpoint keys.
-    backend: str = "thread"
     #: consecutive batch failures on one replica before its circuit
     #: breaker opens and the replica's backend is restarted; dispatch
     #: routes around open replicas until a half-open probe succeeds.
@@ -177,39 +169,24 @@ class ScoringService:
             raise ValueError("a FeaturePipeline is required")
         self.config = config or ServingConfig()
         cfg = self.config
-        validate_backend(cfg.backend)
-        # built first so replica supervision and breakers share one registry
+        # built first so the replica breakers share the service's registry
         self.metrics = ServingMetrics(max_batch_size=cfg.max_batch_size, registry=registry)
-        shared_registry = self.metrics.registry
-        if cfg.backend == "process":
-            # process replicas always own their weights (a process cannot
-            # share a live module), so replicate_weights is implied; a
-            # caller-provided ScoringBackend cannot be shipped to worker
-            # processes — only the raw model can
-            if model is None:
+        base = backend if backend is not None else ModuleBackend(model)
+        if cfg.replicate_weights:
+            if not isinstance(base, ModuleBackend):
                 raise ValueError(
-                    "backend='process' requires model=; a custom ScoringBackend "
-                    "cannot be shipped to worker processes"
+                    "replicate_weights=True requires a ModuleBackend; custom backends "
+                    "must manage their own per-replica isolation"
                 )
-            base = ProcessModelBackend(model, registry=shared_registry)
             backends: list[ScoringBackend] = base.replicate(cfg.num_replicas)
         else:
-            base = backend if backend is not None else ModuleBackend(model)
-            if cfg.replicate_weights:
-                if not isinstance(base, ModuleBackend):
-                    raise ValueError(
-                        "replicate_weights=True requires a ModuleBackend; custom backends "
-                        "must manage their own per-replica isolation"
-                    )
-                backends = base.replicate(cfg.num_replicas)
-            else:
-                backends = [base] * cfg.num_replicas
+            backends = [base] * cfg.num_replicas
         self.featurizer = featurizer
         self.pool = ReplicaPool(
             backends,
             breaker_threshold=cfg.breaker_threshold,
             breaker_reset_s=cfg.breaker_reset_s,
-            registry=shared_registry,
+            registry=self.metrics.registry,
         )
         self.batcher = MicroBatcher(max_batch_size=cfg.max_batch_size, capacity=cfg.queue_capacity)
         # one permit per replica: the dispatcher cuts an online batch only

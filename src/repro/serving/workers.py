@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.tensor import no_grad
-from repro.parallel import (
-    CircuitBreaker,
-    SupervisedTaskPool,
-    SupervisionConfig,
-    TaskFailure,
-)
+from repro.serving.breaker import CircuitBreaker
 from repro.serving.requests import model_fingerprint
 from repro.telemetry import MetricsRegistry
 from repro.utils.logging import get_logger
@@ -76,121 +71,6 @@ class ModuleBackend:
         for index in range(copies):
             clone = ModuleBackend(copy.deepcopy(self.model), name=f"{self.name}#{index}")
             clone._fingerprint = self.fingerprint()
-            replicas.append(clone)
-        return replicas
-
-
-class _ModelScoringPayload:
-    """Shipped once to a replica's worker process: the model itself.
-
-    The wrapping :class:`ModuleBackend` is built lazily in the child on
-    first use (it is pure derived state), so the pickled payload carries
-    exactly the weights — shipped once at process startup, never again.
-    """
-
-    def __init__(self, model: Module, name: str) -> None:
-        self.model = model
-        self.name = name
-        self._backend: ModuleBackend | None = None
-
-    def __getstate__(self) -> dict:
-        return {"model": self.model, "name": self.name}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._backend = None
-
-    def run_task(self, batch: dict) -> np.ndarray:
-        if self._backend is None:
-            self._backend = ModuleBackend(self.model, name=self.name)
-        return self._backend.score_batch(batch)
-
-
-class ProcessModelBackend:
-    """A :class:`ScoringBackend` whose model lives in a dedicated process.
-
-    The thread-pool replicas of :class:`ReplicaPool` all contend for one
-    GIL; a ``ProcessModelBackend`` replica owns a spawned worker process
-    instead, so N replicas score on N cores.  Weights are shipped once at
-    startup (via the pool's one-time payload), per-batch traffic is the
-    collated NumPy batch out and the score vector back, and the
-    fingerprint is computed in the parent *before* shipping — identity
-    and cache keys are exactly :class:`ModuleBackend`'s.
-    """
-
-    def __init__(
-        self,
-        model: Module,
-        name: str = "",
-        supervision: SupervisionConfig | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.model = model
-        self.model.eval()
-        self.name = name or f"{type(model).__name__}@process"
-        self._fingerprint = model_fingerprint(model)
-        self._supervision = supervision or SupervisionConfig()
-        self._registry = registry
-        self._lock = threading.Lock()
-        self._pool: SupervisedTaskPool | None = None
-
-    def fingerprint(self) -> str:
-        return self._fingerprint
-
-    def start(self) -> None:
-        """Spawn the worker process and start shipping the weights.
-
-        Idempotent, and valid again after :meth:`close` — a restarted
-        replica pool gets a fresh process.  The warm-up is asynchronous:
-        process startup overlaps the rest of pool startup, and the first
-        ``score_batch`` simply queues behind it.  The pool runs under
-        supervision: a killed worker process respawns and the affected
-        batch re-scores bit-identically (inference is pure).
-        """
-        with self._lock:
-            if self._pool is None:
-                self._pool = SupervisedTaskPool(
-                    _ModelScoringPayload(self.model, self.name),
-                    max_workers=1,
-                    config=self._supervision,
-                    registry=self._registry,
-                )
-                self._pool.warm()
-
-    def score_batch(self, batch: dict) -> np.ndarray:
-        self.start()
-        with self._lock:
-            pool = self._pool
-        if pool is None:  # pragma: no cover - closed between start and here
-            raise RuntimeError(f"backend '{self.name}' is closed")
-        scores = pool.run(batch)
-        if isinstance(scores, TaskFailure):
-            raise scores.to_exception()
-        return np.asarray(scores, dtype=np.float64).reshape(-1)
-
-    def worker_pids(self) -> list[int]:
-        """PID(s) of the replica's live worker process (chaos tests)."""
-        with self._lock:
-            pool = self._pool
-        return [] if pool is None else pool.worker_pids()
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    def replicate(self, copies: int) -> list["ProcessModelBackend"]:
-        """Replicas that each own a worker process (weights shipped per process)."""
-        replicas = []
-        for index in range(copies):
-            clone = ProcessModelBackend(
-                self.model,
-                name=f"{self.name}#{index}",
-                supervision=self._supervision,
-                registry=self._registry,
-            )
-            clone._fingerprint = self._fingerprint
             replicas.append(clone)
         return replicas
 
@@ -333,9 +213,9 @@ class ReplicaPool:
     def close(self, wait: bool = True) -> None:
         """Stop the workers (reopenable: a later :meth:`start` restarts).
 
-        Backends exposing their own lifecycle (``ProcessModelBackend``'s
-        worker process) are closed after their replica thread drains, and
-        restarted by the next :meth:`start`.
+        Backends exposing their own lifecycle (``start()``/``close()``)
+        are closed after their replica thread drains, and restarted by the
+        next :meth:`start`.
         """
         for replica in self._replicas:
             replica.close()
@@ -379,10 +259,10 @@ class ReplicaPool:
 
         No-op when breakers are disabled.  The moment a breaker opens
         (``failure_threshold`` consecutive failures) the replica's
-        backend is restarted in place — ``close()`` then ``start()`` —
-        which for a :class:`ProcessModelBackend` replaces the worker
-        process.  Called from the replica's own worker thread, so the
-        restart never blocks dispatch to healthy replicas.
+        backend is restarted in place — ``close()`` then ``start()``, for
+        backends that expose those hooks.  Called from the replica's own
+        worker thread, so the restart never blocks dispatch to healthy
+        replicas.
         """
         replica = self._replicas[replica_index]
         breaker = replica.breaker

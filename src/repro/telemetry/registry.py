@@ -128,54 +128,6 @@ class MetricsRegistry:
             self._probes[name] = probe
 
     # ------------------------------------------------------------------ #
-    # cross-process merge: a worker process exports, the coordinator
-    # absorbs.  Both directions are exact — integer counter adds and
-    # :meth:`StreamingHistogram.merge` (Shewchuk-exact, order-invariant)
-    # — so metrics are independent of how work was split across workers.
-    def export_mergeable(self) -> dict:
-        """Picklable mergeable state: counter/gauge values and histograms.
-
-        Unlike :meth:`snapshot` (point-in-time *summaries* for humans and
-        artifacts), the export carries the histograms themselves so the
-        receiving registry can :meth:`absorb` them without quantile loss.
-        Probes are deliberately absent: they sample external state that
-        does not exist outside the owning process.
-        """
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {name: handle.value for name, handle in counters.items()},
-            "gauges": {name: handle.value for name, handle in gauges.items()},
-            "histograms": histograms,
-        }
-
-    def absorb(self, exported: Mapping) -> None:
-        """Fold one :meth:`export_mergeable` document into this registry.
-
-        Counters add, gauges accumulate via :meth:`Gauge.add` (the
-        convention every accumulating gauge in the codebase already
-        follows), histograms merge exactly — get-or-create under the
-        source histogram's own bucket configuration, so absorbing into a
-        fresh registry reproduces the worker's histograms bit-for-bit.
-        """
-        for name, value in exported["counters"].items():
-            if value:
-                self.counter(name).inc(value)
-        for name, value in exported["gauges"].items():
-            if value:
-                self.gauge(name).add(value)
-        for name, histogram in exported["histograms"].items():
-            handle = self.histogram(
-                name,
-                min_value=histogram.min_value,
-                max_value=histogram.max_value,
-                growth=histogram.growth,
-            )
-            handle.merge(histogram)
-
-    # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
         """One point-in-time document of every registered metric."""
         with self._lock:

@@ -179,6 +179,7 @@ BINARY_CASES = [
     ("matmul", lambda a, b: a @ b, (3, 4), (4, 5)),
     ("matmul-vector-left", lambda a, b: a @ b, (4,), (4, 5)),
     ("matmul-vector-right", lambda a, b: a @ b, (3, 4), (4,)),
+    ("matmul-vector-vector", lambda a, b: a @ b, (3,), (3,)),
     ("matmul-batched-broadcast", lambda a, b: a @ b, (2, 3, 4), (4, 5)),
     ("matmul-batched", lambda a, b: a @ b, (2, 3, 4), (2, 4, 5)),
     ("mul", lambda a, b: a * b, (3, 4), (3, 4)),

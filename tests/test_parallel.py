@@ -1,13 +1,10 @@
-"""Process-backend primitives: ProcessTaskPool, metric merging, pickling.
+"""The process pool behind the SPMD training ranks, and pickling.
 
-The process backend's correctness story has three legs, each pinned
-here:
+Two legs are pinned here:
 
 * the pool itself — one-time payload shipping, task dispatch, error
-  propagation, idempotent shutdown;
-* the telemetry bridge — worker registries export mergeable state the
-  coordinator absorbs exactly (counter adds, exact histogram merges);
-* spawn-safety of the shipped state — ``StreamingHistogram`` and
+  propagation, idempotent shutdown, the typed error after ``close()``;
+* spawn-safety of shippable state — ``StreamingHistogram`` and
   ``FeatureCache`` pickle by design (locks recreated, cache entries
   deliberately left behind).
 """
@@ -23,12 +20,11 @@ import pytest
 from repro.featurize.cache import FeatureCache
 from repro.parallel import (
     PARALLEL_BACKENDS,
+    PoolClosedError,
     ProcessTaskPool,
-    isolated_registry,
     validate_backend,
 )
-from repro.telemetry import MetricsRegistry, StreamingHistogram
-from repro.telemetry import current as current_telemetry
+from repro.telemetry import StreamingHistogram
 
 
 # --------------------------------------------------------------------------- #
@@ -105,55 +101,23 @@ class TestProcessTaskPool:
             ProcessTaskPool(_EchoPayload("x"), max_workers=0)
 
 
-# --------------------------------------------------------------------------- #
-# telemetry bridge: export_mergeable / absorb / isolated_registry
-# --------------------------------------------------------------------------- #
-class TestMetricMerging:
-    def test_counters_add_and_gauges_accumulate(self):
-        worker = MetricsRegistry()
-        worker.counter("work.items").inc(7)
-        worker.gauge("work.seconds").add(1.5)
-        coordinator = MetricsRegistry()
-        coordinator.counter("work.items").inc(3)
-        coordinator.absorb(worker.export_mergeable())
-        coordinator.absorb(worker.export_mergeable())
-        assert coordinator.counter("work.items").value == 3 + 7 + 7
-        assert coordinator.gauge("work.seconds").value == pytest.approx(3.0)
+class TestPoolClosedError:
+    def test_plain_pool_names_pool_and_payload(self):
+        pool = ProcessTaskPool(_EchoPayload("x"), max_workers=1)
+        pool.close()
+        with pytest.raises(PoolClosedError, match="closed") as excinfo:
+            pool.submit(1)
+        message = str(excinfo.value)
+        assert "ProcessTaskPool" in message
+        assert "_EchoPayload" in message
+        with pytest.raises(PoolClosedError):
+            pool.run(1)
 
-    def test_zero_valued_metrics_do_not_materialize_handles(self):
-        worker = MetricsRegistry()
-        worker.counter("touched.never")
-        coordinator = MetricsRegistry()
-        coordinator.absorb(worker.export_mergeable())
-        assert coordinator.snapshot()["counters"] == {}
-
-    def test_histograms_absorb_bit_exactly_through_pickle(self):
-        """The full worker->coordinator round trip: observe in a worker
-        registry, pickle the export (as the process boundary does), absorb
-        into a fresh registry — bucket counts and quantiles identical to
-        observing directly."""
-        values = np.abs(np.random.default_rng(5).normal(0.2, 2.0, size=300)) + 1e-6
-        worker = MetricsRegistry()
-        worker.histogram("shard.seconds", min_value=1e-6, max_value=1e3).observe_many(values)
-        direct = StreamingHistogram(min_value=1e-6, max_value=1e3)
-        direct.observe_many(values)
-
-        exported = pickle.loads(pickle.dumps(worker.export_mergeable()))
-        coordinator = MetricsRegistry()
-        coordinator.absorb(exported)
-        merged = coordinator.histogram("shard.seconds")
-        assert merged.count == direct.count
-        assert np.array_equal(merged.bucket_counts(), direct.bucket_counts())
-        assert merged.summary() == direct.summary()
-
-    def test_isolated_registry_does_not_leak_into_the_active_bundle(self):
-        outer = current_telemetry().registry
-        before = outer.counter("parallel.test.leak").value
-        with isolated_registry() as registry:
-            current_telemetry().registry.counter("parallel.test.leak").inc(5)
-            assert registry.counter("parallel.test.leak").value == 5
-        assert outer.counter("parallel.test.leak").value == before
-        assert current_telemetry().registry is outer
+    def test_pool_closed_error_pickles(self):
+        error = PoolClosedError("ProcessTaskPool", "_EchoPayload")
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, PoolClosedError)
+        assert str(clone) == str(error)
 
 
 # --------------------------------------------------------------------------- #

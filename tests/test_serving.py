@@ -22,6 +22,7 @@ from repro.serving import (
     model_fingerprint,
 )
 from repro.serving.requests import ScoreRequest
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +379,7 @@ def test_campaign_routed_through_serving_matches_direct_scoring(workbench):
 
 
 # --------------------------------------------------------------------- #
-# replica-pool lifecycle and the process scoring backend
+# replica-pool lifecycle
 # --------------------------------------------------------------------- #
 class _CountingBackend:
     """Minimal in-thread ScoringBackend for pool lifecycle tests."""
@@ -444,48 +445,78 @@ class TestReplicaPoolLifecycle:
             pool.submit(lambda i, b: None)
 
 
-class TestProcessModelBackend:
-    def test_scores_and_fingerprint_match_module_backend(self, workbench, traffic):
-        from repro.serving import ModuleBackend, ProcessModelBackend
+# --------------------------------------------------------------------- #
+# replica circuit breaker
+# --------------------------------------------------------------------- #
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
 
-        samples = [workbench.featurizer.featurize(c) for c in traffic[:4]]
-        batch = collate_complexes(samples)
-        reference = ModuleBackend(workbench.coherent_fusion)
-        backend = ProcessModelBackend(workbench.coherent_fusion)
-        try:
-            assert backend.fingerprint() == reference.fingerprint()
-            scores = backend.score_batch(batch)
-            # close + rescore: the next call spawns a fresh worker process
-            backend.close()
-            again = backend.score_batch(batch)
-        finally:
-            backend.close()
-        direct = reference.score_batch(batch)
-        assert np.array_equal(scores, direct)
-        assert np.array_equal(again, direct)
+    def __call__(self):
+        return self.now
 
-    def test_service_process_backend_bit_identical_to_thread(self, workbench, traffic):
-        kwargs = dict(max_batch_size=4, num_replicas=2, queue_capacity=64)
-        with ScoringService(
-            model=workbench.coherent_fusion, featurizer=workbench.featurizer,
-            config=ServingConfig(**kwargs),
-        ) as service:
-            by_thread = [r.score for r in service.score_many(traffic)]
-        with ScoringService(
-            model=workbench.coherent_fusion, featurizer=workbench.featurizer,
-            config=ServingConfig(backend="process", **kwargs),
-        ) as service:
-            by_process = [r.score for r in service.score_many(traffic)]
-            snapshot = service.snapshot()
-        # the bulk path partitions deterministically, so the process
-        # replicas see the exact batches the thread replicas saw
-        assert by_process == by_thread
-        assert snapshot.completed == snapshot.submitted
-        assert snapshot.failed == 0
+    def advance(self, dt):
+        self.now += dt
 
-    def test_process_backend_requires_a_model(self, workbench):
-        with pytest.raises(ValueError, match="requires model="):
-            ScoringService(
-                backend=_CountingBackend(), featurizer=workbench.featurizer,
-                config=ServingConfig(backend="process"),
-            )
+
+class TestCircuitBreaker:
+    def test_full_cycle_closed_open_halfopen_closed(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(
+            name="replica-0",
+            failure_threshold=3,
+            reset_timeout_s=10.0,
+            registry=registry,
+            clock=clock,
+        )
+        assert breaker.state == "closed"
+        # a success resets the consecutive-failure streak
+        assert not breaker.record_failure()
+        assert not breaker.record_failure()
+        breaker.record_success()
+        assert not breaker.record_failure()
+        assert not breaker.record_failure()
+        assert breaker.record_failure()  # third consecutive: trips open
+        assert breaker.state == "open"
+        assert not breaker.allow()
+        assert breaker.seconds_until_probe() == pytest.approx(10.0)
+
+        clock.advance(10.0)
+        assert breaker.state == "half_open"
+        assert breaker.peek_allow()
+        assert breaker.allow()  # the probe
+        assert not breaker.allow()  # only one probe in flight
+        breaker.record_success()
+        assert breaker.state == "closed"
+        assert breaker.allow()
+
+        snap = registry.snapshot()
+        assert snap["counters"]["supervision.breaker_opened"] == 1
+        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(10.0)
+
+    def test_half_open_probe_failure_reopens(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=5.0, registry=registry, clock=clock
+        )
+        assert breaker.record_failure()
+        clock.advance(5.0)
+        assert breaker.allow()
+        assert breaker.record_failure()  # probe failed: reopen for a full window
+        assert breaker.state == "open"
+        assert not breaker.allow()
+        assert registry.snapshot()["counters"]["supervision.breaker_opened"] == 2
+
+    def test_validation(self):
+        from repro.serving import CircuitBreaker
+
+        with pytest.raises(ValueError, match="failure_threshold"):
+            CircuitBreaker(failure_threshold=0)
+        with pytest.raises(ValueError, match="reset_timeout_s"):
+            CircuitBreaker(reset_timeout_s=0.0)

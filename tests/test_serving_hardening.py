@@ -306,7 +306,7 @@ def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replica
 
 
 # --------------------------------------------------------------------- #
-# chaos: replica death, circuit breakers, drain diagnostics
+# chaos: circuit breakers and drain diagnostics
 # --------------------------------------------------------------------- #
 class _RestartableFlakyBackend:
     """Thread backend that fails every batch until restarted via close/start.
@@ -342,45 +342,6 @@ class _RestartableFlakyBackend:
             if self.wedged:
                 raise RuntimeError("replica wedged")
         return np.zeros(len(batch["ids"]), dtype=np.float64)
-
-
-def test_replica_worker_kill_under_load_ledger_closes(workbench, stress_traffic):
-    """SIGKILL the only process replica's worker mid-load: supervision
-    respawns it and re-scores the lost batch, so every admitted request
-    completes, the ledger closes with zero failures, and the respawn is
-    visible in the shared registry."""
-    import os
-    import signal
-
-    from repro.telemetry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    config = ServingConfig(
-        max_batch_size=2, num_replicas=1,
-        queue_capacity=32, cache_enabled=False, backend="process",
-    )
-    service = ScoringService(
-        model=workbench.coherent_fusion, featurizer=workbench.featurizer,
-        config=config, registry=registry,
-    ).start()
-    try:
-        # warm the worker with one scored request, then kill it
-        service.submit(stress_traffic[0]).result(timeout=120.0)
-        backend = service.pool._replicas[0].backend
-        pids = backend.worker_pids()
-        assert pids, "process replica should have a live worker"
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        handles = [service.submit(c) for c in stress_traffic]
-        responses = [h.result(timeout=120.0) for h in handles]
-        assert len(responses) == len(stress_traffic)
-        assert service.drain(timeout=120.0)
-        snap = service.snapshot()
-    finally:
-        service.close()
-    assert snap.submitted == snap.completed + snap.failed
-    assert snap.failed == 0
-    assert registry.snapshot()["counters"].get("supervision.respawns", 0) >= 1
 
 
 def test_breaker_opens_restarts_and_reopens_on_failed_probe(workbench, stress_traffic):

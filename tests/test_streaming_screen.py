@@ -4,8 +4,7 @@ The golden suite (tier-1) pins the streaming engine's determinism
 contract bit-for-bit (``np.array_equal``, no tolerances):
 
 * top-K ids, scores and summary statistics are identical across
-  ``shard_size`` ∈ {1, 7, 64}, ``workers`` ∈ {1, 4} and ``backend`` ∈
-  {thread, process} (spawned worker processes, :mod:`repro.parallel`);
+  ``shard_size`` ∈ {1, 7, 64} and ``workers`` ∈ {1, 4};
 * the streamed campaign reproduces the straight-line reference
   composition of ``tests/campaign_oracle.py`` exactly (records,
   selections, structural pK, assays) when both score one pose per NN
@@ -95,17 +94,17 @@ def run_stream(workbench, sites, deck, config, **kwargs):
 
 @pytest.fixture(scope="module")
 def stream_matrix(workbench, stream_sites, stream_deck):
-    """The golden matrix: every (shard_size, workers, backend) cell on one deck."""
+    """The golden matrix: every (shard_size, workers) cell on one deck,
+    keyed ``(shard_size, workers, "thread")``."""
     return {
-        (shard, workers, backend): run_stream(
+        (shard, workers, "thread"): run_stream(
             workbench,
             stream_sites,
             stream_deck,
-            make_stream_config(shard_size=shard, workers=workers, backend=backend),
+            make_stream_config(shard_size=shard, workers=workers),
         )
         for shard in (1, 7, 64)
         for workers in (1, 4)
-        for backend in ("thread", "process")
     }
 
 
@@ -274,127 +273,16 @@ class TestGoldenShardInvariance:
 
 
 # --------------------------------------------------------------------------- #
-# process backend (standalone tier-1 subset: cheap enough for CI to run
-# on its own as the "streaming goldens under backend='process'" gate)
+# stream configuration
 # --------------------------------------------------------------------------- #
 @pytest.mark.tier1
-class TestProcessBackend:
-    def test_process_backend_bit_identical_to_thread(self, workbench, stream_sites, stream_deck):
-        by_thread = run_stream(
-            workbench, stream_sites, stream_deck, make_stream_config(shard_size=4, workers=2)
-        )
-        by_process = run_stream(
-            workbench, stream_sites, stream_deck,
-            make_stream_config(shard_size=4, workers=2, backend="process"),
-        )
-        assert by_process.num_compounds == len(stream_deck)
-        for site in stream_sites:
-            assert np.array_equal(by_process.topk_arrays(site)[0], by_thread.topk_arrays(site)[0])
-            assert np.array_equal(by_process.topk_arrays(site)[1], by_thread.topk_arrays(site)[1])
-            assert np.array_equal(
-                by_process.stats[site].as_array(), by_thread.stats[site].as_array()
-            )
-
-    def test_worker_process_metrics_are_absorbed(self, workbench, stream_sites, stream_deck):
-        """Shard workers run in spawned processes, yet the coordinator's
-        registry ends up with the same docking counters the thread backend
-        records in-process — the export/absorb bridge at work."""
-        from repro.telemetry import Telemetry, activate
-
-        counters = {}
-        for backend in ("thread", "process"):
-            bundle = Telemetry.disabled()
-            with activate(bundle):
-                run_stream(
-                    workbench, stream_sites, stream_deck,
-                    make_stream_config(shard_size=4, workers=2, backend=backend),
-                )
-            snapshot = bundle.registry.snapshot()["counters"]
-            counters[backend] = {k: v for k, v in snapshot.items() if k.startswith("docking.")}
-        assert counters["process"] == counters["thread"]
-        assert counters["process"]["docking.compounds"] == len(stream_deck) * len(stream_sites)
-
-    def test_process_backend_rejects_a_serving_route(self, workbench, stream_sites):
-        with pytest.raises(ValueError, match="cannot score through a ScoringService"):
-            StreamingScreen(
-                workbench.coherent_fusion,
-                workbench.featurizer,
-                stream_sites,
-                make_stream_config(backend="process"),
-                service=object(),
-            )
-
-    def test_validate_rejects_serving_with_process_backend(self):
-        config = CampaignConfig(use_serving=True, backend="process")
-        with pytest.raises(ValueError, match="use_serving"):
-            config.validate()
-
+class TestStreamConfig:
     def test_unknown_backend_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             make_stream_config(backend="fork")
-
-    def test_seeded_worker_kill_mid_stream_recovers_bit_identical(
-        self, workbench, stream_sites, stream_deck
-    ):
-        """Chaos acceptance: a seeded SIGKILL lands inside one shard worker
-        mid-stream; the supervised pool respawns the process, re-runs the
-        lost shard, and the run completes bit-identical to an unfaulted
-        thread-backend run — with the recovery visible in telemetry."""
-        from repro.telemetry import Telemetry, activate
-
-        clean = run_stream(
-            workbench, stream_sites, stream_deck, make_stream_config(shard_size=4, workers=2)
-        )
-        num_shards = len(shard_bounds(len(stream_deck), 4))
-        names = [f"stream-shard-{index:06d}" for index in range(num_shards)]
-        injector = FaultInjector(seed=SEED)
-        killer = injector.plan_process_kills(names, count=1, at_attempt=1)
-        assert killer.names and injector.injected  # the kill really is planned
-
-        bundle = Telemetry.disabled()
-        with activate(bundle):
-            faulted = run_stream(
-                workbench, stream_sites, stream_deck,
-                make_stream_config(shard_size=4, workers=2, backend="process"),
-                process_killer=killer,
-            )
-        counters = bundle.registry.snapshot()["counters"]
-        assert counters.get("supervision.respawns", 0) >= 1
-        assert counters.get("supervision.redispatches", 0) >= 1
-        assert faulted.num_compounds == len(stream_deck)
-        for site in stream_sites:
-            assert np.array_equal(faulted.topk_arrays(site)[0], clean.topk_arrays(site)[0])
-            assert np.array_equal(faulted.topk_arrays(site)[1], clean.topk_arrays(site)[1])
-            assert np.array_equal(faulted.stats[site].as_array(), clean.stats[site].as_array())
-
-    def test_process_campaign_matches_thread_campaign(
-        self, workbench, stream_sites, streaming_campaign
-    ):
-        """The full streaming campaign under backend='process' reproduces the
-        thread-backend campaign bit for bit — selections, structural pK,
-        top-K and assays."""
-        config = CampaignConfig(
-            sites=stream_sites, shard_size=4, top_k=5,
-            fusion_batch_size=1, backend="process", **CAMPAIGN_KWARGS,
-        )
-        by_process = ScreeningCampaign(
-            workbench.coherent_fusion, workbench.featurizer, config
-        ).run()
-        by_thread = streaming_campaign
-        assert {r.key for r in by_process.database.records()} == {
-            r.key for r in by_thread.database.records()
-        }
-        for site in stream_sites:
-            assert [s.compound_id for s in by_process.selections[site]] == [
-                s.compound_id for s in by_thread.selections[site]
-            ]
-            assert [s.combined for s in by_process.selections[site]] == [
-                s.combined for s in by_thread.selections[site]
-            ]
-            assert [(e.compound_id, e.score) for e in by_process.topk[site]] == [
-                (e.compound_id, e.score) for e in by_thread.topk[site]
-            ]
-        assert by_process.structural_pk == by_thread.structural_pk
+        # shards run on threads only: the process backend is gone
+        with pytest.raises(ValueError, match="process backend was removed"):
+            make_stream_config(backend="process")
 
 
 # --------------------------------------------------------------------------- #
