@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hpc.cluster import LASSEN_NODE, SimulatedCluster
-from repro.hpc.faults import FaultInjector
+from repro.hpc.faults import FAILURE_MODES, FaultInjector
 from repro.hpc.h5store import H5Store
 from repro.hpc.horovod import HorovodContext
 from repro.hpc.mpi import (
@@ -268,6 +268,40 @@ class TestFaults:
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             FaultInjector(failure_rates={4: 1.5})
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 8, 64])
+    def test_uniform_rate_applies_at_every_node_count(self, num_nodes):
+        assert FaultInjector.uniform(0.4).failure_probability(num_nodes) == pytest.approx(0.4)
+
+    def test_failure_probability_interpolates_linearly(self):
+        injector = FaultInjector(seed=0)
+        # halfway between the 4-node (3 %) and 8-node (20 %) rates
+        assert injector.failure_probability(6) == pytest.approx(0.115)
+        assert injector.failure_probability(3) == pytest.approx(0.025)
+
+    def test_certain_failure_draws_a_known_mode_and_strike_point(self):
+        injector = FaultInjector.uniform(1.0, seed=9)
+        events = [injector.check(f"job{i}", 1) for i in range(50)]
+        assert all(event is not None for event in events)
+        assert {event.mode for event in events} <= set(FAILURE_MODES)
+        assert all(0.05 <= event.at_fraction <= 0.95 for event in events)
+        assert injector.injected == events
+
+    def test_zero_rate_never_fails(self):
+        injector = FaultInjector.uniform(0.0, seed=9)
+        assert all(injector.check(f"job{i}", 1) is None for i in range(200))
+        assert injector.injected == []
+
+    def test_each_attempt_draws_reproducibly(self):
+        """A requeued job gets a fresh draw per attempt, and the same
+        (seed, job, attempt) always draws the same fault."""
+        draws = [
+            [FaultInjector.uniform(0.5, seed=4).check("job", 1, attempt=a) for a in range(40)]
+            for _ in range(2)
+        ]
+        assert draws[0] == draws[1]
+        outcomes = {event is None for event in draws[0]}
+        assert outcomes == {True, False}
 
 
 class TestPerformanceModel:

@@ -65,6 +65,11 @@ class TestValidateBackend:
         with pytest.raises(ValueError, match="'fork'.*thread.*process"):
             validate_backend("fork")
 
+    @pytest.mark.parametrize("backend", ["Thread", "PROCESS", ""])
+    def test_backend_names_are_matched_exactly(self, backend):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            validate_backend(backend)
+
 
 # --------------------------------------------------------------------------- #
 # the pool
@@ -100,6 +105,17 @@ class TestProcessTaskPool:
         with pytest.raises(ValueError, match="max_workers"):
             ProcessTaskPool(_EchoPayload("x"), max_workers=0)
 
+    def test_payload_type_names_the_shipped_class(self):
+        with ProcessTaskPool(_EchoPayload("x"), max_workers=1) as pool:
+            assert pool.payload_type == "_EchoPayload"
+            assert pool.payload_nbytes == len(pickle.dumps(_EchoPayload("x")))
+
+    def test_warm_without_wait_lets_tasks_queue_behind_it(self):
+        with ProcessTaskPool(_EchoPayload("warm"), max_workers=1) as pool:
+            warming = pool.warm()
+            assert pool.run(3) == ("warm", 3)
+            assert warming.result() is None
+
 
 class TestPoolClosedError:
     def test_plain_pool_names_pool_and_payload(self):
@@ -112,6 +128,12 @@ class TestPoolClosedError:
         assert "_EchoPayload" in message
         with pytest.raises(PoolClosedError):
             pool.run(1)
+
+    def test_pool_closed_error_is_a_runtime_error_carrying_its_fields(self):
+        error = PoolClosedError("ProcessTaskPool", "_EchoPayload")
+        assert isinstance(error, RuntimeError)
+        assert error.pool_name == "ProcessTaskPool"
+        assert error.payload_type == "_EchoPayload"
 
     def test_pool_closed_error_pickles(self):
         error = PoolClosedError("ProcessTaskPool", "_EchoPayload")

@@ -520,3 +520,134 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError, match="reset_timeout_s"):
             CircuitBreaker(reset_timeout_s=0.0)
+
+
+class TestCircuitBreakerEdges:
+    @pytest.mark.parametrize("threshold", [1, 2, 5])
+    def test_opens_exactly_at_the_threshold(self, threshold):
+        from repro.serving import CircuitBreaker
+
+        breaker = CircuitBreaker(
+            failure_threshold=threshold, registry=MetricsRegistry(), clock=_FakeClock()
+        )
+        for _ in range(threshold - 1):
+            assert not breaker.record_failure()
+            assert breaker.state == "closed"
+            assert breaker.allow()
+        assert breaker.record_failure()
+        assert breaker.state == "open"
+
+    def test_peek_allow_never_claims_the_probe(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=2.0, registry=MetricsRegistry(), clock=clock
+        )
+        breaker.record_failure()
+        assert not breaker.peek_allow()
+        clock.advance(2.0)
+        for _ in range(3):
+            assert breaker.peek_allow()
+        assert breaker.allow()
+        # the probe is in flight: neither look nor claim admits another
+        assert not breaker.peek_allow()
+        assert not breaker.allow()
+
+    def test_seconds_until_probe_counts_down(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=10.0, registry=MetricsRegistry(), clock=clock
+        )
+        assert breaker.seconds_until_probe() == 0.0
+        breaker.record_failure()
+        clock.advance(3.0)
+        assert breaker.seconds_until_probe() == pytest.approx(7.0)
+        clock.advance(7.0)
+        assert breaker.seconds_until_probe() == 0.0
+
+    def test_failure_while_open_restarts_the_window_without_a_new_trip(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=10.0, registry=registry, clock=clock
+        )
+        assert breaker.record_failure()
+        clock.advance(4.0)
+        assert not breaker.record_failure()  # already open: not a fresh trip
+        assert breaker.state == "open"
+        assert breaker.seconds_until_probe() == pytest.approx(10.0)
+        snap = registry.snapshot()
+        assert snap["counters"]["supervision.breaker_opened"] == 1
+        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(4.0)
+
+    def test_open_time_accumulates_across_trips(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=10.0, registry=registry, clock=clock
+        )
+        breaker.record_failure()
+        clock.advance(10.0)
+        assert breaker.allow()
+        breaker.record_failure()  # failed probe: second trip
+        clock.advance(12.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == "closed"
+        snap = registry.snapshot()
+        assert snap["counters"]["supervision.breaker_opened"] == 2
+        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(22.0)
+
+    def test_success_while_closed_records_no_open_time(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(failure_threshold=2, registry=registry, clock=clock)
+        breaker.record_failure()
+        clock.advance(5.0)
+        breaker.record_success()
+        assert breaker.state == "closed"
+        snap = registry.snapshot()
+        assert snap["counters"].get("supervision.breaker_opened", 0) == 0
+        assert snap["gauges"].get("supervision.breaker_open_s", 0.0) == 0.0
+
+    def test_defaults_to_the_active_telemetry_registry(self):
+        from repro.serving import CircuitBreaker
+        from repro.telemetry import Telemetry, activate
+
+        bundle = Telemetry.disabled()
+        with activate(bundle):
+            breaker = CircuitBreaker(failure_threshold=1, clock=_FakeClock())
+        breaker.record_failure()
+        assert bundle.registry.snapshot()["counters"]["supervision.breaker_opened"] == 1
+
+    def test_concurrent_allow_admits_exactly_one_probe(self):
+        from repro.serving import CircuitBreaker
+
+        clock = _FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=1.0, registry=MetricsRegistry(), clock=clock
+        )
+        breaker.record_failure()
+        clock.advance(1.0)
+        start = threading.Barrier(8)
+        admitted = []
+
+        def race():
+            start.wait()
+            admitted.append(breaker.allow())
+
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert sorted(admitted) == [False] * 7 + [True]

@@ -284,6 +284,59 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="process backend was removed"):
             make_stream_config(backend="process")
 
+    def test_thread_backend_is_the_default(self):
+        assert StreamConfig().backend == "thread"
+        assert make_stream_config(backend="thread") == make_stream_config()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(shard_size=0), "shard_size must be positive"),
+            (dict(workers=0), "workers must be positive"),
+            (dict(top_k=0), "top_k must be positive"),
+            (dict(fusion_batch_size=-1), "fusion_batch_size must be non-negative"),
+            (dict(on_shard_failure="ignore"), "unknown on_shard_failure policy 'ignore'"),
+        ],
+    )
+    def test_invalid_field_rejected_at_config_time(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            make_stream_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(shard_size=0), "shard_size must be positive"),
+            (dict(fusion_batch_size=-1), "fusion_batch_size must be non-negative"),
+        ],
+    )
+    def test_campaign_validate_rejects_what_the_stream_cannot_honour(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**overrides).validate()
+
+    def test_campaign_with_serving_route_validates(self):
+        # the serving route runs on the shard threads, so every
+        # use_serving configuration is valid
+        CampaignConfig(use_serving=True).validate()
+
+    def test_docking_counters_cover_every_compound_once(self, workbench, stream_sites, stream_deck):
+        """Shard threads record into the coordinator's active registry: the
+        docking counters count each (compound, site) pair exactly once and
+        do not depend on the worker count."""
+        from repro.telemetry import Telemetry, activate
+
+        counters = {}
+        for workers in (1, 2):
+            bundle = Telemetry.disabled()
+            with activate(bundle):
+                run_stream(
+                    workbench, stream_sites, stream_deck,
+                    make_stream_config(shard_size=4, workers=workers),
+                )
+            snapshot = bundle.registry.snapshot()["counters"]
+            counters[workers] = {k: v for k, v in snapshot.items() if k.startswith("docking.")}
+        assert counters[2] == counters[1]
+        assert counters[1]["docking.compounds"] == len(stream_deck) * len(stream_sites)
+
 
 # --------------------------------------------------------------------------- #
 # serving route
