@@ -142,8 +142,9 @@ def _build_workbench(scale: WorkbenchScale) -> Workbench:
         seed=scale.seed,
     )
     dataset = generate_pdbbind(config)
-    # the content-addressed feature cache serves repeat featurizations
-    # across evaluation passes, campaign rescoring and the serving route
+    # the content-addressed feature cache serves repeat one-complex
+    # featurizations: dataset passes, figure2 and the serving route
+    # (pose batches of the streamed screen bypass it)
     featurizer = FeaturePipeline(
         voxel_config=VoxelGridConfig(grid_dim=scale.grid_dim, channel_set="reduced"),
         graph_config=GraphConfig(),

@@ -48,7 +48,8 @@ def run_figure2(
 
     ``rmsd_filter`` keeps compounds with at least one pose that close to
     the crystal pose (1 A in the paper; slightly looser by default because
-    the synthetic Monte-Carlo docking is coarser).
+    the synthetic Monte-Carlo docking is coarser).  Raises ``ValueError``
+    before any metric is computed when no docked compound passes it.
     """
     vina = VinaScorer()
     mmgbsa = MMGBSARescorer()
@@ -58,6 +59,7 @@ def run_figure2(
     entries = workbench.dataset.core
     per_method: dict[str, list[float]] = {"vina": [], "mmgbsa": [], "coherent_fusion": []}
     experimental: list[float] = []
+    docked_compounds = 0
     kept_compounds = 0
 
     for entry in entries:
@@ -70,6 +72,7 @@ def run_figure2(
         poses = database.poses(entry.site.name, entry.entry_id)
         if not poses:
             continue
+        docked_compounds += 1
         best_rmsd = min(p.rmsd_to_reference for p in poses)
         if np.isfinite(best_rmsd) and best_rmsd > rmsd_filter:
             continue
@@ -88,6 +91,12 @@ def run_figure2(
         per_method["coherent_fusion"].append(fusion_pk)
         experimental.append(entry.experimental_pk)
 
+    if not kept_compounds:
+        raise ValueError(
+            f"no core-set compound passed rmsd_filter={rmsd_filter}: {docked_compounds} of "
+            f"{len(entries)} compounds docked and all {docked_compounds} were dropped because "
+            f"their best pose is farther than {rmsd_filter} A from the crystal pose"
+        )
     experimental_arr = np.array(experimental)
     correlations = {m: pearson_r(experimental_arr, np.array(v)) for m, v in per_method.items()}
     spearman = {m: spearman_r(experimental_arr, np.array(v)) for m, v in per_method.items()}

@@ -21,7 +21,6 @@ from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.featurize.cache import (
     FeatureCache,
     FeatureCacheStats,
-    H5FeatureStore,
     feature_key,
     featurizer_config_digest,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "collate_complexes",
     "FeatureCache",
     "FeatureCacheStats",
-    "H5FeatureStore",
     "feature_key",
     "featurizer_config_digest",
     "FeaturePipeline",

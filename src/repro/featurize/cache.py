@@ -11,9 +11,7 @@ cached *score* still reuses every cached *feature*.
 
 Entries are ``(voxel, graph)`` payloads.  They are treated as immutable:
 consumers collate them into fresh batch arrays and never write into the
-cached tensors.  An :class:`H5FeatureStore` adapter persists the cache
-through :class:`repro.hpc.h5store.H5Store` containers so warm feature
-caches can be shipped between campaign sessions like scoring outputs.
+cached tensors.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 
 from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.digest import molecule_digest, site_digest
-from repro.hpc.h5store import H5Store
 
 FeatureEntry = tuple[np.ndarray, dict]
 
@@ -197,72 +194,3 @@ class FeatureCache:
         """LRU-to-MRU snapshot of the cache contents."""
         with self._lock:
             return list(self._entries.items())
-
-
-class H5FeatureStore:
-    """Persist a :class:`FeatureCache` through an :class:`H5Store`.
-
-    One group per entry (keyed by the content hash), with the voxel
-    tensor and the graph's arrays as datasets; a ``keys`` dataset
-    records LRU-to-MRU order so a warmed cache replays recency too.
-    float64 payloads round-trip bit-exactly through the ``.npz``-backed
-    store, preserving the engine's golden-equivalence guarantee across
-    sessions.
-    """
-
-    GROUP = "featurize/feature_cache"
-
-    def __init__(self, store: H5Store | None = None) -> None:
-        self.store = store if store is not None else H5Store()
-
-    def save(self, cache: FeatureCache) -> H5Store:
-        """Write the cache contents (LRU-to-MRU order) into the store.
-
-        A full overwrite: entry groups persisted by a previous save whose
-        keys have since been evicted are deleted first, so re-saving into
-        the same store (the periodic persist-for-next-session flow) does
-        not accumulate orphaned multi-MB payloads.
-        """
-        entries = cache.items()
-        live = {key for key, _ in entries}
-        for stale in [g for g in self.store.groups(f"{self.GROUP}/entries") if g not in live]:
-            self.store.delete_group(f"{self.GROUP}/entries/{stale}")
-        self.store.write(f"{self.GROUP}/keys", np.array([k for k, _ in entries], dtype="U"))
-        self.store.write_attr(self.GROUP, "num_entries", len(entries))
-        self.store.write_attr(self.GROUP, "capacity", cache.capacity)
-        for key, (voxel, graph) in entries:
-            prefix = f"{self.GROUP}/entries/{key}"
-            self.store.write(f"{prefix}/voxel", voxel)
-            self.store.write(f"{prefix}/node_features", graph["node_features"])
-            self.store.write(f"{prefix}/adj_covalent", graph["adjacency"]["covalent"])
-            self.store.write(f"{prefix}/adj_noncovalent", graph["adjacency"]["noncovalent"])
-            self.store.write(f"{prefix}/ligand_mask", graph["ligand_mask"].astype(np.uint8))
-            self.store.write_attr(prefix, "graph_id", str(graph.get("id", "")))
-        return self.store
-
-    def load(self, cache: FeatureCache) -> int:
-        """Warm ``cache`` from the store; returns the number of entries loaded.
-
-        Entries are replayed oldest-first so the store's MRU entries end
-        up most recent in the warmed cache as well.
-        """
-        if f"{self.GROUP}/keys" not in self.store:
-            return 0
-        keys = self.store.read(f"{self.GROUP}/keys")
-        loaded = 0
-        for key in keys.tolist():
-            prefix = f"{self.GROUP}/entries/{key}"
-            if f"{prefix}/voxel" not in self.store:
-                raise ValueError(f"corrupt feature store: missing payload for key '{key}'")
-            graph = {
-                "node_features": self.store.read(f"{prefix}/node_features"),
-                "adjacency": {
-                    "covalent": self.store.read(f"{prefix}/adj_covalent"),
-                    "noncovalent": self.store.read(f"{prefix}/adj_noncovalent"),
-                },
-                "ligand_mask": self.store.read(f"{prefix}/ligand_mask").astype(bool),
-                "id": str(self.store.attrs(prefix).get("graph_id", "")),
-            }
-            cache.put(str(key), self.store.read(f"{prefix}/voxel"), graph)
-            loaded += 1
-        return loaded

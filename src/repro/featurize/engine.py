@@ -10,10 +10,10 @@ whole-array NumPy operations instead of one Python call per atom:
 * :class:`VectorizedGraphBuilder` builds node features, covalent and
   non-covalent adjacencies from flat atom arrays, with pocket-side
   extraction memoized per binding site;
-* :class:`FeaturePipeline` fronts both, adds a content-addressed
+* :class:`FeaturePipeline` fronts both and adds a content-addressed
   :class:`~repro.featurize.cache.FeatureCache` (key = pose + binding
   site + featurizer config, mirroring the serving result-cache design)
-  and optional :class:`H5Store` persistence.
+  to its one-complex entry point.
 
 The per-atom reference loops these replaced are kept as test oracles
 (``tests/featurize_oracle.py``), and ``tests/test_featurize_engine.py``
@@ -49,7 +49,6 @@ from repro.featurize.atom_features import (
 from repro.featurize.cache import (
     FeatureCache,
     FeatureCacheStats,
-    H5FeatureStore,
     feature_key,
     featurizer_config_digest,
 )
@@ -462,15 +461,14 @@ class FeaturePipeline:
     seed:
         Seed of the augmentation stream.
 
-    On top of featurization it keeps:
-
-    * a content-addressed :class:`FeatureCache` — key = pose + binding
-      site + featurizer config — serving repeat featurizations without
-      recomputation.  Lookups are bypassed whenever a random rotation is
-      drawn (``augment`` and ``training``), because augmented tensors
-      are sample-unique by design;
-    * optional persistence of the warm cache through
-      :class:`H5FeatureStore`.
+    On top of featurization it keeps a content-addressed
+    :class:`FeatureCache` — key = pose + binding site + featurizer
+    config — that :meth:`featurize` (one complex: serving requests,
+    dataset passes) reads and fills.  :meth:`featurize_many` (pose
+    batches: the streamed screen, scoring jobs) never touches it, since
+    every docked pose is new.  Lookups are also bypassed whenever a
+    random rotation is drawn (``augment`` and ``training``), because
+    augmented tensors are sample-unique by design.
 
     Cached tensors are shared between hits and must be treated as
     read-only; batch collation always copies them into fresh arrays.
@@ -534,11 +532,12 @@ class FeaturePipeline:
         target: float = float("nan"),
         training: bool = False,
     ) -> FeaturizedComplex:
-        """Featurize one complex into a :class:`FeaturizedComplex`."""
-        rotation = None
-        if self.augment and training:
-            rotation = random_axis_rotation(self._rng, self.rotation_probability)
-        voxel, graph = self._compute(complex_, rotation)
+        """Featurize one complex into a :class:`FeaturizedComplex`.
+
+        The cached entry point: an unrotated complex is looked up in (and
+        added to) the feature cache.
+        """
+        voxel, graph = self._compute(complex_, self._rotation(training))
         return self._wrap(complex_, voxel, graph, target)
 
     def featurize_many(
@@ -547,25 +546,24 @@ class FeaturePipeline:
         targets: Sequence[float] | None = None,
         training: bool = False,
     ) -> list[FeaturizedComplex]:
-        """Featurize a pose batch (targets default to ``nan``)."""
+        """Featurize a pose batch (targets default to ``nan``).
+
+        The uncached entry point: every pose is computed fresh and the
+        feature cache is neither read nor filled, so a streamed screen's
+        memory does not grow with the poses it has scored.  The features
+        equal :meth:`featurize`'s bit for bit.
+        """
         if targets is None:
             targets = [float("nan")] * len(complexes)
         if len(targets) != len(complexes):
             raise ValueError("targets must match complexes in length")
         with current_telemetry().span("featurize-many") as span:
             span.set("batch", len(complexes))
-            if self.augment and training:
-                # one rotation draw per complex, in order — the same RNG
-                # consumption sequence as calling featurize() per complex
-                rotations = [
-                    random_axis_rotation(self._rng, self.rotation_probability) for _ in complexes
-                ]
-                return [
-                    self._wrap(c, *self._compute_fresh(c, r), t)
-                    for c, r, t in zip(complexes, rotations, targets)
-                ]
+            # one rotation draw per complex, in order — the same RNG
+            # consumption sequence as calling featurize() per complex
             return [
-                self._wrap(c, *self._compute(c, None), t) for c, t in zip(complexes, targets)
+                self._wrap(c, *self._compute_fresh(c, self._rotation(training)), t)
+                for c, t in zip(complexes, targets)
             ]
 
     # ------------------------------------------------------------------ #
@@ -573,21 +571,13 @@ class FeaturePipeline:
         """Feature-cache counters (``None`` when the cache is disabled)."""
         return self.cache.stats() if self.cache is not None else None
 
-    def save_cache(self, adapter: H5FeatureStore | None = None) -> H5FeatureStore:
-        """Persist the warm feature cache for the next session."""
-        if self.cache is None:
-            raise RuntimeError("no feature cache to save")
-        adapter = adapter or H5FeatureStore()
-        adapter.save(self.cache)
-        return adapter
-
-    def load_cache(self, adapter: H5FeatureStore) -> int:
-        """Warm the feature cache from a persisted store."""
-        if self.cache is None:
-            raise RuntimeError("no feature cache to load into")
-        return adapter.load(self.cache)
-
     # ------------------------------------------------------------------ #
+    def _rotation(self, training: bool) -> np.ndarray | None:
+        """One augmentation draw when augmenting a training sample, else ``None``."""
+        if self.augment and training:
+            return random_axis_rotation(self._rng, self.rotation_probability)
+        return None
+
     def _compute(
         self, complex_: ProteinLigandComplex, rotation: np.ndarray | None
     ) -> tuple[np.ndarray, dict]:

@@ -196,9 +196,6 @@ class CampaignRuntime:
         telemetry = self.telemetry if self.telemetry is not None else current_telemetry()
         scope = activate(self.telemetry) if self.telemetry is not None else nullcontext()
         tracer = telemetry.tracer
-        feature_cache = getattr(self.featurizer, "cache", None)
-        if feature_cache is not None:
-            telemetry.registry.register_probe("feature_cache", lambda: vars(feature_cache.stats()))
         try:
             with scope:
                 for stage in self.stages:

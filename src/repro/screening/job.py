@@ -143,7 +143,7 @@ class FusionScoringJob:
             predictions: list[float] = []
             if my_records:
                 # featurize the rank's slice through the featurizer's batch
-                # entry point, which featurizes (and caches) whole pose batches
+                # entry point, which computes every pose fresh (no cache)
                 samples = self.featurizer.featurize_many(
                     [
                         ProteinLigandComplex(

@@ -46,6 +46,14 @@ class TestFigure2:
         claims = figure2.qualitative_claims(result)
         assert "fusion_beats_vina" in claims
 
+    def test_empty_rmsd_filter_raises_before_metrics(self, workbench, monkeypatch):
+        def no_metrics(*args):
+            raise AssertionError("a metric was computed on an empty core set")
+
+        monkeypatch.setattr(figure2, "pearson_r", no_metrics)
+        with pytest.raises(ValueError, match=r"rmsd_filter=-1\.0: (\d+) of \d+ compounds docked and all \1 were dropped"):
+            figure2.run_figure2(workbench, poses_per_compound=1, rmsd_filter=-1.0)
+
 
 class TestTable7AndFigure4:
     def test_table7(self):

@@ -185,7 +185,8 @@ class TestByteBudget:
             engine.featurize(pose_complexes[0]).voxel, engine.featurize(pose_complexes[0]).graph
         )
         tiny = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_max_bytes=2 * one_entry)
-        tiny.featurize_many(pose_complexes)
+        for complex_ in pose_complexes:
+            tiny.featurize(complex_)
         stats = tiny.stats()
         assert stats.bytes <= 2 * one_entry
         assert stats.evictions >= len(pose_complexes) - 2

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.featurize.atom_features import atom_arrays, feature_matrix_from_arrays
-from repro.featurize.cache import H5FeatureStore
 from repro.featurize.engine import (
     FeaturePipeline,
     VectorizedGraphBuilder,
@@ -21,7 +20,6 @@ from repro.featurize.engine import (
 from repro.featurize.graph import GraphConfig, _row_normalize
 from repro.featurize.pipeline import collate_complexes
 from repro.featurize.voxelize import VoxelGridConfig, random_axis_rotation
-from repro.hpc.h5store import H5Store
 
 from featurize_oracle import (
     ComplexFeaturizer,
@@ -204,17 +202,19 @@ class TestFeaturePipelineEquivalence:
         engine = FeaturePipeline(
             VoxelGridConfig(grid_dim=8), augment=True, rotation_probability=1.0, seed=3
         )
-        engine.featurize_many(pose_complexes, training=True)
+        for complex_ in pose_complexes:
+            engine.featurize(complex_, training=True)
         stats = engine.stats()
         assert stats.lookups == 0 and len(engine.cache) == 0
         # inference features of the same poses do populate the cache
-        engine.featurize_many(pose_complexes, training=False)
+        for complex_ in pose_complexes:
+            engine.featurize(complex_, training=False)
         assert len(engine.cache) == len(pose_complexes)
 
     def test_cache_hits_serve_identical_features(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        cold = engine.featurize_many(pose_complexes)
-        warm = engine.featurize_many(pose_complexes)
+        cold = [engine.featurize(c) for c in pose_complexes]
+        warm = [engine.featurize(c) for c in pose_complexes]
         stats = engine.stats()
         assert stats.misses == len(pose_complexes)
         assert stats.hits == len(pose_complexes)
@@ -222,25 +222,36 @@ class TestFeaturePipelineEquivalence:
         for a, b in zip(cold, warm):
             assert_samples_identical(a, b)
 
-    def test_featurize_many_computes_only_uncached_poses(self, pose_complexes):
+    def test_featurize_computes_only_uncached_poses(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        engine.featurize_many(pose_complexes[:2])
-        engine.featurize_many(pose_complexes)
+        for complex_ in pose_complexes[:2]:
+            engine.featurize(complex_)
+        for complex_ in pose_complexes:
+            engine.featurize(complex_)
         stats = engine.stats()
         assert stats.misses == len(pose_complexes)
         assert stats.hits == 2
         assert len(engine.cache) == len(pose_complexes)
 
-    def test_featurize_many_deduplicates_repeated_poses(self, pose_complexes):
+    def test_featurize_deduplicates_repeated_poses(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         repeated = list(pose_complexes) * 3
-        served = engine.featurize_many(repeated)
+        served = [engine.featurize(c) for c in repeated]
         assert engine.stats().misses == len(pose_complexes)
         assert len(engine.cache) == len(pose_complexes)
         uncached = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_enabled=False)
         assert uncached.stats() is None
-        for a, b in zip(served, uncached.featurize_many(repeated)):
+        for a, b in zip(served, [uncached.featurize(c) for c in repeated]):
             assert_samples_identical(a, b)
+
+    def test_featurize_many_equals_featurize_and_leaves_cache_empty(self, pose_complexes):
+        batch_engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        batch = batch_engine.featurize_many(pose_complexes)
+        single = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        for a, b in zip(batch, [single.featurize(c) for c in pose_complexes]):
+            assert_samples_identical(a, b)
+        stats = batch_engine.stats()
+        assert stats.lookups == 0 and len(batch_engine.cache) == 0
 
     def test_featurize_many_rejects_mismatched_targets(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
@@ -284,49 +295,3 @@ class TestFeaturePipelineEquivalence:
         # same config -> same key, regardless of pipeline instance
         twin = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         assert small.key_for(pose_complexes[0]) == twin.key_for(pose_complexes[0])
-
-
-class TestCachePersistence:
-    def test_h5_roundtrip_preserves_bits(self, pose_complexes, tmp_path):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        originals = engine.featurize_many(pose_complexes)
-        adapter = engine.save_cache()
-        path = tmp_path / "features.npz"
-        adapter.store.save(path)
-
-        warmed = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        loaded = warmed.load_cache(H5FeatureStore(H5Store.load(path)))
-        assert loaded == len(pose_complexes)
-        served = warmed.featurize_many(pose_complexes)
-        assert warmed.stats().hits == len(pose_complexes)
-        for a, b in zip(originals, served):
-            assert_samples_identical(a, b)
-
-    def test_empty_store_loads_nothing(self):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        assert engine.load_cache(H5FeatureStore(H5Store())) == 0
-
-    def test_resave_removes_stale_entry_groups(self, pose_complexes):
-        # small cache: later poses evict earlier ones between two saves
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_capacity=2)
-        adapter = H5FeatureStore()
-        engine.featurize_many(pose_complexes[:2])
-        engine.save_cache(adapter)
-        datasets_first = len(adapter.store)
-        engine.featurize_many(pose_complexes[2:4])  # evicts the first two
-        engine.save_cache(adapter)
-        # same number of live entries -> same store size: no orphaned payloads
-        assert len(adapter.store) == datasets_first
-        persisted = set(adapter.store.groups(f"{H5FeatureStore.GROUP}/entries"))
-        live = {key for key, _ in engine.cache.items()}
-        assert persisted == live
-        # and the re-saved store still warms a fresh cache correctly
-        warmed = FeaturePipeline(VoxelGridConfig(grid_dim=8))
-        assert warmed.load_cache(adapter) == 2
-
-    def test_save_without_cache_raises(self):
-        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8), cache_enabled=False)
-        with pytest.raises(RuntimeError):
-            engine.save_cache()
-        with pytest.raises(RuntimeError):
-            engine.load_cache(H5FeatureStore(H5Store()))

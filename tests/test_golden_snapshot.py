@@ -80,8 +80,8 @@ def score_engine(workbench, complexes) -> tuple[list[float], list[float]]:
     voxel_config, graph_config = featurizer_configs(workbench)
     engine = FeaturePipeline(voxel_config, graph_config)
     model = workbench.coherent_fusion
-    cold = [float(model.predict_batch([s])[0]) for s in engine.featurize_many(complexes)]
-    cached = [float(model.predict_batch([s])[0]) for s in engine.featurize_many(complexes)]
+    cold = [float(model.predict_batch([engine.featurize(c)])[0]) for c in complexes]
+    cached = [float(model.predict_batch([engine.featurize(c)])[0]) for c in complexes]
     stats = engine.stats()
     assert stats.hits >= len(complexes), "second pass should be fully cache-served"
     return cold, cached

@@ -21,6 +21,8 @@ no regeneration step in this file.
 
 from __future__ import annotations
 
+import copy
+import gc
 import math
 import os
 import random
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -36,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chem.protein import make_sarscov2_targets
 from repro.datasets.libraries import build_screening_deck, make_streaming_library
+from repro.featurize.cache import entry_nbytes
 from repro.hpc.faults import FaultInjector
 from repro.runtime import CheckpointStore, RetryPolicy
 from repro.screening.partition import shard_bounds
@@ -686,6 +690,50 @@ class TestStreamingLibrary:
         ).run(library)
         assert result.num_compounds == 5
         assert result.num_shards == 3
+
+
+# --------------------------------------------------------------------------- #
+# memory: a screen keeps nothing per pose
+# --------------------------------------------------------------------------- #
+MEMORY_COMPOUNDS = 4
+
+
+class TestScreenMemory:
+    def test_retained_memory_does_not_grow_with_the_library(
+        self, workbench, stream_sites, pose_complexes
+    ):
+        """Screening 4N compounds retains no more than screening N: pose
+        batches bypass the feature cache, so no featurized pose outlives
+        its shard."""
+        featurizer = copy.deepcopy(workbench.featurizer)  # same config, empty ledger
+        sample = featurizer.featurize_many(pose_complexes[:1])[0]
+        one_pose = entry_nbytes(sample.voxel, sample.graph)
+        config = make_stream_config(shard_size=4, fusion_batch_size=0)
+
+        def retained_after(compounds: int) -> int:
+            library = make_streaming_library("enamine", size=compounds, seed=SEED)
+            result = StreamingScreen(
+                workbench.coherent_fusion, featurizer, stream_sites, config
+            ).run(library)
+            assert result.num_compounds == compounds
+            del result
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            small = retained_after(MEMORY_COMPOUNDS)
+            large = retained_after(4 * MEMORY_COMPOUNDS)
+        finally:
+            tracemalloc.stop()
+
+        assert featurizer.stats().lookups == 0
+        # far less than the features of 3N poses (the extra 3N compounds
+        # dock 12N poses over the two sites)
+        assert large - small < 3 * MEMORY_COMPOUNDS * one_pose / 4, (
+            f"screening {3 * MEMORY_COMPOUNDS} more compounds retained "
+            f"{(large - small) / 2**20:.2f} MB more (one pose's features: {one_pose / 2**20:.2f} MB)"
+        )
 
 
 # --------------------------------------------------------------------------- #
