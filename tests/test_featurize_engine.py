@@ -253,6 +253,30 @@ class TestFeaturePipelineEquivalence:
         stats = batch_engine.stats()
         assert stats.lookups == 0 and len(batch_engine.cache) == 0
 
+    def test_featurize_many_neither_reads_nor_reorders_a_warm_cache(self, pose_complexes):
+        engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
+        warm = [engine.featurize(c) for c in reversed(pose_complexes[:2])]
+        before = engine.stats()
+        keys_before = [key for key, _ in engine.cache.items()]
+        batch = engine.featurize_many(pose_complexes)
+        assert engine.stats() == before
+        assert [key for key, _ in engine.cache.items()] == keys_before
+        for a, b in zip(reversed(warm), batch[:2]):
+            assert_samples_identical(a, b)
+
+    def test_featurize_many_draws_rotations_like_featurize(self, pose_complexes):
+        def pipeline():
+            return FeaturePipeline(
+                VoxelGridConfig(grid_dim=8), augment=True, rotation_probability=0.5, seed=11
+            )
+
+        batch_engine, single_engine = pipeline(), pipeline()
+        for _ in range(2):
+            batch = batch_engine.featurize_many(pose_complexes, training=True)
+            single = [single_engine.featurize(c, training=True) for c in pose_complexes]
+            for a, b in zip(batch, single):
+                assert_samples_identical(a, b)
+
     def test_featurize_many_rejects_mismatched_targets(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         with pytest.raises(ValueError, match="targets must match"):
