@@ -78,7 +78,6 @@ def run_figure4(
                     chunk_size=batch,
                     chunks_per_step=4,
                     ranks=ranks,
-                    backend="thread",
                     seed=2020,
                 )
                 trainer = DistributedTrainer(model, samples, config=config)

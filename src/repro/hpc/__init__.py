@@ -24,7 +24,7 @@ offline, so this sub-package provides:
 
 from repro.hpc.cluster import GPUSpec, NodeAllocation, NodeSpec, SimulatedCluster, LASSEN_NODE
 from repro.hpc.scheduler import Job, JobScheduler, JobState, SchedulerConfig
-from repro.hpc.mpi import CollectiveError, LocalCommunicator, RankContext, run_spmd, run_spmd_process
+from repro.hpc.mpi import CollectiveError, LocalCommunicator, RankContext, run_spmd
 from repro.hpc.horovod import HorovodContext
 from repro.hpc.faults import FaultEvent, FaultInjector
 from repro.hpc.performance import FusionThroughputModel, PerformanceEstimate, ScorerCostModel
@@ -44,7 +44,6 @@ __all__ = [
     "LocalCommunicator",
     "RankContext",
     "run_spmd",
-    "run_spmd_process",
     "HorovodContext",
     "FaultInjector",
     "FaultEvent",

@@ -12,10 +12,9 @@ program.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
-from concurrent.futures import FIRST_EXCEPTION, BrokenExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -35,46 +34,6 @@ class CollectiveError(RuntimeError):
     def __init__(self, tag: str, cause: BaseException) -> None:
         super().__init__(f"collective '{tag}' failed: {cause}")
         self.tag = tag
-
-
-class RankLostError(RuntimeError):
-    """A rank's worker process died mid-step; raised on *every* rank.
-
-    The process analogue of :class:`CollectiveError`: when a spawned
-    rank is killed (OOM, preemption, a real SIGKILL), its peers must
-    not starve at the next collective until the communicator timeout —
-    the coordinator posts a loss sentinel into every queue so surviving
-    ranks fail fast with the same descriptive error the caller of
-    :func:`run_spmd_process` receives.
-    """
-
-    def __init__(self, rank: int, size: int, reason: str) -> None:
-        super().__init__(
-            f"rank {rank} of {size} was lost during an SPMD step: {reason}"
-        )
-        self.rank = int(rank)
-        self.size = int(size)
-        self.reason = str(reason)
-
-    def __reduce__(self):
-        return (RankLostError, (self.rank, self.size, self.reason))
-
-
-class _RankLoss:
-    """Queue sentinel fanned out by the coordinator when a rank dies."""
-
-    __slots__ = ("rank", "size", "reason")
-
-    def __init__(self, rank: int, size: int, reason: str) -> None:
-        self.rank = rank
-        self.size = size
-        self.reason = reason
-
-    def __getstate__(self):
-        return (self.rank, self.size, self.reason)
-
-    def __setstate__(self, state):
-        self.rank, self.size, self.reason = state
 
 
 class _CollectiveFailure:
@@ -313,8 +272,7 @@ def run_spmd(
     barrier_timeout:
         Seconds a rank waits at a barrier/collective before giving up —
         short in tests (fail fast on a deadlocked program), raised for
-        long campaign steps.  The process backend's equivalent is
-        :func:`run_spmd_process`'s ``timeout``.
+        long campaign steps.
 
     Returns
     -------
@@ -327,184 +285,3 @@ def run_spmd(
     with ThreadPoolExecutor(max_workers=size) as pool:
         futures = [pool.submit(fn, ctx) for ctx in contexts]
         return [f.result() for f in futures]
-
-
-# ---------------------------------------------------------------------- #
-# Process-backed SPMD
-# ---------------------------------------------------------------------- #
-class _StarRankContext:
-    """Per-rank collectives over manager queues, for process-backed SPMD.
-
-    Implements the same collective surface a :class:`RankContext` offers
-    (``rank``/``size``/``allgather``/``bcast``/``barrier``/
-    ``allreduce_exact``) so SPMD programs run unchanged on either
-    backend.  Topology is a star with rank 0 as combiner: every other
-    rank puts its contribution on the shared up-queue and blocks on its
-    private down-queue; rank 0 drains the up-queue, combines, and fans
-    the result out.  SPMD ordering makes the single shared up-queue
-    safe — a rank can only enter collective *k+1* after receiving the
-    result of *k*, which rank 0 only sends once it has every *k*
-    contribution, so the up-queue never mixes two collectives.
-    """
-
-    def __init__(self, rank: int, size: int, up: Any, down: Sequence[Any], timeout: float) -> None:
-        self.rank = int(rank)
-        self._size = int(size)
-        self._up = up
-        self._down = list(down)
-        self.timeout = float(timeout)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def _get(self, source: Any, tag: str) -> Any:
-        try:
-            item = source.get(timeout=self.timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"collective '{tag}' starved on rank {self.rank} after {self.timeout}s "
-                "(another rank likely failed before contributing)"
-            ) from None
-        if isinstance(item, _RankLoss):
-            # The coordinator observed a peer die and poisoned every
-            # queue: fail this collective on every surviving rank now
-            # instead of starving until the timeout above.
-            raise RankLostError(item.rank, item.size, item.reason)
-        return item
-
-    def allgather(self, value: Any, tag: str = "allgather") -> list[Any]:
-        if self._size == 1:
-            return [value]
-        if self.rank == 0:
-            contributions: dict[int, Any] = {0: value}
-            while len(contributions) < self._size:
-                got_tag, src, payload = self._get(self._up, tag)
-                if got_tag != tag:  # pragma: no cover - SPMD ordering forbids this
-                    raise CollectiveError(tag, RuntimeError(f"interleaved collective '{got_tag}'"))
-                contributions[src] = payload
-            ordered = [contributions[r] for r in range(self._size)]
-            for r in range(1, self._size):
-                self._down[r].put((tag, ordered))
-            return ordered
-        self._up.put((tag, self.rank, value))
-        got_tag, ordered = self._get(self._down[self.rank], tag)
-        if got_tag != tag:  # pragma: no cover - SPMD ordering forbids this
-            raise CollectiveError(tag, RuntimeError(f"interleaved collective '{got_tag}'"))
-        return ordered
-
-    def barrier(self) -> None:
-        self.allgather(None, tag="barrier")
-
-    def bcast(self, value: Any = None, root: int = 0, tag: str = "bcast") -> Any:
-        return self.allgather(value if self.rank == root else None, tag=tag)[root]
-
-    def allreduce_exact(self, arrays: Sequence[np.ndarray], tag: str = "allreduce-exact") -> np.ndarray:
-        """Exact elementwise sum of every rank's partial arrays.
-
-        Unlike the thread backend there is no shared combine step: every
-        rank reduces the gathered partials itself.  The reduction is a
-        deterministic function of identical inputs, so all ranks still
-        agree bitwise.
-        """
-        gathered = self.allgather(list(arrays), tag=tag)
-        partials = [
-            np.asarray(a, dtype=np.float64) for per_rank in gathered for a in per_rank
-        ]
-        if not partials:
-            raise ValueError("allreduce_exact requires at least one array across ranks")
-        return exact_vector_sum(partials)
-
-
-class _SpmdWorkerPayload:
-    """Process-SPMD payload: the rank program plus its queue endpoints."""
-
-    def __init__(self, fn: Callable[[Any], Any], size: int, up: Any, down: Sequence[Any], timeout: float) -> None:
-        self.fn = fn
-        self.size = int(size)
-        self.up = up
-        self.down = list(down)
-        self.timeout = float(timeout)
-
-    def run_task(self, rank: int) -> Any:
-        ctx = _StarRankContext(rank, self.size, self.up, self.down, self.timeout)
-        return self.fn(ctx)
-
-
-def run_spmd_process(fn: Callable[[Any], Any], size: int, timeout: float = 300.0) -> list[Any]:
-    """Run ``fn(rank_context)`` on every rank, one spawned process per rank.
-
-    The process analogue of :func:`run_spmd`: ranks execute in separate
-    spawned interpreters (via :class:`repro.parallel.ProcessTaskPool`)
-    and communicate through a :class:`_StarRankContext` built on manager
-    queues.  ``fn`` must satisfy the pool's spawn-safety rules — a
-    module-level callable (or ``functools.partial`` of one) whose
-    captured arguments pickle.
-
-    Returns the per-rank return values ordered by rank, like
-    :func:`run_spmd`.  A rank dying mid-step (killed worker process) or
-    raising fails the whole step with a descriptive
-    :class:`RankLostError`: the coordinator poisons every collective
-    queue with a loss sentinel so *surviving* ranks raise the same
-    error at their next collective instead of starving until
-    ``timeout``, and then raises it to the caller naming the lost rank.
-    """
-    if size <= 0:
-        raise ValueError("SPMD size must be positive")
-    # Imported lazily: repro.parallel is a sibling layer, not a dependency
-    # of the in-process communicator above.
-    from repro.parallel import ProcessTaskPool
-
-    with multiprocessing.Manager() as manager:
-        up = manager.Queue()
-        down = [manager.Queue() for _ in range(size)]
-        payload = _SpmdWorkerPayload(fn, size, up, down, timeout)
-        pool = ProcessTaskPool(payload, max_workers=size)
-        try:
-            # Start every worker before any rank runs.  The executor spawns
-            # workers on demand, and its manager thread can enter its wait
-            # before the last worker's sentinel exists; a rank killed then
-            # is never noticed and the survivors starve in a collective.
-            # Each warm-up result wakes the manager thread, so once all
-            # are back it waits on every worker's sentinel.
-            wait([pool.warm() for _ in range(size)], timeout=timeout)
-            futures = [pool.submit(rank) for rank in range(size)]
-            _, not_done = wait(futures, timeout=timeout, return_when=FIRST_EXCEPTION)
-            lost = next(
-                (
-                    (rank, future)
-                    for rank, future in enumerate(futures)
-                    if future.done()
-                    and (future.cancelled() or future.exception() is not None)
-                ),
-                None,
-            )
-            if lost is None:
-                if not_done:
-                    raise TimeoutError(
-                        f"SPMD step did not complete within {timeout}s: "
-                        f"{len(not_done)} of {size} rank(s) still running"
-                    )
-                return [future.result() for future in futures]
-            rank, future = lost
-            cause = None if future.cancelled() else future.exception()
-            reason = (
-                "worker process died (BrokenProcessPool)"
-                if isinstance(cause, BrokenExecutor)
-                else f"{type(cause).__name__}: {cause}"
-                if cause is not None
-                else "rank future was cancelled"
-            )
-            loss = _RankLoss(rank, size, reason)
-            try:
-                up.put(loss)
-                for rank_queue in down:
-                    rank_queue.put(loss)
-            except Exception:  # pragma: no cover - manager already torn down
-                pass
-            # Give survivors a moment to observe the sentinel and exit
-            # their collectives cleanly before the pool is shut down.
-            wait(futures, timeout=5.0)
-            raise RankLostError(rank, size, reason) from cause
-        finally:
-            pool.close()

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.hpc.horovod import HorovodContext
-from repro.hpc.mpi import run_spmd, run_spmd_process
+from repro.hpc.mpi import run_spmd
 from repro.models.fusion import FusionNetwork
 from repro.nn.dataloader import DataLoader, InMemoryDataset
 from repro.nn.layers import Dropout
@@ -19,7 +19,6 @@ from repro.nn.loss import mse_loss
 from repro.nn.module import Module
 from repro.nn.optim import build_optimizer
 from repro.nn.tensor import Tensor, no_grad
-from repro.parallel import validate_backend
 from repro.telemetry import current as current_telemetry
 from repro.utils.rng import spawn_rng
 
@@ -247,7 +246,8 @@ class DistributedTrainerConfig:
     derives only from ``seed`` and the epoch — never from the rank
     count — and per-chunk gradients are reduced with an exact
     order-invariant sum, which is what makes final weights bit-identical
-    for any ``ranks`` / ``backend`` combination.
+    for any ``ranks``.  Ranks run on threads; ``backend`` accepts only
+    ``"thread"``.
     """
 
     epochs: int = 10
@@ -270,12 +270,16 @@ class DistributedTrainerConfig:
             raise ValueError("chunks_per_step must be positive")
         if self.ranks <= 0:
             raise ValueError("ranks must be positive")
-        validate_backend(self.backend)
+        if self.backend != "thread":
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}: training ranks run on threads "
+                "only (the process backend was removed)"
+            )
 
 
 @dataclass
 class _DistributedSpec:
-    """Everything one SPMD rank needs; pickled to process-backend workers."""
+    """Everything one SPMD rank needs; shared read-only by the rank threads."""
 
     model: Module
     train_samples: list[FeaturizedComplex]
@@ -329,7 +333,7 @@ def _distributed_validate(model: Module, samples: Sequence[FeaturizedComplex], c
 
 
 def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
-    """The SPMD program run by every rank (module-level for spawn-safety).
+    """The SPMD program run by every rank.
 
     Rank invariance rests on three rules enforced here:
 
@@ -398,14 +402,13 @@ def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
 
 
 class DistributedTrainer:
-    """Horovod-style data-parallel trainer over the in-process SPMD backends.
+    """Horovod-style data-parallel trainer over thread ranks of :func:`run_spmd`.
 
     Mirrors the paper's multi-rank training jobs: every rank holds a
     model replica (broadcast from rank 0), processes its share of each
     global batch, and applies the exactly-averaged gradient through the
     fused optimizer path.  Final weights and per-epoch losses are
-    bit-identical for every rank count and for both execution backends
-    (``backend="thread" | "process"``); see ``docs/training.md`` for the
+    bit-identical for every rank count; see ``docs/training.md`` for the
     argument.  Models with batch normalization are excluded from the
     bit-identity guarantee (running statistics are updated per replica).
 
@@ -446,12 +449,7 @@ class DistributedTrainer:
         )
         worker = partial(_distributed_train_worker, spec)
         with current_telemetry().span("distributed-fit") as span:
-            if self.config.backend == "process":
-                results = run_spmd_process(worker, self.config.ranks, timeout=self.config.timeout)
-            else:
-                results = run_spmd(
-                    worker, self.config.ranks, barrier_timeout=self.config.timeout
-                )
+            results = run_spmd(worker, self.config.ranks, barrier_timeout=self.config.timeout)
             span.add("ranks", self.config.ranks)
             span.add("epochs", epochs)
             span.add("samples", epochs * len(self.train_samples))

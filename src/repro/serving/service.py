@@ -65,8 +65,8 @@ class ServingConfig:
     #: deep-copy the model per replica instead of sharing one instance
     replicate_weights: bool = False
     #: consecutive batch failures on one replica before its circuit
-    #: breaker opens and the replica's backend is restarted; dispatch
-    #: routes around open replicas until a half-open probe succeeds.
+    #: breaker opens; dispatch routes around open replicas until a
+    #: half-open probe succeeds.
     #: ``0`` disables breakers.  Never affects results when no batch
     #: fails — the breaker only observes outcomes.
     breaker_threshold: int = 3

@@ -140,9 +140,8 @@ class ReplicaPool:
         Consecutive failures on one replica before its circuit breaker
         opens.  ``0`` (the default) disables breakers entirely: dispatch
         and failure handling are bit-identical to the pre-breaker pool.
-        When a breaker opens, :meth:`record_result` restarts the
-        replica's backend (``close()`` then ``start()``) and dispatch
-        routes around it until a half-open probe succeeds.
+        When a breaker opens, dispatch routes around the replica until a
+        half-open probe succeeds.
     breaker_reset_s:
         Seconds an open breaker waits before allowing one probe batch.
     registry:
@@ -205,27 +204,15 @@ class ReplicaPool:
             self._closed = False
         self._started = True
         for replica in self._replicas:
-            start = getattr(replica.backend, "start", None)
-            if start is not None:
-                start()
             replica.thread.start()
 
     def close(self, wait: bool = True) -> None:
-        """Stop the workers (reopenable: a later :meth:`start` restarts).
-
-        Backends exposing their own lifecycle (``start()``/``close()``)
-        are closed after their replica thread drains, and restarted by the
-        next :meth:`start`.
-        """
+        """Stop the workers (reopenable: a later :meth:`start` restarts)."""
         for replica in self._replicas:
             replica.close()
         if wait and self._started:
             for replica in self._replicas:
                 replica.thread.join()
-        for replica in self._replicas:
-            close = getattr(replica.backend, "close", None)
-            if close is not None:
-                close()
         self._started = False
         self._closed = True
 
@@ -257,12 +244,9 @@ class ReplicaPool:
     def record_result(self, replica_index: int, ok: bool) -> None:
         """Report a batch outcome to the replica's circuit breaker.
 
-        No-op when breakers are disabled.  The moment a breaker opens
-        (``failure_threshold`` consecutive failures) the replica's
-        backend is restarted in place — ``close()`` then ``start()``, for
-        backends that expose those hooks.  Called from the replica's own
-        worker thread, so the restart never blocks dispatch to healthy
-        replicas.
+        No-op when breakers are disabled.  Once a breaker opens
+        (``failure_threshold`` consecutive failures) :meth:`_pick` routes
+        around the replica until its half-open probe.
         """
         replica = self._replicas[replica_index]
         breaker = replica.breaker
@@ -273,19 +257,10 @@ class ReplicaPool:
             return
         if breaker.record_failure():
             logger.warning(
-                "circuit breaker opened for replica %d (%d consecutive failures); restarting backend",
+                "circuit breaker opened for replica %d (%d consecutive failures)",
                 replica_index,
                 self._breaker_threshold,
             )
-            close = getattr(replica.backend, "close", None)
-            start = getattr(replica.backend, "start", None)
-            try:
-                if close is not None:
-                    close()
-                if start is not None:
-                    start()
-            except Exception:  # pragma: no cover - restart is best-effort
-                logger.exception("replica %d backend restart failed", replica_index)
 
     def breaker_states(self) -> list[str | None]:
         """Current breaker state per replica (``None`` when disabled)."""

@@ -211,9 +211,8 @@ class StreamingHistogram:
             self._max = -math.inf
 
     # ------------------------------------------------------------------ #
-    # pickling: histograms cross process boundaries (worker-process
-    # telemetry merges back into the coordinator's registry), and a lock
-    # cannot travel — the receiving process gets a fresh one
+    # pickling (and copy.deepcopy): a lock cannot travel, so the copy
+    # gets a fresh one
     def __getstate__(self) -> dict:
         with self._lock:
             state = {k: v for k, v in self.__dict__.items() if k != "_lock"}

@@ -4,12 +4,6 @@ from repro.utils.rng import RandomState, derive_seed, spawn_rng
 from repro.utils.timer import Timer, WallClock
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_npz_dict, save_npz_dict
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_shape,
-)
 
 __all__ = [
     "RandomState",
@@ -20,8 +14,4 @@ __all__ = [
     "get_logger",
     "save_npz_dict",
     "load_npz_dict",
-    "check_positive",
-    "check_probability",
-    "check_in_range",
-    "check_shape",
 ]

@@ -10,6 +10,7 @@ Three invariant families:
   freshly computed ones, even after evictions forced recomputation.
 """
 
+import pickle
 from collections import OrderedDict
 
 import numpy as np
@@ -190,6 +191,22 @@ class TestByteBudget:
         stats = tiny.stats()
         assert stats.bytes <= 2 * one_entry
         assert stats.evictions >= len(pose_complexes) - 2
+
+
+class TestPickleContracts:
+    def test_feature_cache_ships_configuration_only(self):
+        cache = FeatureCache(capacity=3, max_bytes=10**6)
+        cache.put("key", np.zeros((2, 2)), {"node_features": np.ones(4)})
+        assert cache.get("key") is not None
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.capacity == 3
+        assert clone.max_bytes == 10**6
+        # entries and the hit/miss ledger stay behind: each worker warms
+        # its own cache against its own traffic
+        assert len(clone) == 0
+        assert clone.stats().lookups == 0
+        clone.put("other", np.zeros(2), {"node_features": np.zeros(1)})
+        assert "other" in clone
 
 
 class TestCacheServedFeatureEquivalence:

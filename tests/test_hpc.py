@@ -1,13 +1,8 @@
 """Tests for the simulated HPC substrate: cluster, scheduler, MPI, Horovod, faults, performance, storage."""
 
-import os
-import pickle
-import signal
-import subprocess
-import sys
+import math
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,44 +16,12 @@ from repro.hpc.mpi import (
     CollectiveError,
     LocalCommunicator,
     RankContext,
-    RankLostError,
     run_spmd,
-    run_spmd_process,
 )
 from repro.hpc.performance import FusionThroughputModel, ScorerCostModel
 from repro.hpc.scheduler import Job, JobScheduler, JobState, SchedulerConfig
+from repro.nn.layers import Linear
 from repro.utils.timer import WallClock
-
-
-# Rank programs for the process-backed SPMD tests: module level, so the
-# spawned workers can unpickle them by reference.
-def _spmd_allgather_ranks(ctx):
-    return ctx.allgather(ctx.rank, tag="ranks")
-
-
-def _spmd_kill_rank_one(ctx):
-    if ctx.rank == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return ctx.allgather(ctx.rank, tag="ranks")
-
-
-def _spmd_raise_rank_one(ctx):
-    if ctx.rank == 1:
-        raise ValueError("rank payload exploded")
-    return ctx.allgather(ctx.rank, tag="ranks")
-
-
-# One rank-kill case in a fresh interpreter: exit 0 iff RankLostError.
-_KILL_CASE_SCRIPT = """
-from repro.hpc.mpi import RankLostError, run_spmd_process
-from test_hpc import _spmd_kill_rank_one
-
-try:
-    run_spmd_process(_spmd_kill_rank_one, 2, timeout=120.0)
-except RankLostError:
-    raise SystemExit(0)
-raise SystemExit("run_spmd_process returned although rank 1 was killed")
-"""
 
 
 class TestCluster:
@@ -241,6 +204,116 @@ class TestHorovod:
         with pytest.raises(ValueError):
             HorovodContext(RankContext(comm, 0), gpus_per_node=0)
 
+    @pytest.mark.parametrize("gpus_per_node", [1, 3, 4])
+    def test_local_rank_and_node_follow_gpus_per_node(self, gpus_per_node):
+        comm = LocalCommunicator(8)
+        for rank in range(8):
+            hvd = HorovodContext(RankContext(comm, rank), gpus_per_node=gpus_per_node)
+            assert hvd.rank() == rank and hvd.size() == 8
+            assert hvd.local_rank() == rank % gpus_per_node
+            assert hvd.node_index() == rank // gpus_per_node
+            assert hvd.node_index() * gpus_per_node + hvd.local_rank() == rank
+
+    def test_allgather_object_and_exact_allreduce(self):
+        def program(ctx: RankContext):
+            hvd = HorovodContext(ctx, gpus_per_node=2)
+            gathered = hvd.allgather_object({"rank": hvd.rank()})
+            partials = [np.full(3, 0.1 * (hvd.rank() + k)) for k in range(hvd.rank() + 1)]
+            hvd.barrier()
+            return gathered, hvd.allreduce_exact(partials)
+
+        results = run_spmd(program, 3)
+        everything = [np.full(3, 0.1 * (r + k)) for r in range(3) for k in range(r + 1)]
+        for gathered, reduced in results:
+            assert gathered == [{"rank": 0}, {"rank": 1}, {"rank": 2}]
+            assert np.array_equal(reduced, results[0][1])
+            assert np.array_equal(reduced, np.array([math.fsum(column) for column in zip(*everything)]))
+
+    def test_broadcast_parameters_from_non_zero_root(self):
+        def program(ctx: RankContext):
+            model = Linear(3, 2, rng=ctx.rank)  # different weights on every rank
+            HorovodContext(ctx).broadcast_parameters(model, root_rank=2)
+            return model.state_dict()
+
+        states = run_spmd(program, 3)
+        root_state = Linear(3, 2, rng=2).state_dict()
+        assert not np.array_equal(Linear(3, 2, rng=0).weight.data, root_state["weight"])
+        for state in states:
+            assert sorted(state) == sorted(root_state)
+            for key, value in root_state.items():
+                assert np.array_equal(state[key], value)
+
+
+class TestThreadSpmd:
+    """``run_spmd`` over thread ranks: the one execution path of SPMD jobs."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_allgather_and_exact_allreduce_at_every_size(self, size):
+        def program(ctx: RankContext):
+            assert ctx.size == size
+            return ctx.allgather(ctx.rank * 10), ctx.allreduce_exact([np.array([ctx.rank, 0.5])])
+
+        results = run_spmd(program, size)
+        assert len(results) == size
+        for gathered, reduced in results:
+            assert gathered == [rank * 10 for rank in range(size)]
+            assert np.array_equal(reduced, np.array([size * (size - 1) / 2, 0.5 * size]))
+
+    @pytest.mark.parametrize("root", [0, 1, 2])
+    def test_bcast_from_every_root(self, root):
+        results = run_spmd(lambda ctx: ctx.bcast(("from", ctx.rank), root=root), 3)
+        assert results == [("from", root)] * 3
+
+    def test_scatter_from_non_zero_root(self):
+        def program(ctx: RankContext):
+            values = [f"chunk-{i}" for i in range(ctx.size)] if ctx.rank == 3 else None
+            return ctx.scatter(values, root=3)
+
+        assert run_spmd(program, 4) == ["chunk-0", "chunk-1", "chunk-2", "chunk-3"]
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_size_is_rejected(self, size):
+        with pytest.raises(ValueError, match="communicator size must be positive"):
+            run_spmd(lambda ctx: ctx.rank, size)
+
+    def test_rank_exception_propagates_out_of_run_spmd(self):
+        def program(ctx: RankContext):
+            if ctx.rank == 2:
+                raise KeyError("rank 2 failed")
+            return ctx.rank
+
+        with pytest.raises(KeyError, match="rank 2 failed"):
+            run_spmd(program, 4)
+
+    def test_exact_allreduce_without_partials_fails_on_every_rank(self):
+        def program(ctx: RankContext):
+            with pytest.raises(CollectiveError, match="collective 'allreduce-exact:exact' failed") as info:
+                ctx.allreduce_exact([])
+            assert "at least one array" in str(info.value.__cause__)
+            return ctx.allreduce_exact([np.ones(2)] if ctx.rank == 0 else [])
+
+        for reduced in run_spmd(program, 3):
+            assert np.array_equal(reduced, np.ones(2))
+
+    def test_messages_arrive_in_order_per_tag(self):
+        def program(ctx: RankContext):
+            if ctx.rank == 0:
+                for i in range(3):
+                    ctx.send(i, dest=1, tag=0)
+                ctx.send("other", dest=1, tag=7)
+                return None
+            tagged = ctx.recv(source=0, tag=7)
+            return tagged, [ctx.recv(source=0, tag=0) for _ in range(3)]
+
+        assert run_spmd(program, 2)[1] == ("other", [0, 1, 2])
+
+    def test_recv_validates_both_ranks(self):
+        comm = LocalCommunicator(2)
+        with pytest.raises(ValueError, match="rank 2 outside communicator of size 2"):
+            comm.recv(source=2, dest=0, timeout=0.01)
+        with pytest.raises(ValueError, match="rank -1 outside communicator of size 2"):
+            comm.recv(source=0, dest=-1, timeout=0.01)
+
 
 class TestFaults:
     def test_failure_rates_match_paper_shape(self):
@@ -422,57 +495,3 @@ class TestBarrierTimeoutPlumbing:
         with pytest.raises(threading.BrokenBarrierError):
             run_spmd(program, 2, barrier_timeout=0.2)
         assert time.perf_counter() - started < 10.0
-
-
-class TestProcessSpmdFaults:
-    def test_happy_path_allgathers_across_processes(self):
-        results = run_spmd_process(_spmd_allgather_ranks, 2, timeout=120.0)
-        assert results == [[0, 1], [0, 1]]
-
-    def test_killed_rank_raises_rank_lost_error(self):
-        # a SIGKILL'd rank breaks the pool; the caller gets a descriptive
-        # RankLostError promptly instead of starving until the timeout
-        started = time.perf_counter()
-        with pytest.raises(RankLostError, match="was lost during an SPMD step"):
-            run_spmd_process(_spmd_kill_rank_one, 2, timeout=120.0)
-        assert time.perf_counter() - started < 60.0
-
-    def test_killed_rank_never_hangs_across_fresh_interpreters(self):
-        """Regression: a rank killed before the executor's manager thread
-        tracked its worker used to leave the survivor starving in a
-        collective (about one run in two).  Each iteration runs in its own
-        interpreter and process group, so a hang is a timeout here, not a
-        stuck suite."""
-        tests_dir = Path(__file__).resolve().parent
-        path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        for iteration in range(10):
-            child = subprocess.Popen(
-                [sys.executable, "-c", _KILL_CASE_SCRIPT],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            )
-            try:
-                _, stderr = child.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                os.killpg(child.pid, signal.SIGKILL)  # the child and its rank workers
-                child.communicate()
-                pytest.fail(f"iteration {iteration}: run_spmd_process hung after a rank was killed")
-            assert child.returncode == 0, f"iteration {iteration}: {stderr[-2000:]}"
-
-    def test_raising_rank_poisons_survivors_fast(self):
-        with pytest.raises(RankLostError, match="ValueError: rank payload exploded"):
-            run_spmd_process(_spmd_raise_rank_one, 2, timeout=120.0)
-
-    def test_rank_lost_error_pickles_with_fields(self):
-        error = RankLostError(3, 16, "worker process died (BrokenProcessPool)")
-        clone = pickle.loads(pickle.dumps(error))
-        assert (clone.rank, clone.size, clone.reason) == (3, 16, error.reason)
-        assert "rank 3 of 16" in str(clone)
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            run_spmd_process(_spmd_allgather_ranks, 0)

@@ -308,54 +308,43 @@ def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replica
 # --------------------------------------------------------------------- #
 # chaos: circuit breakers and drain diagnostics
 # --------------------------------------------------------------------- #
-class _RestartableFlakyBackend:
-    """Thread backend that fails every batch until restarted via close/start.
+class _HealingFlakyBackend:
+    """Thread backend whose first ``heal_after_calls`` batches fail.
 
-    Models a wedged replica: the circuit breaker's restart hook is the
-    only way it comes back.  ``heal_after_restarts`` controls how many
-    restarts it takes — with 2, the first half-open probe still fails,
-    so the breaker must *reopen* before the replica finally recovers.
+    Models a wedged replica that recovers on its own: with 3 failing
+    calls and a breaker threshold of 2, the first half-open probe still
+    fails, so the breaker must *reopen* before the replica recovers.
     """
 
-    name = "flaky-restartable"
+    name = "flaky-healing"
 
-    def __init__(self, heal_after_restarts: int = 1) -> None:
-        self.heal_after_restarts = heal_after_restarts
-        self.restarts = 0
-        self.wedged = True
+    def __init__(self, heal_after_calls: int) -> None:
+        self.heal_after_calls = heal_after_calls
+        self.calls = 0
         self._lock = threading.Lock()
 
     def fingerprint(self) -> str:
-        return "flaky-restartable"
-
-    def start(self) -> None:
-        with self._lock:
-            self.restarts += 1
-            if self.restarts >= self.heal_after_restarts:
-                self.wedged = False
-
-    def close(self) -> None:
-        pass
+        return "flaky-healing"
 
     def score_batch(self, batch: dict) -> np.ndarray:
         with self._lock:
-            if self.wedged:
+            self.calls += 1
+            if self.calls <= self.heal_after_calls:
                 raise RuntimeError("replica wedged")
         return np.zeros(len(batch["ids"]), dtype=np.float64)
 
 
-def test_breaker_opens_restarts_and_reopens_on_failed_probe(workbench, stress_traffic):
-    """Consecutive batch failures open the replica's breaker and trigger a
-    backend restart; the first half-open probe still fails, so the breaker
-    reopens (a second restart) before the replica heals — and the metrics
-    ledger closes across the whole episode."""
+def test_breaker_opens_and_reopens_on_failed_probe(workbench, stress_traffic):
+    """Consecutive batch failures open the replica's breaker; the first
+    half-open probe still fails, so the breaker reopens before the
+    replica heals — and the metrics ledger closes across the whole
+    episode."""
     from repro.telemetry import MetricsRegistry
 
     registry = MetricsRegistry()
-    # start #1 is the pool's own startup; the breaker-triggered restarts
-    # are #2 (first open) and #3 (reopen after the failed probe) — only
-    # the third brings the replica back
-    backend = _RestartableFlakyBackend(heal_after_restarts=3)
+    # calls #1-#2 open the breaker, #3 is the failed probe that reopens
+    # it, #4 is the probe that closes it
+    backend = _HealingFlakyBackend(heal_after_calls=3)
     config = ServingConfig(
         max_batch_size=4, num_replicas=1, queue_capacity=16, cache_enabled=False,
         breaker_threshold=2, breaker_reset_s=0.05,
@@ -381,7 +370,7 @@ def test_breaker_opens_restarts_and_reopens_on_failed_probe(workbench, stress_tr
         service.close()
     assert successes >= 3
     assert failures >= 3  # threshold failures to open, plus the failed probe
-    assert backend.restarts >= 3  # startup, open -> restart, reopen -> restart again
+    assert backend.calls >= backend.heal_after_calls + successes
     counters = registry.snapshot()["counters"]
     assert counters.get("supervision.breaker_opened", 0) >= 2
     assert snap.submitted == snap.completed + snap.failed
@@ -457,3 +446,48 @@ def test_replica_pool_routes_around_open_breaker():
     pool.record_result(0, ok=True)
     assert pool.breaker_states()[0] == "closed"
     assert pool._pick().index == 0
+
+
+def test_replica_pool_never_calls_backend_lifecycle_hooks():
+    """The pool owns only its worker threads: a backend's own ``start`` /
+    ``close`` methods are left alone through start, an opened breaker
+    and close."""
+    from repro.serving import ReplicaPool
+
+    class _HookedBackend:
+        name = "hooked"
+
+        def __init__(self):
+            self.hook_calls = []
+
+        def fingerprint(self):
+            return "hooked"
+
+        def start(self):  # pragma: no cover - must never run
+            self.hook_calls.append("start")
+
+        def close(self):  # pragma: no cover - must never run
+            self.hook_calls.append("close")
+
+        def score_batch(self, batch):  # pragma: no cover - never dispatched
+            return np.zeros(0)
+
+    backends = [_HookedBackend(), _HookedBackend()]
+    pool = ReplicaPool(backends, breaker_threshold=1, breaker_reset_s=30.0)
+    pool.start()
+    done = threading.Event()
+    pool.submit(lambda index, backend: done.set())
+    assert done.wait(timeout=10.0)
+    pool.record_result(0, ok=False)  # threshold 1: opens immediately
+    assert pool.breaker_states()[0] == "open"
+    pool.close()
+    assert [backend.hook_calls for backend in backends] == [[], []]
+
+
+def test_replica_pool_validates_construction():
+    from repro.serving import ReplicaPool
+
+    with pytest.raises(ValueError, match="at least one backend"):
+        ReplicaPool([])
+    with pytest.raises(ValueError, match="breaker_threshold must be >= 0, got -1"):
+        ReplicaPool([object()], breaker_threshold=-1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import threading
 
 import numpy as np
@@ -331,6 +332,19 @@ class TestHistogramEdges:
         histogram.reset()
         assert histogram.count == 0
         assert not histogram.bucket_counts().any()
+
+
+class TestPickleContracts:
+    def test_streaming_histogram_pickle_round_trip(self):
+        histogram = StreamingHistogram(min_value=1e-3, max_value=1e2, growth=1.1)
+        histogram.observe_many([0.01, 0.5, 3.0, 80.0])
+        clone = pickle.loads(pickle.dumps(histogram))
+        assert clone.count == histogram.count
+        assert np.array_equal(clone.bucket_counts(), histogram.bucket_counts())
+        assert clone.summary() == histogram.summary()
+        # the recreated lock is live: the clone keeps observing
+        clone.observe(1.0)
+        assert clone.count == histogram.count + 1
 
 
 # --------------------------------------------------------------------------- #

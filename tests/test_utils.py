@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rng
 from repro.utils.serialization import load_npz_dict, save_npz_dict
 from repro.utils.timer import Timer, WallClock
-from repro.utils.validation import check_in_range, check_positive, check_probability, check_shape
 
 
 class TestRng:
@@ -75,32 +74,3 @@ class TestSerialization:
         loaded, meta = load_npz_dict(path)
         assert meta == {}
         assert loaded["x"][0] == 1.0
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive("x", 2.0) == 2.0
-        assert check_positive("x", 0.0, strict=False) == 0.0
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-        with pytest.raises(ValueError):
-            check_positive("x", -1.0, strict=False)
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
-    def test_check_in_range(self):
-        assert check_in_range("x", 3, 1, 5) == 3
-        with pytest.raises(ValueError):
-            check_in_range("x", 9, 1, 5)
-
-    def test_check_shape(self):
-        array = np.zeros((3, 4))
-        out = check_shape("a", array, (3, None))
-        assert out.shape == (3, 4)
-        with pytest.raises(ValueError):
-            check_shape("a", array, (4, None))
-        with pytest.raises(ValueError):
-            check_shape("a", array, (3,))
