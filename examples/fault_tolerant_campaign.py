@@ -15,8 +15,7 @@ example:
    the remaining stages execute;
 3. re-runs it once more under a 30 % injected fault rate to show the
    per-shard retry/backoff machinery absorbing faults without changing a
-   single score, and projects that fault rate onto the paper-scale
-   campaign with the LSF planner.
+   single score.
 
 Run:  python examples/fault_tolerant_campaign.py
 Expected runtime: a few minutes (it trains the fusion model first).
@@ -29,7 +28,7 @@ import tempfile
 from repro.experiments.common import build_workbench
 from repro.hpc.faults import FaultInjector
 from repro.runtime import CampaignRuntime, RetryPolicy, RuntimeConfig
-from repro.screening import CampaignConfig, CampaignPlanner, CompoundCostFunction
+from repro.screening import CampaignConfig, CompoundCostFunction
 
 
 def make_runtime(workbench, runtime_config: RuntimeConfig) -> CampaignRuntime:
@@ -95,11 +94,6 @@ def main() -> None:
     screen = faulty.report.stage("streamed_screen")
     print(f"  shards: {screen.extra['stream']['num_shards']:.0f}  attempts: {screen.attempts}  "
           f"retries absorbed: {screen.retries}")
-    planner = CampaignPlanner(fault_injector=faults)
-    projected = planner.schedule(planner.plan(), max_jobs_simulated=200, seed=7)
-    print(f"  paper-scale campaign at this fault rate ({projected.plan.num_jobs} LSF jobs on "
-          f"{planner.cluster_nodes} nodes): {projected.jobs_requeued} of {projected.jobs_scheduled} "
-          f"sampled jobs requeued, projected makespan {projected.projected_wall_clock_hours:.1f} h")
 
     identical = {
         (r.site_name, r.compound_id, r.pose_id): r.fusion_pk for r in result.database.records()

@@ -28,7 +28,6 @@ from repro.chem.protein import (
 )
 from repro.chem.complexes import InteractionModel, InteractionTerms, ProteinLigandComplex
 from repro.chem.prep import LigandPrepPipeline, PreparedLigand
-from repro.chem.structure_io import complex_to_pdb, molecule_to_pdb, pdb_to_molecule
 
 __all__ = [
     "GeneratorProfile",
@@ -57,7 +56,4 @@ __all__ = [
     "InteractionModel",
     "LigandPrepPipeline",
     "PreparedLigand",
-    "molecule_to_pdb",
-    "complex_to_pdb",
-    "pdb_to_molecule",
 ]

@@ -16,7 +16,7 @@ from repro.eval.classification import (
     classify_by_threshold,
     evaluate_scores,
 )
-from repro.eval.correlation import correlation_table, per_target_correlations
+from repro.eval.correlation import per_target_correlations
 from repro.eval.reports import format_table, render_pr_summary
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "classify_by_threshold",
     "evaluate_scores",
     "per_target_correlations",
-    "correlation_table",
     "format_table",
     "render_pr_summary",
 ]

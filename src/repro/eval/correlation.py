@@ -66,14 +66,6 @@ def per_target_correlations(
     return rows
 
 
-def correlation_table(rows: list[CorrelationRow]) -> dict[tuple[str, str], dict[str, float]]:
-    """Index correlation rows by (method, target) for easy lookup in tests/benchmarks."""
-    return {
-        (row.method, row.target): {"pearson": row.pearson, "spearman": row.spearman, "n": float(row.n)}
-        for row in rows
-    }
-
-
 def best_method_per_target(rows: list[CorrelationRow], by: str = "pearson") -> dict[str, str]:
     """Name of the best-correlated method for each target (ties broken by method name)."""
     best: dict[str, tuple[float, str]] = {}

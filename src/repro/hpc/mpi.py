@@ -3,18 +3,17 @@
 The distributed Fusion scoring jobs in the paper are 16-rank MPI programs
 built with Horovod; each rank scores its own slice of poses and the
 results are combined with ``allgather`` before parallel file output.  The
-reproduction runs all ranks of a job inside one Python process — either
-sequentially or on a thread pool — but exposes the mpi4py-style API
-(lower-case methods communicate arbitrary Python objects, as in the
-mpi4py tutorial) so the screening code reads like the original MPI
-program.
+reproduction runs all ranks of a job as threads of one Python process,
+but exposes the mpi4py-style API (lower-case methods communicate
+arbitrary Python objects, as in the mpi4py tutorial) so the screening
+code reads like the original MPI program.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -253,10 +252,15 @@ class RankContext:
 def run_spmd(
     fn: Callable[[RankContext], Any],
     size: int,
-    use_threads: bool = True,
     barrier_timeout: float = 120.0,
 ) -> list[Any]:
     """Run ``fn(rank_context)`` on every rank of a new communicator.
+
+    Each rank runs on its own thread.  When a rank raises, the
+    communicator's barrier is aborted at once, so peers blocked in a
+    collective wake with ``BrokenBarrierError`` instead of waiting out
+    ``barrier_timeout``, and the raising rank's own exception propagates
+    (the lowest such rank's, when several raise).
 
     Parameters
     ----------
@@ -264,11 +268,6 @@ def run_spmd(
         The SPMD program; receives a :class:`RankContext`.
     size:
         Number of ranks.
-    use_threads:
-        Run ranks on a thread pool (true MPI-style concurrency, required
-        when the program uses collectives). When ``False`` and the
-        program performs no collective communication, ranks run
-        sequentially, which is easier to debug.
     barrier_timeout:
         Seconds a rank waits at a barrier/collective before giving up —
         short in tests (fail fast on a deadlocked program), raised for
@@ -279,9 +278,13 @@ def run_spmd(
     list of the per-rank return values, ordered by rank.
     """
     comm = LocalCommunicator(size, barrier_timeout=barrier_timeout)
-    contexts = [RankContext(comm, rank) for rank in range(size)]
-    if not use_threads:
-        return [fn(ctx) for ctx in contexts]
     with ThreadPoolExecutor(max_workers=size) as pool:
-        futures = [pool.submit(fn, ctx) for ctx in contexts]
-        return [f.result() for f in futures]
+        futures = [pool.submit(fn, RankContext(comm, rank)) for rank in range(size)]
+        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        if pending:
+            comm._barrier.abort()
+    errors = [error for error in (f.exception() for f in futures) if error is not None]
+    if errors:
+        # a peer's BrokenBarrierError is only the echo of the abort above
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
+    return [f.result() for f in futures]

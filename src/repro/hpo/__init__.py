@@ -5,8 +5,8 @@ to find the final SG-CNN / 3D-CNN / Fusion hyper-parameters (Tables 2-5):
 a population of trials trains in parallel; every perturbation interval the
 under-performing half clones a top performer (exploit) and proposes new
 continuous hyper-parameters with a time-varying Gaussian-process bandit
-(explore).  Plain population-based training and random search are provided
-as baselines for the ablation benchmarks.
+(explore).  Plain population-based training is PB2's base scheduler, and
+random search is the baseline of the PB2 ablation benchmark.
 """
 
 from repro.hpo.space import (
@@ -23,7 +23,6 @@ from repro.hpo.gp import TimeVaryingGP
 from repro.hpo.pb2 import PB2Scheduler
 from repro.hpo.pbt import PBTScheduler
 from repro.hpo.random_search import RandomSearch
-from repro.hpo.baselines import BayesianOptimizer, GridSearch
 from repro.hpo.tune import TuneConfig, TuneRunner
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "PB2Scheduler",
     "PBTScheduler",
     "RandomSearch",
-    "GridSearch",
-    "BayesianOptimizer",
     "TuneRunner",
     "TuneConfig",
 ]

@@ -214,8 +214,8 @@ class CoherentFusion(FusionNetwork):
     def from_pretrained(cnn3d: CNN3D, sgcnn: SGCNN, config: CoherentFusionConfig | None = None, seed: int = 0) -> "CoherentFusion":
         """Build a Coherent Fusion model reusing pre-trained head weights.
 
-        The heads are passed by reference; loading their checkpoints is the
-        caller's responsibility (see ``repro.nn.checkpoint``). This mirrors
+        The heads are passed by reference, so they carry whatever weights
+        the caller trained or restored (``Module.load_state_dict``). This mirrors
         the paper's finding that initializing from the individually trained
         heads significantly improves validation loss.
         """

@@ -6,8 +6,9 @@ arrays (:class:`repro.nn.tensor.Tensor`), the layers needed by the FAST
 model family (3D convolutions, pooling, dense layers, batch
 normalization, dropout, gated graph convolutions and graph gather
 pooling), the optimizers explored by the PB2 search (Adam, AdamW,
-RMSprop, Adadelta, SGD), and data-loading utilities with parallel
-pre-fetch workers mirroring the paper's per-rank data loaders.
+RMSprop, Adadelta, SGD), the MSE loss the models train on, and
+data-loading utilities with parallel pre-fetch workers mirroring the
+paper's per-rank data loaders.
 """
 
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
@@ -27,10 +28,8 @@ from repro.nn.layers import (
 )
 from repro.nn.graph_layers import FlatEdges, FlatGraphBatch, GatedGraphConv, GraphGather, GraphBatch
 from repro.nn.optim import SGD, Adadelta, Adam, AdamW, Optimizer, ParameterPack, RMSprop, build_optimizer
-from repro.nn.loss import l1_loss, mse_loss
+from repro.nn.loss import mse_loss
 from repro.nn.dataloader import DataLoader, Dataset, InMemoryDataset
-from repro.nn.checkpoint import load_checkpoint, save_checkpoint
-from repro.nn.schedules import ConstantLR, ExponentialDecayLR, StepLR
 
 __all__ = [
     "Tensor",
@@ -64,13 +63,7 @@ __all__ = [
     "Adadelta",
     "build_optimizer",
     "mse_loss",
-    "l1_loss",
     "Dataset",
     "InMemoryDataset",
     "DataLoader",
-    "save_checkpoint",
-    "load_checkpoint",
-    "ConstantLR",
-    "StepLR",
-    "ExponentialDecayLR",
 ]

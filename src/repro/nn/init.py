@@ -29,13 +29,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator | int | Non
     return rng.uniform(-bound, bound, size=shape)
 
 
-def lecun_normal(shape: tuple[int, ...], rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """LeCun normal initialization, appropriate for SELU networks."""
-    rng = ensure_rng(rng)
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(1.0 / max(fan_in, 1)), size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape)

@@ -11,18 +11,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     diff = prediction - target
     return (diff * diff).mean()
 
-
-def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error between predictions and targets."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return (prediction - target).abs().mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss, useful as a robustness ablation against affinity label noise."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = abs_diff.clip(0.0, delta)
-    linear = abs_diff - quadratic
-    return (0.5 * quadratic * quadratic + delta * linear).mean()

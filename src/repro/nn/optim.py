@@ -154,7 +154,7 @@ class Optimizer:
         """Return optimizer state (moment estimates etc.) keyed by slot name.
 
         Every optimizer saves ``step`` so restored step accounting (bias
-        correction, schedules keyed on it) resumes where it left off —
+        correction) resumes where it left off —
         previously only Adam did, and a restored SGD/RMSprop/Adadelta
         silently restarted from step 0.
         """

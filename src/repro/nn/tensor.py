@@ -491,23 +491,6 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-
-        def backward(grad):
-            inside = (self.data >= low) & (self.data <= high)
-            return (grad * inside,)
-
-        return self._make(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-
-        def backward(grad):
-            return (grad * np.sign(self.data),)
-
-        return self._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Structural ops
     # ------------------------------------------------------------------ #

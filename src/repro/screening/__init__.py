@@ -1,12 +1,11 @@
 """High-throughput distributed Fusion screening pipeline."""
 
-from repro.screening.partition import partition_evenly, partition_poses_into_jobs, shard_bounds
+from repro.screening.partition import partition_evenly, shard_bounds
 from repro.screening.job import FusionScoringJob, JobResult
 from repro.screening.output import read_predictions, read_topk, write_job_output, write_topk
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.screening.throughput import figure4_series, table7_rows
 from repro.screening.pipeline import CampaignConfig, CampaignResult, ScreeningCampaign
-from repro.screening.planner import CampaignPlan, CampaignPlanner, CampaignScheduleResult
 
 #: Lazily re-exported from :mod:`repro.screening.stream` (PEP 562).  The
 #: stream module imports ``repro.runtime`` (checkpoints, retry policy)
@@ -38,7 +37,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "partition_evenly",
-    "partition_poses_into_jobs",
     "shard_bounds",
     "FusionScoringJob",
     "JobResult",
@@ -51,9 +49,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ScreeningCampaign",
-    "CampaignPlan",
-    "CampaignPlanner",
-    "CampaignScheduleResult",
     "ShardOutcome",
     "StreamConfig",
     "StreamingScreen",

@@ -117,13 +117,11 @@ class FusionScoringJob:
         )
 
     # ------------------------------------------------------------------ #
-    def run(self, use_threads: bool | None = None) -> JobResult:
+    def run(self) -> JobResult:
         """Execute the job in-process across simulated MPI ranks.
 
-        Ranks communicate through MPI-style collectives, so multi-rank jobs
-        run their ranks on a thread pool; a single-rank job runs inline.
-        ``use_threads`` may be forced, but multi-rank jobs require threads
-        (the collectives rendezvous) and ignore ``False``.
+        Each rank runs on its own thread and the ranks combine their
+        predictions through an MPI-style ``allgather``.
         """
         timer = Timer()
         records = list(self.records)
@@ -176,14 +174,8 @@ class FusionScoringJob:
             gathered = hvd.allgather_object((ids, pose_ids, predictions), tag="job-results")
             return gathered if hvd.rank() == 0 else None
 
-        threads_needed = self.num_ranks > 1 if use_threads is None else (use_threads or self.num_ranks > 1)
         with timer.section("evaluation"):
-            results = run_spmd(
-                rank_program,
-                self.num_ranks,
-                use_threads=threads_needed,
-                barrier_timeout=self.barrier_timeout,
-            )
+            results = run_spmd(rank_program, self.num_ranks, barrier_timeout=self.barrier_timeout)
 
         gathered = results[0]
         all_ids: list[str] = []

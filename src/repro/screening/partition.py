@@ -63,13 +63,3 @@ def shard_bounds(total: int, shard_size: int) -> list[tuple[int, int]]:
         raise ValueError("shard_size must be positive")
     return [(start, min(start + shard_size, total)) for start in range(0, total, shard_size)]
 
-
-def partition_poses_into_jobs(
-    items: Sequence[T],
-    poses_per_job: int = 2_000_000,
-) -> list[list[T]]:
-    """Split a pose list into independent jobs of at most ``poses_per_job`` poses."""
-    if poses_per_job <= 0:
-        raise ValueError("poses_per_job must be positive")
-    items = list(items)
-    return [items[start : start + poses_per_job] for start in range(0, len(items), poses_per_job)] or [[]]

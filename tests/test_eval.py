@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from repro.eval.classification import classify_by_threshold, evaluate_scores
-from repro.eval.correlation import best_method_per_target, correlation_table, per_target_correlations
+from repro.eval.correlation import best_method_per_target, per_target_correlations
 from repro.eval.metrics import (
     average_precision,
     best_f1_score,
@@ -125,10 +125,10 @@ class TestCorrelationAnalyses:
             "m2": {"t1": np.array([4.0, 3.0, 2.0, 1.0]), "t2": np.array([1.0, 2.0, 3.0, 4.0])},
         }
         rows = per_target_correlations(predictions, observations, min_observation=1.0)
-        table = correlation_table(rows)
-        assert table[("m1", "t1")]["n"] == 3  # the 0.5 observation was filtered
-        assert table[("m1", "t1")]["pearson"] > 0
-        assert table[("m2", "t1")]["pearson"] < 0
+        table = {(row.method, row.target): row for row in rows}
+        assert table[("m1", "t1")].n == 3  # the 0.5 observation was filtered
+        assert table[("m1", "t1")].pearson > 0
+        assert table[("m2", "t1")].pearson < 0
         best = best_method_per_target(rows)
         assert best["t1"] == "m1"
         assert best["t2"] == "m2"

@@ -172,10 +172,6 @@ class TestMPI:
         with pytest.raises(TimeoutError, match=r"rank 0 to rank 1 \(tag=5\) within 0.01s"):
             comm.recv(source=0, dest=1, tag=5, timeout=0.01)
 
-    def test_sequential_mode_without_collectives(self):
-        results = run_spmd(lambda ctx: ctx.rank**2, 4, use_threads=False)
-        assert results == [0, 1, 4, 9]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LocalCommunicator(0)
@@ -284,6 +280,20 @@ class TestThreadSpmd:
 
         with pytest.raises(KeyError, match="rank 2 failed"):
             run_spmd(program, 4)
+
+    def test_raising_rank_fails_fast_past_peers_in_a_collective(self):
+        # rank 0 blocks in the allgather rank 1 never reaches: the raise
+        # aborts the barrier, so neither the 30 s barrier timeout nor
+        # rank 0's BrokenBarrierError is what the caller sees
+        def program(ctx: RankContext):
+            if ctx.rank == 1:
+                raise ValueError("rank 1 failed")
+            return ctx.allgather(ctx.rank)
+
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="rank 1 failed"):
+            run_spmd(program, 2, barrier_timeout=30)
+        assert time.perf_counter() - started < 5.0
 
     def test_exact_allreduce_without_partials_fails_on_every_rank(self):
         def program(ctx: RankContext):

@@ -48,7 +48,6 @@ class TestElementwiseGradients:
             ("relu", lambda x: x.relu(), False),
             ("leaky_relu", lambda x: x.leaky_relu(0.1), False),
             ("selu", lambda x: x.selu(), False),
-            ("abs", lambda x: x.abs(), True),
             ("pow", lambda x: x**3.0, False),
             ("neg", lambda x: -x, False),
         ],
@@ -69,11 +68,6 @@ class TestElementwiseGradients:
 
     def test_division_gradient(self):
         check_gradient(lambda x: x / 2.0 + 1.0 / (x + 3.0), (3, 3))
-
-    def test_clip_gradient_zero_outside(self):
-        x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 class TestMatmulAndShapes:

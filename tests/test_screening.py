@@ -8,7 +8,7 @@ from repro.hpc.h5store import H5Store
 from repro.screening.costfunction import CompoundCostFunction
 from repro.screening.job import FusionScoringJob
 from repro.screening.output import read_predictions, write_job_output
-from repro.screening.partition import partition_evenly, partition_poses_into_jobs
+from repro.screening.partition import partition_evenly
 from repro.screening.throughput import figure4_series, speedup_summary, table7_rows
 
 
@@ -31,18 +31,11 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             partition_evenly([1, 2], -1)
         with pytest.raises(ValueError):
+            partition_evenly([1], 0)
+        with pytest.raises(ValueError):
             partition_evenly([1, 2], 2.5)
         # bool is an int subtype; True == 1 part is accepted
         assert partition_evenly([1, 2], True) == [[1, 2]]
-
-    def test_partition_into_jobs(self):
-        jobs = partition_poses_into_jobs(list(range(7)), poses_per_job=3)
-        assert [len(j) for j in jobs] == [3, 3, 1]
-        assert partition_poses_into_jobs([], poses_per_job=5) == [[]]
-        with pytest.raises(ValueError):
-            partition_evenly([1], 0)
-        with pytest.raises(ValueError):
-            partition_poses_into_jobs([1], 0)
 
     @given(st.lists(st.integers(), max_size=50), st.integers(min_value=1, max_value=10))
     @settings(max_examples=40, deadline=None)
@@ -88,7 +81,7 @@ class TestFusionScoringJob:
             batch_size_per_rank=4,
             job_name="unit-job",
         )
-        result = job.run(use_threads=False)
+        result = job.run()
         assert result.num_poses == len(records)
         assert set(result.timings) == {"startup", "evaluation", "output"}
         assert result.num_ranks == 4
@@ -99,24 +92,6 @@ class TestFusionScoringJob:
         for record in records:
             assert np.isfinite(record.fusion_pk)
             assert stored[(record.compound_id, record.pose_id)] == pytest.approx(record.fusion_pk)
-
-    def test_threaded_execution_matches_sequential(self, workbench, campaign):
-        site_name = campaign.database.sites()[0]
-        records = [r for r in campaign.database.records() if r.site_name == site_name][:6]
-        site = campaign.sites[site_name]
-
-        def run(use_threads):
-            job = FusionScoringJob(
-                model=workbench.coherent_fusion, featurizer=workbench.featurizer, site=site,
-                records=records, num_nodes=1, gpus_per_node=4, batch_size_per_rank=4,
-            )
-            return job.run(use_threads=use_threads).predictions
-
-        sequential = run(False)
-        threaded = run(True)
-        assert sequential.keys() == threaded.keys()
-        for key in sequential:
-            assert sequential[key] == pytest.approx(threaded[key], abs=1e-9)
 
     def test_modelled_estimate_uses_throughput_model(self, workbench, campaign):
         site = campaign.sites[campaign.database.sites()[0]]
