@@ -295,6 +295,82 @@ class TestThreadSpmd:
             run_spmd(program, 2, barrier_timeout=30)
         assert time.perf_counter() - started < 5.0
 
+    @pytest.mark.parametrize(
+        "collective",
+        [
+            lambda ctx: ctx.barrier(),
+            lambda ctx: ctx.bcast("payload", root=0),
+            lambda ctx: ctx.gather(ctx.rank, root=0),
+            lambda ctx: ctx.scatter(None, root=0),
+            lambda ctx: ctx.allreduce_exact([np.ones(2)]),
+        ],
+        ids=["barrier", "bcast", "gather", "scatter", "allreduce_exact"],
+    )
+    def test_raising_root_wakes_peers_in_every_collective(self, collective):
+        # the root raises before a collective its peers are blocked in:
+        # none of them may wait out the 30 s barrier timeout
+        def program(ctx: RankContext):
+            if ctx.rank == 0:
+                time.sleep(0.05)
+                raise ValueError("root failed")
+            return collective(ctx)
+
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="root failed"):
+            run_spmd(program, 3, barrier_timeout=30)
+        assert time.perf_counter() - started < 5.0
+
+    def test_lowest_raising_rank_wins_when_several_raise(self):
+        # rank 3 raises first and trips FIRST_EXCEPTION; rank 1 raises
+        # later, and it is still rank 1's exception the caller sees
+        def program(ctx: RankContext):
+            if ctx.rank == 1:
+                time.sleep(0.1)
+                raise KeyError("rank 1 failed")
+            if ctx.rank == 3:
+                raise ValueError("rank 3 failed")
+            return ctx.rank
+
+        with pytest.raises(KeyError, match="rank 1 failed"):
+            run_spmd(program, 4, barrier_timeout=30)
+
+    def test_raised_error_is_the_rank_exception_not_a_peer_broken_barrier(self):
+        # peers 0 and 2 break out of the allgather with BrokenBarrierError;
+        # the error that propagates is rank 1's own, traceback and all
+        def program(ctx: RankContext):
+            if ctx.rank == 1:
+                raise LookupError("rank 1 lost its shard")
+            return ctx.allgather(ctx.rank)
+
+        with pytest.raises(LookupError) as info:
+            run_spmd(program, 3, barrier_timeout=30)
+        assert not isinstance(info.value, threading.BrokenBarrierError)
+        assert info.value.__traceback__ is not None
+
+    def test_run_after_a_failed_run_starts_on_a_fresh_communicator(self):
+        def failing(ctx: RankContext):
+            if ctx.rank == 0:
+                raise ValueError("first run failed")
+            return ctx.allgather(ctx.rank)
+
+        with pytest.raises(ValueError, match="first run failed"):
+            run_spmd(failing, 2, barrier_timeout=30)
+        assert run_spmd(lambda ctx: ctx.allgather(ctx.rank), 2, barrier_timeout=30) == [[0, 1], [0, 1]]
+
+    def test_single_rank_runs_on_its_own_thread(self):
+        # one path for every size: a 1-rank job is a thread rank too
+        results = run_spmd(lambda ctx: (threading.get_ident(), ctx.size, ctx.allgather("only")), 1)
+        ident, size, gathered = results[0]
+        assert ident != threading.get_ident()
+        assert (size, gathered) == (1, ["only"])
+
+    def test_results_follow_rank_order_not_completion_order(self):
+        def program(ctx: RankContext):
+            time.sleep(0.02 * (ctx.size - ctx.rank))
+            return f"rank-{ctx.rank}"
+
+        assert run_spmd(program, 4) == ["rank-0", "rank-1", "rank-2", "rank-3"]
+
     def test_exact_allreduce_without_partials_fails_on_every_rank(self):
         def program(ctx: RankContext):
             with pytest.raises(CollectiveError, match="collective 'allreduce-exact:exact' failed") as info:

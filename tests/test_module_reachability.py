@@ -9,7 +9,8 @@ Imports are read from the AST, never executed.  ``from repro.pkg import
 Name`` is followed through the package ``__init__`` to the module that
 defines ``Name``, so a package re-export alone reaches nothing.  A
 package ``__init__`` reaches a module only through a name its own code
-uses.
+uses; it is itself reached whenever one of its modules is, because
+Python runs it before importing them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import ast
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -102,6 +105,11 @@ def _imports(path: Path, root: bool) -> set[str]:
     return reached
 
 
+def _parent_packages(module: str) -> set[str]:
+    parts = module.split(".")
+    return {".".join(parts[:end]) for end in range(1, len(parts))}
+
+
 def _root_files() -> list[Path]:
     files = [*sorted((REPO / "perfbench").rglob("*.py")), *sorted((REPO / "benchmarks").rglob("*.py"))]
     files += sorted((SRC / "repro" / "experiments").rglob("*.py"))
@@ -121,6 +129,7 @@ def unreached_modules() -> list[str]:
         if module not in reached:
             reached.add(module)
             frontier |= _imports(MODULES[module], root=False)
+            frontier |= _parent_packages(module) & MODULES.keys()
     return sorted(m for m in MODULES if not _is_package(m) and m not in reached and m not in ENTRY_POINTS)
 
 
@@ -145,3 +154,93 @@ def test_package_exports_resolve_to_the_defining_module():
     assert _resolve("repro.screening", "StreamingScreen") == {"repro.screening.stream"}
     # defined by the package's own code
     assert _resolve("repro.telemetry", "Telemetry") == {"repro.telemetry"}
+
+
+# --------------------------------------------------------------------- #
+# The rules above, on a small package written to a temporary directory
+# --------------------------------------------------------------------- #
+FAKE_TREE = {
+    "fakepkg/__init__.py": (
+        "from repro.fakepkg.used import used_fn\n"
+        "from repro.fakepkg.reexported import reexported_fn\n"
+        "from repro.fakepkg.internal import helper\n"
+        "DEFAULT = helper()\n"
+        "def __getattr__(name):\n"
+        "    if name == 'Lazy':\n"
+        "        from repro.fakepkg.lazy import Lazy\n"
+        "        return Lazy\n"
+        "    raise AttributeError(name)\n"
+    ),
+    "fakepkg/used.py": "from repro.fakepkg.deep import deep_fn\n\n\ndef used_fn():\n    return deep_fn()\n",
+    "fakepkg/deep.py": "def deep_fn():\n    return 1\n",
+    "fakepkg/reexported.py": "def reexported_fn():\n    return 2\n",
+    "fakepkg/internal.py": "def helper():\n    return 0\n",
+    "fakepkg/lazy.py": "class Lazy:\n    pass\n",
+    "fakepkg/orphan.py": "X = 1\n",
+}
+
+
+@pytest.fixture
+def fake_tree(tmp_path, monkeypatch):
+    """Point the graph at ``repro.fakepkg`` and one root using ``used_fn`` and ``Lazy``."""
+    modules = {}
+    for relative, text in FAKE_TREE.items():
+        path = tmp_path / relative
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        name = "repro." + relative.removesuffix(".py").replace("/", ".")
+        modules[name.removesuffix(".__init__")] = path
+    root = tmp_path / "root.py"
+    root.write_text("from repro.fakepkg import Lazy, used_fn\n")
+    monkeypatch.setitem(globals(), "MODULES", modules)
+    monkeypatch.setitem(globals(), "_root_files", lambda: [root])
+    return modules
+
+
+@pytest.mark.parametrize(
+    "module, reached",
+    [
+        ("repro.fakepkg.used", True),  # imported by the root
+        ("repro.fakepkg.deep", True),  # imported by a reached module
+        ("repro.fakepkg.internal", True),  # used by the package's own code
+        ("repro.fakepkg.lazy", True),  # a lazy PEP 562 export the root imports
+        ("repro.fakepkg.reexported", False),  # only re-exported by the package
+        ("repro.fakepkg.orphan", False),  # imported by nothing
+    ],
+)
+def test_reachability_rules(fake_tree, module, reached):
+    assert (module not in unreached_modules()) is reached
+
+
+def test_entry_points_exempt_an_unreached_module(fake_tree, monkeypatch):
+    monkeypatch.setitem(globals(), "ENTRY_POINTS", ("repro.fakepkg.orphan",))
+    assert unreached_modules() == ["repro.fakepkg.reexported"]
+
+
+def test_failure_names_every_unreached_module_with_its_line_count(fake_tree):
+    with pytest.raises(AssertionError) as info:
+        test_every_src_module_is_reached_from_a_root()
+    message = str(info.value)
+    assert "2 src/ module(s), 3 lines, are reached only from tests or examples" in message
+    assert "  repro.fakepkg.orphan (1 lines)" in message
+    assert "  repro.fakepkg.reexported (2 lines)" in message
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("import repro.nn.optim", {"repro.nn.optim"}),
+        ("import numpy", set()),
+        ("from repro.nn import Adam, functional", {"repro.nn.optim", "repro.nn.functional"}),
+        ("from repro.nn.optim import Adam", {"repro.nn.optim"}),
+    ],
+)
+def test_import_statement_edges(statement, expected):
+    node = ast.parse(statement).body[0]
+    assert _edges(node, node.names) == expected
+
+
+def test_module_names_follow_the_src_layout():
+    assert _module_name(SRC / "repro" / "nn" / "__init__.py") == "repro.nn"
+    assert _module_name(SRC / "repro" / "nn" / "optim.py") == "repro.nn.optim"
+    assert _parent_packages("repro.nn.optim") == {"repro", "repro.nn"}

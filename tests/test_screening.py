@@ -1,5 +1,7 @@
 """Tests for partitioning, scoring jobs, output format, cost function, throughput and the campaign."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,23 @@ class TestFusionScoringJob:
         for record in records:
             assert np.isfinite(record.fusion_pk)
             assert stored[(record.compound_id, record.pose_id)] == pytest.approx(record.fusion_pk)
+
+    @pytest.mark.parametrize("num_nodes, gpus_per_node", [(1, 1), (1, 4), (2, 4)])
+    def test_predictions_do_not_depend_on_job_geometry(self, workbench, campaign, num_nodes, gpus_per_node):
+        # 6 poses over 1, 4 and 8 thread ranks (the last with idle ranks)
+        # score as they did in the campaign
+        site_name = campaign.database.sites()[0]
+        records = [r for r in campaign.database.records() if r.site_name == site_name][:6]
+        expected = {(r.compound_id, r.pose_id): r.fusion_pk for r in records}
+        job = FusionScoringJob(
+            model=workbench.coherent_fusion, featurizer=workbench.featurizer, site=campaign.sites[site_name],
+            records=[copy.copy(r) for r in records], num_nodes=num_nodes, gpus_per_node=gpus_per_node,
+            batch_size_per_rank=4,
+        )
+        predictions = job.run().predictions
+        assert predictions.keys() == expected.keys()
+        for key, value in expected.items():
+            assert predictions[key] == pytest.approx(value, abs=1e-9)
 
     def test_modelled_estimate_uses_throughput_model(self, workbench, campaign):
         site = campaign.sites[campaign.database.sites()[0]]
