@@ -23,6 +23,7 @@ target-dependent difficulty) without access to PDBbind itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,8 @@ PK_TO_KCAL = 1.364
 
 # Pairwise-term constants shared by the scalar ``compute_terms``, the hot
 # ``batch_kernel`` closure and the grouped ``_pairwise_terms`` kernel —
-# one definition keeps the three implementations bit-identical by
+# one definition, like the one distance helper ``pair_distances`` all
+# three call, keeps the three implementations bit-identical by
 # construction instead of by test.
 _GAUSS1_WIDTH = 0.8
 _GAUSS2_OFFSET = 2.0
@@ -223,8 +225,7 @@ class InteractionModel:
         lig_atoms = complex_.ligand.atoms
         pocket_atoms = complex_.site.atoms
 
-        deltas = lig_coords[:, None, :] - pocket_coords[None, :, :]
-        dist = np.linalg.norm(deltas, axis=-1)
+        dist = pair_distances(lig_coords[None], pocket_coords.T)[0]
         lig_radii = np.array([a.vdw_radius for a in lig_atoms])
         pocket_radii = np.array([a.vdw_radius for a in pocket_atoms])
         surface_dist = dist - (lig_radii[:, None] + pocket_radii[None, :])
@@ -313,55 +314,71 @@ class InteractionModel:
             raise ValueError(
                 f"pose tensor has {coords.shape[1]} atoms but ligand has {ligand.num_atoms}"
             )
-        return self.batch_kernel(site, ligand)(coords)
+        return self.batch_kernel(site, [ligand])(coords)
 
-    def batch_kernel(self, site, ligand: Molecule):
-        """Pairwise-interaction kernel bound to one ``(site, ligand)`` pair.
+    def batch_kernel(self, site, ligands: Sequence[Molecule]):
+        """Pairwise-interaction kernel bound to one site and ``C`` ligands.
+
+        The ligands' atoms are laid end to end along the ligand axis, so
+        the returned closure maps a stacked ``(R, ΣN, 3)`` pose tensor —
+        row ``r`` holds pose ``r`` of every ligand, ligand ``c`` in atoms
+        ``offsets[c]:offsets[c + 1]`` — to :class:`BatchedInteractionTerms`
+        of ``C * R`` poses in compound-major order (index ``c * R + r``).
+        One ligand is the ``C = 1`` case of the same code.
 
         Every coordinate-independent quantity — pocket arrays, ligand
         property arrays, the vdW radii sums and the hydrophobic /
-        hydrogen-bond / charge pair products — is computed once here;
-        the returned closure maps a stacked ``(P, N, 3)`` pose tensor to
-        :class:`BatchedInteractionTerms` doing only coordinate-dependent
-        work.  This is the hot path of the lockstep Monte-Carlo docker:
-        one ``dock()`` builds the kernel once and calls it per MC step.
+        hydrogen-bond / charge pair products, joined along the ligand
+        axis — is computed once here; each call does only
+        coordinate-dependent work, every elementwise step once over all
+        ligands' pairs.  This is the hot path of the lockstep Monte-Carlo
+        docker: one lockstep builds the kernel once and calls it per MC
+        step for all of a site's compounds.
         """
         from repro.featurize.atom_features import site_arrays
 
-        arrays, rotatable, heavy = ligand_interaction_arrays(ligand)
         pocket = site_arrays(site)[0]
-        if arrays.num_atoms == 0 or pocket.num_atoms == 0:
+        per_ligand = [ligand_interaction_arrays(ligand) for ligand in ligands]
+        if pocket.num_atoms == 0 or any(arrays.num_atoms == 0 for arrays, _, _ in per_ligand):
             raise ValueError("complex must contain both ligand and pocket atoms")
-        radii_sum = arrays.vdw_radius[:, None] + pocket.vdw_radius
-        hydro_flat = (arrays.hydrophobic[:, None] * pocket.hydrophobic).ravel()
+
+        def joined(field: str) -> np.ndarray:
+            return np.concatenate([getattr(arrays, field) for arrays, _, _ in per_ligand])
+
+        radii_flat = (joined("vdw_radius")[:, None] + pocket.vdw_radius).ravel()
+        hydro_flat = (joined("hydrophobic")[:, None] * pocket.hydrophobic).ravel()
         hbond_flat = (
-            arrays.hbond_donor[:, None] * pocket.hbond_acceptor
-            + arrays.hbond_acceptor[:, None] * pocket.hbond_donor
+            joined("hbond_donor")[:, None] * pocket.hbond_acceptor
+            + joined("hbond_acceptor")[:, None] * pocket.hbond_donor
         ).ravel()
-        charge_flat = (-arrays.partial_charge[:, None] * pocket.partial_charge).ravel()
-        pocket_coords = pocket.coords
+        charge_flat = (-joined("partial_charge")[:, None] * pocket.partial_charge).ravel()
+        rotatable = np.array([rot for _, rot, _ in per_ligand])
+        heavy = np.array([count for _, _, count in per_ligand])
+        pocket_xyz = np.ascontiguousarray(pocket.coords.T)
+        sizes = np.array([arrays.num_atoms for arrays, _, _ in per_ligand])
+        starts = np.cumsum(sizes) - sizes
+        blocks = list(zip(starts.tolist(), np.cumsum(sizes).tolist()))
         cutoff = self.cutoff
-        n_lig, n_pocket = arrays.num_atoms, pocket.num_atoms
-        pairs_per_pose = n_lig * n_pocket
+        num_ligands, total_atoms, n_pocket = len(sizes), int(sizes.sum()), pocket.num_atoms
+        pairs_per_pose = total_atoms * n_pocket
         # per-batch-width scratch buffers: the MC docker calls the kernel
-        # hundreds of times at a fixed width, so the full-size
-        # intermediates are written in place instead of allocated per call
+        # once per step at a fixed width, so the full-size intermediates
+        # are written in place instead of allocated per call
         scratch: dict[int, dict[str, np.ndarray]] = {}
 
         def buffers(num_poses: int) -> dict[str, np.ndarray]:
             buf = scratch.get(num_poses)
             if buf is None:
-                pair_shape = (num_poses, n_lig, n_pocket)
+                pair_shape = (num_poses, total_atoms, n_pocket)
                 buf = {
-                    "deltas": np.empty(pair_shape + (3,)),
                     "dist": np.empty(pair_shape),
-                    "surface": np.empty(pair_shape),
+                    "component": np.empty(pair_shape),
                     "within": np.empty(pair_shape, dtype=bool),
                     "terms": np.empty((5,) + pair_shape),
-                    "min_dist": np.empty((num_poses, n_lig)),
-                    "buried": np.empty((num_poses, n_lig), dtype=bool),
-                    "rotatable": np.full(num_poses, rotatable),
-                    "heavy": np.full(num_poses, heavy),
+                    "min_dist": np.empty((num_poses, total_atoms)),
+                    "buried": np.empty((num_poses, total_atoms), dtype=bool),
+                    "rotatable": np.repeat(rotatable, num_poses),
+                    "heavy": np.repeat(heavy, num_poses),
                 }
                 scratch[num_poses] = buf
             return buf
@@ -369,29 +386,22 @@ class InteractionModel:
         def kernel(coords: np.ndarray) -> BatchedInteractionTerms:
             num_poses = coords.shape[0]
             buf = buffers(num_poses)
-            deltas, dist = buf["deltas"], buf["dist"]
-            surface, within, terms = buf["surface"], buf["within"], buf["terms"]
+            within, terms = buf["within"], buf["terms"]
 
-            np.subtract(coords[:, :, None, :], pocket_coords[None, None, :, :], out=deltas)
-            # norm: same square / ((x+y)+z) / sqrt sequence as the scalar
-            # path's np.linalg.norm add.reduce over the length-3 axis
-            np.multiply(deltas, deltas, out=deltas)
-            np.add(deltas[..., 0], deltas[..., 1], out=dist)
-            np.add(dist, deltas[..., 2], out=dist)
-            np.sqrt(dist, out=dist)
-            np.subtract(dist, radii_sum, out=surface)
+            dist = pair_distances(coords, pocket_xyz, out=buf["dist"], scratch=buf["component"])
             np.less_equal(dist, cutoff, out=within)
 
             # Every term is a pairwise quantity times ``within``, so the
-            # expensive transcendental math runs only on the within-cutoff
-            # pairs; scattering into zeroed buffers reproduces exactly the
-            # +0.0 the scalar ``* within`` writes elsewhere (each factor
-            # multiplied by ``within`` is non-negative and finite), and
-            # the per-pose sums then reduce the same contiguous rows.
+            # surface distances and the transcendental math run only on
+            # the within-cutoff pairs; scattering into zeroed buffers
+            # reproduces the zeros the scalar ``* within`` writes
+            # elsewhere (up to the sign of zero, which no sum with a
+            # nonzero term can see), and the per-ligand sums then reduce
+            # the same contiguous rows.
             inside = np.nonzero(within.ravel())[0]
             pair_index = inside % pairs_per_pose
-            s = surface.ravel()[inside]
             d = dist.ravel()[inside]
+            s = d - radii_flat[pair_index]
             terms[...] = 0.0
             flat = terms.reshape(5, -1)
 
@@ -412,13 +422,20 @@ class InteractionModel:
 
             flat[4, inside] = charge_flat[pair_index] / np.maximum(d, _ELECTROSTATIC_FLOOR)
 
-            # one fused reduction: each row is the same contiguous
-            # (n_lig * n_pocket) block the scalar .sum() flattens
-            sums = terms.reshape(5 * num_poses, -1).sum(axis=1).reshape(5, num_poses)
-
             np.min(dist, axis=2, out=buf["min_dist"])
             np.less(buf["min_dist"], _BURIAL_CONTACT, out=buf["buried"])
-            buried = buf["buried"].mean(axis=1)
+
+            # Each ligand reduces its own (N_c * M) block of every pose:
+            # the block is contiguous, so the row sum runs the same
+            # pairwise-summation tree as the scalar ``(N_c, M).sum()``.
+            sums = np.empty((5, num_ligands, num_poses))
+            for index, (start, stop) in enumerate(blocks):
+                block = terms[:, :, start:stop, :].reshape(5 * num_poses, -1)
+                sums[:, index, :] = block.sum(axis=1).reshape(5, num_poses)
+            sums = sums.reshape(5, -1)
+            # counts of 0/1 are exact in any order, so one segmented sum
+            # divided by N_c equals each ligand's boolean mean
+            buried = np.add.reduceat(buf["buried"], starts, axis=1, dtype=np.float64) / sizes
 
             return BatchedInteractionTerms(
                 shape=sums[0],
@@ -426,7 +443,7 @@ class InteractionModel:
                 hydrophobic=sums[2],
                 hbond=sums[3],
                 electrostatic=sums[4],
-                buried_fraction=buried,
+                buried_fraction=buried.T.reshape(-1),
                 rotatable_bonds=buf["rotatable"],
                 ligand_heavy_atoms=buf["heavy"],
             )
@@ -544,6 +561,34 @@ class InteractionModel:
         return -PK_TO_KCAL * self.true_pk(complex_)
 
 
+def pair_distances(
+    coords: np.ndarray,
+    pocket_xyz: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """``(P, N, M)`` distances from stacked ``(P, N, 3)`` ligand atoms to ``M`` pocket atoms.
+
+    ``pocket_xyz`` is the pocket's ``(3, M)`` component rows.  Component-major:
+    three ``(P, N, M)`` subtractions, one per axis, instead of one
+    ``(P, N, M, 3)`` difference tensor whose length-3 innermost axis
+    dominated the kernel.  The squares are summed as ``(dx² + dy²) + dz²``
+    before the ``sqrt``, one order for every caller (the scalar
+    ``compute_terms``, the docking kernel and the grouped rescoring
+    kernel).  ``out`` and ``scratch`` are optional ``(P, N, M)`` buffers.
+    """
+    shape = coords.shape[:2] + pocket_xyz.shape[1:]
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    np.subtract(coords[:, :, 0, None], pocket_xyz[0], out=out)
+    np.multiply(out, out, out=out)
+    for axis in (1, 2):
+        np.subtract(coords[:, :, axis, None], pocket_xyz[axis], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
+    return np.sqrt(out, out=out)
+
+
 def _pairwise_terms(
     cutoff: float,
     pocket_coords: np.ndarray,
@@ -570,10 +615,7 @@ def _pairwise_terms(
     def reduce_pairs(values: np.ndarray) -> np.ndarray:
         return values.reshape(num_poses, -1).sum(axis=1)
 
-    deltas = coords[:, :, None, :] - pocket_coords[None, None, :, :]
-    # same elementwise square / last-axis reduce / sqrt sequence as the
-    # scalar path's np.linalg.norm(deltas, axis=-1)
-    dist = np.sqrt((deltas * deltas).sum(axis=-1))
+    dist = pair_distances(coords, pocket_coords.T)
     surface_dist = dist - radii_sum
 
     within = dist <= cutoff

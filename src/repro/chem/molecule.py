@@ -96,10 +96,11 @@ class Molecule:
         return mol
 
     def __getstate__(self) -> dict:
-        # The index is derived data: pickle the layout checkpoints have
-        # always held (atoms, the bond list under ``bonds``, name) and
-        # rebuild the index on load.
-        rest = {k: v for k, v in self.__dict__.items() if k not in ("atoms", "_bonds", "_adjacency", "_bond_keys")}
+        # The index and the memoized interaction arrays are derived data:
+        # pickle the layout checkpoints have always held (atoms, the bond
+        # list under ``bonds``, name) and rebuild the index on load.
+        derived = ("atoms", "_bonds", "_adjacency", "_bond_keys", "_interaction_arrays")
+        rest = {k: v for k, v in self.__dict__.items() if k not in derived}
         return {"atoms": self.atoms, "bonds": self._bonds, **rest}
 
     def __setstate__(self, state: dict) -> None:

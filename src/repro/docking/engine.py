@@ -1,35 +1,41 @@
-"""Docking engine: lockstep Monte-Carlo restarts on the pairwise kernel.
+"""Docking engine: shard-wide lockstep Monte-Carlo search on the pairwise kernel.
 
 Docking is the campaign's dominant compute stage (§4.1: ~10 poses/s/node,
 about one minute per compound per core).  :class:`PoseGenerator` performs
-rigid-body Monte-Carlo search of a ligand inside a binding site under a
+rigid-body Monte-Carlo search of ligands inside a binding site under a
 scoring function (Vina-style when producing docking data, the latent
 interaction model when constructing the "crystal" poses of the synthetic
 PDBbind set) and keeps up to 10 best poses per compound and site, as
 ConveyorLC's CDT3Docking stage does:
 
-* all restart chains run in lockstep — per MC step the docker perturbs,
-  scores and Metropolis-accepts every chain at once, scoring the stacked
-  ``(restarts, N, 3)`` pose tensor through one
-  ``scorer.make_batch_kernel`` call (``InteractionModel.batch_kernel``
-  underneath);
-* :func:`select_pose_indices` clusters the candidates over one
-  pairwise-RMSD matrix (:func:`pairwise_rmsd`);
-* :func:`dock_many` docks a batch of ligands into one site, one compound
-  after another, under per-compound seeds that match ``CDT3Docking``.
+* every compound × restart chain of a site runs in lockstep — per MC
+  step the docker draws every chain's move, applies the moves per
+  compound, scores all proposals through **one** fused
+  ``scorer.make_batch_kernel`` call over the ``(restarts, ΣN, 3)`` pose
+  tensor (the compounds' atoms end to end;
+  ``InteractionModel.batch_kernel`` underneath) and Metropolis-accepts
+  chain by chain;
+* :func:`select_pose_indices` clusters each compound's candidates over
+  one pairwise-RMSD matrix (:func:`pairwise_rmsd`);
+* :func:`dock_many` docks a batch of ligands into one site as one
+  lockstep (split into groups of at most :data:`LOCKSTEP_CHUNK_PAIRS`
+  pairs), under per-compound seeds that match ``CDT3Docking``;
+  :meth:`PoseGenerator.dock` is its one-compound case.
 
 Random-stream protocol
 ----------------------
 Each Monte-Carlo restart draws from its own ``numpy`` generator seeded
-via ``derive_seed(base_seed, "mc-restart", restart_index)``.  Restart
-chains are therefore statistically independent *and* reproducible
-regardless of how many chains run, or in what order — chain ``r`` of a
-width-``R`` run equals chain ``r`` of any wider run.  Within a chain the
-draw order is fixed: placement rotation, placement jitter, then per step
-translation → angle → axis, and a Metropolis uniform drawn *only* when
-the proposal did not improve the score.  The per-pose scalar loop this
-engine replaced is kept as a test oracle (``tests/docking_oracle.py``);
-the two are bit-identical.
+via ``derive_seed(base_seed, "mc-restart", restart_index)``, with the
+compound's own base seed.  Restart chains are therefore statistically
+independent *and* reproducible regardless of how many chains or
+compounds run, or in what order — chain ``r`` of a width-``R`` run
+equals chain ``r`` of any wider run, and a compound's chains do not see
+its companions.  Within a chain the draw order is fixed: placement
+rotation, placement jitter, then per step the seven standard normals of
+a move (translation → angle → axis), and a Metropolis uniform drawn
+*only* when the proposal did not improve the score.  The per-pose scalar
+loop this engine replaced is kept as a test oracle
+(``tests/docking_oracle.py``); the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -42,10 +48,12 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.poses import (
+    MOVE_DRAWS,
     DockedPose,
+    apply_rigid_moves,
     initial_pose_coords,
     molecule_with_coordinates,
-    perturbed_coords,
+    rigid_moves,
 )
 from repro.telemetry import current as current_telemetry
 from repro.utils.rng import derive_seed
@@ -110,15 +118,16 @@ def check_search_parameters(
 
 
 class PoseGenerator:
-    """Lockstep Monte-Carlo rigid-body pose search.
+    """Lockstep Monte-Carlo rigid-body pose search over compounds × restarts.
 
     Parameters
     ----------
     scorer:
-        Object exposing ``make_batch_kernel(site, ligand, complex_id=...)``
-        that returns a closure scoring stacked ``(P, N, 3)`` poses, lower
-        is better (kcal/mol-like) — ``VinaScorer``, ``MMGBSARescorer`` and
-        ``MaximizePkScorer`` all do.
+        Object exposing ``make_batch_kernel(site, ligands, complex_ids)``
+        that returns a closure scoring a stacked ``(R, ΣN, 3)`` pose
+        tensor of ``C`` ligands into ``C * R`` compound-major scores,
+        lower is better (kcal/mol-like) — ``VinaScorer``,
+        ``MMGBSARescorer`` and ``MaximizePkScorer`` all do.
     num_poses:
         Number of distinct poses to retain (10 in ConveyorLC).
     monte_carlo_steps:
@@ -158,9 +167,14 @@ class PoseGenerator:
         self.base_seed = _normalize_seed(seed)
 
     # ------------------------------------------------------------------ #
-    def restart_rng(self, restart: int) -> np.random.Generator:
-        """The independent random stream of one Monte-Carlo restart chain."""
-        return np.random.default_rng(derive_seed(self.base_seed, "mc-restart", int(restart)))
+    def restart_rng(self, restart: int, base_seed: int | None = None) -> np.random.Generator:
+        """The independent random stream of one Monte-Carlo restart chain.
+
+        ``base_seed`` defaults to the generator's own; a lockstep over
+        several compounds passes each compound's seed.
+        """
+        base_seed = self.base_seed if base_seed is None else base_seed
+        return np.random.default_rng(derive_seed(base_seed, "mc-restart", int(restart)))
 
     # ------------------------------------------------------------------ #
     def dock(
@@ -174,21 +188,49 @@ class PoseGenerator:
 
         Poses are sorted by increasing score (best first). If ``reference``
         is given, each pose's RMSD to it is recorded (the paper filters
-        core-set docking poses at RMSD < 1 A of the crystal pose).
+        core-set docking poses at RMSD < 1 A of the crystal pose).  The
+        one-compound case of :meth:`dock_lockstep`, under this generator's
+        seed.
+        """
+        return self.dock_lockstep(site, [ligand], [complex_id], [self.base_seed], [reference])[0]
+
+    def dock_lockstep(
+        self,
+        site: BindingSite,
+        ligands: Sequence[Molecule],
+        complex_ids: Sequence[str],
+        seeds: Sequence[int],
+        references: Sequence[Molecule | None],
+    ) -> list[list[DockedPose]]:
+        """Dock ``C`` compounds into ``site`` in one lockstep; poses per compound.
+
+        Compound ``c`` docks under base seed ``seeds[c]`` and is scored
+        as ``complex_ids[c]``; its poses equal a one-compound
+        :meth:`dock` under that seed, whatever its companions.
         """
         # observation only: spans and counters never touch the restart RNG
         # streams, so tracing on/off cannot move a bit of any pose
         telemetry = current_telemetry()
         kernel_calls = self.monte_carlo_steps + 1
         with telemetry.tracer.span("mc-dock") as span:
+            span.set("compounds", len(ligands))
             span.set("restarts", self.restarts)
             span.set("mc_steps", self.monte_carlo_steps)
             span.set("kernel_calls", kernel_calls)
-            scores, coords = self.run_chains(site, ligand, complex_id)
+            candidates = self.run_chains(site, ligands, complex_ids, seeds)
         registry = telemetry.registry
-        registry.counter("docking.compounds").inc()
+        registry.counter("docking.compounds").inc(len(ligands))
         registry.counter("docking.kernel_calls").inc(kernel_calls)
-        registry.counter("docking.poses_scored").inc(kernel_calls * self.restarts)
+        registry.counter("docking.poses_scored").inc(kernel_calls * self.restarts * len(ligands))
+        return [
+            self._select_poses(site, ligand, complex_id, reference, scores, coords)
+            for ligand, complex_id, reference, (scores, coords) in zip(
+                ligands, complex_ids, references, candidates
+            )
+        ]
+
+    def _select_poses(self, site, ligand, complex_id, reference, scores, coords) -> list[DockedPose]:
+        """Cluster one compound's candidates into its best-first docked poses."""
         rmsd_matrix = pairwise_rmsd(coords)
         selected = select_pose_indices(scores, rmsd_matrix, self.num_poses, self.min_pose_separation)
         if reference is not None:
@@ -210,49 +252,86 @@ class PoseGenerator:
 
     # ------------------------------------------------------------------ #
     def run_chains(
-        self, site: BindingSite, ligand: Molecule, complex_id: str = ""
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run all restart chains in lockstep; return the candidate pool.
+        self,
+        site: BindingSite,
+        ligands: Sequence[Molecule],
+        complex_ids: Sequence[str],
+        seeds: Sequence[int],
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Run every compound × restart chain in lockstep; return the candidate pools.
 
-        Returns ``(scores, coords)`` of the ``2 × restarts`` clustering
-        candidates in chain order — each chain contributes its best pose
-        followed by its final pose.
+        Chain ``(c, r)`` is restart ``r`` of compound ``c``.  The chains'
+        poses live in one ``(restarts, ΣN, 3)`` tensor (compound ``c`` in
+        its own atom block), so each MC step is one fused kernel call.
+        Returns, per compound, ``(scores, coords)`` of its
+        ``2 × restarts`` clustering candidates in chain order — each
+        chain contributes its best pose followed by its final pose.
         """
-        # the kernel binds the (site, ligand) pair constants once for the
-        # whole MC search — this is where the batched win lives
-        kernel = self.scorer.make_batch_kernel(site, ligand, complex_id=complex_id)
-        base_coords = ligand.coordinates
-        rngs = [self.restart_rng(restart) for restart in range(self.restarts)]
-        coords = np.stack([initial_pose_coords(site, base_coords, rng) for rng in rngs])
+        # the kernel binds the pair constants of every (site, ligand) once
+        # for the whole MC search; a zero-atom ligand or site fails here,
+        # before any chain draws
+        kernel = self.scorer.make_batch_kernel(site, ligands, complex_ids)
+        restarts, steps = self.restarts, self.monte_carlo_steps
+        sizes = [ligand.num_atoms for ligand in ligands]
+        bounds = np.cumsum([0] + sizes).tolist()
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+        rngs = [self.restart_rng(r, seed) for seed in seeds for r in range(restarts)]
+        coords = np.empty((restarts, bounds[-1], 3))
+        for index, (ligand, (start, stop)) in enumerate(zip(ligands, blocks)):
+            base_coords = ligand.coordinates
+            for r in range(restarts):
+                rng = rngs[index * restarts + r]
+                coords[r, start:stop] = initial_pose_coords(site, base_coords, rng)
+        # chain index of every atom slot: indexing a per-chain flag array
+        # with it masks whole chains of the pose tensor
+        compound_of_atom = np.repeat(np.arange(len(sizes)), sizes)
+        atom_chain = (np.arange(restarts)[:, None] + restarts * compound_of_atom)[:, :, None]
         current = kernel(coords)
         best_coords = coords.copy()
         best_scores = current.copy()
+        draws = np.empty((len(rngs), MOVE_DRAWS))
         proposals = np.empty_like(coords)
-        for step in range(self.monte_carlo_steps):
+        for step in range(steps):
             for index, rng in enumerate(rngs):
-                proposals[index] = perturbed_coords(coords[index], rng, step, self.monte_carlo_steps)
+                rng.standard_normal(out=draws[index])
+            rotations, translations = rigid_moves(draws, step, steps)
+            for index, (start, stop) in enumerate(blocks):
+                chains = slice(index * restarts, (index + 1) * restarts)
+                proposals[:, start:stop] = apply_rigid_moves(
+                    coords[:, start:stop], rotations[chains], translations[chains]
+                )
             proposal_scores = kernel(proposals)
             deltas = proposal_scores - current
-            # Metropolis acceptance stays per-chain: the uniform draw is
-            # conditional on the proposal not improving, so consuming it
-            # unconditionally would desynchronize the restart streams.
-            for index, rng in enumerate(rngs):
-                delta = float(deltas[index])
-                if delta < 0 or rng.random() < np.exp(-delta / self.temperature):
-                    coords[index] = proposals[index]
-                    current[index] = proposal_scores[index]
-                    if current[index] < best_scores[index]:
-                        best_coords[index] = coords[index]
-                        best_scores[index] = current[index]
+            # Metropolis acceptance: the uniform is drawn only for a
+            # proposal that did not improve, chain by chain, so consuming
+            # it unconditionally would desynchronize the restart streams
+            accept = deltas < 0
+            uphill = np.flatnonzero(~accept)
+            if uphill.size:
+                odds = np.exp(-deltas[uphill] / self.temperature)
+                for index, odd in zip(uphill.tolist(), odds):
+                    accept[index] = rngs[index].random() < odd
+            current = np.where(accept, proposal_scores, current)
+            improved = accept & (current < best_scores)
+            best_scores = np.where(improved, current, best_scores)
+            np.copyto(coords, proposals, where=accept[atom_chain])
+            np.copyto(best_coords, proposals, where=improved[atom_chain])
 
-        candidate_scores = np.empty(2 * self.restarts)
-        candidate_coords = np.empty((2 * self.restarts,) + coords.shape[1:])
-        for index in range(self.restarts):
-            candidate_scores[2 * index] = best_scores[index]
-            candidate_coords[2 * index] = best_coords[index]
-            candidate_scores[2 * index + 1] = current[index]
-            candidate_coords[2 * index + 1] = coords[index]
-        return candidate_scores, candidate_coords
+        candidates = []
+        for index, (start, stop) in enumerate(blocks):
+            chains = slice(index * restarts, (index + 1) * restarts)
+            scores = np.stack([best_scores[chains], current[chains]], axis=1).reshape(-1)
+            pool = np.stack([best_coords[:, start:stop], coords[:, start:stop]], axis=1)
+            candidates.append((scores, pool.reshape(2 * restarts, stop - start, 3)))
+        return candidates
+
+
+#: Upper bound on the ligand-pocket pairs (restarts × Σ ligand atoms ×
+#: pocket atoms) one lockstep kernel call scores: the kernel keeps seven
+#: float64 planes of that size, so a lockstep group stays under about
+#: 30 MB.  Compounds reduce independently, so splitting a site's
+#: compounds into groups never changes a bit.
+LOCKSTEP_CHUNK_PAIRS = 1 << 19
 
 
 def dock_many(
@@ -269,45 +348,70 @@ def dock_many(
     site_name: str | None = None,
     references: Mapping[str, Molecule] | None = None,
 ) -> dict[str, list[DockedPose]]:
-    """Dock many ligands into one site, one compound after another.
+    """Dock many ligands into one site in lockstep.
 
     Parameters
     ----------
     ligands:
         ``(compound_id, molecule)`` pairs; the result maps each
         ``compound_id`` to its docked poses in input order.  Duplicate
-        compound ids collapse to the last entry — the same later-wins
-        outcome the per-record ``DockingDatabase.add`` has always
-        produced (duplicates share a seed, so their poses are identical
-        anyway).
+        compound ids collapse to the last entry before docking — the
+        same later-wins outcome the per-record ``DockingDatabase.add``
+        has always produced.
     seed:
         Stage-level seed.  Each compound docks under
         ``derive_seed(seed, "dock", site_name, compound_id)`` — the exact
         derivation ``CDT3Docking`` has always used, so results are
-        independent of batch composition.  Parallelism lives one level
-        up, in the streamed screen's shard workers.
+        independent of batch composition.  All compounds step in one
+        lockstep (:meth:`PoseGenerator.dock_lockstep`), split into groups
+        of at most :data:`LOCKSTEP_CHUNK_PAIRS` pairs.  Parallelism lives
+        one level up, in the streamed screen's shard workers.
     references:
         Optional per-compound crystal poses for RMSD bookkeeping.
     """
+    docker = PoseGenerator(
+        scorer,
+        num_poses=num_poses,
+        monte_carlo_steps=monte_carlo_steps,
+        restarts=restarts,
+        temperature=temperature,
+        min_pose_separation=min_pose_separation,
+        seed=seed,
+    )
     site_name = site.name if site_name is None else site_name
     references = references or {}
+    unique = dict(ligands)
     results: dict[str, list[DockedPose]] = {}
     with current_telemetry().span("dock-many") as span:
         span.set("ligands", len(ligands))
-        for compound_id, molecule in ligands:
-            docker = PoseGenerator(
-                scorer,
-                num_poses=num_poses,
-                monte_carlo_steps=monte_carlo_steps,
-                restarts=restarts,
-                temperature=temperature,
-                min_pose_separation=min_pose_separation,
-                seed=derive_seed(seed, "dock", site_name, compound_id),
+        for group in _lockstep_groups(list(unique.items()), restarts * site.num_atoms):
+            ids = [compound_id for compound_id, _ in group]
+            docked = docker.dock_lockstep(
+                site,
+                [molecule for _, molecule in group],
+                ids,
+                [derive_seed(seed, "dock", site_name, compound_id) for compound_id in ids],
+                [references.get(compound_id) for compound_id in ids],
             )
-            results[compound_id] = docker.dock(
-                site, molecule, complex_id=compound_id, reference=references.get(compound_id)
-            )
+            results.update(zip(ids, docked))
     return results
+
+
+def _lockstep_groups(compounds: list, pairs_per_atom: int) -> list[list]:
+    """Consecutive groups of compounds within :data:`LOCKSTEP_CHUNK_PAIRS` pairs.
+
+    A compound larger than the bound forms a group of its own.
+    """
+    groups: list[list] = []
+    pairs = 0
+    for compound in compounds:
+        size = compound[1].num_atoms * pairs_per_atom
+        if not groups or pairs + size > LOCKSTEP_CHUNK_PAIRS:
+            groups.append([])
+            pairs = 0
+        groups[-1].append(compound)
+        pairs += size
+    return groups
 
 
 def _normalize_seed(seed) -> int:

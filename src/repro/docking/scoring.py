@@ -26,19 +26,23 @@ class KernelScoringMixin:
     #: label mixed into the deterministic per-complex error stream
     error_label: str
 
-    def make_batch_kernel(self, site, ligand, complex_id: str = "", pose_id: int = 0):
-        """Batch-scoring kernel bound to one ``(site, ligand, complex)``.
+    def make_batch_kernel(self, site, ligands, complex_ids, pose_id: int = 0):
+        """Batch-scoring kernel bound to one site and ``C`` ``(ligand, complex_id)`` pairs.
 
-        The pairwise-interaction constants and the systematic-error draw
-        are resolved once; the returned closure scores stacked
-        ``(P, num_atoms, 3)`` pose tensors — the Monte-Carlo docker calls
-        it once per lockstep step.
+        The pairwise-interaction constants and the per-compound
+        systematic-error draws are resolved once; the returned closure
+        scores a stacked ``(R, ΣN, 3)`` pose tensor (the ligands' atoms
+        end to end, :meth:`InteractionModel.batch_kernel`) into ``C * R``
+        scores, compound-major — the Monte-Carlo docker calls it once per
+        lockstep step.
         """
-        terms_kernel = self._interactions.batch_kernel(site, ligand)
-        error = self._systematic_error_for(complex_id, int(pose_id)) * PK_TO_KCAL
+        terms_kernel = self._interactions.batch_kernel(site, ligands)
+        errors = np.array([self._systematic_error_for(cid, int(pose_id)) for cid in complex_ids])
+        errors = (errors * PK_TO_KCAL)[:, None]
 
         def kernel(coords: np.ndarray) -> np.ndarray:
-            return self._weighted_terms(terms_kernel(coords)) + error
+            raw = self._weighted_terms(terms_kernel(coords))
+            return (raw.reshape(len(errors), -1) + errors).reshape(-1)
 
         return kernel
 
@@ -54,7 +58,7 @@ class KernelScoringMixin:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 2:
             coords = coords[None, :, :]
-        return self.make_batch_kernel(site, ligand, complex_id, pose_id)(coords)
+        return self.make_batch_kernel(site, [ligand], [complex_id], pose_id)(coords)
 
     def score_many(self, complexes) -> np.ndarray:
         """Batched scores through the shared pairwise-interaction kernel.

@@ -2,7 +2,7 @@
 
 These are the per-pose loops that ``repro.docking`` ran before the
 lockstep docker replaced them: every Monte-Carlo restart chain runs on
-its own, every pose is scored through a fresh
+its own, draws and applies its own moves, every pose is scored through a fresh
 :class:`~repro.chem.complexes.ProteinLigandComplex` and the scalar
 ``InteractionModel.compute_terms``, and clustering compares poses with
 nested :func:`~repro.docking.poses.rmsd` calls.  They are kept here only
@@ -22,9 +22,35 @@ from repro.docking.poses import (
     DockedPose,
     initial_pose_coords,
     molecule_with_coordinates,
-    perturbed_coords,
     rmsd,
 )
+
+
+def perturbed_coords(
+    coords: np.ndarray, rng: np.random.Generator, step: int, total_steps: int
+) -> np.ndarray:
+    """One annealed rigid-body MC move of one chain, drawn and applied on its own.
+
+    The scalar form of ``rigid_moves`` + ``apply_rigid_moves``: three
+    ``rng.normal`` calls (translation, angle, axis) and a ``(N, 3) @ (3, 3)``
+    rotation about the centroid.
+    """
+    cooling = max(0.25, 1.0 - step / max(total_steps, 1))
+    translation = rng.normal(scale=0.6 * cooling, size=3)
+    angle = rng.normal(scale=0.35 * cooling)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis) + 1e-12
+    rotation = _axis_angle_matrix(axis, angle)
+    center = coords.mean(axis=0)
+    return (coords - center) @ rotation.T + center + translation
+
+
+def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rotation matrix about ``axis`` by ``angle`` (Rodrigues formula)."""
+    x, y, z = axis
+    c, s = np.cos(angle), np.sin(angle)
+    cross = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
+    return np.eye(3) * c + s * cross + (1 - c) * np.outer(axis, axis)
 
 
 class ScalarPoseGenerator(PoseGenerator):

@@ -17,12 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chem.complexes import InteractionModel, ProteinLigandComplex
+import pickle
+
+from repro.chem.complexes import InteractionModel, ProteinLigandComplex, pair_distances
+from repro.chem.molecule import Molecule
+from repro.chem.protein import BindingSite
 from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa
+import repro.docking.engine as engine_module
 from repro.docking.engine import PoseGenerator, dock_many, pairwise_rmsd, select_pose_indices
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.poses import MaximizePkScorer, molecule_with_coordinates, rmsd
 from repro.docking.vina import VinaScorer
+from repro.telemetry import Telemetry, activate
 from repro.utils.rng import derive_seed
 
 from docking_oracle import ScalarPoseGenerator, reference_rescore
@@ -89,6 +95,37 @@ class TestBatchedKernel:
             interaction_model.compute_terms_batch(
                 protease_site, ligand, np.zeros((1, ligand.num_atoms + 1, 3))
             )
+
+
+    def test_fused_kernel_equals_one_kernel_per_ligand(self, protease_site, prepared_ligands, interaction_model):
+        """Ligands laid end to end score as they do alone: each reduces its
+        own contiguous block, so companions never move a bit."""
+        ligands = [_posed(p.molecule, protease_site) for p in prepared_ligands[:4]]
+        assert len({ligand.num_atoms for ligand in ligands}) > 1
+        restarts = 3
+        per_ligand = [
+            np.stack([ligand.coordinates + 0.13 * r * (i + 1) for r in range(restarts)])
+            for i, ligand in enumerate(ligands)
+        ]
+        fused = interaction_model.batch_kernel(protease_site, ligands)(np.concatenate(per_ligand, axis=1))
+        assert len(fused) == restarts * len(ligands)
+        for index, (ligand, coords) in enumerate(zip(ligands, per_ligand)):
+            alone = interaction_model.batch_kernel(protease_site, [ligand])(coords)
+            for r in range(restarts):
+                assert fused.term(index * restarts + r) == alone.term(r)
+
+    def test_pair_distances_match_linalg_norm(self):
+        """The component-major helper keeps the distances the scalar
+        ``np.linalg.norm(deltas, axis=-1)`` gave before it was routed
+        through the helper."""
+        rng = np.random.default_rng(7)
+        coords = rng.normal(scale=6.0, size=(3, 11, 3))
+        pocket = rng.normal(scale=6.0, size=(17, 3))
+        expected = np.linalg.norm(coords[:, :, None, :] - pocket[None, None], axis=-1)
+        assert np.array_equal(pair_distances(coords, pocket.T), expected)
+        out, scratch = np.empty((3, 11, 17)), np.empty((3, 11, 17))
+        assert pair_distances(coords, pocket.T, out=out, scratch=scratch) is out
+        assert np.array_equal(out, expected)
 
 
 class TestBatchedScorers:
@@ -237,7 +274,7 @@ class TestDockerGoldenEquivalence:
             docker = PoseGenerator(
                 scorer, num_poses=4, monte_carlo_steps=8, restarts=restarts, seed=13
             )
-            chains[restarts] = docker.run_chains(protease_site, ligand, complex_id="c")
+            chains[restarts] = docker.run_chains(protease_site, [ligand], ["c"], [docker.base_seed])[0]
         for narrow, wide in ((1, 2), (2, 6), (1, 6)):
             scores_n, coords_n = chains[narrow]
             scores_w, coords_w = chains[wide]
@@ -425,6 +462,150 @@ class TestDockMany:
             references={compound_id: _posed(ligand, protease_site)},
         )[compound_id]
         assert all(np.isfinite(p.rmsd_to_reference) for p in poses)
+
+
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=6),
+        site_name=st.sampled_from(["protease1", "spike1"]),
+        with_references=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_poses_do_not_depend_on_companions(
+        self, sarscov2_sites, prepared_ligands, picks, site_name, with_references
+    ):
+        """Random subsets, orders, ligand sizes and duplicate ids: every
+        compound of one lockstep equals the scalar oracle docking it alone."""
+        site = sarscov2_sites[site_name]
+        pairs = [(f"cmp{alias}", prepared_ligands[index].molecule) for index, alias in picks]
+        last = {f"cmp{alias}": index for index, alias in picks}
+        references = None
+        if with_references:
+            references = {cid: _posed(prepared_ligands[i].molecule, site) for cid, i in last.items()}
+        docked = dock_many(site, pairs, scorer=VinaScorer(), seed=31, references=references, **_LOCKSTEP)
+        assert list(docked) == list(last)
+        for compound_id, index in last.items():
+            expected = _oracle_poses(site, prepared_ligands, index, compound_id, with_references)
+            _assert_poses_identical(expected, docked[compound_id])
+
+    def test_kernel_calls_count_one_fused_call_per_step(self, sarscov2_sites, prepared_ligands):
+        """One kernel per site and one fused call per MC step (plus the
+        placement call), whatever the number of compounds."""
+        kernels = []
+
+        class CountingVina(VinaScorer):
+            def make_batch_kernel(self, site, ligands, *args, **kwargs):
+                kernels.append(len(ligands))
+                return super().make_batch_kernel(site, ligands, *args, **kwargs)
+
+        pairs = [(p.compound_id, p.molecule) for p in prepared_ligands[:4]]
+        steps, restarts = 5, 2
+        bundle = Telemetry.disabled()
+        with activate(bundle):
+            for site_name in ("protease1", "spike1"):
+                dock_many(
+                    sarscov2_sites[site_name], pairs, scorer=CountingVina(), seed=3,
+                    num_poses=2, monte_carlo_steps=steps, restarts=restarts,
+                )
+        counters = bundle.registry.snapshot()["counters"]
+        assert kernels == [len(pairs), len(pairs)]
+        assert counters["docking.kernel_calls"] == 2 * (steps + 1)
+        assert counters["docking.compounds"] == 2 * len(pairs)
+        assert counters["docking.poses_scored"] == 2 * len(pairs) * restarts * (steps + 1)
+
+    def test_lockstep_groups_keep_bits(self, monkeypatch, protease_site, prepared_ligands):
+        """Capping the pairs of one group splits the lockstep; compounds
+        reduce independently, so the poses do not move."""
+        pairs = [(p.compound_id, p.molecule) for p in prepared_ligands]
+        kwargs = dict(scorer=VinaScorer(), seed=8, num_poses=3, monte_carlo_steps=4, restarts=2)
+        whole = dock_many(protease_site, pairs, **kwargs)
+        largest = max(molecule.num_atoms for _, molecule in pairs)
+        monkeypatch.setattr(engine_module, "LOCKSTEP_CHUNK_PAIRS", 2 * protease_site.num_atoms * largest)
+        bundle = Telemetry.disabled()
+        with activate(bundle):
+            grouped = dock_many(protease_site, pairs, **kwargs)
+        kernel_calls = bundle.registry.snapshot()["counters"]["docking.kernel_calls"]
+        assert kernel_calls % 5 == 0 and kernel_calls // 5 == len(pairs)
+        assert list(grouped) == list(whole)
+        for compound_id in whole:
+            _assert_poses_identical(whole[compound_id], grouped[compound_id])
+
+    def test_empty_ligand_list_builds_no_kernel(self, protease_site):
+        kernels = []
+
+        class CountingVina(VinaScorer):
+            def make_batch_kernel(self, *args, **kwargs):
+                kernels.append(args)
+                return super().make_batch_kernel(*args, **kwargs)
+
+        assert dock_many(protease_site, [], scorer=CountingVina(), seed=1) == {}
+        assert kernels == []
+
+    def test_zero_atom_ligand_or_site_rejected(self, protease_site, prepared_ligands):
+        ligand = prepared_ligands[0]
+        kwargs = dict(scorer=VinaScorer(), seed=1, num_poses=2, monte_carlo_steps=2, restarts=1)
+        match = "complex must contain both ligand and pocket atoms"
+        with pytest.raises(ValueError, match=match):
+            dock_many(protease_site, [(ligand.compound_id, ligand.molecule), ("empty", Molecule([]))], **kwargs)
+        empty_site = BindingSite(name="empty", target="none", atoms=[], family=protease_site.family)
+        with pytest.raises(ValueError, match=match):
+            dock_many(empty_site, [(ligand.compound_id, ligand.molecule)], **kwargs)
+
+
+_LOCKSTEP = dict(num_poses=3, monte_carlo_steps=4, restarts=2)
+_ORACLE_CACHE: dict = {}
+
+
+def _oracle_poses(site, prepared_ligands, index, compound_id, with_reference):
+    """The scalar oracle's poses of one compound docked alone (memoized)."""
+    key = (site.name, index, compound_id, with_reference)
+    if key not in _ORACLE_CACHE:
+        molecule = prepared_ligands[index].molecule
+        oracle = ScalarPoseGenerator(
+            VinaScorer(), seed=derive_seed(31, "dock", site.name, compound_id), **_LOCKSTEP
+        )
+        reference = _posed(molecule, site) if with_reference else None
+        _ORACLE_CACHE[key] = oracle.dock(site, molecule, complex_id=compound_id, reference=reference)
+    return _ORACLE_CACHE[key]
+
+
+class TestPoseCopies:
+    def test_docked_poses_share_the_template_arrays(self, monkeypatch, protease_site, prepared_ligands):
+        """Rescoring docked poses reuses the ligand's memoized interaction
+        arrays instead of extracting them from the atoms again."""
+        import repro.featurize.atom_features as atom_features
+
+        pairs = [(p.compound_id, p.molecule) for p in prepared_ligands[:3]]
+        docked = dock_many(
+            protease_site, pairs, scorer=VinaScorer(), seed=4, num_poses=3, monte_carlo_steps=3, restarts=2
+        )
+        extractions = []
+        original = atom_features.atom_arrays
+        monkeypatch.setattr(
+            atom_features, "atom_arrays", lambda atoms: extractions.append(1) or original(atoms)
+        )
+        complexes = [pose.complex for poses in docked.values() for pose in poses]
+        scores = MMGBSARescorer().score_many(complexes)
+        assert extractions == []
+        assert np.array_equal(scores, np.array([MMGBSARescorer().score(c) for c in complexes]))
+        for compound_id, molecule in pairs:
+            for pose in docked[compound_id]:
+                assert pose.complex.ligand._interaction_arrays is molecule._interaction_arrays
+
+    def test_pickled_pose_drops_the_derived_arrays(self, protease_site, prepared_ligands):
+        """The arrays are derived data: a checkpointed pose pickles to the
+        same bytes as a copy that never carried them."""
+        ligand = prepared_ligands[0].molecule
+        pose = dock_many(
+            protease_site, [("c", ligand)], scorer=VinaScorer(), seed=4,
+            num_poses=1, monte_carlo_steps=2, restarts=1,
+        )["c"][0].complex.ligand
+        assert hasattr(pose, "_interaction_arrays")
+        bare = pose.copy()
+        assert not hasattr(bare, "_interaction_arrays")
+        assert pickle.dumps(pose) == pickle.dumps(bare)
+        restored = pickle.loads(pickle.dumps(pose))
+        assert not hasattr(restored, "_interaction_arrays")
+        assert np.array_equal(restored.coordinates, pose.coordinates)
 
 
 class TestConveyorEngineEquivalence:
