@@ -26,12 +26,11 @@ from repro.chem.protein import (
     make_sarscov2_proteins,
     make_sarscov2_targets,
 )
-from repro.chem.complexes import InteractionModel, InteractionTerms, ProteinLigandComplex
+from repro.chem.complexes import InteractionModel, ProteinLigandComplex
 from repro.chem.prep import LigandPrepPipeline, PreparedLigand
 
 __all__ = [
     "GeneratorProfile",
-    "InteractionTerms",
     "make_sarscov2_targets",
     "make_sarscov2_proteins",
     "ELEMENTS",

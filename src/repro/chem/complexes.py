@@ -33,11 +33,10 @@ from repro.chem.protein import BindingSite
 #: RT ln(10) at 298 K in kcal/mol — converts pK to binding free energy.
 PK_TO_KCAL = 1.364
 
-# Pairwise-term constants shared by the scalar ``compute_terms``, the hot
-# ``batch_kernel`` closure and the grouped ``_pairwise_terms`` kernel —
-# one definition, like the one distance helper ``pair_distances`` all
-# three call, keeps the three implementations bit-identical by
-# construction instead of by test.
+# Pairwise-term constants.  In ``src/`` only the ``batch_kernel`` closure
+# reads them: it is the one evaluation of the pairwise terms, which
+# docking, rescoring and the latent pK all call.  The scalar reference in
+# ``tests/docking_oracle.py`` imports the same values.
 _GAUSS1_WIDTH = 0.8
 _GAUSS2_OFFSET = 2.0
 _GAUSS2_WIDTH = 2.5
@@ -92,47 +91,14 @@ class ProteinLigandComplex:
 
 
 @dataclass(frozen=True)
-class InteractionTerms:
-    """Raw interaction terms of a complex (all dimensionless counts/sums)."""
-
-    shape: float
-    repulsion: float
-    hydrophobic: float
-    hbond: float
-    electrostatic: float
-    buried_fraction: float
-    rotatable_bonds: float
-    ligand_heavy_atoms: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.shape,
-                self.repulsion,
-                self.hydrophobic,
-                self.hbond,
-                self.electrostatic,
-                self.buried_fraction,
-                self.rotatable_bonds,
-                self.ligand_heavy_atoms,
-            ]
-        )
-
-
-#: Upper bound on poses per grouped-terms batch: a chunk's pairwise
-#: tensors stay in the tens of megabytes even for large ligands, where an
-#: unchunked site-level rescoring batch (thousands of poses) would
-#: materialize multi-GB intermediates.
-GROUPED_TERMS_CHUNK_POSES = 256
-
-
-@dataclass(frozen=True)
 class BatchedInteractionTerms:
     """Interaction terms of ``P`` poses; every field is a ``(P,)`` float64 array.
 
-    Produced by :meth:`InteractionModel.compute_terms_batch`: one broadcast
-    pairwise computation over a stacked pose tensor replaces ``P`` scalar
-    :meth:`InteractionModel.compute_terms` calls, bit-identically.
+    Produced by :meth:`InteractionModel.batch_kernel` (and its one-ligand
+    form :meth:`InteractionModel.compute_terms_batch`).  The fields are
+    dimensionless counts and sums: shape complementarity, steric
+    repulsion, hydrophobic and hydrogen-bond contacts, electrostatics,
+    the buried fraction of ligand atoms, rotatable bonds and heavy atoms.
     """
 
     shape: np.ndarray
@@ -147,29 +113,17 @@ class BatchedInteractionTerms:
     def __len__(self) -> int:
         return int(self.shape.shape[0])
 
-    def term(self, index: int) -> InteractionTerms:
-        """Scalar :class:`InteractionTerms` view of pose ``index``."""
-        return InteractionTerms(
-            shape=float(self.shape[index]),
-            repulsion=float(self.repulsion[index]),
-            hydrophobic=float(self.hydrophobic[index]),
-            hbond=float(self.hbond[index]),
-            electrostatic=float(self.electrostatic[index]),
-            buried_fraction=float(self.buried_fraction[index]),
-            rotatable_bonds=float(self.rotatable_bonds[index]),
-            ligand_heavy_atoms=float(self.ligand_heavy_atoms[index]),
-        )
-
 
 def ligand_interaction_arrays(ligand: Molecule):
     """Cached ``(AtomArrays, rotatable_bonds, heavy_atoms)`` for a ligand.
 
     Rigid-body docking changes only coordinates, so the per-atom property
-    arrays (and the topology-derived rotatable-bond count, which costs a
-    networkx cycle basis per scalar ``compute_terms`` call) are extracted
-    once per molecule and memoized on the instance.  Callers must pass
-    pose coordinates explicitly — the cached ``coords`` field reflects the
-    molecule at extraction time and is never read by the batched kernel.
+    arrays and the topology-derived rotatable-bond count (a networkx
+    cycle basis) are extracted once per molecule and memoized on the
+    instance; every pose copy of a docked ligand shares them.  Callers
+    must pass pose coordinates explicitly — the cached ``coords`` field
+    reflects the molecule at extraction time and is never read by the
+    kernel.
     """
     cached = getattr(ligand, "_interaction_arrays", None)
     if cached is None:
@@ -216,77 +170,10 @@ class InteractionModel:
         self.base_pk = float(base_pk)
 
     # ------------------------------------------------------------------ #
-    def compute_terms(self, complex_: ProteinLigandComplex) -> InteractionTerms:
-        """Compute raw pairwise interaction terms for a complex."""
-        lig_coords = complex_.ligand_coordinates()
-        pocket_coords = complex_.pocket_coordinates()
-        if lig_coords.size == 0 or pocket_coords.size == 0:
-            raise ValueError("complex must contain both ligand and pocket atoms")
-        lig_atoms = complex_.ligand.atoms
-        pocket_atoms = complex_.site.atoms
-
-        dist = pair_distances(lig_coords[None], pocket_coords.T)[0]
-        lig_radii = np.array([a.vdw_radius for a in lig_atoms])
-        pocket_radii = np.array([a.vdw_radius for a in pocket_atoms])
-        surface_dist = dist - (lig_radii[:, None] + pocket_radii[None, :])
-
-        within = dist <= self.cutoff
-        # shape complementarity: two Vina-style gaussians of the surface distance
-        gauss1 = np.exp(-((surface_dist / _GAUSS1_WIDTH) ** 2))
-        gauss2 = np.exp(-(((surface_dist - _GAUSS2_OFFSET) / _GAUSS2_WIDTH) ** 2))
-        shape = float(((gauss1 + _GAUSS2_WEIGHT * gauss2) * within).sum())
-
-        # steric clash: quadratic in surface overlap
-        overlap = np.where(surface_dist < 0, surface_dist, 0.0)
-        repulsion = float(((overlap**2) * within).sum())
-
-        lig_hydro = np.array([a.hydrophobic for a in lig_atoms], dtype=float)
-        pocket_hydro = np.array([a.hydrophobic for a in pocket_atoms], dtype=float)
-        hydro_ramp = np.clip((_HYDROPHOBIC_RAMP - surface_dist) / _HYDROPHOBIC_RAMP, 0.0, 1.0)
-        hydrophobic = float(
-            ((lig_hydro[:, None] * pocket_hydro[None, :]) * hydro_ramp * within).sum()
-        )
-
-        lig_donor = np.array([a.hbond_donor for a in lig_atoms], dtype=float)
-        lig_acceptor = np.array([a.hbond_acceptor for a in lig_atoms], dtype=float)
-        pocket_donor = np.array([a.hbond_donor for a in pocket_atoms], dtype=float)
-        pocket_acceptor = np.array([a.hbond_acceptor for a in pocket_atoms], dtype=float)
-        hbond_pairs = (
-            lig_donor[:, None] * pocket_acceptor[None, :]
-            + lig_acceptor[:, None] * pocket_donor[None, :]
-        )
-        hbond_ramp = np.clip((_HBOND_RAMP - surface_dist) / _HBOND_RAMP, 0.0, 1.0)
-        hbond = float((hbond_pairs * hbond_ramp * within).sum())
-
-        lig_q = np.array([a.partial_charge for a in lig_atoms])
-        pocket_q = np.array([a.partial_charge for a in pocket_atoms])
-        electrostatic = float(
-            (
-                (-lig_q[:, None] * pocket_q[None, :])
-                / np.maximum(dist, _ELECTROSTATIC_FLOOR)
-                * within
-            ).sum()
-        )
-
-        # fraction of ligand atoms buried in the pocket (any contact < 4.5 A)
-        buried = float((dist.min(axis=1) < _BURIAL_CONTACT).mean())
-
-        return InteractionTerms(
-            shape=shape,
-            repulsion=repulsion,
-            hydrophobic=hydrophobic,
-            hbond=hbond,
-            electrostatic=electrostatic,
-            buried_fraction=buried,
-            rotatable_bonds=float(complex_.ligand.rotatable_bonds()),
-            ligand_heavy_atoms=float(complex_.ligand.num_atoms),
-        )
-
-    # ------------------------------------------------------------------ #
     # batched kernel
     # ------------------------------------------------------------------ #
     def compute_terms_batch(self, site, ligand: Molecule, coords) -> BatchedInteractionTerms:
-        """Batched :meth:`compute_terms`: ``P`` rigid-body poses of one ligand.
+        """Interaction terms of ``P`` rigid-body poses of one ligand.
 
         Parameters
         ----------
@@ -301,9 +188,8 @@ class InteractionModel:
             ``(P, num_atoms, 3)`` stacked pose coordinates (a single
             ``(num_atoms, 3)`` pose is promoted to ``P = 1``).
 
-        Bit-identical to ``P`` scalar ``compute_terms`` calls: every
-        elementwise operation mirrors the scalar expression and every
-        reduction runs over the same contiguous per-pose memory layout.
+        The ``C = 1`` case of :meth:`batch_kernel`, with the pose tensor
+        validated first.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 2:
@@ -394,8 +280,8 @@ class InteractionModel:
             # Every term is a pairwise quantity times ``within``, so the
             # surface distances and the transcendental math run only on
             # the within-cutoff pairs; scattering into zeroed buffers
-            # reproduces the zeros the scalar ``* within`` writes
-            # elsewhere (up to the sign of zero, which no sum with a
+            # reproduces the zeros the scalar reference's ``* within``
+            # writes elsewhere (up to the sign of zero, which no sum with a
             # nonzero term can see), and the per-ligand sums then reduce
             # the same contiguous rows.
             inside = np.nonzero(within.ravel())[0]
@@ -409,8 +295,8 @@ class InteractionModel:
             gauss2 = np.exp(-(((s - _GAUSS2_OFFSET) / _GAUSS2_WIDTH) ** 2))
             flat[0, inside] = gauss1 + _GAUSS2_WEIGHT * gauss2
 
-            # minimum(x, 0) and the scalar where(x < 0, x, 0) agree after
-            # squaring (only the sign of zero can differ)
+            # minimum(x, 0) and the reference's where(x < 0, x, 0) agree
+            # after squaring (only the sign of zero can differ)
             overlap = np.minimum(s, 0.0)
             flat[1, inside] = overlap**2
 
@@ -427,7 +313,7 @@ class InteractionModel:
 
             # Each ligand reduces its own (N_c * M) block of every pose:
             # the block is contiguous, so the row sum runs the same
-            # pairwise-summation tree as the scalar ``(N_c, M).sum()``.
+            # pairwise-summation tree as one ligand's ``(N_c, M).sum()``.
             sums = np.empty((5, num_ligands, num_poses))
             for index, (start, stop) in enumerate(blocks):
                 block = terms[:, :, start:stop, :].reshape(5 * num_poses, -1)
@@ -450,66 +336,24 @@ class InteractionModel:
 
         return kernel
 
-    def grouped_terms(self, complexes):
-        """Batched terms for heterogeneous complexes, grouped by (site, ligand size).
-
-        Yields ``(indices, BatchedInteractionTerms)`` pairs where
-        ``indices`` selects the complexes of one group in input order.
-        Ligand property arrays are stacked per pose, so complexes with
-        different ligands (e.g. the poses rescored by CDT4) batch
-        together as long as they share the binding site and atom count.
-        Groups larger than :data:`GROUPED_TERMS_CHUNK_POSES` are split
-        into bounded chunks — per-pose rows reduce independently, so
-        chunking keeps results bit-identical while capping the peak
-        ``(P, N_ligand, N_pocket)`` tensor memory at campaign scale.
-        """
-        from repro.featurize.atom_features import site_arrays
-
-        complexes = list(complexes)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for index, complex_ in enumerate(complexes):
-            key = (id(complex_.site), complex_.ligand.num_atoms)
-            groups.setdefault(key, []).append(index)
-        for group in groups.values():
-            for start in range(0, len(group), GROUPED_TERMS_CHUNK_POSES):
-                indices = group[start : start + GROUPED_TERMS_CHUNK_POSES]
-                members = [complexes[i] for i in indices]
-                pocket = site_arrays(members[0].site)[0]
-                if pocket.num_atoms == 0 or members[0].ligand.num_atoms == 0:
-                    raise ValueError("complex must contain both ligand and pocket atoms")
-                arrays = [ligand_interaction_arrays(c.ligand) for c in members]
-                coords = np.stack([c.ligand_coordinates() for c in members])
-                lig_radii = np.stack([a.vdw_radius for a, _, _ in arrays])
-                lig_donor = np.stack([a.hbond_donor for a, _, _ in arrays])
-                lig_acceptor = np.stack([a.hbond_acceptor for a, _, _ in arrays])
-                terms = _pairwise_terms(
-                    self.cutoff,
-                    pocket.coords,
-                    lig_radii[:, :, None] + pocket.vdw_radius,
-                    np.stack([a.hydrophobic for a, _, _ in arrays])[:, :, None]
-                    * pocket.hydrophobic,
-                    lig_donor[:, :, None] * pocket.hbond_acceptor
-                    + lig_acceptor[:, :, None] * pocket.hbond_donor,
-                    -np.stack([a.partial_charge for a, _, _ in arrays])[:, :, None]
-                    * pocket.partial_charge,
-                    np.array([rot for _, rot, _ in arrays]),
-                    np.array([heavy for _, _, heavy in arrays]),
-                    coords,
-                )
-                yield np.asarray(indices, dtype=np.intp), terms
-
     # ------------------------------------------------------------------ #
     def true_pk(self, complex_: ProteinLigandComplex) -> float:
         """Ground-truth binding affinity as pK = -log10(K)."""
-        terms = self.compute_terms(complex_)
-        return self.pk_from_terms(terms)
+        coords = complex_.ligand_coordinates()
+        return float(self.true_pk_batch(complex_.site, complex_.ligand, coords)[0])
 
     def true_pk_batch(self, site, ligand: Molecule, coords) -> np.ndarray:
         """Batched :meth:`true_pk` over stacked pose coordinates ``(P, N, 3)``."""
-        return self.pk_from_terms_batch(self.compute_terms_batch(site, ligand, coords))
+        return self.pk_from_terms(self.compute_terms_batch(site, ligand, coords))
 
-    def pk_from_terms_batch(self, terms: BatchedInteractionTerms) -> np.ndarray:
-        """Batched :meth:`pk_from_terms` (same expressions, elementwise)."""
+    def pk_from_terms(self, terms) -> np.ndarray:
+        """Map interaction terms (scalar or ``(P,)`` arrays) to pK, elementwise.
+
+        Favourable contact terms are normalized per ligand heavy atom
+        (ligand-efficiency style) so that larger ligands do not reach
+        unphysical affinities merely by touching more pocket atoms; the
+        hydrogen-bond and electrostatic terms saturate smoothly.
+        """
         heavy = np.maximum(terms.ligand_heavy_atoms, 6.0)
         shape_n = terms.shape / heavy
         repulsion_n = terms.repulsion / heavy
@@ -529,33 +373,6 @@ class InteractionModel:
         pk = self.base_pk + favourable + burial_bonus - unfavourable
         return np.clip(pk, 0.0, 14.0)
 
-    def pk_from_terms(self, terms: InteractionTerms) -> float:
-        """Map interaction terms to a pK value.
-
-        Favourable contact terms are normalized per ligand heavy atom
-        (ligand-efficiency style) so that larger ligands do not reach
-        unphysical affinities merely by touching more pocket atoms; the
-        hydrogen-bond and electrostatic terms saturate smoothly.
-        """
-        heavy = max(terms.ligand_heavy_atoms, 6.0)
-        shape_n = terms.shape / heavy
-        repulsion_n = terms.repulsion / heavy
-        hydrophobic_n = terms.hydrophobic / heavy
-        hbond_n = terms.hbond / heavy
-        favourable = (
-            self.shape_weight * shape_n
-            + self.hydrophobic_weight * hydrophobic_n
-            + self.hbond_weight * 4.0 * np.tanh(hbond_n / 1.2)
-            + self.electrostatic_weight * np.tanh(terms.electrostatic / 1.5)
-        )
-        unfavourable = (
-            self.repulsion_weight * repulsion_n
-            + self.rotor_penalty * np.log1p(terms.rotatable_bonds)
-        )
-        burial_bonus = self.burial_weight * terms.buried_fraction
-        pk = self.base_pk + favourable + burial_bonus - unfavourable
-        return float(np.clip(pk, 0.0, 14.0))
-
     def binding_free_energy(self, complex_: ProteinLigandComplex) -> float:
         """Ground-truth binding free energy in kcal/mol (negative = favourable)."""
         return -PK_TO_KCAL * self.true_pk(complex_)
@@ -573,9 +390,9 @@ def pair_distances(
     three ``(P, N, M)`` subtractions, one per axis, instead of one
     ``(P, N, M, 3)`` difference tensor whose length-3 innermost axis
     dominated the kernel.  The squares are summed as ``(dx² + dy²) + dz²``
-    before the ``sqrt``, one order for every caller (the scalar
-    ``compute_terms``, the docking kernel and the grouped rescoring
-    kernel).  ``out`` and ``scratch`` are optional ``(P, N, M)`` buffers.
+    before the ``sqrt``, one order for every caller
+    (:meth:`InteractionModel.batch_kernel` and the scalar test reference).
+    ``out`` and ``scratch`` are optional ``(P, N, M)`` buffers.
     """
     shape = coords.shape[:2] + pocket_xyz.shape[1:]
     out = np.empty(shape) if out is None else out
@@ -589,63 +406,32 @@ def pair_distances(
     return np.sqrt(out, out=out)
 
 
-def _pairwise_terms(
-    cutoff: float,
-    pocket_coords: np.ndarray,
-    radii_sum: np.ndarray,
-    hydro_pairs: np.ndarray,
-    hbond_pairs: np.ndarray,
-    charge_pairs: np.ndarray,
-    rotatable: np.ndarray,
-    heavy: np.ndarray,
-    coords: np.ndarray,
-) -> BatchedInteractionTerms:
-    """Coordinate-dependent half of the batched pairwise-interaction kernel.
+#: Upper bound on the ligand-pocket pairs (rows × Σ ligand atoms × pocket
+#: atoms) one :meth:`InteractionModel.batch_kernel` call scores: the
+#: kernel keeps seven float64 planes of that size, so a call stays under
+#: about 30 MB.  Ligands reduce independently, so splitting them into
+#: groups never changes a bit.
+KERNEL_CHUNK_PAIRS = 1 << 19
 
-    ``coords`` is ``(P, N, 3)``; the pair-constant arrays are ``(N, K)``
-    (shared ligand) or ``(P, N, K)`` (stacked heterogeneous ligands) —
-    broadcasting makes both layouts elementwise-identical to the scalar
-    :meth:`InteractionModel.compute_terms` expressions.  Reductions run as
-    ``reshape(P, -1).sum(axis=1)`` so each pose reduces over the same
-    contiguous block (same pairwise-summation tree) as the scalar
-    ``(N, K)`` ``.sum()``.
+
+def kernel_groups(ligands: list, pairs_per_atom: int) -> list[list]:
+    """Consecutive groups of ``(key, Molecule)`` pairs within :data:`KERNEL_CHUNK_PAIRS` pairs.
+
+    ``pairs_per_atom`` is the pairs one ligand atom adds to a kernel call
+    (rows × pocket atoms).  A ligand larger than the bound forms a group
+    of its own.  The lockstep docker and the rescoring path share this
+    rule.
     """
-    num_poses = coords.shape[0]
-
-    def reduce_pairs(values: np.ndarray) -> np.ndarray:
-        return values.reshape(num_poses, -1).sum(axis=1)
-
-    dist = pair_distances(coords, pocket_coords.T)
-    surface_dist = dist - radii_sum
-
-    within = dist <= cutoff
-    gauss1 = np.exp(-((surface_dist / _GAUSS1_WIDTH) ** 2))
-    gauss2 = np.exp(-(((surface_dist - _GAUSS2_OFFSET) / _GAUSS2_WIDTH) ** 2))
-    shape = reduce_pairs((gauss1 + _GAUSS2_WEIGHT * gauss2) * within)
-
-    overlap = np.where(surface_dist < 0, surface_dist, 0.0)
-    repulsion = reduce_pairs((overlap**2) * within)
-
-    hydro_ramp = np.clip((_HYDROPHOBIC_RAMP - surface_dist) / _HYDROPHOBIC_RAMP, 0.0, 1.0)
-    hydrophobic = reduce_pairs(hydro_pairs * hydro_ramp * within)
-
-    hbond_ramp = np.clip((_HBOND_RAMP - surface_dist) / _HBOND_RAMP, 0.0, 1.0)
-    hbond = reduce_pairs(hbond_pairs * hbond_ramp * within)
-
-    electrostatic = reduce_pairs(charge_pairs / np.maximum(dist, _ELECTROSTATIC_FLOOR) * within)
-
-    buried = (dist.min(axis=2) < _BURIAL_CONTACT).mean(axis=1)
-
-    return BatchedInteractionTerms(
-        shape=shape,
-        repulsion=repulsion,
-        hydrophobic=hydrophobic,
-        hbond=hbond,
-        electrostatic=electrostatic,
-        buried_fraction=buried,
-        rotatable_bonds=np.asarray(rotatable, dtype=np.float64),
-        ligand_heavy_atoms=np.asarray(heavy, dtype=np.float64),
-    )
+    groups: list[list] = []
+    pairs = 0
+    for item in ligands:
+        size = item[1].num_atoms * pairs_per_atom
+        if not groups or pairs + size > KERNEL_CHUNK_PAIRS:
+            groups.append([])
+            pairs = 0
+        groups[-1].append(item)
+        pairs += size
+    return groups
 
 
 #: A module-level default instance shared by dataset generation and scoring.

@@ -258,7 +258,7 @@ class CDT4Mmgbsa:
                 compounds = list(rng.choice(compounds, size=keep, replace=False))
             site = sites[site_name]
             # one site-level batch through the shared kernel: the rescored
-            # poses of every selected compound score in one grouped pass
+            # poses of every selected compound go end to end in one row
             records: list[DockingRecord] = []
             for compound_id in compounds:
                 poses = database.poses(site_name, compound_id)

@@ -18,9 +18,10 @@ ConveyorLC's CDT3Docking stage does:
 * :func:`select_pose_indices` clusters each compound's candidates over
   one pairwise-RMSD matrix (:func:`pairwise_rmsd`);
 * :func:`dock_many` docks a batch of ligands into one site as one
-  lockstep (split into groups of at most :data:`LOCKSTEP_CHUNK_PAIRS`
-  pairs), under per-compound seeds that match ``CDT3Docking``;
-  :meth:`PoseGenerator.dock` is its one-compound case.
+  lockstep (split by :func:`~repro.chem.complexes.kernel_groups` into
+  groups of at most ``KERNEL_CHUNK_PAIRS`` pairs), under per-compound
+  seeds that match ``CDT3Docking``; :meth:`PoseGenerator.dock` is its
+  one-compound case.
 
 Random-stream protocol
 ----------------------
@@ -44,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.chem.complexes import ProteinLigandComplex
+from repro.chem.complexes import ProteinLigandComplex, kernel_groups
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.poses import (
@@ -326,14 +327,6 @@ class PoseGenerator:
         return candidates
 
 
-#: Upper bound on the ligand-pocket pairs (restarts × Σ ligand atoms ×
-#: pocket atoms) one lockstep kernel call scores: the kernel keeps seven
-#: float64 planes of that size, so a lockstep group stays under about
-#: 30 MB.  Compounds reduce independently, so splitting a site's
-#: compounds into groups never changes a bit.
-LOCKSTEP_CHUNK_PAIRS = 1 << 19
-
-
 def dock_many(
     site: BindingSite,
     ligands: Sequence[tuple[str, Molecule]],
@@ -364,8 +357,9 @@ def dock_many(
         derivation ``CDT3Docking`` has always used, so results are
         independent of batch composition.  All compounds step in one
         lockstep (:meth:`PoseGenerator.dock_lockstep`), split into groups
-        of at most :data:`LOCKSTEP_CHUNK_PAIRS` pairs.  Parallelism lives
-        one level up, in the streamed screen's shard workers.
+        of at most :data:`~repro.chem.complexes.KERNEL_CHUNK_PAIRS`
+        pairs.  Parallelism lives one level up, in the streamed screen's
+        shard workers.
     references:
         Optional per-compound crystal poses for RMSD bookkeeping.
     """
@@ -384,7 +378,7 @@ def dock_many(
     results: dict[str, list[DockedPose]] = {}
     with current_telemetry().span("dock-many") as span:
         span.set("ligands", len(ligands))
-        for group in _lockstep_groups(list(unique.items()), restarts * site.num_atoms):
+        for group in kernel_groups(list(unique.items()), restarts * site.num_atoms):
             ids = [compound_id for compound_id, _ in group]
             docked = docker.dock_lockstep(
                 site,
@@ -395,23 +389,6 @@ def dock_many(
             )
             results.update(zip(ids, docked))
     return results
-
-
-def _lockstep_groups(compounds: list, pairs_per_atom: int) -> list[list]:
-    """Consecutive groups of compounds within :data:`LOCKSTEP_CHUNK_PAIRS` pairs.
-
-    A compound larger than the bound forms a group of its own.
-    """
-    groups: list[list] = []
-    pairs = 0
-    for compound in compounds:
-        size = compound[1].num_atoms * pairs_per_atom
-        if not groups or pairs + size > LOCKSTEP_CHUNK_PAIRS:
-            groups.append([])
-            pairs = 0
-        groups[-1].append(compound)
-        pairs += size
-    return groups
 
 
 def _normalize_seed(seed) -> int:

@@ -12,7 +12,7 @@ latent interaction model but retaining a significant systematic error.
 
 from __future__ import annotations
 
-from repro.chem.complexes import PK_TO_KCAL, InteractionModel, ProteinLigandComplex
+from repro.chem.complexes import InteractionModel
 from repro.docking.scoring import KernelScoringMixin
 
 #: §4.1: a single-point MM/GBSA evaluation takes ~10 minutes per pose per core;
@@ -42,13 +42,6 @@ class MMGBSARescorer(KernelScoringMixin):
         self.w_desolvation = 0.55
 
     # ------------------------------------------------------------------ #
-    def score(self, complex_: ProteinLigandComplex) -> float:
-        """Estimated binding free energy in kcal/mol."""
-        terms = self._interactions.compute_terms(complex_)
-        raw = self._weighted_terms(terms)
-        raw += self._systematic_error(complex_) * PK_TO_KCAL
-        return float(raw)
-
     def _weighted_terms(self, terms):
         """MM/GBSA weighting of (scalar or batched) interaction terms."""
         desolvation = terms.hbond * 0.4 + (1.0 - terms.buried_fraction) * 2.0
@@ -61,10 +54,6 @@ class MMGBSARescorer(KernelScoringMixin):
             + self.w_desolvation * desolvation
         )
         return raw / (1.0 + 0.02 * terms.ligand_heavy_atoms)
-
-    def predicted_pk(self, complex_: ProteinLigandComplex) -> float:
-        """Score converted to the pK scale."""
-        return float(-self.score(complex_) / PK_TO_KCAL)
 
     def rescore(self, poses, max_poses: int | None = None) -> list[float]:
         """Re-score :class:`repro.docking.poses.DockedPose` objects on the shared kernel."""

@@ -127,7 +127,7 @@ class MaximizePkScorer:
         terms_kernel = self.interaction_model.batch_kernel(site, ligands)
 
         def kernel(coords: np.ndarray) -> np.ndarray:
-            return -self.interaction_model.pk_from_terms_batch(terms_kernel(coords))
+            return -self.interaction_model.pk_from_terms(terms_kernel(coords))
 
         return kernel
 

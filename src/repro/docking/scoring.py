@@ -1,10 +1,12 @@
-"""Shared batch-scoring machinery of the physics scorers.
+"""Shared scoring machinery of the physics scorers.
 
 ``VinaScorer`` and ``MMGBSARescorer`` differ only in their term weights
 (``_weighted_terms``) and the label of their deterministic error stream;
-everything batched — the per-(site, ligand) kernel binding, the grouped
-``score_many`` path and the memoized systematic-error draws — lives here
-once.  Classes mixing this in provide ``_interactions`` (an
+everything else — ``score``, ``score_batch`` and ``score_many`` over the
+one pairwise-interaction kernel (:meth:`InteractionModel.batch_kernel`),
+the per-(site, ligand) kernel binding and the memoized systematic-error
+draws — lives here once.  Classes mixing this in provide
+``_interactions`` (an
 :class:`~repro.chem.complexes.InteractionModel`), ``_weighted_terms``,
 ``noise_scale``, ``seed``, an ``_error_cache`` dict and the
 ``error_label`` class attribute.  (Distinct from
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chem.complexes import PK_TO_KCAL, ProteinLigandComplex
+from repro.chem.complexes import PK_TO_KCAL, ProteinLigandComplex, kernel_groups
 from repro.utils.rng import derive_seed
 
 
@@ -46,14 +48,21 @@ class KernelScoringMixin:
 
         return kernel
 
+    def score(self, complex_: ProteinLigandComplex) -> float:
+        """Score of one complex in kcal/mol (negative = favourable)."""
+        coords = complex_.ligand_coordinates()
+        return float(
+            self.score_batch(complex_.site, complex_.ligand, coords, complex_.complex_id, complex_.pose_id)[0]
+        )
+
     def score_batch(
         self, site, ligand, coords, complex_id: str = "", pose_id: int = 0
     ) -> np.ndarray:
-        """Batched :meth:`score` of ``P`` rigid-body poses of one ligand.
+        """Scores of ``P`` rigid-body poses of one ligand.
 
-        ``coords`` is a stacked ``(P, num_atoms, 3)`` pose tensor; the
-        result is bit-identical to ``P`` scalar ``score()`` calls on the
-        corresponding complexes (same ``complex_id``/``pose_id``).
+        ``coords`` is a stacked ``(P, num_atoms, 3)`` pose tensor (one
+        ``(num_atoms, 3)`` pose is promoted to ``P = 1``); every pose
+        takes the systematic error of ``(complex_id, pose_id)``.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 2:
@@ -61,31 +70,32 @@ class KernelScoringMixin:
         return self.make_batch_kernel(site, [ligand], [complex_id], pose_id)(coords)
 
     def score_many(self, complexes) -> np.ndarray:
-        """Batched scores through the shared pairwise-interaction kernel.
+        """Scores of heterogeneous complexes, in input order.
 
-        Complexes are grouped by (site, ligand size) and scored with one
-        broadcast term computation per bounded group chunk; the result is
-        bit-identical to calling :meth:`score` per complex, in input
-        order.
+        Complexes are grouped by binding site only.  Each group's ligands
+        go end to end as one ``(1, ΣN, 3)`` row through
+        :meth:`InteractionModel.batch_kernel`, split into runs of at most
+        :data:`~repro.chem.complexes.KERNEL_CHUNK_PAIRS` pairs by
+        :func:`~repro.chem.complexes.kernel_groups`.  Each ligand reduces
+        its own block, so neither its companions nor the split move a
+        bit: the result equals :meth:`score` per complex.
         """
         complexes = list(complexes)
         out = np.empty(len(complexes))
-        for indices, terms in self._interactions.grouped_terms(complexes):
-            raw = self._weighted_terms(terms)
-            errors = np.array(
-                [
-                    self._systematic_error_for(complexes[i].complex_id, complexes[i].pose_id)
-                    for i in indices
-                ]
-            )
-            out[indices] = raw + errors * PK_TO_KCAL
+        by_site: dict[int, list[int]] = {}
+        for index, complex_ in enumerate(complexes):
+            by_site.setdefault(id(complex_.site), []).append(index)
+        for indices in by_site.values():
+            site = complexes[indices[0]].site
+            for group in kernel_groups([(i, complexes[i].ligand) for i in indices], site.num_atoms):
+                members = [complexes[i] for i, _ in group]
+                row = np.concatenate([c.ligand_coordinates() for c in members])[None]
+                terms = self._interactions.batch_kernel(site, [c.ligand for c in members])(row)
+                errors = np.array([self._systematic_error_for(c.complex_id, c.pose_id) for c in members])
+                out[[i for i, _ in group]] = self._weighted_terms(terms) + errors * PK_TO_KCAL
         return out
 
     # ------------------------------------------------------------------ #
-    def _systematic_error(self, complex_: ProteinLigandComplex) -> float:
-        """Deterministic per-complex error term (pK units)."""
-        return self._systematic_error_for(complex_.complex_id, complex_.pose_id)
-
     def _systematic_error_for(self, complex_id: str, pose_id: int) -> float:
         """Memoized error draw — constructing a fresh ``default_rng`` per MC
         scoring call is measurable overhead, and the value only depends on

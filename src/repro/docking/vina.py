@@ -13,7 +13,7 @@ the paper measures on docked PDBbind core poses.
 
 from __future__ import annotations
 
-from repro.chem.complexes import PK_TO_KCAL, InteractionModel, ProteinLigandComplex
+from repro.chem.complexes import InteractionModel
 from repro.docking.scoring import KernelScoringMixin
 
 #: Throughput reference from §4.1: one Lassen node (40 cores, 4 hardware
@@ -57,13 +57,6 @@ class VinaScorer(KernelScoringMixin):
         self.w_rotor = 0.12
 
     # ------------------------------------------------------------------ #
-    def score(self, complex_: ProteinLigandComplex) -> float:
-        """Docking score in kcal/mol (negative = favourable)."""
-        terms = self._interactions.compute_terms(complex_)
-        raw = self._weighted_terms(terms)
-        raw += self._systematic_error(complex_) * PK_TO_KCAL
-        return float(raw)
-
     def _weighted_terms(self, terms):
         """Vina weighting of (scalar or batched) interaction terms."""
         raw = (
@@ -76,10 +69,6 @@ class VinaScorer(KernelScoringMixin):
         raw = raw / (1.0 + self.w_rotor * terms.rotatable_bonds)
         # size bias: larger ligands receive systematically better scores
         return raw - self.size_bias * terms.ligand_heavy_atoms
-
-    def predicted_pk(self, complex_: ProteinLigandComplex) -> float:
-        """Score converted to the pK scale for comparison with the deep models."""
-        return float(-self.score(complex_) / PK_TO_KCAL)
 
     # ------------------------------------------------------------------ #
     @staticmethod

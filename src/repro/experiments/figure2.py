@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chem.complexes import ProteinLigandComplex
+from repro.chem.complexes import PK_TO_KCAL, ProteinLigandComplex
 from repro.docking.conveyorlc import CDT3Docking, CDT1Receptor, CDT4Mmgbsa
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.vina import VinaScorer
@@ -81,9 +81,10 @@ def run_figure2(
             ProteinLigandComplex(entry.site, p.pose, complex_id=entry.entry_id, pose_id=p.pose_id)
             for p in poses
         ]
-        # per-compound aggregation: best pose per method (§5.2 semantics)
-        vina_pk = max(vina.predicted_pk(c) for c in complexes)
-        mmgbsa_pk = max(mmgbsa.predicted_pk(c) for c in complexes)
+        # per-compound aggregation: best pose per method (§5.2 semantics);
+        # the lowest score in kcal/mol is the highest pK
+        vina_pk = float(-vina.score_many(complexes).min() / PK_TO_KCAL)
+        mmgbsa_pk = float(-mmgbsa.score_many(complexes).min() / PK_TO_KCAL)
         samples = [workbench.featurizer.featurize(c) for c in complexes]
         fusion_pk = float(np.max(workbench.predict(workbench.coherent_fusion, samples)))
         per_method["vina"].append(vina_pk)

@@ -2,7 +2,8 @@
 
 One whole-deck step after another, with no runtime, stage graph, shards
 or workers: CDT1/CDT2 preparation, one CDT3 docking pass, one CDT4
-MM/GBSA pass, then one pose per ``predict_batch`` call. It is a test
+MM/GBSA pass, then one pose per ``predict_batch`` call; the tested
+compounds' latent pK comes from the scalar ``reference_pk``. It is a test
 oracle: the streamed campaign must reproduce it bit for bit (``==`` on
 every score) when it scores one pose per NN batch
 (``fusion_batch_size=1``).
@@ -24,6 +25,8 @@ from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4
 from repro.featurize.pipeline import collate_complexes
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.utils.rng import derive_seed
+
+from docking_oracle import reference_pk
 
 
 @dataclass
@@ -83,8 +86,9 @@ def reference_campaign(
         tested[site_name] = []
         for score in scores:
             best = database.best_pose(site_name, score.compound_id, by="vina")
-            latent = interaction_model.true_pk(
-                ProteinLigandComplex(sites[site_name], best.pose, complex_id=score.compound_id, pose_id=best.pose_id)
+            latent = reference_pk(
+                interaction_model,
+                ProteinLigandComplex(sites[site_name], best.pose, complex_id=score.compound_id, pose_id=best.pose_id),
             )
             structural_pk[site_name][score.compound_id] = latent
             tested[site_name].append((score.compound_id, latent))

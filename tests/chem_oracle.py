@@ -66,7 +66,9 @@ def reference_compute(ff: ForceField, molecule: Molecule, want_forces: bool) -> 
         delta = coords[i] - coords[j]
         r = np.linalg.norm(delta) + 1e-12
         diff = r - ff.bond_r0
-        bond_energy += ff.bond_k * diff**2
+        # square by multiplication: a float64 ``** 2`` can go through libm
+        # ``pow``, which is not always correctly rounded
+        bond_energy += ff.bond_k * (diff * diff)
         if want_forces:
             f = -2.0 * ff.bond_k * diff * delta / r
             forces[i] += f

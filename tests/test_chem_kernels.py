@@ -12,7 +12,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chem_oracle import (
     reference_compute,
@@ -109,6 +109,7 @@ def assert_kernels_match_oracle(molecule: Molecule, seed: int) -> None:
     index=st.integers(min_value=0, max_value=9_999),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(library="emolecules", index=4711, seed=4711)
 def test_generated_molecules_match_oracle(library, index, seed):
     molecule = make_streaming_library(library, 10_000, seed=seed % 97).compound(index)
     assert_kernels_match_oracle(molecule, seed)

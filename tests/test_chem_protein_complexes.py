@@ -1,5 +1,7 @@
 """Tests for binding sites, the SARS-CoV-2 targets and the latent interaction model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.chem.protein import (
     make_sarscov2_proteins,
     make_sarscov2_targets,
 )
+
+from docking_oracle import reference_terms, term_at
 
 
 class TestBindingSites:
@@ -55,13 +59,15 @@ class TestBindingSites:
 
 class TestInteractionModel:
     def test_terms_nonnegative_and_finite(self, example_complex, interaction_model):
-        terms = interaction_model.compute_terms(example_complex)
-        assert terms.shape >= 0
-        assert terms.repulsion >= 0
-        assert terms.hydrophobic >= 0
-        assert terms.hbond >= 0
-        assert 0.0 <= terms.buried_fraction <= 1.0
-        assert np.isfinite(terms.as_vector()).all()
+        ligand = example_complex.ligand
+        terms = interaction_model.compute_terms_batch(example_complex.site, ligand, ligand.coordinates)
+        assert term_at(terms, 0) == reference_terms(interaction_model, example_complex)
+        assert terms.shape[0] >= 0
+        assert terms.repulsion[0] >= 0
+        assert terms.hydrophobic[0] >= 0
+        assert terms.hbond[0] >= 0
+        assert 0.0 <= terms.buried_fraction[0] <= 1.0
+        assert all(np.isfinite(value) for value in dataclasses.astuple(term_at(terms, 0)))
 
     def test_pk_bounds_and_free_energy_sign(self, example_complex, interaction_model):
         pk = interaction_model.true_pk(example_complex)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chem.complexes import InteractionModel, ProteinLigandComplex
+from repro.chem.complexes import PK_TO_KCAL, InteractionModel, ProteinLigandComplex
 from repro.docking.ampl import AMPLSurrogate
 from repro.docking.conveyorlc import (
     CDT1Receptor,
@@ -19,6 +19,8 @@ from repro.docking.engine import PoseGenerator
 from repro.docking.poses import MaximizePkScorer, place_ligand_randomly, rmsd
 from repro.docking.vina import VinaScorer
 
+from docking_oracle import reference_score
+
 
 class TestVinaScorer:
     def test_score_finite_and_deterministic(self, example_complex):
@@ -27,9 +29,9 @@ class TestVinaScorer:
         assert s1 == s2
         assert np.isfinite(s1)
 
-    def test_predicted_pk_sign_convention(self, example_complex):
+    def test_score_matches_scalar_reference(self, example_complex):
         vina = VinaScorer()
-        assert vina.predicted_pk(example_complex) == pytest.approx(-vina.score(example_complex) / 1.364)
+        assert vina.score(example_complex) == reference_score(vina, example_complex)
 
     def test_better_score_for_bound_pose(self, example_complex):
         vina = VinaScorer(noise_scale=0.0)
@@ -48,11 +50,10 @@ class TestMMGBSA:
         """MM/GBSA (lower systematic error) should correlate at least as well as Vina with the latent pK."""
         vina, mmgbsa = VinaScorer(), MMGBSARescorer()
         model = InteractionModel()
-        true, v, m = [], [], []
-        for entry in tiny_pdbbind.entries:
-            true.append(model.true_pk(entry.complex))
-            v.append(vina.predicted_pk(entry.complex))
-            m.append(mmgbsa.predicted_pk(entry.complex))
+        complexes = [entry.complex for entry in tiny_pdbbind.entries]
+        true = [model.true_pk(c) for c in complexes]
+        v = -vina.score_many(complexes) / PK_TO_KCAL
+        m = -mmgbsa.score_many(complexes) / PK_TO_KCAL
         corr_v = np.corrcoef(true, v)[0, 1]
         corr_m = np.corrcoef(true, m)[0, 1]
         assert np.isfinite(corr_v) and np.isfinite(corr_m)

@@ -1,7 +1,7 @@
 """Golden-equivalence suite for the docking engine.
 
 The scalar ``ScalarPoseGenerator`` oracle (``tests/docking_oracle.py``:
-per-pose ``compute_terms`` on Python Atom objects) is the golden
+per-pose ``reference_terms`` on Python Atom objects) is the golden
 reference; the batched kernel and the lockstep ``PoseGenerator`` must
 reproduce it **bit-identically** — ``np.array_equal`` / ``==`` on every
 pose coordinate, score and RMSD, no tolerances — across restart counts,
@@ -12,6 +12,8 @@ invariance.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,11 @@ from hypothesis import strategies as st
 
 import pickle
 
+import repro.chem.complexes as complexes_module
 from repro.chem.complexes import InteractionModel, ProteinLigandComplex, pair_distances
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
 from repro.docking.conveyorlc import CDT1Receptor, CDT2Ligand, CDT3Docking, CDT4Mmgbsa
-import repro.docking.engine as engine_module
 from repro.docking.engine import PoseGenerator, dock_many, pairwise_rmsd, select_pose_indices
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.poses import MaximizePkScorer, molecule_with_coordinates, rmsd
@@ -31,11 +33,35 @@ from repro.docking.vina import VinaScorer
 from repro.telemetry import Telemetry, activate
 from repro.utils.rng import derive_seed
 
-from docking_oracle import ScalarPoseGenerator, reference_rescore
+from docking_oracle import (
+    ScalarPoseGenerator,
+    reference_pk,
+    reference_rescore,
+    reference_score,
+    reference_terms,
+    term_at,
+)
 
 
 def _posed(ligand, site, offset=(0.0, 0.0, -2.0)):
     return ligand.translate(-ligand.centroid() + site.center + np.asarray(offset))
+
+
+def _mixed_site_complexes(sarscov2_sites, prepared_ligands):
+    """Complexes over two sites, of ligands of different sizes and several pose ids."""
+    sites = [sarscov2_sites["protease1"], sarscov2_sites["spike1"]]
+    complexes = []
+    for index, (prepared, site) in enumerate(itertools.product(prepared_ligands, sites)):
+        complexes.append(
+            ProteinLigandComplex(
+                site,
+                _posed(prepared.molecule, site, offset=(0.1 * index, 0.0, -2.0)),
+                complex_id=f"cmp{index}",
+                pose_id=index % 3,
+            )
+        )
+    assert len({c.ligand.num_atoms for c in complexes}) > 1
+    return complexes
 
 
 def _assert_poses_identical(scalar_poses, batched_poses):
@@ -62,28 +88,29 @@ class TestBatchedKernel:
             assert len(batch) == 4
             for i in range(4):
                 pose = molecule_with_coordinates(ligand, coords[i])
-                scalar = interaction_model.compute_terms(
-                    ProteinLigandComplex(protease_site, pose, complex_id="k")
+                scalar = reference_terms(
+                    interaction_model, ProteinLigandComplex(protease_site, pose, complex_id="k")
                 )
-                assert scalar == batch.term(i)
+                assert scalar == term_at(batch, i)
 
     def test_terms_identical_when_no_pairs_within_cutoff(self, protease_site, prepared_ligands, interaction_model):
         """A pose far outside the pocket exercises the empty-scatter path."""
         ligand = _posed(prepared_ligands[0].molecule, protease_site)
         far = ligand.coordinates + np.array([120.0, 0.0, 0.0])
         batch = interaction_model.compute_terms_batch(protease_site, ligand, far[None])
-        scalar = interaction_model.compute_terms(
-            ProteinLigandComplex(protease_site, molecule_with_coordinates(ligand, far))
+        scalar = reference_terms(
+            interaction_model, ProteinLigandComplex(protease_site, molecule_with_coordinates(ligand, far))
         )
-        assert scalar == batch.term(0)
+        assert scalar == term_at(batch, 0)
 
     def test_true_pk_batch_matches_scalar(self, protease_site, prepared_ligands, interaction_model):
         ligand = _posed(prepared_ligands[1].molecule, protease_site)
         coords = np.stack([ligand.coordinates - 0.21 * i for i in range(3)])
         batch = interaction_model.true_pk_batch(protease_site, ligand, coords)
         for i in range(3):
-            pose = molecule_with_coordinates(ligand, coords[i])
-            assert interaction_model.true_pk(ProteinLigandComplex(protease_site, pose)) == batch[i]
+            complex_ = ProteinLigandComplex(protease_site, molecule_with_coordinates(ligand, coords[i]))
+            assert reference_pk(interaction_model, complex_) == batch[i]
+            assert interaction_model.true_pk(complex_) == batch[i]
 
     def test_single_pose_promotion_and_validation(self, protease_site, prepared_ligands, interaction_model):
         ligand = _posed(prepared_ligands[0].molecule, protease_site)
@@ -112,7 +139,7 @@ class TestBatchedKernel:
         for index, (ligand, coords) in enumerate(zip(ligands, per_ligand)):
             alone = interaction_model.batch_kernel(protease_site, [ligand])(coords)
             for r in range(restarts):
-                assert fused.term(index * restarts + r) == alone.term(r)
+                assert term_at(fused, index * restarts + r) == term_at(alone, r)
 
     def test_pair_distances_match_linalg_norm(self):
         """The component-major helper keeps the distances the scalar
@@ -135,65 +162,53 @@ class TestBatchedScorers:
         ligand = _posed(prepared_ligands[0].molecule, protease_site)
         coords = np.stack([ligand.coordinates + 0.29 * i for i in range(5)])
         batch = scorer.score_batch(protease_site, ligand, coords, complex_id="c7", pose_id=2)
-        scalar = [
-            scorer.score(
-                ProteinLigandComplex(
-                    protease_site,
-                    molecule_with_coordinates(ligand, coords[i]),
-                    complex_id="c7",
-                    pose_id=2,
-                )
+        complexes = [
+            ProteinLigandComplex(
+                protease_site, molecule_with_coordinates(ligand, coords[i]), complex_id="c7", pose_id=2
             )
             for i in range(5)
         ]
-        assert np.array_equal(batch, np.array(scalar))
+        assert np.array_equal(batch, np.array([reference_score(scorer, c) for c in complexes]))
+        assert np.array_equal(batch, np.array([scorer.score(c) for c in complexes]))
 
     @pytest.mark.parametrize("scorer_factory", [VinaScorer, MMGBSARescorer])
     def test_score_many_matches_per_complex_score_exactly(
         self, scorer_factory, sarscov2_sites, prepared_ligands
     ):
-        """Regression for the 'Vectorized convenience wrapper' docstring lie:
-        score_many now actually batches — and must match score() exactly,
-        including across mixed sites, ligands and pose ids."""
+        """One ``score_many`` call over two sites, ligands of different
+        sizes and several pose ids equals the scalar reference per complex
+        (and ``score()``), in input order."""
         scorer = scorer_factory()
-        sites = [sarscov2_sites["protease1"], sarscov2_sites["spike1"]]
-        complexes = []
-        for index, prepared in enumerate(prepared_ligands):
-            site = sites[index % 2]
-            complexes.append(
-                ProteinLigandComplex(
-                    site,
-                    _posed(prepared.molecule, site, offset=(0.1 * index, 0.0, -2.0)),
-                    complex_id=f"cmp{index}",
-                    pose_id=index % 3,
-                )
-            )
+        complexes = _mixed_site_complexes(sarscov2_sites, prepared_ligands)
         many = scorer.score_many(complexes)
-        scalar = np.array([scorer.score(c) for c in complexes])
-        assert np.array_equal(many, scalar)
+        assert np.array_equal(many, np.array([reference_score(scorer, c) for c in complexes]))
+        assert np.array_equal(many, np.array([scorer.score(c) for c in complexes]))
         assert scorer.score_many([]).shape == (0,)
 
+    @pytest.mark.parametrize("scorer_factory", [VinaScorer, MMGBSARescorer])
     def test_score_many_chunked_groups_bit_identical(
-        self, monkeypatch, protease_site, prepared_ligands
+        self, monkeypatch, scorer_factory, sarscov2_sites, prepared_ligands
     ):
-        """Chunking a large group (the campaign-scale memory bound) never
-        changes a bit: per-pose rows reduce independently."""
-        import repro.chem.complexes as complexes_module
+        """Capping the pairs of one kernel call splits each site's row
+        mid-site (the campaign-scale memory bound); every ligand reduces
+        its own block, so no bit moves."""
+        complexes = _mixed_site_complexes(sarscov2_sites, prepared_ligands)
+        expected = np.array([reference_score(scorer_factory(), c) for c in complexes])
+        largest = max(c.ligand.num_atoms for c in complexes)
+        pocket = max(c.site.num_atoms for c in complexes)
+        monkeypatch.setattr(complexes_module, "KERNEL_CHUNK_PAIRS", 2 * largest * pocket)
+        scorer = scorer_factory()
+        calls = []
+        original = scorer._interactions.batch_kernel
 
-        scorer = VinaScorer()
-        ligand = _posed(prepared_ligands[0].molecule, protease_site)
-        complexes = [
-            ProteinLigandComplex(
-                protease_site,
-                molecule_with_coordinates(ligand, ligand.coordinates + 0.11 * i),
-                complex_id=f"c{i}",
-            )
-            for i in range(7)
-        ]
-        unchunked = scorer.score_many(complexes)
-        monkeypatch.setattr(complexes_module, "GROUPED_TERMS_CHUNK_POSES", 2)
-        chunked = VinaScorer().score_many(complexes)
-        assert np.array_equal(unchunked, chunked)
+        def counting(site, ligands):
+            calls.append(len(ligands))
+            return original(site, ligands)
+
+        monkeypatch.setattr(scorer._interactions, "batch_kernel", counting)
+        chunked = scorer.score_many(complexes)
+        assert sum(calls) == len(complexes) and len(calls) > 2  # more than one call per site
+        assert np.array_equal(chunked, expected)
 
     def test_rescore_matches_scalar_reference(self, protease_site, prepared_ligands):
         generator = PoseGenerator(VinaScorer(), num_poses=4, monte_carlo_steps=8, restarts=2, seed=3)
@@ -519,7 +534,7 @@ class TestDockMany:
         kwargs = dict(scorer=VinaScorer(), seed=8, num_poses=3, monte_carlo_steps=4, restarts=2)
         whole = dock_many(protease_site, pairs, **kwargs)
         largest = max(molecule.num_atoms for _, molecule in pairs)
-        monkeypatch.setattr(engine_module, "LOCKSTEP_CHUNK_PAIRS", 2 * protease_site.num_atoms * largest)
+        monkeypatch.setattr(complexes_module, "KERNEL_CHUNK_PAIRS", 2 * protease_site.num_atoms * largest)
         bundle = Telemetry.disabled()
         with activate(bundle):
             grouped = dock_many(protease_site, pairs, **kwargs)
@@ -586,7 +601,7 @@ class TestPoseCopies:
         complexes = [pose.complex for poses in docked.values() for pose in poses]
         scores = MMGBSARescorer().score_many(complexes)
         assert extractions == []
-        assert np.array_equal(scores, np.array([MMGBSARescorer().score(c) for c in complexes]))
+        assert np.array_equal(scores, np.array([reference_score(MMGBSARescorer(), c) for c in complexes]))
         for compound_id, molecule in pairs:
             for pose in docked[compound_id]:
                 assert pose.complex.ligand._interaction_arrays is molecule._interaction_arrays
@@ -634,7 +649,7 @@ class TestConveyorEngineEquivalence:
                     oracle.dock(site_map[site_name], ligand.molecule, complex_id=ligand.compound_id)
                 ):
                     rescored = rank < 2  # poses come best-first; max_poses=2
-                    mmgbsa_score = mmgbsa.rescorer.score(pose.complex) if rescored else float("nan")
+                    mmgbsa_score = reference_score(mmgbsa.rescorer, pose.complex) if rescored else float("nan")
                     expected.append((site_name, ligand.compound_id, pose, mmgbsa_score))
         records = database.records()
         assert len(records) == len(expected) > 0
