@@ -110,9 +110,6 @@ class BatchedInteractionTerms:
     rotatable_bonds: np.ndarray
     ligand_heavy_atoms: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.shape.shape[0])
-
 
 def ligand_interaction_arrays(ligand: Molecule):
     """Cached ``(AtomArrays, rotatable_bonds, heavy_atoms)`` for a ligand.
@@ -372,10 +369,6 @@ class InteractionModel:
         burial_bonus = self.burial_weight * terms.buried_fraction
         pk = self.base_pk + favourable + burial_bonus - unfavourable
         return np.clip(pk, 0.0, 14.0)
-
-    def binding_free_energy(self, complex_: ProteinLigandComplex) -> float:
-        """Ground-truth binding free energy in kcal/mol (negative = favourable)."""
-        return -PK_TO_KCAL * self.true_pk(complex_)
 
 
 def pair_distances(

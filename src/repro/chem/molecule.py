@@ -156,11 +156,6 @@ class Molecule:
             raise ValueError("molecule has no atoms")
         return self.coordinates.mean(axis=0)
 
-    def radius_of_gyration(self) -> float:
-        """Root-mean-square distance of atoms from the centroid."""
-        coords = self.coordinates - self.centroid()
-        return float(np.sqrt((coords**2).sum(axis=1).mean()))
-
     def net_charge(self) -> int:
         """Sum of formal charges."""
         return int(sum(a.formal_charge for a in self.atoms))
@@ -223,10 +218,6 @@ class Molecule:
                     next_frontier.append(neighbour)
             frontier = next_frontier
         return None
-
-    def rings(self) -> list[list[int]]:
-        """Smallest cycle basis of the covalent graph."""
-        return [sorted(ring) for ring in nx.cycle_basis(self.to_graph())]
 
     def num_rings(self) -> int:
         """Number of independent rings (the size of any cycle basis)."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chem.complexes import InteractionModel, ProteinLigandComplex
 from repro.chem.protein import BindingSite
 from repro.utils.rng import derive_seed, ensure_rng
 
@@ -72,7 +71,6 @@ class InhibitionAssay:
         biology_penalty_mean: float = 2.6,
         readout_noise: float = 6.0,
         hill_coefficient: float = 1.0,
-        interaction_model: InteractionModel | None = None,
         seed: int = 11,
     ) -> None:
         if concentration_um <= 0:
@@ -83,7 +81,6 @@ class InhibitionAssay:
         self.biology_penalty_mean = float(biology_penalty_mean)
         self.readout_noise = float(readout_noise)
         self.hill_coefficient = float(hill_coefficient)
-        self.interaction_model = interaction_model or InteractionModel()
         self.seed = int(seed)
 
     # ------------------------------------------------------------------ #
@@ -114,11 +111,6 @@ class InhibitionAssay:
             concentration_um=self.concentration_um,
             assay_type=self.assay_type,
         )
-
-    def measure_complex(self, complex_: ProteinLigandComplex) -> AssayResult:
-        """Measure a complex: its latent affinity defines the structural pK."""
-        structural_pk = self.interaction_model.true_pk(complex_)
-        return self.measure_pk(complex_.complex_id, structural_pk)
 
 
 #: Assay concentrations per SARS-CoV-2 site (µM), from §5.1/§5.2.

@@ -115,9 +115,6 @@ class MaximizePkScorer:
     def __init__(self, interaction_model) -> None:
         self.interaction_model = interaction_model
 
-    def score(self, complex_: ProteinLigandComplex) -> float:
-        return -self.interaction_model.true_pk(complex_)
-
     def make_batch_kernel(self, site: BindingSite, ligands, complex_ids, pose_id: int = 0):
         """Batch-scoring kernel bound to one site and ``C`` ligands (``C * R`` scores per call).
 

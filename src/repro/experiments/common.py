@@ -143,7 +143,7 @@ def _build_workbench(scale: WorkbenchScale) -> Workbench:
     )
     dataset = generate_pdbbind(config)
     # the content-addressed feature cache serves repeat one-complex
-    # featurizations: dataset passes, figure2 and the serving route
+    # featurizations: dataset passes, figure2 and online serving requests
     # (pose batches of the streamed screen bypass it)
     featurizer = FeaturePipeline(
         voxel_config=VoxelGridConfig(grid_dim=scale.grid_dim, channel_set="reduced"),
@@ -241,19 +241,17 @@ def run_campaign(
     poses_per_compound: int = 3,
     seed: int = 2020,
     cache: bool = True,
-    use_serving: bool = False,
     checkpoint_dir: str | None = None,
 ) -> CampaignResult:
     """Run (or fetch from cache) the SARS-CoV-2 screening campaign used by Figures 5-7 / Table 8.
 
-    ``use_serving`` routes fusion rescoring through the online service;
     ``checkpoint_dir`` runs through the resumable stage runtime so a
     repeated call (same arguments, same directory) restores completed
     stages instead of recomputing them.
     """
     library_counts = library_counts or {"emolecules": 30, "enamine": 30, "zinc_world_approved": 12}
     key = (tuple(sorted(library_counts.items())), compounds_tested_per_site, poses_per_compound, seed,
-           use_serving, checkpoint_dir, tuple(sorted(vars(workbench.scale).items())))
+           checkpoint_dir, tuple(sorted(vars(workbench.scale).items())))
     with _CAMPAIGN_LOCK:
         if cache and key in _CAMPAIGN_CACHE:
             return _CAMPAIGN_CACHE[key]
@@ -262,7 +260,6 @@ def run_campaign(
             poses_per_compound=poses_per_compound,
             compounds_tested_per_site=compounds_tested_per_site,
             seed=seed,
-            use_serving=use_serving,
         )
         campaign = ScreeningCampaign(
             model=workbench.coherent_fusion,

@@ -262,11 +262,6 @@ class VectorizedVoxelizer:
             )
         return sums
 
-    # ------------------------------------------------------------------ #
-    def total_density(self, grid: np.ndarray) -> float:
-        """Sum of all channels (used by conservation tests)."""
-        return float(grid.sum())
-
 
 def _concat_arrays(lig: AtomArrays, poc: AtomArrays) -> AtomArrays:
     """Concatenate ligand and pocket atom arrays (ligand first, like the per-atom loop)."""

@@ -74,14 +74,6 @@ class SimulatedCluster:
     def busy_nodes(self) -> int:
         return self.num_nodes - self.free_nodes
 
-    @property
-    def total_tflops(self) -> float:
-        """Aggregate GPU throughput of the whole cluster."""
-        return self.num_nodes * self.node_spec.node_tflops
-
-    def allocation_of(self, job_name: str) -> NodeAllocation | None:
-        return self._allocations.get(job_name)
-
     # ------------------------------------------------------------------ #
     def can_allocate(self, num_nodes: int) -> bool:
         return 0 < num_nodes <= self.free_nodes

@@ -100,8 +100,3 @@ class FaultInjector:
         event = FaultEvent(job_name=job_name, mode=mode, at_fraction=float(rng.uniform(0.05, 0.95)))
         self.injected.append(event)
         return event
-
-    def observed_failure_rate(self) -> float:
-        """Fraction of checks that produced a fault (diagnostics)."""
-        # note: only counts injected faults; callers track attempts themselves
-        return float(len(self.injected))

@@ -86,22 +86,6 @@ class H5Store:
             if key.startswith(prefix_norm):
                 yield key, self._datasets[key]
 
-    def delete_group(self, prefix: str) -> int:
-        """Remove every dataset and attribute table at or below ``prefix``.
-
-        Returns the number of datasets removed.  Used by cache adapters
-        that re-save into an existing store, so entries dropped since the
-        previous save do not accumulate as orphaned payloads.
-        """
-        prefix_norm = _normalize(prefix)
-        below = prefix_norm + "/"
-        doomed = [key for key in self._datasets if key == prefix_norm or key.startswith(below)]
-        for key in doomed:
-            del self._datasets[key]
-        for key in [k for k in self._attrs if k == prefix_norm or k.startswith(below)]:
-            del self._attrs[key]
-        return len(doomed)
-
     # -- persistence ------------------------------------------------------ #
     def save(self, path: str | os.PathLike) -> None:
         """Persist the store to a ``.npz`` container.

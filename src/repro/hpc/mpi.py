@@ -67,12 +67,6 @@ class LocalCommunicator:
         self._queues: dict[tuple[int, int, int], queue.Queue] = {}  # created lazily per (src, dst, tag)
 
     # ------------------------------------------------------------------ #
-    def Get_size(self) -> int:
-        return self._size
-
-    def Get_rank(self) -> int:  # pragma: no cover - ranks carry their own id
-        raise NotImplementedError("use RankContext.rank; the communicator is shared by all ranks")
-
     @property
     def size(self) -> int:
         return self._size

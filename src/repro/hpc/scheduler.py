@@ -122,9 +122,6 @@ class JobScheduler:
         heapq.heappush(self._pending, (-job.priority, next(self._seq), job.name))
         return job
 
-    def submit_many(self, jobs: list[Job]) -> list[Job]:
-        return [self.submit(job) for job in jobs]
-
     # ------------------------------------------------------------------ #
     def _try_start_jobs(self) -> None:
         deferred: list[tuple[int, int, str]] = []
@@ -203,9 +200,6 @@ class JobScheduler:
 
     def completed_jobs(self) -> list[Job]:
         return [j for j in self.jobs.values() if j.state is JobState.COMPLETED]
-
-    def failed_jobs(self) -> list[Job]:
-        return [j for j in self.jobs.values() if j.state in (JobState.FAILED, JobState.TIMEOUT)]
 
     def makespan(self) -> float:
         """Total simulated time from first submission to last completion."""

@@ -192,10 +192,6 @@ class FlatEdges:
         self._dst_plan: _ScatterPlan | None = None
         self._src_plan: _ScatterPlan | None = None
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.src.shape[0])
-
     def scatter_dst(self, values: np.ndarray) -> np.ndarray:
         """Sum per-edge rows into destination nodes (forward message passing)."""
         if self._dst_plan is None:

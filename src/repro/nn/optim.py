@@ -76,13 +76,6 @@ class ParameterPack:
         """Copy of the packed parameter values."""
         return self.buffer.copy()
 
-    def set_flat(self, values: np.ndarray) -> None:
-        """Overwrite every packed parameter from a flat vector."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.size,):
-            raise ValueError(f"expected a flat ({self.size},) vector, got {values.shape}")
-        self.buffer[...] = values
-
 
 class Optimizer:
     """Base class holding a parameter list and a learning rate.

@@ -131,8 +131,8 @@ class CampaignRuntime:
         self.execution_counts: dict[str, int] = {name: 0 for name in self.stages.names()}
         self._model_fp: str | None = None
         #: optional telemetry bundle; activated around :meth:`run` so
-        #: nested components (docking kernels, featurization, serving,
-        #: the streamed screen) trace into the same tracer.  Observation
+        #: nested components (docking kernels, featurization, the
+        #: streamed screen) trace into the same tracer.  Observation
         #: only — never part of stage ingredients or checkpoint keys.
         self.telemetry = telemetry
         self._run_duration: float | None = None
@@ -370,9 +370,8 @@ class CampaignRuntime:
             "mmgbsa_subset_fraction": 1.0,
             "model": self.model_fp(),
             "featurizer": self._featurizer_digest(),
-            "executor": "serving" if cfg.use_serving else "batch",
+            "executor": "batch",
             "fusion_batch_size": cfg.fusion_batch_size,
-            **({"serving_max_batch_size": cfg.serving.max_batch_size} if cfg.use_serving else {}),
         }
 
     # ------------------------------------------------------------------ #
@@ -414,47 +413,31 @@ class CampaignRuntime:
             retry=self.runtime.retry,
         )
         salt = checkpoint_key("stream-shard-salt", self._stream_shard_ingredients())
-        service = None
-        if cfg.use_serving:
-            from repro.serving import ScoringService
-
-            service = ScoringService(
-                model=self.model,
-                featurizer=self.featurizer,
-                config=cfg.serving,
-                registry=current_telemetry().registry,
-            ).start()
+        engine = StreamingScreen(
+            self.model,
+            self.featurizer,
+            sites,
+            stream_config,
+            checkpoints=self.checkpoints,
+            checkpoint_salt=salt,
+            fault_injector=self.runtime.fault_injector,
+        )
         try:
-            engine = StreamingScreen(
-                self.model,
-                self.featurizer,
-                sites,
-                stream_config,
-                service=service,
-                checkpoints=self.checkpoints,
-                checkpoint_salt=salt,
-                fault_injector=self.runtime.fault_injector,
-            )
-            try:
-                result = engine.run(deck.molecules, collect_predictions=True, collect_records=True)
-            except StreamShardError as error:
-                # the stage failed, but the shards folded before the
-                # failure are checkpointed; preserve that progress and
-                # the fault history in the (kept) failure report so
-                # operators and the resume tests can see what a re-run
-                # will skip
-                report.attempts = error.total_attempts
-                report.retries = error.total_retries
-                report.faults = list(error.faults)
-                report.extra["stream"] = {
-                    "num_shards": float(error.num_shards),
-                    "shards_executed": float(error.shards_executed),
-                    "shards_restored": float(error.shards_restored),
-                }
-                raise
-        finally:
-            if service is not None:
-                service.close()
+            result = engine.run(deck.molecules, collect_predictions=True, collect_records=True)
+        except StreamShardError as error:
+            # the stage failed, but the shards folded before the failure
+            # are checkpointed; preserve that progress and the fault
+            # history in the (kept) failure report so operators and the
+            # resume tests can see what a re-run will skip
+            report.attempts = error.total_attempts
+            report.retries = error.total_retries
+            report.faults = list(error.faults)
+            report.extra["stream"] = {
+                "num_shards": float(error.num_shards),
+                "shards_executed": float(error.shards_executed),
+                "shards_restored": float(error.shards_restored),
+            }
+            raise
 
         # shards fold site by site, so a stable sort by site lays the
         # database out site-major in deck order — the layout of docking

@@ -31,7 +31,6 @@ from repro.hpc.h5store import H5Store
 from repro.nn.module import Module
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.screening.job import JobResult
-from repro.serving import ServingConfig
 
 
 @dataclass
@@ -46,11 +45,6 @@ class CampaignConfig:
     compounds_tested_per_site: int = 12
     biology_penalty_mean: float = 2.6
     seed: int = 2020
-    #: route fusion scoring through the online ``repro.serving`` service
-    #: (micro-batching + replica pool + result cache) instead of scoring
-    #: each compound's poses directly in the shard workers
-    use_serving: bool = False
-    serving: ServingConfig = field(default_factory=ServingConfig)
     #: compounds per streamed shard — a pure throughput/memory knob:
     #: results are bit-identical for every shard size, so it never enters
     #: checkpoint keys
@@ -95,9 +89,6 @@ class CampaignResult:
     topk: dict
     stream_stats: dict
 
-    def tested_compounds(self, site_name: str) -> list[str]:
-        return [score.compound_id for score in self.selections.get(site_name, [])]
-
     def hit_rate(self, threshold: float = 33.0) -> float:
         return self.assays.hit_rate(threshold)
 
@@ -131,9 +122,10 @@ class ScreeningCampaign:
     def run(self) -> CampaignResult:
         """Execute every stage front to back (no checkpointing).
 
-        The fusion-scoring route follows ``config.use_serving``; for
-        resumable execution use :class:`repro.runtime.CampaignRuntime`
-        with a checkpoint directory instead.
+        Shard workers score each compound's poses directly
+        (``featurize_many`` then ``predict_batch``); for resumable
+        execution use :class:`repro.runtime.CampaignRuntime` with a
+        checkpoint directory instead.
         """
         runtime = self.runtime()
         result = runtime.run()

@@ -1,10 +1,8 @@
 """Shard-parallel streaming screening with bounded-memory exact top-K.
 
 The paper's headline capability is screening hundreds of millions of
-compounds on HPC; :class:`~repro.screening.pipeline.ScreeningCampaign`
-materializes the whole library and every intermediate stage result, so
-campaign size is capped by RSS rather than by hardware throughput.  This
-module closes that gap: :class:`StreamingScreen` iterates a compound
+compounds on HPC, so campaign size must be capped by hardware throughput
+rather than by RSS.  :class:`StreamingScreen` iterates a compound
 source (a materialized deck or a lazily-generated
 :class:`~repro.datasets.libraries.StreamingLibrary`) in bounded-size
 shards, drives each shard through ligand prep → :func:`dock_many` →
@@ -43,10 +41,6 @@ two knobs are deliberately excluded from checkpoint keys.
 Each completed shard can be checkpointed under a content key through
 :class:`~repro.runtime.checkpoint.CheckpointStore`; a killed streaming
 run resumes at shard granularity without rescoring finished shards.
-Fusion scoring optionally routes through the online
-:class:`~repro.serving.ScoringService` with backpressure-aware admission
-(``score_many(..., admission=True)`` blocks instead of queueing
-unboundedly).
 """
 
 from __future__ import annotations
@@ -293,14 +287,6 @@ class TopKSelector:
         ordered = sorted(self._members.values(), key=lambda m: (-m.score, m.compound_id))
         return [TopKEntry(compound_id=m.compound_id, score=m.score) for m in ordered]
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, scores)`` arrays of the ranking, for exact comparison."""
-        ranking = self.ranking()
-        return (
-            np.array([entry.compound_id for entry in ranking], dtype="U"),
-            np.array([entry.score for entry in ranking], dtype=np.float64),
-        )
-
 
 def topk_by_full_sort(offers: Sequence[tuple[str, float]], k: int) -> list[TopKEntry]:
     """Reference full-sort selection the bounded selector must match bit-for-bit.
@@ -488,22 +474,16 @@ class StreamingScreen:
     ----------
     model:
         Trained fusion model (``predict_batch``-capable, like the zoo in
-        :mod:`repro.models.fusion`).  Ignored when ``score_fn`` routes
-        scoring elsewhere (e.g. through a :class:`ScoringService`).
+        :mod:`repro.models.fusion`); it scores each compound's featurized
+        poses.
     featurizer:
-        Shared featurizer; the vectorized engine's content-addressed
-        cache makes repeated poses free.
+        Shared featurizer; its ``featurize_many`` turns each compound's
+        poses into model samples.
     sites:
         Binding sites to screen against (processed in sorted-name order,
         exactly like :class:`~repro.docking.conveyorlc.CDT3Docking`).
     config:
         See :class:`StreamConfig`.
-    service:
-        Optional online :class:`~repro.serving.ScoringService`; fusion
-        scoring then routes through ``score_many(..., admission=True)``
-        — deterministic per-compound batches with backpressure-aware
-        admission (the call blocks while the service is at capacity
-        instead of queueing unboundedly).
     checkpoints / checkpoint_salt:
         Optional :class:`~repro.runtime.checkpoint.CheckpointStore`;
         every folded shard is persisted under a content key mixing
@@ -516,8 +496,8 @@ class StreamingScreen:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` bundle.  When given,
         it is *activated* for the duration of :meth:`run`, so spans from
-        nested components (docking kernels, featurization, the serving
-        path) land on the same tracer; when omitted, the process-wide
+        nested components (docking kernels, featurization) land on the
+        same tracer; when omitted, the process-wide
         active bundle is used (the zero-overhead null default unless an
         orchestrator activated one).  Telemetry is observation-only: it
         is deliberately not part of :class:`StreamConfig` and never
@@ -527,26 +507,22 @@ class StreamingScreen:
 
     def __init__(
         self,
-        model: Module | None,
+        model: Module,
         featurizer: FeaturePipeline,
         sites: Mapping[str, BindingSite],
         config: StreamConfig | None = None,
         *,
-        service: Any = None,
         checkpoints: CheckpointStore | None = None,
         checkpoint_salt: str = "",
         fault_injector: FaultInjector | None = None,
         prep_factory: Callable[[], CDT2Ligand] | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if model is None and service is None:
-            raise ValueError("provide a model, a service, or both")
         config = config or StreamConfig()
         self.model = model
         self.featurizer = featurizer
         self.sites = dict(sorted(sites.items()))
         self.config = config
-        self.service = service
         self.checkpoints = checkpoints
         self.checkpoint_salt = str(checkpoint_salt)
         self.faults = fault_injector or FaultInjector(enabled=False)
@@ -619,13 +595,6 @@ class StreamingScreen:
             for r in poses
         ]
         chunk = self.config.fusion_batch_size or len(complexes)
-        if self.service is not None:
-            for begin in range(0, len(complexes), chunk):
-                batch = complexes[begin : begin + chunk]
-                responses = self.service.score_many(batch, admission=True)
-                for record, response in zip(poses[begin : begin + chunk], responses):
-                    record.fusion_pk = float(response.score)
-            return
         samples = self.featurizer.featurize_many(complexes)
         for begin in range(0, len(samples), chunk):
             scores = self.model.predict_batch(samples[begin : begin + chunk])

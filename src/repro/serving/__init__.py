@@ -8,7 +8,7 @@ throughput metrics.
 """
 
 from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
-from repro.serving.cache import CacheStats, H5CacheAdapter, ResultCache
+from repro.serving.cache import CacheStats, ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import (
     ScoreRequest,
@@ -27,7 +27,6 @@ __all__ = [
     "MicroBatcher",
     "QueueClosed",
     "CacheStats",
-    "H5CacheAdapter",
     "ResultCache",
     "MetricsSnapshot",
     "ServingMetrics",

@@ -3,9 +3,7 @@
 The cache maps content hashes (see :mod:`repro.serving.requests`) to
 scores.  Because the key covers the pose geometry, the binding site and
 the model weights, a hit is always safe to serve — there is no
-invalidation protocol beyond LRU capacity eviction.  An optional
-:class:`repro.hpc.h5store.H5Store` adapter persists the cache between
-campaign sessions using the same store format as the batch scoring jobs.
+invalidation protocol beyond LRU capacity eviction.
 """
 
 from __future__ import annotations
@@ -13,10 +11,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.hpc.h5store import H5Store
 
 
 @dataclass
@@ -97,43 +91,3 @@ class ResultCache:
         with self._lock:
             return list(self._entries.items())
 
-
-class H5CacheAdapter:
-    """Persist a :class:`ResultCache` through an :class:`H5Store`.
-
-    The layout mirrors the batch scoring jobs' output (parallel ``keys``
-    and ``scores`` datasets under one group), so warm caches can be
-    shipped around with the same tooling as campaign predictions.
-    """
-
-    GROUP = "serving/result_cache"
-
-    def __init__(self, store: H5Store | None = None) -> None:
-        self.store = store if store is not None else H5Store()
-
-    def save(self, cache: ResultCache) -> H5Store:
-        """Write the cache contents (LRU-to-MRU order) into the store."""
-        entries = cache.items()
-        keys = np.array([k for k, _ in entries], dtype="U")
-        scores = np.array([s for _, s in entries], dtype=np.float64)
-        self.store.write(f"{self.GROUP}/keys", keys)
-        self.store.write(f"{self.GROUP}/scores", scores)
-        self.store.write_attr(self.GROUP, "num_entries", len(entries))
-        self.store.write_attr(self.GROUP, "capacity", cache.capacity)
-        return self.store
-
-    def load(self, cache: ResultCache) -> int:
-        """Warm ``cache`` from the store; returns the number of entries loaded.
-
-        Entries are replayed oldest-first so the store's MRU entries end
-        up most recent in the warmed cache as well.
-        """
-        if f"{self.GROUP}/keys" not in self.store:
-            return 0
-        keys = self.store.read(f"{self.GROUP}/keys")
-        scores = self.store.read(f"{self.GROUP}/scores")
-        if keys.shape != scores.shape:
-            raise ValueError("corrupt cache store: keys/scores length mismatch")
-        for key, score in zip(keys.tolist(), scores.tolist()):
-            cache.put(str(key), float(score))
-        return int(keys.size)

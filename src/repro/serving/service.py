@@ -6,16 +6,10 @@ internally requests flow through admission control (bounded queue with
 explicit ``Overloaded`` rejection), a content-addressed result cache, a
 demand-driven micro-batcher and a pool of sharded model replicas.
 
-Two calling conventions are offered:
-
-* :meth:`submit` / :meth:`score` — the online path.  Each request is
-  admitted individually; a batch is cut whenever a replica is free and
-  holds whatever is queued, so batch composition depends on arrival
-  timing.
-* :meth:`score_many` — the bulk path.  The request list is partitioned
-  into deterministic ``max_batch_size`` chunks, making the exact batches
-  (and therefore the exact floating-point scores) reproducible; this is
-  what the screening campaign uses when routed through the service.
+Callers use :meth:`submit` (a future-style handle) or :meth:`score` (its
+blocking wrapper).  Each request is admitted individually; a batch is
+cut whenever a replica is free and holds whatever is queued, so batch
+composition depends on arrival timing.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from repro.featurize.engine import FeaturePipeline
 from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.nn.module import Module
 from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
-from repro.serving.cache import H5CacheAdapter, ResultCache
+from repro.serving.cache import ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import ScoreRequest, ScoreResponse
 from repro.serving.workers import ModuleBackend, ReplicaPool, ScoringBackend
@@ -62,8 +56,6 @@ class ServingConfig:
     queue_capacity: int = 64
     cache_capacity: int = 4096
     cache_enabled: bool = True
-    #: deep-copy the model per replica instead of sharing one instance
-    replicate_weights: bool = False
     #: consecutive batch failures on one replica before its circuit
     #: breaker opens; dispatch routes around open replicas until a
     #: half-open probe succeeds.
@@ -160,7 +152,6 @@ class ScoringService:
         featurizer: FeaturePipeline | None = None,
         config: ServingConfig | None = None,
         backend: ScoringBackend | None = None,
-        cache_store: H5CacheAdapter | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if (model is None) == (backend is None):
@@ -172,18 +163,9 @@ class ScoringService:
         # built first so the replica breakers share the service's registry
         self.metrics = ServingMetrics(max_batch_size=cfg.max_batch_size, registry=registry)
         base = backend if backend is not None else ModuleBackend(model)
-        if cfg.replicate_weights:
-            if not isinstance(base, ModuleBackend):
-                raise ValueError(
-                    "replicate_weights=True requires a ModuleBackend; custom backends "
-                    "must manage their own per-replica isolation"
-                )
-            backends: list[ScoringBackend] = base.replicate(cfg.num_replicas)
-        else:
-            backends = [base] * cfg.num_replicas
         self.featurizer = featurizer
         self.pool = ReplicaPool(
-            backends,
+            [base] * cfg.num_replicas,
             breaker_threshold=cfg.breaker_threshold,
             breaker_reset_s=cfg.breaker_reset_s,
             registry=self.metrics.registry,
@@ -205,10 +187,6 @@ class ScoringService:
         self._inflight_cond = threading.Condition()
         self._running = False
         self._closed = False
-        if cache_store is not None:
-            loaded = cache_store.load(self.cache)
-            if loaded:
-                logger.info("warmed result cache with %d persisted entries", loaded)
 
     # -- lifecycle ------------------------------------------------------ #
     def start(self) -> "ScoringService":
@@ -325,111 +303,9 @@ class ScoringService:
         """Synchronous single-request convenience wrapper."""
         return self.submit(complex_).result(timeout=timeout)
 
-    # -- bulk path -------------------------------------------------------- #
-    def score_many(
-        self,
-        complexes: list[ProteinLigandComplex],
-        timeout: float | None = 300.0,
-        admission: bool = False,
-    ) -> list[ScoreResponse]:
-        """Score a list with deterministic batch composition.
-
-        Cache misses are partitioned, in submission order, into chunks of
-        exactly ``max_batch_size`` (last chunk may be smaller) and each
-        chunk is dispatched to the replica pool directly, bypassing the
-        timing-dependent online batching and its replica permits.
-        Responses come back in input order.
-
-        ``admission=True`` makes the bulk path backpressure-aware: each
-        chunk waits until it fits under ``queue_capacity`` in-flight
-        requests before dispatching, instead of queueing unboundedly on
-        the replica pool.  Unlike :meth:`submit`, bulk callers *block*
-        rather than receive :class:`Overloaded` — a streaming producer
-        (e.g. :class:`repro.screening.stream.StreamingScreen`) wants its
-        offered load throttled, not bounced.  Batch composition — and
-        therefore every score bit — is identical either way.
-        """
-        if not self._running:
-            raise RuntimeError("ScoringService.score_many before start()")
-        requests = [ScoreRequest(complex_=c) for c in complexes]
-        pendings: list[PendingScore] = []
-        misses: list[_WorkItem] = []
-        try:
-            for request in requests:
-                arrived_at = time.perf_counter()
-                key = request.resolve_key(self.model_fp)
-                pending = PendingScore(request)
-                pendings.append(pending)
-                hit = self.cache.get(key) if self.config.cache_enabled else None
-                if hit is not None:
-                    self.metrics.record_submission(cache_hit=True)
-                    self.metrics.record_completion(time.perf_counter() - arrived_at)
-                    pending._resolve(self._response(request, hit, cached=True))
-                    continue
-                self.metrics.record_submission(cache_hit=False)
-                try:
-                    sample = self.featurizer.featurize(request.complex_)
-                except BaseException:
-                    self.metrics.record_failure()  # counted as submitted just above
-                    raise
-                misses.append(_WorkItem(request=request, sample=sample, pending=pending, submitted_at=arrived_at))
-        except BaseException:
-            # every not-yet-dispatched miss was counted as submitted but
-            # will never run; fail them so submitted == completed + failed
-            for _ in misses:
-                self.metrics.record_failure()
-            raise
-
-        size = self.config.max_batch_size
-        for begin in range(0, len(misses), size):
-            chunk = misses[begin : begin + size]
-            with self._inflight_cond:
-                if admission:
-                    # a chunk larger than the capacity could never be
-                    # admitted; let it through alone rather than deadlock
-                    headroom = max(self.config.queue_capacity, len(chunk))
-                    while self._inflight + len(chunk) > headroom:
-                        self._inflight_cond.wait()
-                self._inflight += len(chunk)
-                self._pending_ids.update(w.request.request_id for w in chunk)
-            try:
-                self.pool.submit(
-                    lambda replica, backend, chunk=chunk: self._execute(replica, backend, MicroBatch(items=chunk))
-                )
-            except BaseException:
-                # dispatch refused (e.g. pool closed concurrently): undo the
-                # in-flight accounting and fail this chunk plus everything
-                # not yet dispatched, or drain()/close() would hang forever
-                for work in chunk:
-                    self.metrics.record_failure()
-                    self._finish_one(work.request.request_id)
-                for _ in misses[begin + size :]:
-                    self.metrics.record_failure()
-                raise
-        return [p.result(timeout=timeout) for p in pendings]
-
     # -- introspection ----------------------------------------------------- #
     def snapshot(self) -> MetricsSnapshot:
         return self.metrics.snapshot()
-
-    def feature_cache_stats(self):
-        """Counters of the featurizer's content-addressed feature cache.
-
-        When the service is built on a
-        :class:`~repro.featurize.engine.FeaturePipeline`, repeated
-        rescoring requests reuse cached *features* even when the result
-        cache cannot serve them — e.g. after a model swap invalidates
-        every score key, featurization (whose keys ignore model weights)
-        still hits.  Returns ``None`` for featurizers without a cache.
-        """
-        cache = getattr(self.featurizer, "cache", None)
-        return cache.stats() if cache is not None else None
-
-    def save_cache(self, adapter: H5CacheAdapter | None = None) -> H5CacheAdapter:
-        """Persist the warm result cache for the next session."""
-        adapter = adapter or H5CacheAdapter()
-        adapter.save(self.cache)
-        return adapter
 
     # -- internals --------------------------------------------------------- #
     def _response(
@@ -464,11 +340,11 @@ class ScoringService:
                 return
             self.metrics.record_queue_wait(batch.oldest_wait_s)
             self.pool.submit(
-                lambda replica, backend, batch=batch: self._execute(replica, backend, batch, online=True)
+                lambda replica, backend, batch=batch: self._execute(replica, backend, batch)
             )
 
-    def _execute(self, replica: int, backend: ScoringBackend, batch: MicroBatch, online: bool = False) -> None:
-        """Score one batch; an ``online`` batch returns its replica permit."""
+    def _execute(self, replica: int, backend: ScoringBackend, batch: MicroBatch) -> None:
+        """Score one batch, then return its replica permit."""
         items: list[_WorkItem] = batch.items
         try:
             with current_telemetry().span("serving-batch") as span:
@@ -502,7 +378,6 @@ class ScoringService:
                 self.metrics.record_failure()
                 work.pending._fail(error)
         finally:
-            if online:
-                self._free_replicas.release()
+            self._free_replicas.release()
             for work in items:
                 self._finish_one(work.request.request_id)

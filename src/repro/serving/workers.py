@@ -2,15 +2,13 @@
 
 The service scores batches on a pool of model replicas, one worker
 thread per replica, mirroring the paper's per-GPU model instances at
-in-process scale.  Replicas either share the underlying module (safe:
-eval-mode forward passes are read-only and gradient recording is
-per-thread) or own a deep copy each, and each batch goes to the
-least-loaded replica.
+in-process scale.  Replicas share the underlying module (safe: eval-mode
+forward passes are read-only and gradient recording is per-thread), and
+each batch goes to the least-loaded replica.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import deque
 from typing import Callable, Protocol, Sequence
@@ -64,15 +62,6 @@ class ModuleBackend:
         with no_grad():
             out = self.model(batch)
         return np.asarray(out.numpy(), dtype=np.float64).reshape(-1)
-
-    def replicate(self, copies: int) -> list["ModuleBackend"]:
-        """Deep-copied replicas (fingerprints are shared, weights equal)."""
-        replicas = []
-        for index in range(copies):
-            clone = ModuleBackend(copy.deepcopy(self.model), name=f"{self.name}#{index}")
-            clone._fingerprint = self.fingerprint()
-            replicas.append(clone)
-        return replicas
 
 
 class _Replica:
@@ -132,10 +121,8 @@ class ReplicaPool:
     Parameters
     ----------
     backends:
-        One scoring backend per replica.  Use
-        :meth:`ModuleBackend.replicate` for independent weight copies, or
-        pass the same backend N times to shard a shared model across
-        threads.
+        One scoring backend per replica; pass the same backend N times to
+        shard a shared model across threads.
     breaker_threshold:
         Consecutive failures on one replica before its circuit breaker
         opens.  ``0`` (the default) disables breakers entirely: dispatch

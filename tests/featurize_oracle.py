@@ -165,11 +165,6 @@ class Voxelizer:
         for channel, weight in self._channel_indices(atom, is_ligand):
             grid[channel, los[0]:his[0], los[1]:his[1], los[2]:his[2]] += weight * density
 
-    # ------------------------------------------------------------------ #
-    def total_density(self, grid: np.ndarray) -> float:
-        """Sum of the occupancy channels (used by conservation tests)."""
-        return float(grid.sum())
-
 
 class GraphBuilder:
     """Build SG-CNN input graphs from protein-ligand complexes."""

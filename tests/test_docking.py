@@ -16,7 +16,7 @@ from repro.docking.conveyorlc import (
 )
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.engine import PoseGenerator
-from repro.docking.poses import MaximizePkScorer, place_ligand_randomly, rmsd
+from repro.docking.poses import place_ligand_randomly, rmsd
 from repro.docking.vina import VinaScorer
 
 from docking_oracle import reference_score
@@ -95,10 +95,6 @@ class TestPoseGeneration:
         reference = place_ligand_randomly(protease_site, ligand, rng=np.random.default_rng(9))
         poses = generator.dock(protease_site, ligand, complex_id="c", reference=reference)
         assert all(np.isfinite(p.rmsd_to_reference) for p in poses)
-
-    def test_maximize_pk_scorer_adapter(self, example_complex, interaction_model):
-        adapter = MaximizePkScorer(interaction_model)
-        assert adapter.score(example_complex) == pytest.approx(-interaction_model.true_pk(example_complex))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -85,7 +85,7 @@ class TestBatchedKernel:
             ligand = _posed(prepared.molecule, protease_site)
             coords = np.stack([ligand.coordinates + 0.17 * i for i in range(4)])
             batch = interaction_model.compute_terms_batch(protease_site, ligand, coords)
-            assert len(batch) == 4
+            assert batch.shape.shape == (4,)
             for i in range(4):
                 pose = molecule_with_coordinates(ligand, coords[i])
                 scalar = reference_terms(
@@ -115,7 +115,7 @@ class TestBatchedKernel:
     def test_single_pose_promotion_and_validation(self, protease_site, prepared_ligands, interaction_model):
         ligand = _posed(prepared_ligands[0].molecule, protease_site)
         single = interaction_model.compute_terms_batch(protease_site, ligand, ligand.coordinates)
-        assert len(single) == 1
+        assert single.shape.shape == (1,)
         with pytest.raises(ValueError):
             interaction_model.compute_terms_batch(protease_site, ligand, np.zeros((2, 3)))
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestBatchedKernel:
             for i, ligand in enumerate(ligands)
         ]
         fused = interaction_model.batch_kernel(protease_site, ligands)(np.concatenate(per_ligand, axis=1))
-        assert len(fused) == restarts * len(ligands)
+        assert fused.shape.shape == (restarts * len(ligands),)
         for index, (ligand, coords) in enumerate(zip(ligands, per_ligand)):
             alone = interaction_model.batch_kernel(protease_site, [ligand])(coords)
             for r in range(restarts):

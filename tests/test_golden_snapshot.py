@@ -9,8 +9,8 @@ scoring routes:
   + the batched model entry point, one pose per batch;
 * **engine-cached** — the vectorized ``FeaturePipeline``, scored cold
   and again fully cache-served;
-* **serving-routed** — the online ``ScoringService`` with deterministic
-  single-pose batches.
+* **serving-routed** — the online ``ScoringService`` submitting each
+  pose as its own single-pose batch.
 
 Identical means ``==`` on floats: any perturbation of featurization,
 collation or forward-pass numerics fails this test.  The fixture holds
@@ -88,7 +88,7 @@ def score_engine(workbench, complexes) -> tuple[list[float], list[float]]:
 
 
 def score_serving(workbench, complexes) -> list[float]:
-    """Serving route: single-pose batches make scoring order-independent."""
+    """Serving route: ``max_batch_size=1`` makes every online batch one pose."""
     voxel_config, graph_config = featurizer_configs(workbench)
     config = ServingConfig(
         max_batch_size=1, num_replicas=1, queue_capacity=max(len(complexes), 8)
@@ -97,8 +97,8 @@ def score_serving(workbench, complexes) -> list[float]:
     with ScoringService(
         model=workbench.coherent_fusion, featurizer=engine, config=config
     ) as service:
-        responses = service.score_many(complexes, timeout=120.0)
-    return [float(r.score) for r in responses]
+        pending = [service.submit(c) for c in complexes]
+        return [float(p.result(timeout=120.0).score) for p in pending]
 
 
 class TestGoldenSnapshot:

@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` is reached from the code that runs the paper.
+"""Every module in ``src/repro`` is reached from the code that runs the paper,
+and every function, method and class in it is named somewhere.
 
 The roots are every file of the repository benchmark (``perfbench/``) and
 of the paper benchmarks (``benchmarks/``), every module of
@@ -11,11 +12,19 @@ defines ``Name``, so a package re-export alone reaches nothing.  A
 package ``__init__`` reaches a module only through a name its own code
 uses; it is itself reached whenever one of its modules is, because
 Python runs it before importing them.
+
+Inside a module the check is by name only: a definition is kept alive
+when any file under ``src/``, ``tests/``, ``perfbench/``, ``benchmarks/``
+or ``examples/`` names it (as a variable, an attribute or an import)
+outside the definition itself.  Same-named methods keep each other
+alive, so this over-approximates use; it still catches code that
+nothing calls at all.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,6 +35,17 @@ SRC = REPO / "src"
 
 #: Modules kept in ``src/`` on purpose although no root reaches them.
 ENTRY_POINTS: tuple[str, ...] = ()
+
+#: Definitions reached through a name built at run time, with the reason.
+DYNAMIC_NAMES: dict[str, str] = {
+    f"repro.runtime.campaign.CampaignRuntime._stage_{stage}": (
+        "stage body; CampaignRuntime calls it as getattr(self, f'_stage_{name}')"
+    )
+    for stage in ("library", "streamed_screen", "cost_function", "assays")
+}
+
+#: Directories whose files can name a ``src/`` definition.
+NAMING_DIRS: tuple[str, ...] = ("src", "tests", "perfbench", "benchmarks", "examples")
 
 
 def _module_name(path: Path) -> str:
@@ -143,6 +163,64 @@ def test_every_src_module_is_reached_from_a_root():
     )
 
 
+def _names(node: ast.AST) -> Counter[str]:
+    """How often ``node`` names each identifier: variables, attributes, imports."""
+    names: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.asname or sub.name.rpartition(".")[2]] += 1
+    return names
+
+
+def _definitions(node: ast.AST, prefix: str):
+    """``(qualified name, node)`` of every function, method and class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{prefix}.{child.name}"
+            yield qualname, child
+            yield from _definitions(child, qualname)
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _naming_files() -> list[Path]:
+    return [path for name in NAMING_DIRS for path in sorted((REPO / name).rglob("*.py"))]
+
+
+def unnamed_symbols() -> list[str]:
+    """Non-dunder ``src/`` definitions no file names outside their own body,
+    outside ``DYNAMIC_NAMES``."""
+    named: Counter[str] = Counter()
+    for path in _naming_files():
+        named += _names(_tree(path))
+    unnamed = []
+    for module, path in MODULES.items():
+        for qualname, node in _definitions(_tree(path), module):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if dunder or qualname in DYNAMIC_NAMES:
+                continue
+            if named[node.name] <= _names(node)[node.name]:
+                unnamed.append(f"{qualname} (line {node.lineno})")
+    return unnamed
+
+
+def test_every_src_symbol_is_named_outside_its_definition():
+    unnamed = unnamed_symbols()
+    assert not unnamed, (
+        f"{len(unnamed)} src/ definition(s) are named nowhere; delete them, or list one "
+        "reached through a run-time name in DYNAMIC_NAMES:\n" + "\n".join(f"  {s}" for s in unnamed)
+    )
+
+
+def test_dynamic_names_name_existing_definitions():
+    defined = {q for module, path in MODULES.items() for q, _ in _definitions(_tree(path), module)}
+    assert set(DYNAMIC_NAMES) <= defined, sorted(set(DYNAMIC_NAMES) - defined)
+
+
 def test_entry_points_name_existing_modules():
     assert set(ENTRY_POINTS) <= set(MODULES), sorted(set(ENTRY_POINTS) - set(MODULES))
 
@@ -224,6 +302,68 @@ def test_failure_names_every_unreached_module_with_its_line_count(fake_tree):
     assert "2 src/ module(s), 3 lines, are reached only from tests or examples" in message
     assert "  repro.fakepkg.orphan (1 lines)" in message
     assert "  repro.fakepkg.reexported (2 lines)" in message
+
+
+SYMBOL_TREE = {
+    "fakepkg/__init__.py": "",
+    "fakepkg/shapes.py": (
+        "class Shape:\n"
+        "    def __init__(self):\n"  # dunder: exempt
+        "        self.size = 1\n"
+        "    def area(self):\n"  # named by the root as an attribute
+        "        return self._scale() * 2\n"
+        "    def _scale(self):\n"  # named by another method
+        "        return 1\n"
+        "    def perimeter(self):\n"  # named only inside its own body
+        "        return self.perimeter()\n"
+        "    def _stage_dynamic(self):\n"  # listed in DYNAMIC_NAMES
+        "        return 0\n"
+        "def make():\n"  # imported by the root
+        "    return Shape()\n"
+        "def orphan():\n"  # named nowhere
+        "    return 0\n"
+    ),
+}
+
+
+@pytest.fixture
+def symbol_tree(tmp_path, monkeypatch):
+    """Point the name scan at ``repro.fakepkg.shapes`` and one file using ``make().area()``."""
+    modules = {}
+    for relative, text in SYMBOL_TREE.items():
+        path = tmp_path / relative
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        modules["repro." + relative.removesuffix(".py").replace("/", ".").removesuffix(".__init__")] = path
+    user = tmp_path / "user.py"
+    user.write_text("from repro.fakepkg.shapes import make\nprint(make().area())\n")
+    monkeypatch.setitem(globals(), "MODULES", modules)
+    monkeypatch.setitem(globals(), "_naming_files", lambda: [*modules.values(), user])
+    monkeypatch.setitem(
+        globals(), "DYNAMIC_NAMES", {"repro.fakepkg.shapes.Shape._stage_dynamic": "called by name"}
+    )
+    return modules
+
+
+def test_symbol_naming_rules(symbol_tree):
+    assert unnamed_symbols() == [
+        "repro.fakepkg.shapes.Shape.perimeter (line 8)",
+        "repro.fakepkg.shapes.orphan (line 14)",
+    ]
+
+
+def test_symbol_failure_names_every_unnamed_definition(symbol_tree):
+    with pytest.raises(AssertionError) as info:
+        test_every_src_symbol_is_named_outside_its_definition()
+    message = str(info.value)
+    assert "2 src/ definition(s) are named nowhere" in message
+    assert "  repro.fakepkg.shapes.Shape.perimeter (line 8)" in message
+    assert "  repro.fakepkg.shapes.orphan (line 14)" in message
+
+
+def test_dynamic_names_exempt_only_what_they_list(symbol_tree, monkeypatch):
+    monkeypatch.setitem(globals(), "DYNAMIC_NAMES", {})
+    assert "repro.fakepkg.shapes.Shape._stage_dynamic (line 10)" in unnamed_symbols()
 
 
 @pytest.mark.parametrize(

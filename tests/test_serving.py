@@ -12,7 +12,6 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.featurize.pipeline import collate_complexes
 from repro.nn.tensor import no_grad
 from repro.serving import (
-    H5CacheAdapter,
     MicroBatcher,
     Overloaded,
     ResultCache,
@@ -57,23 +56,6 @@ def test_cache_hit_miss_and_lru_eviction():
     assert stats.size == 3
     assert stats.hits == 3 and stats.misses == 2
     assert stats.hit_rate == pytest.approx(3 / 5)
-
-
-def test_cache_h5store_roundtrip(tmp_path):
-    cache = ResultCache(capacity=8)
-    for index in range(5):
-        cache.put(f"key{index}", float(index))
-    adapter = H5CacheAdapter()
-    store = adapter.save(cache)
-    path = tmp_path / "cache.npz"
-    store.save(path)
-
-    from repro.hpc.h5store import H5Store
-
-    warmed = ResultCache(capacity=8)
-    loaded = H5CacheAdapter(H5Store.load(path)).load(warmed)
-    assert loaded == 5
-    assert warmed.items() == cache.items()
 
 
 def test_cache_thread_safety_under_contention():
@@ -195,29 +177,35 @@ def test_backpressure_rejects_when_queue_full(workbench, traffic):
 # --------------------------------------------------------------------- #
 # end-to-end service behaviour
 # --------------------------------------------------------------------- #
-def test_service_scores_bit_identical_to_direct_forward(workbench, traffic):
-    batch_size = 4
-    config = ServingConfig(max_batch_size=batch_size, num_replicas=2, queue_capacity=64)
-    with ScoringService(
-        model=workbench.coherent_fusion, featurizer=workbench.featurizer, config=config
-    ) as service:
-        responses = service.score_many(traffic)
-        online = [service.submit(ScoreRequest(complex_=c, key=f"nocache-{i}")).result(timeout=60.0)
-                  for i, c in enumerate(traffic)]
-
-    samples = [workbench.featurizer.featurize(c) for c in traffic]
-    direct: list[float] = []
+def _direct_scores(model, samples, batch_size: int) -> list[float]:
+    """Plain forward passes over consecutive ``batch_size`` chunks."""
+    scores: list[float] = []
     for begin in range(0, len(samples), batch_size):
         batch = collate_complexes(samples[begin : begin + batch_size])
         with no_grad():
-            direct.extend(float(v) for v in workbench.coherent_fusion(batch).numpy())
+            scores.extend(float(v) for v in model(batch).numpy())
+    return scores
 
-    # the bulk path partitions into the same deterministic chunks as the
-    # direct loop above, so the scores are bit-identical
-    assert [r.score for r in responses] == direct
-    # the online path coalesces on arrival timing, so batch boundaries (and
+
+def test_service_scores_bit_identical_to_direct_forward(workbench, traffic):
+    config = ServingConfig(max_batch_size=4, num_replicas=2, queue_capacity=64)
+    with ScoringService(
+        model=workbench.coherent_fusion, featurizer=workbench.featurizer, config=config
+    ) as service:
+        # one request in flight at a time: every batch holds one pose
+        cold = [service.submit(c).result(timeout=60.0) for c in traffic]
+        pending = [service.submit(ScoreRequest(complex_=c, key=f"nocache-{i}"))
+                   for i, c in enumerate(traffic)]
+        online = [p.result(timeout=60.0) for p in pending]
+
+    samples = [workbench.featurizer.featurize(c) for c in traffic]
+    model = workbench.coherent_fusion
+    assert [r.score for r in cold] == _direct_scores(model, samples, 1)
+    # concurrent requests coalesce on arrival timing, so batch boundaries (and
     # therefore the graph segment-sum orderings) may differ by the last ulp
-    np.testing.assert_allclose([r.score for r in online], direct, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        [r.score for r in online], _direct_scores(model, samples, 4), rtol=1e-12, atol=1e-12
+    )
 
 
 def test_warm_cache_repeat_hit_rate(workbench, traffic):
@@ -225,7 +213,7 @@ def test_warm_cache_repeat_hit_rate(workbench, traffic):
     with ScoringService(
         model=workbench.coherent_fusion, featurizer=workbench.featurizer, config=config
     ) as service:
-        cold = service.score_many(traffic)
+        cold = [service.submit(c).result(timeout=60.0) for c in traffic]
         assert not any(r.cached for r in cold)
         service.metrics.reset()
         warm = [service.submit(c).result(timeout=60.0) for c in traffic]
@@ -331,51 +319,6 @@ def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replic
     queue_wait = service.metrics.registry.snapshot()["histograms"]["serving.queue_wait_s"]
     assert queue_wait["count"] == len(backend.sizes)
     assert queue_wait["max"] >= 0.05
-
-
-def test_campaign_routed_through_serving_matches_direct_scoring(workbench):
-    from repro.screening.costfunction import CompoundCostFunction
-    from repro.screening.pipeline import CampaignConfig, ScreeningCampaign
-
-    library_counts = {"emolecules": 6}
-    base = dict(
-        library_counts=library_counts, poses_per_compound=2,
-        compounds_tested_per_site=4, seed=7,
-    )
-    direct_campaign = ScreeningCampaign(
-        model=workbench.coherent_fusion,
-        featurizer=workbench.featurizer,
-        config=CampaignConfig(**base),
-        cost_function=CompoundCostFunction(),
-        interaction_model=workbench.interaction_model,
-    ).run()
-    serving_campaign = ScreeningCampaign(
-        model=workbench.coherent_fusion,
-        featurizer=workbench.featurizer,
-        config=CampaignConfig(**base, use_serving=True,
-                              serving=ServingConfig(max_batch_size=8, num_replicas=2)),
-        cost_function=CompoundCostFunction(),
-        interaction_model=workbench.interaction_model,
-    ).run()
-
-    direct_predictions: dict = {}
-    for result in direct_campaign.job_results:
-        for (cid, pid), score in result.predictions.items():
-            direct_predictions[(result.site_name, cid, pid)] = score
-    serving_predictions: dict = {}
-    for result in serving_campaign.job_results:
-        for (cid, pid), score in result.predictions.items():
-            serving_predictions[(result.site_name, cid, pid)] = score
-
-    assert serving_predictions.keys() == direct_predictions.keys()
-    for key, score in serving_predictions.items():
-        # shard workers and the service batch differently, so agreement
-        # is up to floating-point associativity, not bitwise
-        assert score == pytest.approx(direct_predictions[key], rel=1e-9, abs=1e-9), key
-    # downstream selection is therefore identical as well
-    assert {s: [c.compound_id for c in v] for s, v in serving_campaign.selections.items()} == {
-        s: [c.compound_id for c in v] for s, v in direct_campaign.selections.items()
-    }
 
 
 # --------------------------------------------------------------------- #

@@ -317,11 +317,6 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match=message):
             CampaignConfig(**overrides).validate()
 
-    def test_campaign_with_serving_route_validates(self):
-        # the serving route runs on the shard threads, so every
-        # use_serving configuration is valid
-        CampaignConfig(use_serving=True).validate()
-
     def test_docking_counters_cover_every_compound_once(self, workbench, stream_sites, stream_deck):
         """Shard threads record into the coordinator's active registry: the
         docking counters count each (compound, site) pair exactly once and
@@ -340,36 +335,6 @@ class TestStreamConfig:
             counters[workers] = {k: v for k, v in snapshot.items() if k.startswith("docking.")}
         assert counters[2] == counters[1]
         assert counters[1]["docking.compounds"] == len(stream_deck) * len(stream_sites)
-
-
-# --------------------------------------------------------------------------- #
-# serving route
-# --------------------------------------------------------------------------- #
-class TestServingRoute:
-    def test_serving_route_bit_identical_with_backpressure(self, workbench, stream_sites, stream_deck):
-        from repro.serving import ScoringService, ServingConfig
-
-        config = make_stream_config(shard_size=4, workers=2, fusion_batch_size=0)
-        direct = run_stream(workbench, stream_sites, stream_deck, config)
-        # a deliberately tiny admission window so chunks must wait for
-        # capacity; scores must not change, only pacing
-        service = ScoringService(
-            model=workbench.coherent_fusion,
-            featurizer=workbench.featurizer,
-            config=ServingConfig(max_batch_size=2, queue_capacity=2, cache_enabled=False),
-        ).start()
-        try:
-            served = StreamingScreen(
-                None, workbench.featurizer, stream_sites, config, service=service
-            ).run(stream_deck.molecules)
-        finally:
-            service.close()
-        for site in stream_sites:
-            assert np.array_equal(served.topk_arrays(site)[0], direct.topk_arrays(site)[0])
-            assert np.array_equal(served.topk_arrays(site)[1], direct.topk_arrays(site)[1])
-        snapshot = service.snapshot()
-        assert snapshot.completed == snapshot.submitted
-        assert snapshot.failed == 0
 
 
 # --------------------------------------------------------------------------- #
