@@ -13,6 +13,7 @@ Run:  python examples/online_scoring_service.py
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.chem.complexes import ProteinLigandComplex
@@ -55,7 +56,8 @@ def main() -> None:
             pending = list(clients.map(service.submit, complexes))
         responses = [p.result() for p in pending]
         print(f"first scores: {[round(r.score, 3) for r in responses[:4]]}")
-        print(f"replica spread: {service.pool.completed_batches()} batches per replica")
+        spread = Counter(r.replica for r in responses)
+        print(f"replica spread: {dict(sorted(spread.items()))} requests per replica")
         print_snapshot("cold metrics", service.snapshot())
 
         print("\n=== Warm pass: identical traffic, content-addressed cache ===")

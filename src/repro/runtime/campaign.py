@@ -423,7 +423,7 @@ class CampaignRuntime:
             fault_injector=self.runtime.fault_injector,
         )
         try:
-            result = engine.run(deck.molecules, collect_predictions=True, collect_records=True)
+            result = engine.run(deck.molecules, collect_records=True)
         except StreamShardError as error:
             # the stage failed, but the shards folded before the failure
             # are checkpointed; preserve that progress and the fault
@@ -444,9 +444,12 @@ class CampaignRuntime:
         # the whole deck one site at a time, and independent of shard_size
         database = DockingDatabase()
         database.extend(sorted(result.records, key=lambda record: record.site_name))
+        predictions: dict[str, dict[tuple[str, int], float]] = {name: {} for name in sites}
+        for record in result.records:
+            predictions[record.site_name][(record.compound_id, record.pose_id)] = record.fusion_pk
         job_results: list[JobResult] = []
         for site_name in sorted(sites):
-            site_predictions = result.predictions.get(site_name, {})
+            site_predictions = predictions[site_name]
             store = H5Store()
             keys = list(site_predictions)
             write_job_output(

@@ -432,10 +432,6 @@ class StreamingScreenResult:
     duration_s: float
     #: True when the run stopped early (``stop_after_shards``)
     aborted: bool = False
-    #: per-site ``(compound_id, pose_id) -> fusion_pk`` — only populated
-    #: with ``collect_predictions=True`` (campaign integration); the pure
-    #: streaming path keeps memory bounded by not retaining per-pose data
-    predictions: dict[str, dict[tuple[str, int], float]] | None = None
     #: shard-local records merged in shard order — only with
     #: ``collect_records=True`` (campaign integration)
     records: list[DockingRecord] | None = None
@@ -702,7 +698,6 @@ class StreamingScreen:
         source: Any,
         *,
         stop_after_shards: int | None = None,
-        collect_predictions: bool = False,
         collect_records: bool = False,
     ) -> StreamingScreenResult:
         """Stream ``source`` through the pipeline and fold the results.
@@ -718,8 +713,9 @@ class StreamingScreen:
             simulating a killed run; the returned result is marked
             ``aborted``.  A later :meth:`run` with a checkpoint store
             resumes without rescoring those shards.
-        collect_predictions / collect_records:
-            Retain per-pose predictions / docking records in the result.
+        collect_records:
+            Retain per-pose docking records (with their fusion scores) in
+            the result.
             This trades the bounded-memory guarantee for campaign
             integration, where downstream stages (cost function, assays)
             need the materialized database — only sensible for
@@ -750,9 +746,6 @@ class StreamingScreen:
 
         top_k = {name: TopKSelector(cfg.top_k, nan_policy=cfg.nan_policy) for name in self.sites}
         stats = {name: StreamingStats() for name in self.sites}
-        predictions: dict[str, dict[tuple[str, int], float]] | None = (
-            {name: {} for name in self.sites} if collect_predictions else None
-        )
         records: list[DockingRecord] | None = [] if collect_records else None
 
         executed = restored = failed = 0
@@ -841,9 +834,6 @@ class StreamingScreen:
                     stats[site_name].add(score)
             if records is not None:
                 records.extend(outcome.records)
-            if predictions is not None:
-                for record in outcome.records:
-                    predictions[record.site_name][(record.compound_id, record.pose_id)] = record.fusion_pk
 
         startup_section.__exit__(None, None, None)
         try:
@@ -901,7 +891,6 @@ class StreamingScreen:
             faults=fault_log,
             duration_s=duration,
             aborted=limit < len(bounds),
-            predictions=predictions,
             records=records,
         )
         self._last_run = {

@@ -1,8 +1,8 @@
-"""Online scoring service: micro-batching, sharded replicas, result cache.
+"""Online scoring service: micro-batching, replica threads, result cache.
 
 Complements the offline ``repro.screening`` batch jobs with a
 request/response path: callers submit posed complexes and receive pK
-predictions, with demand-driven micro-batching, a pool of model replicas,
+predictions, with demand-driven micro-batching, model replica threads,
 content-addressed result caching, explicit backpressure and latency /
 throughput metrics.
 """
@@ -19,8 +19,7 @@ from repro.serving.requests import (
     site_digest,
 )
 from repro.serving.service import DrainResult, Overloaded, PendingScore, ScoringService, ServingConfig
-from repro.serving.breaker import CircuitBreaker
-from repro.serving.workers import ModuleBackend, ReplicaPool, ScoringBackend
+from repro.serving.workers import ModuleBackend, ScoringBackend
 
 __all__ = [
     "MicroBatch",
@@ -41,8 +40,6 @@ __all__ = [
     "PendingScore",
     "ScoringService",
     "ServingConfig",
-    "CircuitBreaker",
     "ModuleBackend",
-    "ReplicaPool",
     "ScoringBackend",
 ]

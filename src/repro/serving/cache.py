@@ -63,17 +63,9 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -84,10 +76,4 @@ class ResultCache:
                 size=len(self._entries),
                 capacity=self.capacity,
             )
-
-    # ------------------------------------------------------------------ #
-    def items(self) -> list[tuple[str, float]]:
-        """LRU-to-MRU snapshot of the cache contents."""
-        with self._lock:
-            return list(self._entries.items())
 

@@ -4,12 +4,13 @@
 scorer: callers submit posed complexes and receive pK predictions, while
 internally requests flow through admission control (bounded queue with
 explicit ``Overloaded`` rejection), a content-addressed result cache, a
-demand-driven micro-batcher and a pool of sharded model replicas.
+demand-driven micro-batcher and ``num_replicas`` model replica threads.
 
 Callers use :meth:`submit` (a future-style handle) or :meth:`score` (its
-blocking wrapper).  Each request is admitted individually; a batch is
-cut whenever a replica is free and holds whatever is queued, so batch
-composition depends on arrival timing.
+blocking wrapper).  Each request is admitted individually.  Each replica
+thread pulls its own batches: an idle replica takes whatever is queued,
+so batch composition depends on arrival timing.  A failed batch fails
+its callers, and the replica takes the next batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.serving.batcher import MicroBatch, MicroBatcher, QueueClosed
 from repro.serving.cache import ResultCache
 from repro.serving.metrics import MetricsSnapshot, ServingMetrics
 from repro.serving.requests import ScoreRequest, ScoreResponse
-from repro.serving.workers import ModuleBackend, ReplicaPool, ScoringBackend
+from repro.serving.workers import ModuleBackend, ScoringBackend
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import current as current_telemetry
 from repro.utils.logging import get_logger
@@ -42,11 +43,11 @@ class Overloaded(RuntimeError):
 class ServingConfig:
     """Knobs of the online scoring service.
 
-    Online batching is demand-driven: at most ``num_replicas`` online
-    batches are outstanding, and the next is cut the moment a replica
-    frees, holding everything queued up to ``max_batch_size``, so an
-    idle service scores a lone request at once and a busy one coalesces
-    with no timer.  Batches go to the least-loaded healthy replica.
+    Online batching is demand-driven: each of the ``num_replicas``
+    replica threads cuts its next batch the moment it frees, holding
+    everything queued up to ``max_batch_size``, so an idle service
+    scores a lone request at once and a busy one coalesces with no
+    timer.
     """
 
     max_batch_size: int = 8
@@ -56,14 +57,6 @@ class ServingConfig:
     queue_capacity: int = 64
     cache_capacity: int = 4096
     cache_enabled: bool = True
-    #: consecutive batch failures on one replica before its circuit
-    #: breaker opens; dispatch routes around open replicas until a
-    #: half-open probe succeeds.
-    #: ``0`` disables breakers.  Never affects results when no batch
-    #: fails — the breaker only observes outcomes.
-    breaker_threshold: int = 3
-    #: seconds an open replica breaker waits before allowing one probe
-    breaker_reset_s: float = 1.0
 
 
 class DrainResult:
@@ -131,7 +124,7 @@ class _WorkItem:
 
 
 class ScoringService:
-    """Online scoring over a fusion model with batching, shards and cache.
+    """Online scoring over a fusion model with batching, replicas and cache.
 
     Parameters
     ----------
@@ -160,28 +153,18 @@ class ScoringService:
             raise ValueError("a FeaturePipeline is required")
         self.config = config or ServingConfig()
         cfg = self.config
-        # built first so the replica breakers share the service's registry
         self.metrics = ServingMetrics(max_batch_size=cfg.max_batch_size, registry=registry)
-        base = backend if backend is not None else ModuleBackend(model)
+        self.backend = backend if backend is not None else ModuleBackend(model)
         self.featurizer = featurizer
-        self.pool = ReplicaPool(
-            [base] * cfg.num_replicas,
-            breaker_threshold=cfg.breaker_threshold,
-            breaker_reset_s=cfg.breaker_reset_s,
-            registry=self.metrics.registry,
-        )
         self.batcher = MicroBatcher(max_batch_size=cfg.max_batch_size, capacity=cfg.queue_capacity)
-        # one permit per replica: the dispatcher cuts an online batch only
-        # while it holds one, and the batch returns it when it ends
-        self._free_replicas = threading.BoundedSemaphore(cfg.num_replicas)
         self.cache = ResultCache(cfg.cache_capacity)
         feature_cache = getattr(featurizer, "cache", None)
         if feature_cache is not None:
             self.metrics.registry.register_probe(
                 "serving.feature_cache", lambda: vars(feature_cache.stats())
             )
-        self.model_fp = base.fingerprint()
-        self._dispatcher: threading.Thread | None = None
+        self.model_fp = self.backend.fingerprint()
+        self._replicas: list[threading.Thread] = []
         self._inflight = 0
         self._pending_ids: set[str] = set()
         self._inflight_cond = threading.Condition()
@@ -190,15 +173,20 @@ class ScoringService:
 
     # -- lifecycle ------------------------------------------------------ #
     def start(self) -> "ScoringService":
-        """Start replica workers and the batch dispatcher."""
+        """Start the ``num_replicas`` replica threads."""
         if self._closed:
             raise RuntimeError("ScoringService cannot be restarted after close(); build a new one")
         if self._running:
             return self
         self._running = True
-        self.pool.start()
-        self._dispatcher = threading.Thread(target=self._dispatch_loop, name="serving-dispatcher", daemon=True)
-        self._dispatcher.start()
+        self._replicas = [
+            threading.Thread(
+                target=self._replica_loop, args=(index,), name=f"serving-replica-{index}", daemon=True
+            )
+            for index in range(self.config.num_replicas)
+        ]
+        for thread in self._replicas:
+            thread.start()
         return self
 
     def drain(self, timeout: float | None = None) -> DrainResult:
@@ -230,10 +218,8 @@ class ScoringService:
         self._closed = True
         self.drain()
         self.batcher.close()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-            self._dispatcher = None
-        self.pool.close()
+        for thread in self._replicas:
+            thread.join()
         self._running = False
 
     def __enter__(self) -> "ScoringService":
@@ -331,20 +317,14 @@ class ScoringService:
                 self._pending_ids.discard(request_id)
             self._inflight_cond.notify_all()
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            self._free_replicas.acquire()
-            batch = self.batcher.next_batch()
-            if batch is None:
-                self._free_replicas.release()
-                return
+    def _replica_loop(self, replica: int) -> None:
+        """Take the next batch whenever this replica is free, until closed."""
+        while (batch := self.batcher.next_batch()) is not None:
             self.metrics.record_queue_wait(batch.oldest_wait_s)
-            self.pool.submit(
-                lambda replica, backend, batch=batch: self._execute(replica, backend, batch)
-            )
+            self._execute(replica, batch)
 
-    def _execute(self, replica: int, backend: ScoringBackend, batch: MicroBatch) -> None:
-        """Score one batch, then return its replica permit."""
+    def _execute(self, replica: int, batch: MicroBatch) -> None:
+        """Score one batch and resolve (or fail) every caller in it."""
         items: list[_WorkItem] = batch.items
         try:
             with current_telemetry().span("serving-batch") as span:
@@ -352,12 +332,11 @@ class ScoringService:
                 span.set("batch_size", len(items))
                 # the offline scoring jobs' collate: byte-identical batches
                 collated = collate_complexes([w.sample for w in items])
-                scores = backend.score_batch(collated)
+                scores = self.backend.score_batch(collated)
             if scores.shape[0] != len(items):
                 raise RuntimeError(
                     f"backend returned {scores.shape[0]} scores for {len(items)} requests"
                 )
-            self.pool.record_result(replica, ok=True)
             self.metrics.record_batch(len(items))
             now = time.perf_counter()
             for work, score in zip(items, scores):
@@ -373,11 +352,9 @@ class ScoringService:
                 )
         except BaseException as error:  # propagate to every waiting caller
             logger.error("scoring batch failed on replica %d: %s", replica, error)
-            self.pool.record_result(replica, ok=False)
             for work in items:
                 self.metrics.record_failure()
                 work.pending._fail(error)
         finally:
-            self._free_replicas.release()
             for work in items:
                 self._finish_one(work.request.request_id)

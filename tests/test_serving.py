@@ -21,7 +21,6 @@ from repro.serving import (
     model_fingerprint,
 )
 from repro.serving.requests import ScoreRequest
-from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +244,7 @@ def test_service_drain_and_metrics(workbench, traffic):
 
 class _GatedBackend:
     """Holds every batch until ``gate`` is set; records each batch's size
-    and how many batches the replica pool held when it started."""
+    and how many ``score_batch`` calls were in flight when it started."""
 
     name = "gated-stub"
 
@@ -253,8 +252,8 @@ class _GatedBackend:
         self.gate = threading.Event()
         self.cond = threading.Condition()
         self.sizes: list[int] = []
-        self.pool_loads: list[int] = []
-        self.pool = None
+        self.in_flight = 0
+        self.in_flight_seen: list[int] = []
 
     def fingerprint(self) -> str:
         return "gated-stub"
@@ -262,10 +261,15 @@ class _GatedBackend:
     def score_batch(self, batch: dict) -> np.ndarray:
         with self.cond:
             self.sizes.append(len(batch["ids"]))
-            self.pool_loads.append(sum(self.pool.loads()))
+            self.in_flight += 1
+            self.in_flight_seen.append(self.in_flight)
             self.cond.notify_all()
-        assert self.gate.wait(timeout=60.0)
-        return np.zeros(len(batch["ids"]), dtype=np.float64)
+        try:
+            assert self.gate.wait(timeout=60.0)
+            return np.zeros(len(batch["ids"]), dtype=np.float64)
+        finally:
+            with self.cond:
+                self.in_flight -= 1
 
     def wait_started(self, count: int) -> None:
         with self.cond:
@@ -284,7 +288,6 @@ def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replic
         max_batch_size=max_batch, num_replicas=num_replicas, queue_capacity=32, cache_enabled=False
     )
     service = ScoringService(backend=backend, featurizer=workbench.featurizer, config=config).start()
-    backend.pool = service.pool
     complexes = [traffic[i % len(traffic)] for i in range(num_replicas + queued)]
     try:
         handles = []
@@ -296,18 +299,19 @@ def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replic
         time.sleep(0.05)
         # every replica is blocked: the queued requests wait in the batcher
         assert backend.sizes == [1] * num_replicas
-        assert sum(service.pool.loads()) == num_replicas
+        assert backend.in_flight == num_replicas
         assert service.batcher.pending() == queued
         backend.gate.set()
-        for handle in handles:
-            handle.result(timeout=60.0)
+        responses = [handle.result(timeout=60.0) for handle in handles]
         assert service.drain(timeout=60.0)
         snap = service.snapshot()
     finally:
         backend.gate.set()
         service.close()
-    assert max(backend.pool_loads) <= num_replicas
+    assert max(backend.in_flight_seen) <= num_replicas
     assert backend.sizes[:num_replicas] == [1] * num_replicas
+    # each lone request occupied a different replica thread
+    assert {r.replica for r in responses[:num_replicas]} == set(range(num_replicas))
     # the first freed replica takes min(queued, max_batch); any remainder
     # leaves with the next (two replicas may start them in either order)
     coalesced = [min(queued, max_batch)] + ([queued - max_batch] if queued > max_batch else [])
@@ -319,278 +323,3 @@ def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replic
     queue_wait = service.metrics.registry.snapshot()["histograms"]["serving.queue_wait_s"]
     assert queue_wait["count"] == len(backend.sizes)
     assert queue_wait["max"] >= 0.05
-
-
-# --------------------------------------------------------------------- #
-# replica-pool lifecycle
-# --------------------------------------------------------------------- #
-class _CountingBackend:
-    """Minimal in-thread ScoringBackend for pool lifecycle tests."""
-
-    name = "counting"
-
-    def fingerprint(self) -> str:
-        return "counting"
-
-    def score_batch(self, batch) -> np.ndarray:
-        return np.zeros(1)
-
-
-class TestReplicaPoolLifecycle:
-    @staticmethod
-    def _drain(pool, expected, timeout=10.0):
-        deadline = time.time() + timeout
-        while sum(pool.completed_batches()) < expected:
-            assert time.time() < deadline, pool.completed_batches()
-            time.sleep(0.005)
-
-    def test_close_then_start_restarts_with_fresh_replicas(self):
-        """Regression: restart used to re-start() the finished worker
-        threads — ``RuntimeError: threads can only be started once`` —
-        and left every replica marked closed."""
-        from repro.serving import ReplicaPool
-
-        pool = ReplicaPool([_CountingBackend(), _CountingBackend()])
-        pool.start()
-        for _ in range(4):
-            pool.submit(lambda i, b: b.score_batch(None))
-        pool.close()
-        assert sum(pool.completed_batches()) == 4
-
-        pool.start()
-        # fresh replicas: per-replica counters restart from zero
-        assert pool.completed_batches() == [0, 0]
-        for _ in range(3):
-            pool.submit(lambda i, b: b.score_batch(None))
-        self._drain(pool, 3)
-        pool.close()
-        assert sum(pool.completed_batches()) == 3
-
-    def test_start_is_idempotent_while_running(self):
-        from repro.serving import ReplicaPool
-
-        pool = ReplicaPool([_CountingBackend()])
-        pool.start()
-        pool.start()
-        pool.submit(lambda i, b: None)
-        self._drain(pool, 1)
-        pool.close()
-
-    def test_submit_requires_start(self):
-        from repro.serving import ReplicaPool
-
-        pool = ReplicaPool([_CountingBackend()])
-        with pytest.raises(RuntimeError, match="before start"):
-            pool.submit(lambda i, b: None)
-        pool.start()
-        pool.close()
-        with pytest.raises(RuntimeError, match="before start"):
-            pool.submit(lambda i, b: None)
-
-
-# --------------------------------------------------------------------- #
-# replica circuit breaker
-# --------------------------------------------------------------------- #
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
-class TestCircuitBreaker:
-    def test_full_cycle_closed_open_halfopen_closed(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(
-            name="replica-0",
-            failure_threshold=3,
-            reset_timeout_s=10.0,
-            registry=registry,
-            clock=clock,
-        )
-        assert breaker.state == "closed"
-        # a success resets the consecutive-failure streak
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        breaker.record_success()
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third consecutive: trips open
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.seconds_until_probe() == pytest.approx(10.0)
-
-        clock.advance(10.0)
-        assert breaker.state == "half_open"
-        assert breaker.peek_allow()
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # only one probe in flight
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-        snap = registry.snapshot()
-        assert snap["counters"]["supervision.breaker_opened"] == 1
-        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(10.0)
-
-    def test_half_open_probe_failure_reopens(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=5.0, registry=registry, clock=clock
-        )
-        assert breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        assert breaker.record_failure()  # probe failed: reopen for a full window
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert registry.snapshot()["counters"]["supervision.breaker_opened"] == 2
-
-    def test_validation(self):
-        from repro.serving import CircuitBreaker
-
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="reset_timeout_s"):
-            CircuitBreaker(reset_timeout_s=0.0)
-
-
-class TestCircuitBreakerEdges:
-    @pytest.mark.parametrize("threshold", [1, 2, 5])
-    def test_opens_exactly_at_the_threshold(self, threshold):
-        from repro.serving import CircuitBreaker
-
-        breaker = CircuitBreaker(
-            failure_threshold=threshold, registry=MetricsRegistry(), clock=_FakeClock()
-        )
-        for _ in range(threshold - 1):
-            assert not breaker.record_failure()
-            assert breaker.state == "closed"
-            assert breaker.allow()
-        assert breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_peek_allow_never_claims_the_probe(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=2.0, registry=MetricsRegistry(), clock=clock
-        )
-        breaker.record_failure()
-        assert not breaker.peek_allow()
-        clock.advance(2.0)
-        for _ in range(3):
-            assert breaker.peek_allow()
-        assert breaker.allow()
-        # the probe is in flight: neither look nor claim admits another
-        assert not breaker.peek_allow()
-        assert not breaker.allow()
-
-    def test_seconds_until_probe_counts_down(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=10.0, registry=MetricsRegistry(), clock=clock
-        )
-        assert breaker.seconds_until_probe() == 0.0
-        breaker.record_failure()
-        clock.advance(3.0)
-        assert breaker.seconds_until_probe() == pytest.approx(7.0)
-        clock.advance(7.0)
-        assert breaker.seconds_until_probe() == 0.0
-
-    def test_failure_while_open_restarts_the_window_without_a_new_trip(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=10.0, registry=registry, clock=clock
-        )
-        assert breaker.record_failure()
-        clock.advance(4.0)
-        assert not breaker.record_failure()  # already open: not a fresh trip
-        assert breaker.state == "open"
-        assert breaker.seconds_until_probe() == pytest.approx(10.0)
-        snap = registry.snapshot()
-        assert snap["counters"]["supervision.breaker_opened"] == 1
-        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(4.0)
-
-    def test_open_time_accumulates_across_trips(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=10.0, registry=registry, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()  # failed probe: second trip
-        clock.advance(12.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        snap = registry.snapshot()
-        assert snap["counters"]["supervision.breaker_opened"] == 2
-        assert snap["gauges"]["supervision.breaker_open_s"] == pytest.approx(22.0)
-
-    def test_success_while_closed_records_no_open_time(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        registry = MetricsRegistry()
-        breaker = CircuitBreaker(failure_threshold=2, registry=registry, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
-        breaker.record_success()
-        assert breaker.state == "closed"
-        snap = registry.snapshot()
-        assert snap["counters"].get("supervision.breaker_opened", 0) == 0
-        assert snap["gauges"].get("supervision.breaker_open_s", 0.0) == 0.0
-
-    def test_defaults_to_the_active_telemetry_registry(self):
-        from repro.serving import CircuitBreaker
-        from repro.telemetry import Telemetry, activate
-
-        bundle = Telemetry.disabled()
-        with activate(bundle):
-            breaker = CircuitBreaker(failure_threshold=1, clock=_FakeClock())
-        breaker.record_failure()
-        assert bundle.registry.snapshot()["counters"]["supervision.breaker_opened"] == 1
-
-    def test_concurrent_allow_admits_exactly_one_probe(self):
-        from repro.serving import CircuitBreaker
-
-        clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=1.0, registry=MetricsRegistry(), clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(1.0)
-        start = threading.Barrier(8)
-        admitted = []
-
-        def race():
-            start.wait()
-            admitted.append(breaker.allow())
-
-        threads = [threading.Thread(target=race) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert sorted(admitted) == [False] * 7 + [True]

@@ -1,6 +1,6 @@
 """Hardening pass over repro.serving: batcher invariants and concurrency.
 
-The micro-batcher sits between admission control and the replica pool,
+The micro-batcher sits between admission control and the replica threads,
 so its invariants — never drop, never duplicate, never reorder across
 flushes, never exceed ``max_batch_size`` — are what make the service's
 "accepted work always completes exactly once" contract possible.  The
@@ -270,9 +270,9 @@ def test_concurrent_stress_with_failing_batches(workbench, stress_traffic):
 @pytest.mark.parametrize("num_replicas", [1, 2])
 @pytest.mark.parametrize("fail_every", [0, 1], ids=["healthy", "all-batches-fail"])
 def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replicas, fail_every):
-    """No ``serving-dispatcher`` or ``serving-replica-*`` thread this
-    service started is alive after ``close()``, whether its batches
-    succeed or all fail."""
+    """A running service has exactly ``num_replicas`` ``serving-replica-*``
+    threads and no dispatcher thread, and none of its threads is alive
+    after ``close()``, whether its batches succeed or all fail."""
 
     def live_serving_threads():
         return {
@@ -287,6 +287,8 @@ def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replica
         featurizer=workbench.featurizer,
         config=config,
     ).start()
+    started = live_serving_threads() - before
+    assert sorted(t.name for t in started) == [f"serving-replica-{i}" for i in range(num_replicas)]
     handles = [service.submit(c) for c in stress_traffic]
     for handle in handles:
         if fail_every:
@@ -302,15 +304,11 @@ def test_no_serving_thread_outlives_close(workbench, stress_traffic, num_replica
 
 
 # --------------------------------------------------------------------- #
-# chaos: circuit breakers and drain diagnostics
+# chaos: failed batches and drain diagnostics
 # --------------------------------------------------------------------- #
 class _HealingFlakyBackend:
-    """Thread backend whose first ``heal_after_calls`` batches fail.
-
-    Models a wedged replica that recovers on its own: with 3 failing
-    calls and a breaker threshold of 2, the first half-open probe still
-    fails, so the breaker must *reopen* before the replica recovers.
-    """
+    """Thread backend whose first ``heal_after_calls`` batches fail,
+    modelling a wedged replica that recovers on its own."""
 
     name = "flaky-healing"
 
@@ -330,47 +328,27 @@ class _HealingFlakyBackend:
         return np.zeros(len(batch["ids"]), dtype=np.float64)
 
 
-def test_breaker_opens_and_reopens_on_failed_probe(workbench, stress_traffic):
-    """Consecutive batch failures open the replica's breaker; the first
-    half-open probe still fails, so the breaker reopens before the
-    replica heals — and the metrics ledger closes across the whole
-    episode."""
-    from repro.telemetry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    # calls #1-#2 open the breaker, #3 is the failed probe that reopens
-    # it, #4 is the probe that closes it
+def test_replica_recovers_after_failed_batches(workbench, stress_traffic):
+    """A failed batch fails only its own callers: after three failed
+    batches the lone replica takes the next batch and serves it, and the
+    metrics ledger closes across the whole episode."""
     backend = _HealingFlakyBackend(heal_after_calls=3)
-    config = ServingConfig(
-        max_batch_size=4, num_replicas=1, queue_capacity=16, cache_enabled=False,
-        breaker_threshold=2, breaker_reset_s=0.05,
-    )
-    service = ScoringService(
-        backend=backend, featurizer=workbench.featurizer, config=config, registry=registry
-    ).start()
-    failures = 0
-    successes = 0
+    config = ServingConfig(max_batch_size=4, num_replicas=1, queue_capacity=16, cache_enabled=False)
+    service = ScoringService(backend=backend, featurizer=workbench.featurizer, config=config).start()
+    requests = [stress_traffic[i % len(stress_traffic)] for i in range(6)]
     try:
-        deadline = time.perf_counter() + 60.0
-        while successes < 3 and time.perf_counter() < deadline:
-            try:
-                service.submit(stress_traffic[successes % len(stress_traffic)]).result(timeout=60.0)
-                successes += 1
-            except RuntimeError as error:
-                assert "replica wedged" in str(error)
-                failures += 1
-                time.sleep(0.06)  # let the open breaker reach its probe window
+        for complex_ in requests[:3]:
+            with pytest.raises(RuntimeError, match="replica wedged"):
+                service.submit(complex_).result(timeout=60.0)
+        responses = [service.submit(c).result(timeout=60.0) for c in requests[3:]]
         assert service.drain(timeout=60.0)
         snap = service.snapshot()
     finally:
         service.close()
-    assert successes >= 3
-    assert failures >= 3  # threshold failures to open, plus the failed probe
-    assert backend.calls >= backend.heal_after_calls + successes
-    counters = registry.snapshot()["counters"]
-    assert counters.get("supervision.breaker_opened", 0) >= 2
+    assert backend.calls == 6
+    assert [r.replica for r in responses] == [0, 0, 0]
+    assert snap.failed == 3 and snap.completed == 3
     assert snap.submitted == snap.completed + snap.failed
-    assert snap.failed == failures
 
 
 def test_drain_timeout_names_pending_request_ids(workbench, stress_traffic):
@@ -408,82 +386,3 @@ def test_drain_timeout_names_pending_request_ids(workbench, stress_traffic):
     finally:
         release.set()
         service.close()
-
-
-def test_replica_pool_routes_around_open_breaker():
-    """With one replica's breaker open, dispatch prefers the healthy
-    replica; when every breaker is open, the soonest-to-probe replica is
-    chosen instead of failing the request."""
-    from repro.serving import ReplicaPool
-
-    class _StubBackend:
-        def __init__(self, tag):
-            self.name = tag
-
-        def fingerprint(self):
-            return self.name
-
-        def score_batch(self, batch):  # pragma: no cover - never dispatched
-            return np.zeros(0)
-
-    pool = ReplicaPool(
-        [_StubBackend("a"), _StubBackend("b")],
-        breaker_threshold=1,
-        breaker_reset_s=30.0,
-    )
-    assert pool.breaker_states() == ["closed", "closed"]
-    pool.record_result(0, ok=False)  # threshold 1: opens immediately
-    assert pool.breaker_states()[0] == "open"
-    assert [pool._pick().index for _ in range(4)] == [1, 1, 1, 1]
-    pool.record_result(1, ok=False)
-    assert pool.breaker_states() == ["open", "open"]
-    # all open: fall back to whichever replica can probe soonest
-    assert pool._pick().index in (0, 1)
-    pool.record_result(0, ok=True)
-    assert pool.breaker_states()[0] == "closed"
-    assert pool._pick().index == 0
-
-
-def test_replica_pool_never_calls_backend_lifecycle_hooks():
-    """The pool owns only its worker threads: a backend's own ``start`` /
-    ``close`` methods are left alone through start, an opened breaker
-    and close."""
-    from repro.serving import ReplicaPool
-
-    class _HookedBackend:
-        name = "hooked"
-
-        def __init__(self):
-            self.hook_calls = []
-
-        def fingerprint(self):
-            return "hooked"
-
-        def start(self):  # pragma: no cover - must never run
-            self.hook_calls.append("start")
-
-        def close(self):  # pragma: no cover - must never run
-            self.hook_calls.append("close")
-
-        def score_batch(self, batch):  # pragma: no cover - never dispatched
-            return np.zeros(0)
-
-    backends = [_HookedBackend(), _HookedBackend()]
-    pool = ReplicaPool(backends, breaker_threshold=1, breaker_reset_s=30.0)
-    pool.start()
-    done = threading.Event()
-    pool.submit(lambda index, backend: done.set())
-    assert done.wait(timeout=10.0)
-    pool.record_result(0, ok=False)  # threshold 1: opens immediately
-    assert pool.breaker_states()[0] == "open"
-    pool.close()
-    assert [backend.hook_calls for backend in backends] == [[], []]
-
-
-def test_replica_pool_validates_construction():
-    from repro.serving import ReplicaPool
-
-    with pytest.raises(ValueError, match="at least one backend"):
-        ReplicaPool([])
-    with pytest.raises(ValueError, match="breaker_threshold must be >= 0, got -1"):
-        ReplicaPool([object()], breaker_threshold=-1)
