@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import threading
 import time
 
@@ -16,11 +18,13 @@ from repro.serving import (
     Overloaded,
     ResultCache,
     ScoringService,
+    ModuleBackend,
     ServingConfig,
     content_key,
     model_fingerprint,
 )
 from repro.serving.requests import ScoreRequest
+from repro.telemetry import Telemetry, activate
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +327,293 @@ def test_online_batch_is_cut_when_a_replica_frees(workbench, traffic, num_replic
     queue_wait = service.metrics.registry.snapshot()["histograms"]["serving.queue_wait_s"]
     assert queue_wait["count"] == len(backend.sizes)
     assert queue_wait["max"] >= 0.05
+
+
+# --------------------------------------------------------------------- #
+# service construction and lifecycle
+# --------------------------------------------------------------------- #
+def _replica_threads() -> list[str]:
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("serving-replica-"))
+
+
+def test_serving_config_has_exactly_the_five_knobs():
+    assert [f.name for f in dataclasses.fields(ServingConfig)] == [
+        "max_batch_size", "num_replicas", "queue_capacity", "cache_capacity", "cache_enabled",
+    ]
+
+
+def test_serving_package_has_no_supervision_layer():
+    """Replica threads live in the service: no pool, replica wrapper or
+    circuit breaker is left to route around a backend they all share."""
+    import repro.serving
+    import repro.serving.workers as workers
+
+    for name in ("CircuitBreaker", "ReplicaPool"):
+        assert name not in repro.serving.__all__
+        assert not hasattr(repro.serving, name)
+    for name in ("ReplicaPool", "_Replica"):
+        assert not hasattr(workers, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.serving.breaker")
+
+
+@pytest.mark.parametrize("given", ["neither", "both"])
+def test_service_requires_exactly_one_of_model_or_backend(workbench, given):
+    kwargs = {"featurizer": workbench.featurizer}
+    if given == "both":
+        kwargs.update(model=workbench.coherent_fusion, backend=_SlowBackend(0.0))
+    with pytest.raises(ValueError, match="exactly one"):
+        ScoringService(**kwargs)
+
+
+def test_service_requires_a_featurizer():
+    with pytest.raises(ValueError, match="FeaturePipeline"):
+        ScoringService(backend=_SlowBackend(0.0))
+
+
+def test_submit_before_start_raises(workbench, traffic):
+    service = ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer)
+    with pytest.raises(RuntimeError, match="before start"):
+        service.submit(traffic[0])
+    assert service.snapshot().submitted == 0
+
+
+def test_start_is_idempotent_while_running(workbench, traffic):
+    before = _replica_threads()
+    config = ServingConfig(num_replicas=2, cache_enabled=False)
+    service = ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer, config=config)
+    try:
+        assert service.start() is service
+        threads = list(service._replicas)
+        assert service.start() is service  # a second start adds no threads
+        assert service._replicas == threads
+        assert sorted(set(_replica_threads()) - set(before)) == ["serving-replica-0", "serving-replica-1"]
+        assert len(_replica_threads()) == len(before) + 2
+        assert service.score(traffic[0], timeout=30.0).score == 0.0
+    finally:
+        service.close()
+    assert _replica_threads() == before
+
+
+def test_close_is_idempotent_and_a_noop_before_start(workbench, traffic):
+    service = ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer)
+    service.close()  # never started: nothing to stop, and it can still start
+    service.start()
+    service.score(traffic[0], timeout=30.0)
+    service.close()
+    service.close()
+    assert not any(t.is_alive() for t in service._replicas)
+    with pytest.raises(RuntimeError, match="restarted"):
+        service.start()
+
+
+def test_context_manager_runs_replica_threads_only_inside_the_block(workbench, traffic):
+    before = _replica_threads()
+    config = ServingConfig(num_replicas=3, cache_enabled=False)
+    with ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer, config=config) as service:
+        assert len(_replica_threads()) == len(before) + 3
+        assert all(t.daemon and t.is_alive() for t in service._replicas)
+    assert _replica_threads() == before
+    assert not any(t.is_alive() for t in service._replicas)
+
+
+def test_drain_on_an_idle_service_completes_at_once(workbench):
+    with ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer) as service:
+        result = service.drain(timeout=0.0)
+    assert result and result.pending == ()
+    assert repr(result) == "DrainResult(completed=True)"
+
+
+def test_close_completes_admitted_work_before_stopping(workbench, traffic):
+    backend = _GatedBackend()
+    config = ServingConfig(max_batch_size=2, num_replicas=1, cache_enabled=False)
+    service = ScoringService(backend=backend, featurizer=workbench.featurizer, config=config).start()
+    handles = [service.submit(c) for c in traffic[:5]]
+    backend.wait_started(1)
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    closer.join(timeout=0.1)
+    assert closer.is_alive(), "close() returned with admitted work still held"
+    backend.gate.set()
+    closer.join(timeout=60.0)
+    assert not closer.is_alive()
+    assert all(h.done for h in handles)
+    assert [h.result(timeout=0.0).score for h in handles] == [0.0] * 5
+    assert sum(backend.sizes) == 5 and max(backend.sizes) <= 2
+    snap = service.snapshot()
+    assert snap.submitted == snap.completed == 5
+
+
+def test_result_timeout_raises_while_the_batch_is_held(workbench, traffic):
+    backend = _GatedBackend()
+    config = ServingConfig(num_replicas=1, cache_enabled=False)
+    service = ScoringService(backend=backend, featurizer=workbench.featurizer, config=config).start()
+    try:
+        handle = service.submit(traffic[0])
+        backend.wait_started(1)
+        with pytest.raises(TimeoutError, match=handle.request.request_id):
+            handle.result(timeout=0.05)
+        assert not handle.done
+        backend.gate.set()
+        assert handle.result(timeout=60.0).score == 0.0
+    finally:
+        backend.gate.set()
+        service.close()
+
+
+# --------------------------------------------------------------------- #
+# failing batches, the cache and the backend contract
+# --------------------------------------------------------------------- #
+class _ShortFirstBatchBackend:
+    """Returns one score too few for its first batch, then behaves."""
+
+    name = "short-first"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def fingerprint(self) -> str:
+        return "short-first"
+
+    def score_batch(self, batch: dict) -> np.ndarray:
+        self.calls += 1
+        size = len(batch["ids"]) - (1 if self.calls == 1 else 0)
+        return np.full(size, 5.0, dtype=np.float64)
+
+
+def test_backend_score_count_mismatch_fails_its_callers(workbench, traffic):
+    backend = _ShortFirstBatchBackend()
+    config = ServingConfig(num_replicas=1, cache_enabled=True)
+    with ScoringService(backend=backend, featurizer=workbench.featurizer, config=config) as service:
+        with pytest.raises(RuntimeError, match="backend returned 0 scores for 1 requests"):
+            service.score(traffic[0], timeout=30.0)
+        # the failed score was never cached: the retry is scored afresh
+        retry = service.score(traffic[0], timeout=30.0)
+        assert not retry.cached and retry.score == 5.0
+        assert service.score(traffic[0], timeout=30.0).cached
+        snap = service.snapshot()
+    assert backend.calls == 2
+    assert len(service.cache) == 1
+    assert snap.failed == 1 and snap.completed == 2
+    assert snap.submitted == snap.completed + snap.failed
+
+
+def test_disabled_cache_scores_every_repeat(workbench, traffic):
+    backend = _ShortFirstBatchBackend()
+    backend.calls = 1  # skip the short first batch
+    config = ServingConfig(num_replicas=1, cache_enabled=False)
+    with ScoringService(backend=backend, featurizer=workbench.featurizer, config=config) as service:
+        responses = [service.score(traffic[0], timeout=30.0) for _ in range(3)]
+        snap = service.snapshot()
+    assert not any(r.cached for r in responses)
+    assert backend.calls == 4
+    assert len(service.cache) == 0
+    assert snap.cache_hits == 0 and snap.completed == 3
+
+
+@pytest.mark.parametrize("num_replicas", [1, 3])
+def test_responses_report_their_replica_and_batch_size(workbench, traffic, num_replicas):
+    backend = _SlowBackend(delay_s=0.005)
+    config = ServingConfig(max_batch_size=3, num_replicas=num_replicas, cache_enabled=False)
+    with ScoringService(backend=backend, featurizer=workbench.featurizer, config=config) as service:
+        handles = [service.submit(c) for c in traffic]
+        responses = [h.result(timeout=60.0) for h in handles]
+    assert [r.request_id for r in responses] == [h.request.request_id for h in handles]
+    assert all(0 <= r.replica < num_replicas for r in responses)
+    assert all(1 <= r.batch_size <= 3 for r in responses)
+    assert all(r.latency_s > 0 and not r.cached for r in responses)
+    assert [(r.complex_id, r.pose_id) for r in responses] == [(c.complex_id, c.pose_id) for c in traffic]
+
+
+def test_serving_batch_span_records_replica_and_batch_size(workbench, traffic):
+    telemetry = Telemetry(enabled=True)
+    config = ServingConfig(max_batch_size=4, num_replicas=2, cache_enabled=False)
+    with activate(telemetry):
+        with ScoringService(backend=_SlowBackend(0.0), featurizer=workbench.featurizer, config=config) as service:
+            responses = [service.score(c, timeout=30.0) for c in traffic[:4]]
+    spans = [r for r in telemetry.tracer.records() if r.name == "serving-batch"]
+    assert len(spans) == 4
+    assert all(s.thread_name.startswith("serving-replica-") for s in spans)
+    assert all(s.counters["batch_size"] == 1.0 for s in spans)
+    assert sorted(s.counters["replica"] for s in spans) == sorted(float(r.replica) for r in responses)
+
+
+class _ScoreOnlyBackend(_SlowBackend):
+    """A backend whose lifecycle-looking methods must never be called."""
+
+    def start(self):
+        raise AssertionError("the service must not start its backend")
+
+    def close(self):
+        raise AssertionError("the service must not close its backend")
+
+
+def test_service_calls_only_score_batch_on_the_backend(workbench, traffic):
+    config = ServingConfig(num_replicas=2, cache_enabled=False)
+    with ScoringService(backend=_ScoreOnlyBackend(0.0), featurizer=workbench.featurizer, config=config) as service:
+        assert [service.score(c, timeout=30.0).score for c in traffic[:3]] == [0.0] * 3
+
+
+def test_registry_has_no_breaker_series(workbench, traffic):
+    backend = _ShortFirstBatchBackend()
+    config = ServingConfig(num_replicas=2)
+    with ScoringService(backend=backend, featurizer=workbench.featurizer, config=config) as service:
+        with pytest.raises(RuntimeError):
+            service.score(traffic[0], timeout=30.0)
+        service.score(traffic[1], timeout=30.0)
+        snapshot = service.metrics.registry.snapshot()
+    names = [name for section in snapshot.values() if isinstance(section, dict) for name in section]
+    assert "serving.queue_wait_s" in names
+    assert not [name for name in names if "breaker" in name]
+
+
+# --------------------------------------------------------------------- #
+# result cache and module backend edges
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_cache_rejects_nonpositive_capacity(capacity):
+    with pytest.raises(ValueError, match="positive"):
+        ResultCache(capacity=capacity)
+
+
+def test_cache_put_refreshes_an_existing_key_without_eviction():
+    cache = ResultCache(capacity=2)
+    cache.put("a", 1.0)
+    cache.put("b", 2.0)
+    cache.put("a", 10.0)  # overwrite refreshes recency: order is now b, a
+    assert len(cache) == 2
+    cache.put("c", 3.0)  # evicts "b", the least recently used
+    assert cache.get("b") is None
+    assert cache.get("a") == 10.0
+    stats = cache.stats()
+    assert stats.evictions == 1 and stats.size == 2 and stats.capacity == 2
+
+
+def test_cache_stats_of_an_unused_cache():
+    stats = ResultCache(capacity=5).stats()
+    assert (stats.hits, stats.misses, stats.evictions, stats.size, stats.capacity) == (0, 0, 0, 0, 5)
+    assert stats.hit_rate == 0.0
+
+
+def test_module_backend_fingerprint_is_the_model_fingerprint(workbench):
+    backend = ModuleBackend(workbench.coherent_fusion)
+    assert backend.name == type(workbench.coherent_fusion).__name__
+    assert backend.fingerprint() == model_fingerprint(workbench.coherent_fusion)
+    assert backend.fingerprint() is backend.fingerprint()  # computed once
+    assert ModuleBackend(workbench.coherent_fusion, name="cf").name == "cf"
+
+
+def test_module_backend_forward_fallback_matches_direct_forward(workbench, traffic):
+    """A head without ``predict_batch`` is scored by its plain forward."""
+    model = workbench.sgcnn
+    assert getattr(model, "predict_batch", None) is None
+    was_training = model.training
+    try:
+        backend = ModuleBackend(model)
+        assert not model.training
+        samples = [workbench.featurizer.featurize(c) for c in traffic[:4]]
+        scores = backend.score_batch(collate_complexes(samples))
+        assert scores.dtype == np.float64 and scores.shape == (4,)
+        assert scores.tolist() == _direct_scores(model, samples, 4)
+    finally:
+        model.train(was_training)

@@ -623,6 +623,40 @@ class TestStreamingCampaignRuntime:
             stats = streaming_campaign.stream_stats[job.site_name]
             assert job.store.attrs(f"topk/{job.site_name}")["count"] == stats["count"]
 
+    def test_job_predictions_are_the_streamed_records_fusion_scores(self, streaming_campaign):
+        database = streaming_campaign.database
+        for job in streaming_campaign.job_results:
+            expected = {
+                (r.compound_id, r.pose_id): r.fusion_pk
+                for r in database.records()
+                if r.site_name == job.site_name
+            }
+            assert expected and job.predictions == expected
+
+    def test_collected_records_rank_exactly_like_the_fold(
+        self, workbench, stream_sites, stream_deck, stream_matrix
+    ):
+        """Retaining records changes nothing the fold computes, and the
+        records hold every scored pose: their best pose per compound
+        reproduces the streamed top-K."""
+        engine = StreamingScreen(
+            workbench.coherent_fusion, workbench.featurizer, stream_sites, make_stream_config(7, 1)
+        )
+        result = engine.run(stream_deck.molecules, collect_records=True)
+        plain = stream_matrix[(7, 1, "thread")]
+        assert plain.records is None
+        keys = [(r.site_name, r.compound_id, r.pose_id) for r in result.records]
+        assert len(keys) == len(set(keys))
+        for site in stream_sites:
+            assert np.array_equal(result.topk_arrays(site)[0], plain.topk_arrays(site)[0])
+            assert np.array_equal(result.topk_arrays(site)[1], plain.topk_arrays(site)[1])
+            best: dict[str, float] = {}
+            for record in result.records:
+                if record.site_name == site:
+                    best[record.compound_id] = max(best.get(record.compound_id, -math.inf), record.fusion_pk)
+            reference = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+            assert [(e.compound_id, e.score) for e in result.top_k[site]] == reference
+
 
 # --------------------------------------------------------------------------- #
 # streaming library
