@@ -1,25 +1,31 @@
-"""Distributed Fusion scoring job anatomy (paper Figure 3 / §4.2-§4.3).
+"""Fusion scoring of docked poses and the paper-scale job anatomy (§4.2-§4.3).
 
-Demonstrates the structure of a single scoring job: poses are divided per
-node and per rank, each rank's data loaders featurize its subset, model
-weights are broadcast Horovod-style, predictions are combined with
-``allgather`` and written in parallel to an HDF5-like store whose layout
-mirrors ConveyorLC's output.  The analytic throughput model then reports
-what the same geometry achieves at paper scale (Table 7 / Figure 4), and
-the LSF-style scheduler shows the fault-tolerant many-small-jobs strategy.
+Scores a small docked deck through the campaign's route: each compound's
+poses are featurized together with ``featurize_many`` and scored with one
+``predict_batch`` call, as the streamed screen's shard workers do.  The
+predictions are mirrored into an HDF5-like store whose layout follows
+ConveyorLC's output.  The analytic throughput model then reports what a
+4-node Horovod job of the paper (Figure 3) achieves at paper scale
+(Table 7 / Figure 4), and the LSF-style scheduler shows the
+fault-tolerant many-small-jobs strategy.
 
 Run:  python examples/distributed_scoring.py
 """
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
+
+from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.protein import make_sarscov2_targets
 from repro.datasets import build_screening_deck
 from repro.docking import CDT1Receptor, CDT2Ligand, CDT3Docking
 from repro.eval.reports import format_table, render_series
 from repro.experiments.common import build_workbench
-from repro.hpc import FaultInjector, FusionThroughputModel, Job, JobScheduler, SchedulerConfig, SimulatedCluster
-from repro.screening import FusionScoringJob, read_predictions, table7_rows, figure4_series
+from repro.hpc import FaultInjector, FusionThroughputModel, H5Store, Job, JobScheduler, SchedulerConfig, SimulatedCluster
+from repro.screening import figure4_series, read_predictions, table7_rows, write_job_output
 
 
 def main() -> None:
@@ -34,23 +40,26 @@ def main() -> None:
     records = database.records()
     print(f"docked {len(database.compounds('protease1'))} compounds -> {len(records)} poses")
 
-    print("\n=== Running one 2-node x 2-GPU Fusion scoring job in process ===")
-    job = FusionScoringJob(
-        model=workbench.coherent_fusion,
-        featurizer=workbench.featurizer,
-        site=site,
-        records=records,
-        num_nodes=2,
-        gpus_per_node=2,
-        batch_size_per_rank=8,
-        num_data_workers=2,
+    print("\n=== Fusion-scoring each compound's poses (the campaign's route) ===")
+    start = time.perf_counter()
+    for compound_id in database.compounds("protease1"):
+        poses = database.poses("protease1", compound_id)
+        samples = workbench.featurizer.featurize_many(
+            [ProteinLigandComplex(site, r.pose, complex_id=r.compound_id, pose_id=r.pose_id) for r in poses]
+        )
+        for record, score in zip(poses, workbench.coherent_fusion.predict_batch(samples)):
+            record.fusion_pk = float(score)
+    print(f"poses scored: {len(records)} in {time.perf_counter() - start:.3f} s")
+    store = H5Store()
+    write_job_output(
+        store,
+        "protease1",
+        [r.compound_id for r in records],
+        [r.pose_id for r in records],
+        np.array([r.fusion_pk for r in records]),
         job_name="demo-job",
     )
-    result = job.run()
-    print(f"ranks: {result.num_ranks}   poses scored: {result.num_poses}")
-    for phase, seconds in result.timings.items():
-        print(f"  {phase:>11s}: {seconds:.3f} s")
-    stored = read_predictions(result.store, "protease1")
+    stored = read_predictions(store, "protease1")
     print(f"predictions mirrored to the HDF5-like store: {len(stored)} entries "
           f"(example: {next(iter(stored.items()))})")
 

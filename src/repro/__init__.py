@@ -19,7 +19,7 @@ Sub-packages
 ``repro.models``       3D-CNN, SG-CNN, Late / Mid-level / Coherent Fusion.
 ``repro.hpo``          PB2 population-based bandit hyper-parameter optimization.
 ``repro.hpc``          Simulated cluster, LSF scheduler, MPI/Horovod, HDF5 store.
-``repro.screening``    Distributed fusion scoring jobs and campaign pipeline.
+``repro.screening``    Streamed fusion screening engine and campaign pipeline.
 ``repro.serving``      Online scoring service: micro-batching, replicas, cache.
 ``repro.runtime``      Fault-tolerant campaign runtime: stage checkpoints, resume.
 ``repro.eval``         Metrics, classification analyses, report rendering.

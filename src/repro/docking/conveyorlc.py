@@ -14,8 +14,8 @@ stages operating on the synthetic chemistry substrate:
   only a fraction is rescored, exactly as described in §3.1).
 
 The :class:`DockingDatabase` output format (site / compound / pose keyed
-records) is what the distributed Fusion scoring jobs mirror when writing
-their HDF5-like results, "for interpretation with existing tools".
+records) is what the streamed screen's per-site Fusion results mirror
+when writing their HDF5-like output, "for interpretation with existing tools".
 """
 
 from __future__ import annotations

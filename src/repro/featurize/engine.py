@@ -405,10 +405,6 @@ class VectorizedGraphBuilder:
             "id": complex_.complex_id or ligand.name,
         }
 
-    def build_many(self, complexes: Sequence[ProteinLigandComplex]) -> list[dict]:
-        """Graphs for a pose batch (pocket-side work is shared per site)."""
-        return [self.build(c) for c in complexes]
-
 
 def _cap_neighbours_vectorized(adjacency: np.ndarray, k: int) -> np.ndarray:
     """Keep only the ``k`` strongest entries per row (symmetrized afterwards).
@@ -437,8 +433,8 @@ def _cap_neighbours_vectorized(adjacency: np.ndarray, k: int) -> np.ndarray:
 class FeaturePipeline:
     """Featurize complexes for both model heads.
 
-    The one featurizer every consumer uses (scoring jobs, the serving
-    service, the campaign runtime).  ``voxelizer.config`` /
+    The one featurizer every consumer uses (the streamed screen, the
+    serving service, the campaign runtime).  ``voxelizer.config`` /
     ``graph_builder.config`` / ``augment`` / ``rotation_probability``
     are the attributes the runtime's checkpoint keys digest.
 
@@ -459,9 +455,9 @@ class FeaturePipeline:
     On top of featurization it keeps a content-addressed
     :class:`FeatureCache` — key = pose + binding site + featurizer
     config — that :meth:`featurize` (one complex: serving requests,
-    dataset passes) reads and fills.  :meth:`featurize_many` (pose
-    batches: the streamed screen, scoring jobs) never touches it, since
-    every docked pose is new.  Lookups are also bypassed whenever a
+    dataset passes) reads and fills.  :meth:`featurize_many` (the
+    streamed screen's pose batches) never touches it, since every
+    docked pose is new.  Lookups are also bypassed whenever a
     random rotation is drawn (``augment`` and ``training``), because
     augmented tensors are sample-unique by design.
 

@@ -12,7 +12,7 @@ offline, so this sub-package provides:
   wall clock;
 * :mod:`repro.hpc.mpi` / :mod:`repro.hpc.horovod` — an in-process MPI
   communicator (point-to-point and collective operations over threads)
-  and the thin Horovod-style wrapper the scoring jobs use;
+  and the thin Horovod-style wrapper the distributed trainer uses;
 * :mod:`repro.hpc.faults` — fault injection reproducing the paper's
   job-failure statistics (≈2 % at 1-2 nodes, ≈3 % at 4, ≈20 % at 8);
 * :mod:`repro.hpc.performance` — the analytic performance model behind

@@ -1,15 +1,15 @@
 """Horovod-style convenience wrapper over the local MPI communicator.
 
-The paper builds each 4-node scoring job with Horovod (Sergeev & Del
-Balso 2018), which provides rank/size discovery, parameter broadcast and
-allgather on top of MPI.  ``HorovodContext`` offers that narrow API for
-the in-process reproduction, including broadcasting model parameters from
-rank 0 so every rank scores with identical weights.
+The paper builds its data-parallel jobs with Horovod (Sergeev & Del
+Balso 2018).  ``HorovodContext`` offers the two collectives the
+distributed trainer needs: broadcasting model parameters from one rank,
+so every rank starts from identical weights, and the exact all-reduce
+of gradient partials.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,41 +24,12 @@ class HorovodContext:
     ----------
     rank_context:
         The underlying :class:`repro.hpc.mpi.RankContext` — or any
-        object with the same collective surface (``rank``/``size``/
-        ``allgather``/``bcast``/``barrier``/``allreduce_exact``).
-    gpus_per_node:
-        Number of GPUs per node; used to derive the local rank -> GPU
-        binding exactly as ``hvd.local_rank()`` would.
+        object with the same collective surface (``rank``/``bcast``/
+        ``allreduce_exact``).
     """
 
-    def __init__(self, rank_context: RankContext, gpus_per_node: int = 4) -> None:
+    def __init__(self, rank_context: RankContext) -> None:
         self._ctx = rank_context
-        if gpus_per_node <= 0:
-            raise ValueError("gpus_per_node must be positive")
-        self.gpus_per_node = int(gpus_per_node)
-
-    # -- discovery ------------------------------------------------------ #
-    def rank(self) -> int:
-        return self._ctx.rank
-
-    def size(self) -> int:
-        return self._ctx.size
-
-    def local_rank(self) -> int:
-        """Rank within the node (selects which of the node's GPUs this rank drives)."""
-        return self._ctx.rank % self.gpus_per_node
-
-    def node_index(self) -> int:
-        """Index of the node this rank runs on."""
-        return self._ctx.rank // self.gpus_per_node
-
-    # -- collectives ----------------------------------------------------- #
-    def allgather_object(self, value: Any, tag: str = "hvd-allgather") -> list[Any]:
-        """Allgather arbitrary Python objects across ranks."""
-        return self._ctx.allgather(value, tag=tag)
-
-    def barrier(self) -> None:
-        self._ctx.barrier()
 
     def broadcast_parameters(self, model: Module, root_rank: int = 0) -> None:
         """Broadcast model weights from ``root_rank`` to every rank.
@@ -70,11 +41,6 @@ class HorovodContext:
         state = self._ctx.bcast(state, root=root_rank, tag="hvd-bcast-params")
         if self._ctx.rank != root_rank:
             model.load_state_dict(state)
-
-    def allreduce_mean(self, value: float, tag: str = "hvd-allreduce") -> float:
-        """Average a scalar across ranks (gradient-averaging analogue)."""
-        gathered = self._ctx.allgather(float(value), tag=f"{tag}:sum")
-        return float(sum(gathered)) / self._ctx.size
 
     def allreduce_exact(
         self, arrays: Sequence[np.ndarray], tag: str = "hvd-allreduce-exact"

@@ -1,12 +1,10 @@
 """In-process MPI-style communicator.
 
-The distributed Fusion scoring jobs in the paper are 16-rank MPI programs
-built with Horovod; each rank scores its own slice of poses and the
-results are combined with ``allgather`` before parallel file output.  The
+The paper's distributed programs are MPI jobs built with Horovod.  The
 reproduction runs all ranks of a job as threads of one Python process,
 but exposes the mpi4py-style API (lower-case methods communicate
-arbitrary Python objects, as in the mpi4py tutorial) so the screening
-code reads like the original MPI program.
+arbitrary Python objects, as in the mpi4py tutorial) so the distributed
+trainer reads like the original MPI program.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from repro.utils.rng import spawn_rng
 class BatchScoringMixin:
     """Batched inference entry point shared by the fusion models.
 
-    ``predict_batch`` is what campaign fusion scoring (the distributed
-    scoring jobs and the serving backend) calls: it accepts either an
+    ``predict_batch`` is what fusion scoring (the streamed screen's shard
+    workers and the serving backend) calls: it accepts either an
     already-collated batch dict or a sequence of
     :class:`~repro.featurize.pipeline.FeaturizedComplex` samples straight
     from the featurization engine, runs one inference-mode forward pass

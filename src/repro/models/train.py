@@ -13,7 +13,7 @@ from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
 from repro.hpc.horovod import HorovodContext
 from repro.hpc.mpi import run_spmd
 from repro.models.fusion import FusionNetwork
-from repro.nn.dataloader import DataLoader, InMemoryDataset
+from repro.nn.dataloader import DataLoader
 from repro.nn.layers import Dropout
 from repro.nn.loss import mse_loss
 from repro.nn.module import Module
@@ -47,7 +47,6 @@ class TrainerConfig:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     shuffle: bool = True
-    num_workers: int = 0
     grad_clip: float | None = 5.0
     seed: int = 0
 
@@ -157,10 +156,9 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def _loader(self, samples: Sequence[FeaturizedComplex], shuffle: bool) -> DataLoader:
         return DataLoader(
-            InMemoryDataset(samples),
+            samples,
             batch_size=self.config.batch_size,
             shuffle=shuffle,
-            num_workers=self.config.num_workers,
             collate_fn=collate_complexes,
             rng=self._rng,
         )
@@ -206,7 +204,7 @@ class Trainer:
         """Predict pK for ``samples`` without touching gradients."""
         self.model.eval()
         loader = DataLoader(
-            InMemoryDataset(list(samples)),
+            list(samples),
             batch_size=batch_size or max(self.config.batch_size, 8),
             shuffle=False,
             collate_fn=collate_complexes,

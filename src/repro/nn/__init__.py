@@ -6,9 +6,8 @@ arrays (:class:`repro.nn.tensor.Tensor`), the layers needed by the FAST
 model family (3D convolutions, pooling, dense layers, batch
 normalization, dropout, gated graph convolutions and graph gather
 pooling), the optimizers explored by the PB2 search (Adam, AdamW,
-RMSprop, Adadelta, SGD), the MSE loss the models train on, and
-data-loading utilities with parallel pre-fetch workers mirroring the
-paper's per-rank data loaders.
+RMSprop, Adadelta, SGD), the MSE loss the models train on, and the
+mini-batch loader of the scalar training loop.
 """
 
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
@@ -29,7 +28,7 @@ from repro.nn.layers import (
 from repro.nn.graph_layers import FlatEdges, FlatGraphBatch, GatedGraphConv, GraphGather, GraphBatch
 from repro.nn.optim import SGD, Adadelta, Adam, AdamW, Optimizer, ParameterPack, RMSprop, build_optimizer
 from repro.nn.loss import mse_loss
-from repro.nn.dataloader import DataLoader, Dataset, InMemoryDataset
+from repro.nn.dataloader import DataLoader
 
 __all__ = [
     "Tensor",
@@ -63,7 +62,5 @@ __all__ = [
     "Adadelta",
     "build_optimizer",
     "mse_loss",
-    "Dataset",
-    "InMemoryDataset",
     "DataLoader",
 ]

@@ -1,17 +1,7 @@
-"""Datasets and data loaders with parallel pre-fetch workers.
-
-The paper attributes much of its screening throughput to per-rank
-parallel data loaders (12–24 workers per rank) that read and featurize
-poses while the GPU evaluates the previous batch.  ``DataLoader`` mirrors
-that design: samples of the next batches are materialized by a thread
-pool while the caller consumes the current batch, and the number of
-workers is a constructor argument so the screening throughput benchmarks
-can sweep it.
-"""
+"""Mini-batch iteration over in-memory samples for the scalar training loop."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -19,126 +9,44 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 
 
-class Dataset:
-    """Abstract random-access dataset."""
-
-    def __len__(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __getitem__(self, index: int):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class InMemoryDataset(Dataset):
-    """A dataset backed by a list of already-materialized samples."""
-
-    def __init__(self, samples: Sequence) -> None:
-        self._samples = list(samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __getitem__(self, index: int):
-        return self._samples[index]
-
-
-def default_collate(samples: Sequence):
-    """Default collation: stack arrays, list anything else.
-
-    If samples are dictionaries, each key is collated independently;
-    numeric values are stacked into arrays.
-    """
-    first = samples[0]
-    if isinstance(first, dict):
-        return {key: default_collate([s[key] for s in samples]) for key in first}
-    if isinstance(first, np.ndarray):
-        return np.stack(samples, axis=0)
-    if isinstance(first, (int, float, np.floating, np.integer)):
-        return np.asarray(samples)
-    return list(samples)
-
-
 class DataLoader:
-    """Mini-batch iterator with optional shuffling and pre-fetch workers.
+    """Mini-batch iterator with optional shuffling.
 
     Parameters
     ----------
-    dataset:
-        Random-access dataset.
+    samples:
+        Already-materialized samples, indexed by position.
     batch_size:
-        Number of samples per batch (the per-rank batch size of the paper,
-        up to 56 poses per V100).
-    shuffle:
-        Shuffle sample order each epoch.
-    num_workers:
-        Number of pre-fetch threads. ``0`` loads synchronously.
+        Number of samples per batch; the last batch may be smaller.
     collate_fn:
         Function combining a list of samples into a batch.
-    drop_last:
-        Drop the final incomplete batch.
+    shuffle:
+        Shuffle sample order each epoch.
     rng:
-        Seed or generator controlling the shuffle order.
+        Seed or generator controlling the shuffle order; a shared
+        generator advances across epochs.
     """
 
     def __init__(
         self,
-        dataset: Dataset,
-        batch_size: int = 8,
+        samples: Sequence,
+        *,
+        batch_size: int,
+        collate_fn: Callable[[Sequence], object],
         shuffle: bool = False,
-        num_workers: int = 0,
-        collate_fn: Callable[[Sequence], object] | None = None,
-        drop_last: bool = False,
         rng=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        self.dataset = dataset
+        self.samples = samples
         self.batch_size = int(batch_size)
+        self.collate_fn = collate_fn
         self.shuffle = bool(shuffle)
-        self.num_workers = int(num_workers)
-        self.collate_fn = collate_fn or default_collate
-        self.drop_last = bool(drop_last)
         self._rng = ensure_rng(rng)
 
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def _batch_indices(self) -> list[np.ndarray]:
-        order = np.arange(len(self.dataset))
+    def __iter__(self) -> Iterator:
+        order = np.arange(len(self.samples))
         if self.shuffle:
             self._rng.shuffle(order)
-        batches = []
         for start in range(0, len(order), self.batch_size):
-            chunk = order[start : start + self.batch_size]
-            if self.drop_last and len(chunk) < self.batch_size:
-                continue
-            batches.append(chunk)
-        return batches
-
-    def _load_batch(self, indices: np.ndarray):
-        return self.collate_fn([self.dataset[int(i)] for i in indices])
-
-    def __iter__(self) -> Iterator:
-        batches = self._batch_indices()
-        if self.num_workers == 0:
-            for indices in batches:
-                yield self._load_batch(indices)
-            return
-        # Pre-fetch up to ``num_workers`` batches ahead of consumption.
-        with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-            futures = []
-            ahead = min(len(batches), self.num_workers)
-            for indices in batches[:ahead]:
-                futures.append(pool.submit(self._load_batch, indices))
-            next_submit = ahead
-            for _ in range(len(batches)):
-                batch = futures.pop(0).result()
-                if next_submit < len(batches):
-                    futures.append(pool.submit(self._load_batch, batches[next_submit]))
-                    next_submit += 1
-                yield batch
+            yield self.collate_fn([self.samples[int(i)] for i in order[start : start + self.batch_size]])

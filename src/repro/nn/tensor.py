@@ -17,10 +17,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Gradient recording is tracked per thread: the distributed scoring jobs run
-# MPI ranks on a thread pool, each wrapping its inference in ``no_grad()``,
-# and one rank's inference mode must not leak into another thread (or into
-# the main thread's training loop).
+# Gradient recording is tracked per thread: the streamed screen's shard
+# workers and the serving replicas score on threads, each wrapping its
+# inference in ``no_grad()``, and one thread's inference mode must not leak
+# into another thread (or into a training loop).
 _GRAD_STATE = threading.local()
 
 

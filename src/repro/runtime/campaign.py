@@ -470,7 +470,6 @@ class CampaignRuntime:
                     predictions=dict(site_predictions),
                     store=store,
                     timings={"evaluation": result.duration_s},
-                    num_ranks=stream_config.workers,
                 )
             )
         report.attempts = result.total_attempts

@@ -1,7 +1,7 @@
 """High-throughput distributed Fusion screening pipeline."""
 
-from repro.screening.partition import partition_evenly, shard_bounds
-from repro.screening.job import FusionScoringJob, JobResult
+from repro.screening.partition import shard_bounds
+from repro.screening.job import JobResult
 from repro.screening.output import read_predictions, read_topk, write_job_output, write_topk
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.screening.throughput import figure4_series, table7_rows
@@ -36,9 +36,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "partition_evenly",
     "shard_bounds",
-    "FusionScoringJob",
     "JobResult",
     "write_job_output",
     "read_predictions",

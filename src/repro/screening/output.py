@@ -1,9 +1,10 @@
 """Job output format mirroring ConveyorLC's CDT3Docking layout.
 
-Each scoring job writes, per binding site, parallel arrays of compound
-identifiers, pose ids and predicted binding affinities, plus throughput
-metadata as attributes — the same information ConveyorLC emits, so the
-downstream selection tooling can consume physics and ML scores uniformly.
+The streamed screen's results are written per binding site as parallel
+arrays of compound identifiers, pose ids and predicted binding
+affinities, plus throughput metadata as attributes — the same
+information ConveyorLC emits, so the downstream selection tooling can
+consume physics and ML scores uniformly.
 """
 
 from __future__ import annotations

@@ -1,45 +1,14 @@
-"""Work partitioning across jobs and MPI ranks.
+"""Shard boundaries for the streaming screening engine.
 
-The paper's screening formulation: the full pose set is cut into
-independent jobs of ~2 million poses (≈200,000 compounds); within a job,
-"we simply divide the set of compounds assigned to the job by the number
-of ranks and assign each rank the subset with its index".
+The paper cuts the full pose set into independent jobs of ~2 million
+poses (≈200,000 compounds); the streamed screen cuts its library into
+shards the same way, each one an independent unit of work and of
+checkpointing.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, TypeVar
-
-T = TypeVar("T")
-
-
-def partition_evenly(items: Iterable[T], num_parts: int) -> list[list[T]]:
-    """Split ``items`` into ``num_parts`` contiguous chunks of near-equal size.
-
-    Sizes differ by at most one; empty chunks are produced when there are
-    more parts than items (a rank with no work still participates in the
-    collectives, as in the real MPI program), and empty input yields
-    ``num_parts`` empty chunks.  ``num_parts`` must be a positive
-    integer — a fractional rank count is always a caller bug, so it
-    raises instead of silently truncating.
-    """
-    try:
-        num_parts = operator.index(num_parts)
-    except TypeError:
-        raise ValueError(f"num_parts must be an integer, got {num_parts!r}") from None
-    if num_parts <= 0:
-        raise ValueError("num_parts must be positive")
-    items = list(items)
-    n = len(items)
-    base, extra = divmod(n, num_parts)
-    chunks: list[list[T]] = []
-    start = 0
-    for part in range(num_parts):
-        size = base + (1 if part < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
 
 
 def shard_bounds(total: int, shard_size: int) -> list[tuple[int, int]]:

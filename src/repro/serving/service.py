@@ -330,7 +330,7 @@ class ScoringService:
             with current_telemetry().span("serving-batch") as span:
                 span.set("replica", replica)
                 span.set("batch_size", len(items))
-                # the offline scoring jobs' collate: byte-identical batches
+                # the streamed screen's collate: byte-identical batches
                 collated = collate_complexes([w.sample for w in items])
                 scores = self.backend.score_batch(collated)
             if scores.shape[0] != len(items):

@@ -12,7 +12,7 @@ from repro.telemetry.spans import PHASES
 class Timer:
     """A thread-safe accumulating stopwatch, routed through the tracer.
 
-    ``Timer`` is used by the screening job to break run time into the
+    ``Timer`` is used by the streamed screen to break run time into the
     startup / evaluation / output phases reported in the paper's Table 7.
     Sections may enter/exit concurrently from worker-pool threads — the
     per-section totals accumulate under a lock, so no update is lost.

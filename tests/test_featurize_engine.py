@@ -132,12 +132,6 @@ class TestGraphBuilderEquivalence:
         with pytest.raises(ValueError):
             VectorizedGraphBuilder().build(empty)
 
-    def test_build_many_matches_build(self, pose_complexes):
-        vectorized = VectorizedGraphBuilder()
-        many = vectorized.build_many(pose_complexes)
-        for graph, complex_ in zip(many, pose_complexes):
-            assert_graphs_identical(graph, vectorized.build(complex_))
-
     def test_cap_neighbours_vectorized_matches_reference_with_ties(self):
         # exact ties (equal weights) are where tie-breaking must agree
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Tests for the simulated HPC substrate: cluster, scheduler, MPI, Horovod, faults, performance, storage."""
 
+import copy
 import math
 import threading
 import time
@@ -181,48 +182,29 @@ class TestMPI:
 
 
 class TestHorovod:
-    def test_rank_topology_and_broadcast(self, workbench):
-        model = workbench.sgcnn
-
+    def test_broadcast_parameters_from_rank_zero(self, workbench):
         def program(ctx: RankContext):
-            hvd = HorovodContext(ctx, gpus_per_node=2)
-            hvd.broadcast_parameters(model, root_rank=0)
-            mean = hvd.allreduce_mean(float(ctx.rank))
-            return hvd.rank(), hvd.local_rank(), hvd.node_index(), mean
+            model = copy.deepcopy(workbench.sgcnn)
+            # every non-root rank starts from different weights
+            model.load_state_dict({key: value + ctx.rank for key, value in model.state_dict().items()})
+            HorovodContext(ctx).broadcast_parameters(model, root_rank=0)
+            return model.state_dict()
 
-        results = run_spmd(program, 4)
-        assert [r[1] for r in results] == [0, 1, 0, 1]
-        assert [r[2] for r in results] == [0, 0, 1, 1]
-        assert all(r[3] == pytest.approx(1.5) for r in results)
+        root_state = workbench.sgcnn.state_dict()
+        for state in run_spmd(program, 4):
+            assert sorted(state) == sorted(root_state)
+            for key, value in root_state.items():
+                assert np.array_equal(state[key], value)
 
-    def test_invalid_gpus_per_node(self):
-        comm = LocalCommunicator(1)
-        with pytest.raises(ValueError):
-            HorovodContext(RankContext(comm, 0), gpus_per_node=0)
-
-    @pytest.mark.parametrize("gpus_per_node", [1, 3, 4])
-    def test_local_rank_and_node_follow_gpus_per_node(self, gpus_per_node):
-        comm = LocalCommunicator(8)
-        for rank in range(8):
-            hvd = HorovodContext(RankContext(comm, rank), gpus_per_node=gpus_per_node)
-            assert hvd.rank() == rank and hvd.size() == 8
-            assert hvd.local_rank() == rank % gpus_per_node
-            assert hvd.node_index() == rank // gpus_per_node
-            assert hvd.node_index() * gpus_per_node + hvd.local_rank() == rank
-
-    def test_allgather_object_and_exact_allreduce(self):
+    def test_exact_allreduce(self):
         def program(ctx: RankContext):
-            hvd = HorovodContext(ctx, gpus_per_node=2)
-            gathered = hvd.allgather_object({"rank": hvd.rank()})
-            partials = [np.full(3, 0.1 * (hvd.rank() + k)) for k in range(hvd.rank() + 1)]
-            hvd.barrier()
-            return gathered, hvd.allreduce_exact(partials)
+            partials = [np.full(3, 0.1 * (ctx.rank + k)) for k in range(ctx.rank + 1)]
+            return HorovodContext(ctx).allreduce_exact(partials)
 
         results = run_spmd(program, 3)
         everything = [np.full(3, 0.1 * (r + k)) for r in range(3) for k in range(r + 1)]
-        for gathered, reduced in results:
-            assert gathered == [{"rank": 0}, {"rank": 1}, {"rank": 2}]
-            assert np.array_equal(reduced, results[0][1])
+        for reduced in results:
+            assert np.array_equal(reduced, results[0])
             assert np.array_equal(reduced, np.array([math.fsum(column) for column in zip(*everything)]))
 
     def test_broadcast_parameters_from_non_zero_root(self):

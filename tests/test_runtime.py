@@ -9,12 +9,15 @@ checkpointed, resumed and fault-retried executions of the same seed.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.chem.protein import make_sarscov2_targets
 from repro.featurize.engine import FeaturePipeline
 from repro.hpc.faults import FaultInjector
+from repro.hpc.h5store import H5Store
 from repro.nn.module import Module, Parameter
 from repro.runtime import (
     CheckpointStore,
@@ -27,6 +30,7 @@ from repro.runtime import (
     checkpoint_key,
 )
 from repro.screening.costfunction import CompoundCostFunction
+from repro.screening.job import JobResult
 from repro.screening.pipeline import CampaignConfig, ScreeningCampaign
 
 
@@ -377,6 +381,32 @@ def test_checkpoint_keys_are_pinned(seed, site_names, stage_key, shard_salt):
     runtime = CampaignRuntime(model=_StandInModel(), featurizer=FeaturePipeline(), campaign=config)
     assert runtime.stage_key("streamed_screen") == stage_key
     assert checkpoint_key("stream-shard-salt", runtime._stream_shard_ingredients()) == shard_salt
+
+
+#: A ``JobResult`` as the ``streamed_screen`` stage checkpoint pickles it,
+#: written when the class still carried ``num_ranks``, ``failed``,
+#: ``failure_mode`` and ``modelled``: an empty store, one prediction.
+PICKLED_JOB_RESULT = (
+    b"\x80\x05\x95,\x01\x00\x00\x00\x00\x00\x00\x8c\x13repro.screening.job\x94\x8c\tJobResult\x94"
+    b"\x93\x94)\x81\x94}\x94(\x8c\x08job_name\x94\x8c\x10protease1-stream\x94\x8c\tsite_name\x94"
+    b"\x8c\tprotease1\x94\x8c\x0bpredictions\x94}\x94\x8c\x06cmpd-0\x94K\x01\x86\x94"
+    b"G@\x19\x00\x00\x00\x00\x00\x00s\x8c\x05store\x94\x8c\x11repro.hpc.h5store\x94\x8c\x07H5Store"
+    b"\x94\x93\x94)\x81\x94}\x94(\x8c\t_datasets\x94}\x94\x8c\x06_attrs\x94}\x94ub\x8c\x07timings"
+    b"\x94}\x94\x8c\nevaluation\x94G?\xf8\x00\x00\x00\x00\x00\x00s\x8c\tnum_ranks\x94K\x02"
+    b"\x8c\x06failed\x94\x89\x8c\x0cfailure_mode\x94\x8c\x00\x94\x8c\x08modelled\x94Nub."
+)
+
+
+def test_pickled_job_result_still_loads():
+    """Stage checkpoints pickle ``repro.screening.job.JobResult``; one
+    written before its unused fields were dropped still restores."""
+    result = pickle.loads(PICKLED_JOB_RESULT)
+    assert isinstance(result, JobResult)
+    assert result.site_name == "protease1"
+    assert result.predictions == {("cmpd-0", 1): 6.25}
+    assert isinstance(result.store, H5Store) and len(result.store) == 0
+    assert result.timings == {"evaluation": 1.5}
+    assert result.num_poses == 1
 
 
 # --------------------------------------------------------------------- #

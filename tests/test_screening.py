@@ -1,52 +1,13 @@
-"""Tests for partitioning, scoring jobs, output format, cost function, throughput and the campaign."""
-
-import copy
+"""Tests for the output format, cost function, throughput and the campaign."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.hpc.h5store import H5Store
+from repro.hpc.performance import FusionThroughputModel
 from repro.screening.costfunction import CompoundCostFunction
-from repro.screening.job import FusionScoringJob
 from repro.screening.output import read_predictions, write_job_output
-from repro.screening.partition import partition_evenly
 from repro.screening.throughput import figure4_series, speedup_summary, table7_rows
-
-
-class TestPartitioning:
-    def test_partition_evenly_sizes(self):
-        chunks = partition_evenly(list(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert sum(chunks, []) == list(range(10))
-
-    def test_partition_with_more_parts_than_items(self):
-        chunks = partition_evenly([1, 2], 4)
-        assert [len(c) for c in chunks] == [1, 1, 0, 0]
-
-    def test_partition_degenerate_cases(self):
-        # empty input still yields num_parts (empty) chunks: idle MPI
-        # ranks participate in the collectives
-        assert partition_evenly([], 3) == [[], [], []]
-        # a generator input is materialized once, not consumed twice
-        assert partition_evenly(iter(range(4)), 2) == [[0, 1], [2, 3]]
-        with pytest.raises(ValueError):
-            partition_evenly([1, 2], -1)
-        with pytest.raises(ValueError):
-            partition_evenly([1], 0)
-        with pytest.raises(ValueError):
-            partition_evenly([1, 2], 2.5)
-        # bool is an int subtype; True == 1 part is accepted
-        assert partition_evenly([1, 2], True) == [[1, 2]]
-
-    @given(st.lists(st.integers(), max_size=50), st.integers(min_value=1, max_value=10))
-    @settings(max_examples=40, deadline=None)
-    def test_partition_preserves_order_and_items(self, items, parts):
-        chunks = partition_evenly(items, parts)
-        assert len(chunks) == parts
-        assert sum(chunks, []) == items
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestOutputFormat:
@@ -67,62 +28,6 @@ class TestOutputFormat:
 
     def test_read_missing_site_empty(self):
         assert read_predictions(H5Store(), "nowhere") == {}
-
-
-class TestFusionScoringJob:
-    def test_job_scores_all_poses_and_mirrors_output(self, workbench, campaign):
-        site_name = campaign.database.sites()[0]
-        records = [r for r in campaign.database.records() if r.site_name == site_name][:10]
-        job = FusionScoringJob(
-            model=workbench.coherent_fusion,
-            featurizer=workbench.featurizer,
-            site=campaign.sites[site_name],
-            records=records,
-            num_nodes=2,
-            gpus_per_node=2,
-            batch_size_per_rank=4,
-            job_name="unit-job",
-        )
-        result = job.run()
-        assert result.num_poses == len(records)
-        assert set(result.timings) == {"startup", "evaluation", "output"}
-        assert result.num_ranks == 4
-        assert result.modelled is not None  # paper-scale estimate of this job geometry
-        # the HDF5-like store mirrors every prediction
-        stored = read_predictions(result.store, result.site_name)
-        assert len(stored) == len(records)
-        for record in records:
-            assert np.isfinite(record.fusion_pk)
-            assert stored[(record.compound_id, record.pose_id)] == pytest.approx(record.fusion_pk)
-
-    @pytest.mark.parametrize("num_nodes, gpus_per_node", [(1, 1), (1, 4), (2, 4)])
-    def test_predictions_do_not_depend_on_job_geometry(self, workbench, campaign, num_nodes, gpus_per_node):
-        # 6 poses over 1, 4 and 8 thread ranks (the last with idle ranks)
-        # score as they did in the campaign
-        site_name = campaign.database.sites()[0]
-        records = [r for r in campaign.database.records() if r.site_name == site_name][:6]
-        expected = {(r.compound_id, r.pose_id): r.fusion_pk for r in records}
-        job = FusionScoringJob(
-            model=workbench.coherent_fusion, featurizer=workbench.featurizer, site=campaign.sites[site_name],
-            records=[copy.copy(r) for r in records], num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-            batch_size_per_rank=4,
-        )
-        predictions = job.run().predictions
-        assert predictions.keys() == expected.keys()
-        for key, value in expected.items():
-            assert predictions[key] == pytest.approx(value, abs=1e-9)
-
-    def test_modelled_estimate_uses_throughput_model(self, workbench, campaign):
-        site = campaign.sites[campaign.database.sites()[0]]
-        records = [r for r in campaign.database.records()][:4]
-        job = FusionScoringJob(workbench.coherent_fusion, workbench.featurizer, site, records, num_nodes=4, batch_size_per_rank=56)
-        estimate = job.modelled_estimate(num_poses=2_000_000)
-        assert 4.5 <= estimate.total_hours <= 6.0
-
-    def test_geometry_validation(self, workbench, sarscov2_sites):
-        site = list(sarscov2_sites.values())[0]
-        with pytest.raises(ValueError):
-            FusionScoringJob(workbench.coherent_fusion, workbench.featurizer, site, [], num_nodes=0)
 
 
 class TestCostFunction:
@@ -172,6 +77,11 @@ class TestThroughputReports:
         assert 2.0 <= speedups["fusion_vs_vina"] <= 3.5
         assert speedups["fusion_vs_mmgbsa"] >= 300
 
+    def test_paper_scale_job_estimate(self):
+        # one 2M-pose job on 4 nodes at the V100's batch of 56 (Table 7)
+        estimate = FusionThroughputModel().estimate(num_poses=2_000_000, num_nodes=4, batch_size_per_rank=56)
+        assert 4.5 <= estimate.total_hours <= 6.0
+
 
 class TestCampaignPipeline:
     def test_campaign_end_to_end(self, campaign):
@@ -195,8 +105,7 @@ class TestCampaignPipeline:
                 assert 0.0 <= pk <= 14.0
 
     def test_job_results_report_timings(self, campaign):
-        # one streamed result per site; the paper-scale LSF estimate
-        # belongs to FusionScoringJob results (TestFusionScoringJob)
+        # one streamed result per site
         assert sorted(r.site_name for r in campaign.job_results) == sorted(campaign.sites)
         for result in campaign.job_results:
             assert result.timings["evaluation"] >= 0.0
