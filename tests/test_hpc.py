@@ -207,6 +207,23 @@ class TestHorovod:
             assert np.array_equal(reduced, results[0])
             assert np.array_equal(reduced, np.array([math.fsum(column) for column in zip(*everything)]))
 
+    @pytest.mark.parametrize("world_size", [1, 2, 4])
+    def test_exact_allreduce_does_not_depend_on_rank_count(self, world_size):
+        # the same twelve gradient partials, dealt round-robin over 1, 2
+        # and 4 ranks, reduce to the same correctly-rounded sum
+        partials = [np.random.default_rng(k).normal(size=5) * 10.0 ** (k % 7 - 3) for k in range(12)]
+
+        def program(ctx: RankContext):
+            return HorovodContext(ctx).allreduce_exact(partials[ctx.rank :: world_size])
+
+        expected = np.array([math.fsum(column) for column in zip(*partials)])
+        for reduced in run_spmd(program, world_size):
+            assert np.array_equal(reduced, expected)
+
+    def test_surface_is_the_two_trainer_collectives(self):
+        public = {name for name in dir(HorovodContext) if not name.startswith("_")}
+        assert public == {"broadcast_parameters", "allreduce_exact"}
+
     def test_broadcast_parameters_from_non_zero_root(self):
         def program(ctx: RankContext):
             model = Linear(3, 2, rng=ctx.rank)  # different weights on every rank

@@ -127,6 +127,60 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader([1], batch_size=0, collate_fn=list)
 
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(ValueError):
+            DataLoader([1, 2], batch_size=-3, collate_fn=list)
+
+    def test_batch_larger_than_samples_yields_one_batch(self):
+        assert list(DataLoader([4, 5, 6], batch_size=10, collate_fn=list)) == [[4, 5, 6]]
+
+    def test_empty_samples_yield_nothing(self):
+        assert list(DataLoader([], batch_size=4, collate_fn=list)) == []
+        assert list(DataLoader([], batch_size=4, collate_fn=list, shuffle=True, rng=0)) == []
+
+    def test_collate_fn_called_once_per_batch_in_order(self):
+        calls = []
+        samples = [{"x": float(i)} for i in range(7)]
+
+        def collate(batch):
+            calls.append([s["x"] for s in batch])
+            return len(calls)
+
+        assert list(DataLoader(samples, batch_size=3, collate_fn=collate)) == [1, 2, 3]
+        assert calls == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
+
+    def test_collate_exception_propagates(self):
+        def explode(batch):
+            raise ValueError("bad batch")
+
+        loader = DataLoader(list(range(12)), batch_size=3, collate_fn=explode)
+        with pytest.raises(ValueError, match="bad batch"):
+            list(loader)
+        # a fresh iteration fails the same way
+        with pytest.raises(ValueError, match="bad batch"):
+            next(iter(loader))
+
+    def test_any_indexable_sequence_is_accepted(self):
+        expected = [[0, 1], [2, 3], [4]]
+        assert list(DataLoader(tuple(range(5)), batch_size=2, collate_fn=list)) == expected
+        batches = list(DataLoader(np.arange(5), batch_size=2, collate_fn=list))
+        assert [[int(x) for x in batch] for batch in batches] == expected
+
+    def test_unshuffled_loader_never_draws_from_the_rng(self):
+        rng = np.random.default_rng(5)
+        loader = DataLoader(list(range(9)), batch_size=4, collate_fn=list, shuffle=False, rng=rng)
+        for _ in range(2):
+            assert [x for batch in loader for x in batch] == list(range(9))
+        # the shared generator is untouched, so later draws are unchanged
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_seed_and_generator_give_the_same_order(self):
+        by_seed = DataLoader(list(range(16)), batch_size=5, collate_fn=list, shuffle=True, rng=8)
+        by_generator = DataLoader(
+            list(range(16)), batch_size=5, collate_fn=list, shuffle=True, rng=np.random.default_rng(8)
+        )
+        assert list(by_seed) == list(by_generator)
+
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=7))
     @settings(max_examples=25, deadline=None)
     def test_all_samples_delivered_exactly_once(self, n, batch_size):

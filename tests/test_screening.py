@@ -1,11 +1,16 @@
-"""Tests for the output format, cost function, throughput and the campaign."""
+"""Tests for the output format, the fusion-scoring route, cost function, throughput and the campaign."""
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.chem.complexes import ProteinLigandComplex
 from repro.hpc.h5store import H5Store
 from repro.hpc.performance import FusionThroughputModel
 from repro.screening.costfunction import CompoundCostFunction
+from repro.screening.job import JobResult
 from repro.screening.output import read_predictions, write_job_output
 from repro.screening.throughput import figure4_series, speedup_summary, table7_rows
 
@@ -28,6 +33,76 @@ class TestOutputFormat:
 
     def test_read_missing_site_empty(self):
         assert read_predictions(H5Store(), "nowhere") == {}
+
+
+def _site_records(campaign, count):
+    site_name = campaign.database.sites()[0]
+    records = [r for r in campaign.database.records() if r.site_name == site_name][:count]
+    return campaign.sites[site_name], records
+
+
+def _score(workbench, site, records, chunk):
+    """Featurize ``records`` with ``featurize_many`` and score them ``chunk`` poses per ``predict_batch``."""
+    samples = workbench.featurizer.featurize_many(
+        [ProteinLigandComplex(site, r.pose, complex_id=r.compound_id, pose_id=r.pose_id) for r in records]
+    )
+    scores = [workbench.coherent_fusion.predict_batch(samples[i : i + chunk]) for i in range(0, len(samples), chunk)]
+    return np.concatenate(scores)
+
+
+class TestFusionScoringRoute:
+    """The campaign's one fusion-scoring route: ``featurize_many`` then ``predict_batch``."""
+
+    def test_route_scores_site_records_and_mirrors_output(self, workbench, campaign):
+        site, records = _site_records(campaign, 10)
+        scores = _score(workbench, site, records, chunk=len(records))
+        assert scores.shape == (len(records),) and np.all(np.isfinite(scores))
+        store = H5Store()
+        write_job_output(store, site.name, [r.compound_id for r in records], [r.pose_id for r in records],
+                         scores, job_name="unit-job", timings={"evaluation": 1.0})
+        # the HDF5-like store mirrors every prediction, each one the campaign's score
+        stored = read_predictions(store, site.name)
+        assert len(stored) == len(records)
+        for record, score in zip(records, scores):
+            assert stored[(record.compound_id, record.pose_id)] == score
+            assert score == pytest.approx(record.fusion_pk, abs=1e-9)
+        assert store.attrs(f"dock/{site.name}/unit-job")["evaluation"] == 1.0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 6])
+    def test_predictions_do_not_depend_on_batch_grouping(self, workbench, campaign, chunk):
+        # 6 poses scored one, three and six per predict_batch score as
+        # they did in the campaign
+        site, records = _site_records(campaign, 6)
+        scores = _score(workbench, site, records, chunk)
+        for record, score in zip(records, scores):
+            assert score == pytest.approx(record.fusion_pk, abs=1e-9)
+
+
+class TestJobResult:
+    def test_fields_are_what_readers_use(self):
+        # stage checkpoints pickle these fields; nothing else is carried
+        assert [f.name for f in dataclasses.fields(JobResult)] == [
+            "job_name", "site_name", "predictions", "store", "timings",
+        ]
+
+    def test_pickle_roundtrip_keeps_store_and_predictions(self):
+        store = H5Store()
+        write_job_output(store, "protease1", ["c1", "c2"], [0, 1], np.array([7.5, 6.0]))
+        result = JobResult("protease1-stream", "protease1", {("c1", 0): 7.5, ("c2", 1): 6.0}, store,
+                           {"evaluation": 0.5})
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored.predictions == result.predictions
+        assert restored.timings == result.timings
+        assert restored.num_poses == 2
+        assert read_predictions(restored.store, "protease1") == result.predictions
+
+    def test_num_poses_of_an_empty_site(self):
+        assert JobResult("j", "s", {}, H5Store(), {}).num_poses == 0
+
+    def test_campaign_stores_mirror_job_predictions(self, campaign):
+        for result in campaign.job_results:
+            assert result.num_poses > 0
+            assert read_predictions(result.store, result.site_name) == result.predictions
 
 
 class TestCostFunction:
@@ -81,6 +156,11 @@ class TestThroughputReports:
         # one 2M-pose job on 4 nodes at the V100's batch of 56 (Table 7)
         estimate = FusionThroughputModel().estimate(num_poses=2_000_000, num_nodes=4, batch_size_per_rank=56)
         assert 4.5 <= estimate.total_hours <= 6.0
+
+    @pytest.mark.parametrize("num_poses, num_nodes", [(0, 4), (2_000_000, 0)])
+    def test_job_estimate_rejects_empty_geometry(self, num_poses, num_nodes):
+        with pytest.raises(ValueError):
+            FusionThroughputModel().estimate(num_poses=num_poses, num_nodes=num_nodes, batch_size_per_rank=56)
 
 
 class TestCampaignPipeline:
