@@ -24,8 +24,17 @@ from repro.datasets import build_screening_deck
 from repro.docking import CDT1Receptor, CDT2Ligand, CDT3Docking
 from repro.eval.reports import format_table, render_series
 from repro.experiments.common import build_workbench
-from repro.hpc import FaultInjector, FusionThroughputModel, H5Store, Job, JobScheduler, SchedulerConfig, SimulatedCluster
-from repro.screening import figure4_series, read_predictions, table7_rows, write_job_output
+from repro.hpc import (
+    FaultInjector,
+    FusionThroughputModel,
+    H5Store,
+    Job,
+    JobScheduler,
+    JobState,
+    SchedulerConfig,
+    SimulatedCluster,
+)
+from repro.screening import figure4_series, table7_rows, write_job_output
 
 
 def main() -> None:
@@ -59,9 +68,9 @@ def main() -> None:
         np.array([r.fusion_pk for r in records]),
         job_name="demo-job",
     )
-    stored = read_predictions(store, "protease1")
-    print(f"predictions mirrored to the HDF5-like store: {len(stored)} entries "
-          f"(example: {next(iter(stored.items()))})")
+    stored = store.read("dock/protease1/demo-job/fusion_pk")
+    first = (str(store.read("dock/protease1/demo-job/compound_ids")[0]), float(stored[0]))
+    print(f"predictions mirrored to the HDF5-like store: {len(stored)} entries (example: {first})")
 
     print("\n=== Paper-scale throughput from the analytic model (Table 7) ===")
     rows = table7_rows(FusionThroughputModel())
@@ -83,7 +92,8 @@ def main() -> None:
         scheduler.submit(Job(name=f"job{index}", num_nodes=4, duration_seconds=model.estimate().total_minutes * 60))
     scheduler.run()
     failures = [name for name, job in scheduler.jobs.items() if job.attempts > 1]
-    print(f"completed {len(scheduler.completed_jobs())}/12 jobs; requeued after faults: {failures or 'none'}")
+    completed = sum(state is JobState.COMPLETED for state in scheduler.states().values())
+    print(f"completed {completed}/12 jobs; requeued after faults: {failures or 'none'}")
     print(f"campaign makespan: {scheduler.makespan() / 3600:.2f} simulated hours")
 
 

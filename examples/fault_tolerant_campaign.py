@@ -66,9 +66,10 @@ def main() -> None:
     killed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=checkpoint_dir))
     killed.run(stop_after="streamed_screen")
     describe(killed)
-    checkpointed = killed.checkpoints.completed_stages()
-    print(f"  checkpointed stages: {sorted(name for name in checkpointed if name in killed.stages)}")
-    print(f"  checkpointed shards: {sum(name not in killed.stages for name in checkpointed)}")
+    checkpointed = [name for name in killed.stages.names() if killed.checkpoints.stored_key(name) is not None]
+    print(f"  checkpointed stages: {sorted(checkpointed)}")
+    shards = [path for path in killed.checkpoints.directory.glob("*.npz") if path.stem not in killed.stages]
+    print(f"  checkpointed shards: {len(shards)}")
 
     print("\n=== 2. Resumed campaign: completed stages restore, the rest execute ===")
     resumed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=checkpoint_dir))

@@ -30,8 +30,10 @@ def main() -> None:
         PDBbindConfig(n_general=60, n_refined=30, n_core=16, n_families=10, n_core_families=3, seed=7)
     )
     print(f"general={len(dataset.general)}  refined={len(dataset.refined)}  core={len(dataset.core)}")
-    for subset, stats in dataset.label_statistics().items():
-        print(f"  {subset:8s} pK mean={stats['mean']:.2f} sd={stats['std']:.2f} range=[{stats['min']:.1f}, {stats['max']:.1f}]")
+    for subset in ("general", "refined", "core"):
+        labels = np.array([entry.experimental_pk for entry in getattr(dataset, subset)])
+        print(f"  {subset:8s} pK mean={labels.mean():.2f} sd={labels.std():.2f} "
+              f"range=[{labels.min():.1f}, {labels.max():.1f}]")
 
     print("\n=== 2. Featurizing (voxel grids + spatial graphs) ===")
     featurizer = FeaturePipeline(

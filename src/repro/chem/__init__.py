@@ -13,7 +13,7 @@ ground-truth binding affinity for every protein-ligand complex.
 from repro.chem.elements import ELEMENTS, Element
 from repro.chem.atom import Atom
 from repro.chem.molecule import Bond, Molecule
-from repro.chem.smiles import parse_smiles, to_smiles
+from repro.chem.smiles import to_smiles
 from repro.chem.generator import GeneratorProfile, MoleculeGenerator
 from repro.chem.conformer import embed_3d, minimize_conformer
 from repro.chem.forcefield import ForceField, ForceFieldEnergy, ForceFieldTopology
@@ -21,9 +21,7 @@ from repro.chem.descriptors import compute_descriptors
 from repro.chem.protein import (
     BindingSite,
     PocketFamily,
-    TargetProtein,
     generate_binding_site,
-    make_sarscov2_proteins,
     make_sarscov2_targets,
 )
 from repro.chem.complexes import InteractionModel, ProteinLigandComplex
@@ -32,13 +30,11 @@ from repro.chem.prep import LigandPrepPipeline, PreparedLigand
 __all__ = [
     "GeneratorProfile",
     "make_sarscov2_targets",
-    "make_sarscov2_proteins",
     "ELEMENTS",
     "Element",
     "Atom",
     "Bond",
     "Molecule",
-    "parse_smiles",
     "to_smiles",
     "MoleculeGenerator",
     "embed_3d",
@@ -49,7 +45,6 @@ __all__ = [
     "compute_descriptors",
     "BindingSite",
     "PocketFamily",
-    "TargetProtein",
     "generate_binding_site",
     "ProteinLigandComplex",
     "InteractionModel",

@@ -74,7 +74,3 @@ class Atom:
         atom.__dict__.update(self.__dict__)
         atom.position = self.position.copy()
         return atom
-
-    def distance_to(self, other: "Atom") -> float:
-        """Euclidean distance to another atom in Angstroms."""
-        return float(np.linalg.norm(self.position - other.position))

@@ -76,19 +76,6 @@ class ProteinLigandComplex:
     def ligand_coordinates(self) -> np.ndarray:
         return self.ligand.coordinates
 
-    def pocket_coordinates(self) -> np.ndarray:
-        return self.site.coordinates()
-
-    def with_ligand(self, ligand: Molecule, pose_id: int | None = None) -> "ProteinLigandComplex":
-        """Return a copy of the complex with a replacement ligand pose."""
-        return ProteinLigandComplex(
-            site=self.site,
-            ligand=ligand,
-            complex_id=self.complex_id,
-            pose_id=self.pose_id if pose_id is None else int(pose_id),
-            metadata=dict(self.metadata),
-        )
-
 
 @dataclass(frozen=True)
 class BatchedInteractionTerms:

@@ -113,17 +113,6 @@ class ForceField:
         self.dielectric = float(dielectric)
 
     # ------------------------------------------------------------------ #
-    def energy_components(self, molecule: Molecule) -> ForceFieldEnergy:
-        """Return the decomposed energy of the molecule's current conformer."""
-        energy, _ = self.evaluate(ForceFieldTopology.from_molecule(molecule), molecule.coordinates, want_forces=False)
-        return energy
-
-    def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
-        """Return total energy and per-atom forces (negative gradient)."""
-        energy, forces = self.evaluate(ForceFieldTopology.from_molecule(molecule), molecule.coordinates)
-        return energy.total, forces
-
-    # ------------------------------------------------------------------ #
     def evaluate(
         self, topology: ForceFieldTopology, coords: np.ndarray, want_forces: bool = True
     ) -> tuple[ForceFieldEnergy, np.ndarray | None]:

@@ -6,7 +6,6 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.chem.atom import Atom
@@ -26,9 +25,6 @@ class Bond:
             raise ValueError("a bond cannot connect an atom to itself")
         if self.order not in (1, 2, 3):
             raise ValueError(f"bond order must be 1, 2 or 3, got {self.order}")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.i, self.j, self.order)
 
 
 class Molecule:
@@ -139,17 +135,6 @@ class Molecule:
         """Sum of atomic masses in Daltons (heavy atoms only)."""
         return float(sum(a.mass for a in self.atoms))
 
-    def formula(self) -> str:
-        """Hill-ordered molecular formula of the heavy atoms."""
-        counts: dict[str, int] = {}
-        for atom in self.atoms:
-            counts[atom.element] = counts.get(atom.element, 0) + 1
-        parts = []
-        for symbol in sorted(counts, key=lambda s: (s != "C", s)):
-            count = counts[symbol]
-            parts.append(symbol + (str(count) if count > 1 else ""))
-        return "".join(parts)
-
     def centroid(self) -> np.ndarray:
         """Unweighted centroid of atom positions."""
         if not self.atoms:
@@ -163,15 +148,6 @@ class Molecule:
     # -------------------------------------------------------------- #
     # Graph views
     # -------------------------------------------------------------- #
-    def to_graph(self) -> nx.Graph:
-        """NetworkX graph of the covalent topology (nodes carry atom refs)."""
-        graph = nx.Graph()
-        for atom in self.atoms:
-            graph.add_node(atom.index, element=atom.element)
-        for bond in self.bonds:
-            graph.add_edge(bond.i, bond.j, order=bond.order)
-        return graph
-
     def neighbors(self, index: int) -> list[int]:
         """Sorted indices of atoms covalently bonded to ``index``."""
         return list(self._adjacency.get(index, ()))
@@ -285,28 +261,6 @@ class Molecule:
         for atom in out.atoms:
             atom.position = atom.position + offset
         return out
-
-    def rotate(self, rotation_matrix: np.ndarray, center: np.ndarray | None = None) -> "Molecule":
-        """Return a copy rotated by ``rotation_matrix`` about ``center`` (default centroid)."""
-        rotation_matrix = np.asarray(rotation_matrix, dtype=np.float64)
-        if rotation_matrix.shape != (3, 3):
-            raise ValueError("rotation matrix must be 3x3")
-        center = self.centroid() if center is None else np.asarray(center, dtype=np.float64)
-        out = self.copy()
-        for atom in out.atoms:
-            atom.position = (rotation_matrix @ (atom.position - center)) + center
-        return out
-
-    def rmsd_to(self, other: "Molecule") -> float:
-        """In-place (no alignment) heavy-atom RMSD to a molecule with identical atom order.
-
-        Docking pose RMSD in the paper is computed against the crystal
-        ligand without re-alignment, since poses share the receptor frame.
-        """
-        if other.num_atoms != self.num_atoms:
-            raise ValueError("RMSD requires molecules with the same number of atoms")
-        diff = self.coordinates - other.coordinates
-        return float(np.sqrt((diff**2).sum(axis=1).mean()))
 
     # -------------------------------------------------------------- #
     # Annotation

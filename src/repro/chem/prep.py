@@ -12,7 +12,7 @@ Open Babel conversions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -174,32 +174,3 @@ class LigandPrepPipeline:
                         atom.formal_charge = -1
         out.assign_partial_charges()
         return out
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def to_sdf_text(ligand: PreparedLigand) -> str:
-        """Minimal SDF-like text record (V2000 flavour) for a prepared ligand."""
-        mol = ligand.molecule
-        lines = [ligand.compound_id or mol.name, "  repro-prep", "", f"{mol.num_atoms:3d}{mol.num_bonds:3d}  0  0  0  0  0  0  0  0999 V2000"]
-        for atom in mol.atoms:
-            x, y, z = atom.position
-            lines.append(f"{x:10.4f}{y:10.4f}{z:10.4f} {atom.element:<3s} 0  0  0  0  0  0  0  0  0  0  0  0")
-        for bond in mol.bonds:
-            lines.append(f"{bond.i + 1:3d}{bond.j + 1:3d}{bond.order:3d}  0  0  0  0")
-        lines.append("M  END")
-        lines.append("$$$$")
-        return "\n".join(lines)
-
-    @staticmethod
-    def to_pdbqt_text(ligand: PreparedLigand) -> str:
-        """Minimal PDBQT-like text record (atoms + partial charges) for docking."""
-        mol = ligand.molecule
-        lines = [f"REMARK  Name = {ligand.compound_id or mol.name}"]
-        for atom in mol.atoms:
-            x, y, z = atom.position
-            lines.append(
-                f"ATOM  {atom.index + 1:5d}  {atom.element:<3s}LIG A   1    "
-                f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00    {atom.partial_charge:7.3f} {atom.element}"
-            )
-        lines.append("TORSDOF %d" % mol.rotatable_bonds())
-        return "\n".join(lines)

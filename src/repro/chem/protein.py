@@ -123,20 +123,6 @@ class BindingSite:
         )
 
 
-@dataclass
-class TargetProtein:
-    """A protein with one or more binding sites."""
-
-    name: str
-    sites: dict[str, BindingSite]
-
-    def site(self, name: str) -> BindingSite:
-        try:
-            return self.sites[name]
-        except KeyError as exc:
-            raise KeyError(f"target {self.name} has no site named '{name}'") from exc
-
-
 _POCKET_ELEMENTS = ("C", "N", "O", "S")
 
 
@@ -232,13 +218,3 @@ def make_sarscov2_targets(seed: int = 2020) -> dict[str, BindingSite]:
             family, rng=rng, name=name, target=SARS_COV_2_SITE_TARGETS[name]
         )
     return sites
-
-
-def make_sarscov2_proteins(seed: int = 2020) -> dict[str, TargetProtein]:
-    """Group the four sites into their parent proteins (Mpro, spike)."""
-    sites = make_sarscov2_targets(seed)
-    proteins: dict[str, TargetProtein] = {}
-    for site in sites.values():
-        proteins.setdefault(site.target, TargetProtein(site.target, {}))
-        proteins[site.target].sites[site.name] = site
-    return proteins

@@ -3,8 +3,7 @@
 The compound libraries screened in the paper are distributed as SMILES
 strings (eMolecules, Enamine) or 2-D SDF records (ZINC, ChEMBL).  The
 reproduction needs a compact, deterministic text identifier for every
-generated molecule and a parser able to rebuild the molecular graph from
-it, so a restricted SMILES dialect is implemented here:
+generated molecule, so a restricted SMILES dialect is implemented here:
 
 * element symbols from the organic subset (``C N O S P F Cl Br I``) are
   written bare; any other element or a charged atom is written in
@@ -14,29 +13,20 @@ it, so a restricted SMILES dialect is implemented here:
 * single digits (and ``%nn`` for two-digit labels) close rings;
 * no aromaticity, stereochemistry or explicit hydrogens.
 
-Strings produced by :func:`to_smiles` always round-trip through
-:func:`parse_smiles` to an isomorphic graph; the canonical atom ordering
-uses a Morgan-style iterative refinement so equivalent graphs serialize
-identically.
+The canonical atom ordering uses a Morgan-style iterative refinement,
+so equivalent graphs serialize identically.  The tests parse every
+string back (``tests/chem_oracle.py``) and check that it round-trips to
+an isomorphic graph.
 """
 
 from __future__ import annotations
 
-import re
-
-import numpy as np
-
 from repro.chem.atom import Atom
 from repro.chem.elements import ELEMENTS
-from repro.chem.molecule import Bond, Molecule
+from repro.chem.molecule import Molecule
 
 _ORGANIC_SUBSET = ("Cl", "Br", "C", "N", "O", "S", "P", "F", "I")
 _BOND_SYMBOL = {1: "", 2: "=", 3: "#"}
-_SYMBOL_BOND = {"=": 2, "#": 3}
-
-_TOKEN_RE = re.compile(
-    r"(\[[^\]]+\]|Cl|Br|C|N|O|S|P|F|I|=|#|\(|\)|%\d{2}|\d)"
-)
 
 
 def canonical_ranks(molecule: Molecule) -> list[int]:
@@ -164,87 +154,3 @@ def to_smiles(molecule: Molecule) -> str:
 
 def _ring_token(label: int) -> str:
     return str(label) if label < 10 else f"%{label:02d}"
-
-
-def parse_smiles(smiles: str, name: str = "") -> Molecule:
-    """Parse a string produced by :func:`to_smiles` back into a molecule.
-
-    Coordinates are initialized to zero; call
-    :func:`repro.chem.conformer.embed_3d` to generate a 3-D conformer.
-    """
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
-    if not smiles:
-        return Molecule(atoms, bonds, name=name)
-    for fragment in smiles.split("."):
-        _parse_fragment(fragment, atoms, bonds)
-    return Molecule(atoms, bonds, name=name)
-
-
-def _parse_fragment(fragment: str, atoms: list[Atom], bonds: list[Bond]) -> None:
-    tokens = _TOKEN_RE.findall(fragment)
-    if "".join(tokens) != fragment:
-        raise ValueError(f"could not tokenize SMILES fragment: {fragment!r}")
-    stack: list[int] = []
-    previous: int | None = None
-    pending_order = 1
-    open_rings: dict[int, tuple[int, int]] = {}
-    for token in tokens:
-        if token == "(":
-            if previous is None:
-                raise ValueError("branch opened before any atom")
-            stack.append(previous)
-        elif token == ")":
-            if not stack:
-                raise ValueError("unbalanced parentheses in SMILES")
-            previous = stack.pop()
-        elif token in _SYMBOL_BOND:
-            pending_order = _SYMBOL_BOND[token]
-        elif token.isdigit() or token.startswith("%"):
-            label = int(token[1:]) if token.startswith("%") else int(token)
-            if previous is None:
-                raise ValueError("ring closure before any atom")
-            if label in open_rings:
-                partner, order = open_rings.pop(label)
-                bonds.append(Bond(partner, previous, max(order, pending_order)))
-            else:
-                open_rings[label] = (previous, pending_order)
-            pending_order = 1
-        else:
-            atom = _parse_atom_token(token)
-            atom_index = len(atoms)
-            atoms.append(atom)
-            if previous is not None:
-                bonds.append(Bond(previous, atom_index, pending_order))
-            previous = atom_index
-            pending_order = 1
-    if open_rings:
-        raise ValueError(f"unclosed ring labels: {sorted(open_rings)}")
-    if stack:
-        raise ValueError("unbalanced parentheses in SMILES")
-
-
-def _parse_atom_token(token: str) -> Atom:
-    if token.startswith("["):
-        body = token[1:-1]
-        match = re.match(r"([A-Z][a-z]?)([+-]*\d*|\d*[+-]*)$", body)
-        if not match:
-            raise ValueError(f"cannot parse bracket atom {token!r}")
-        symbol = match.group(1)
-        charge_text = match.group(2)
-        charge = 0
-        if charge_text:
-            if charge_text in ("+", "++"):
-                charge = len(charge_text)
-            elif charge_text in ("-", "--"):
-                charge = -len(charge_text)
-            elif charge_text.startswith("+"):
-                charge = int(charge_text[1:] or 1)
-            elif charge_text.startswith("-"):
-                charge = -int(charge_text[1:] or 1)
-        if symbol not in ELEMENTS:
-            raise ValueError(f"unknown element in SMILES token {token!r}")
-        return Atom(element=symbol, position=np.zeros(3), formal_charge=charge)
-    if token not in ELEMENTS:
-        raise ValueError(f"unknown element in SMILES token {token!r}")
-    return Atom(element=token, position=np.zeros(3))

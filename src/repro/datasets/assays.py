@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chem.protein import BindingSite
-from repro.utils.rng import derive_seed, ensure_rng
+from repro.utils.rng import derive_seed
 
 
 @dataclass

@@ -187,9 +187,6 @@ class ScreeningDeck:
     def __len__(self) -> int:
         return len(self.molecules)
 
-    def by_library(self, name: str) -> list[Molecule]:
-        return [m for m in self.molecules if self.library_of.get(m.name) == name]
-
 
 def build_screening_deck(counts: dict[str, int], seed: int = 0) -> ScreeningDeck:
     """Generate a screening deck with ``counts`` compounds per library.

@@ -131,23 +131,6 @@ class PDBbindDataset:
             for entry in entries
         ]
 
-    # -- summaries ------------------------------------------------------- #
-    def label_statistics(self) -> dict[str, dict[str, float]]:
-        """Mean/std/min/max of experimental labels per subset."""
-        out: dict[str, dict[str, float]] = {}
-        for subset in ("general", "refined", "core"):
-            labels = np.array([e.experimental_pk for e in self.entries if e.subset == subset])
-            if labels.size == 0:
-                continue
-            out[subset] = {
-                "count": float(labels.size),
-                "mean": float(labels.mean()),
-                "std": float(labels.std()),
-                "min": float(labels.min()),
-                "max": float(labels.max()),
-            }
-        return out
-
 
 # --------------------------------------------------------------------------- #
 # Generation

@@ -10,7 +10,7 @@ error characteristics and computational costs mirroring the paper.
 """
 
 from repro.docking.vina import VinaScorer
-from repro.docking.poses import DockedPose, place_ligand_randomly, rmsd
+from repro.docking.poses import DockedPose
 from repro.docking.engine import PoseGenerator, dock_many, pairwise_rmsd, select_pose_indices
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.ampl import AMPLSurrogate
@@ -19,7 +19,6 @@ from repro.docking.conveyorlc import (
     CDT2Ligand,
     CDT3Docking,
     CDT4Mmgbsa,
-    ConveyorLC,
     DockingDatabase,
     DockingRecord,
 )
@@ -33,13 +32,10 @@ __all__ = [
     "dock_many",
     "pairwise_rmsd",
     "select_pose_indices",
-    "place_ligand_randomly",
-    "rmsd",
     "CDT1Receptor",
     "CDT2Ligand",
     "CDT3Docking",
     "CDT4Mmgbsa",
-    "ConveyorLC",
     "DockingDatabase",
     "DockingRecord",
 ]

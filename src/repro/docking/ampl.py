@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chem.descriptors import DESCRIPTOR_NAMES, descriptor_vector
+from repro.chem.descriptors import descriptor_vector
 from repro.chem.molecule import Molecule
 
 
@@ -63,10 +63,3 @@ class AMPLSurrogate:
         features = np.array([descriptor_vector(mol) for mol in ligands])
         normalized = (features - self._feature_mean) / self._feature_std
         return normalized @ self.coefficients + self.intercept
-
-    # ------------------------------------------------------------------ #
-    def feature_importances(self) -> dict[str, float]:
-        """Absolute standardized coefficients keyed by descriptor name."""
-        if not self.is_fitted:
-            raise RuntimeError("AMPLSurrogate.feature_importances called before fit")
-        return {name: float(abs(c)) for name, c in zip(DESCRIPTOR_NAMES, self.coefficients)}

@@ -129,10 +129,6 @@ class DockingDatabase:
             return max(scored, key=lambda r: r.fusion_pk) if scored else None
         raise ValueError(f"unknown score '{by}'")
 
-    def merge(self, other: "DockingDatabase") -> None:
-        """Merge another database into this one (later records win)."""
-        self._records.update(other._records)
-
 
 # --------------------------------------------------------------------------- #
 # Pipeline stages
@@ -181,7 +177,6 @@ class CDT3Docking:
         self.monte_carlo_steps = int(monte_carlo_steps)
         self.restarts = int(restarts)
         self.seed = int(seed)
-        self.modelled_cost_seconds = 0.0
 
     def run(
         self,
@@ -222,7 +217,6 @@ class CDT3Docking:
                             rmsd_to_reference=pose.rmsd_to_reference,
                         )
                     )
-                self.modelled_cost_seconds += VinaScorer.cost_seconds(len(poses))
         return database
 
 
@@ -247,7 +241,6 @@ class CDT4Mmgbsa:
         self.max_poses = int(max_poses)
         self.subset_fraction = float(subset_fraction)
         self.seed = int(seed)
-        self.modelled_cost_seconds = 0.0
 
     def run(self, database: DockingDatabase, sites: dict[str, BindingSite]) -> DockingDatabase:
         rng = ensure_rng(self.seed)
@@ -268,7 +261,6 @@ class CDT4Mmgbsa:
             scores = self.rescorer.score_many([_record_to_complex(site, record) for record in records])
             for record, score in zip(records, scores):
                 record.mmgbsa_score = float(score)
-                self.modelled_cost_seconds += MMGBSARescorer.cost_seconds(1)
         return database
 
 
@@ -278,39 +270,3 @@ def _record_to_complex(site: BindingSite, record: DockingRecord):
     return ProteinLigandComplex(
         site=site, ligand=record.pose, complex_id=record.compound_id, pose_id=record.pose_id
     )
-
-
-class ConveyorLC:
-    """Orchestrates the four stages end to end."""
-
-    def __init__(
-        self,
-        prep: LigandPrepPipeline | None = None,
-        docking: CDT3Docking | None = None,
-        mmgbsa: CDT4Mmgbsa | None = None,
-    ) -> None:
-        self.receptor_stage = CDT1Receptor()
-        self.ligand_stage = CDT2Ligand(prep)
-        self.docking_stage = docking or CDT3Docking()
-        self.mmgbsa_stage = mmgbsa or CDT4Mmgbsa()
-
-    def run(
-        self,
-        sites: Sequence[BindingSite],
-        molecules: Sequence[Molecule],
-        library: str = "",
-        rescore: bool = True,
-    ) -> DockingDatabase:
-        """Run receptor prep, ligand prep, docking and (optionally) MM/GBSA rescoring."""
-        receptors = self.receptor_stage.run(sites)
-        ligands = self.ligand_stage.run(molecules, library=library)
-        database = self.docking_stage.run(receptors, ligands)
-        if rescore:
-            site_map = {name: rec.site for name, rec in receptors.items()}
-            self.mmgbsa_stage.run(database, site_map)
-        return database
-
-    @property
-    def modelled_cost_seconds(self) -> float:
-        """Total modelled wall-clock cost of the physics stages."""
-        return self.docking_stage.modelled_cost_seconds + self.mmgbsa_stage.modelled_cost_seconds

@@ -63,10 +63,9 @@ from repro.utils.rng import derive_seed
 def pairwise_rmsd(coords: np.ndarray) -> np.ndarray:
     """``(M, M)`` heavy-atom RMSD matrix of ``M`` stacked poses ``(M, N, 3)``.
 
-    One broadcast computation replaces ``M²`` nested
-    :func:`repro.docking.poses.rmsd` calls; each entry reduces over the
-    same contiguous per-pair layout as ``Molecule.rmsd_to``, so entries
-    are bit-identical to it.
+    One broadcast computation replaces ``M²`` nested per-pair RMSD
+    calls; each entry reduces over the same contiguous per-pair layout as
+    the scalar RMSD of two poses, so entries are bit-identical to it.
     """
     coords = np.asarray(coords, dtype=np.float64)
     diff = coords[:, None, :, :] - coords[None, :, :, :]

@@ -54,16 +54,3 @@ class MMGBSARescorer(KernelScoringMixin):
             + self.w_desolvation * desolvation
         )
         return raw / (1.0 + 0.02 * terms.ligand_heavy_atoms)
-
-    def rescore(self, poses, max_poses: int | None = None) -> list[float]:
-        """Re-score :class:`repro.docking.poses.DockedPose` objects on the shared kernel."""
-        selected = poses if max_poses is None else poses[: int(max_poses)]
-        return [float(score) for score in self.score_many([p.complex for p in selected])]
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def cost_seconds(num_poses: int, nodes: int = 1) -> float:
-        """Modelled wall-clock cost of rescoring ``num_poses`` poses on ``nodes`` nodes."""
-        if nodes <= 0:
-            raise ValueError("nodes must be positive")
-        return float(num_poses) / (MMGBSA_POSES_PER_SECOND_PER_NODE * nodes)

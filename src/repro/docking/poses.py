@@ -1,4 +1,4 @@
-"""Docking pose records, rigid-body move geometry and RMSD utilities.
+"""Docking pose records and rigid-body move geometry.
 
 The coordinate-level helpers :func:`initial_pose_coords`,
 :func:`rigid_moves` and :func:`apply_rigid_moves` define the geometry
@@ -19,12 +19,6 @@ from repro.chem.complexes import ProteinLigandComplex
 from repro.chem.conformer import random_rotation_matrix
 from repro.chem.molecule import Molecule
 from repro.chem.protein import BindingSite
-from repro.utils.rng import ensure_rng
-
-
-def rmsd(pose_a: Molecule, pose_b: Molecule) -> float:
-    """Heavy-atom RMSD between two poses of the same molecule (no alignment)."""
-    return pose_a.rmsd_to(pose_b)
 
 
 def molecule_with_coordinates(template: Molecule, coords: np.ndarray) -> Molecule:
@@ -86,12 +80,6 @@ def apply_rigid_moves(coords: np.ndarray, rotations: np.ndarray, translations: n
     # the add.reduce and division np.mean makes, without its wrapper
     center = np.add.reduce(coords, axis=1, keepdims=True) / coords.shape[1]
     return np.matmul(coords - center, rotations.transpose(0, 2, 1)) + center + translations[:, None, :]
-
-
-def place_ligand_randomly(site: BindingSite, ligand: Molecule, rng=None) -> Molecule:
-    """Place the ligand with random orientation near the pocket mouth."""
-    rng = ensure_rng(rng)
-    return molecule_with_coordinates(ligand, initial_pose_coords(site, ligand.coordinates, rng))
 
 
 @dataclass

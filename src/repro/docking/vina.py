@@ -69,11 +69,3 @@ class VinaScorer(KernelScoringMixin):
         raw = raw / (1.0 + self.w_rotor * terms.rotatable_bonds)
         # size bias: larger ligands receive systematically better scores
         return raw - self.size_bias * terms.ligand_heavy_atoms
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def cost_seconds(num_poses: int, nodes: int = 1) -> float:
-        """Modelled wall-clock cost of docking ``num_poses`` poses on ``nodes`` nodes."""
-        if nodes <= 0:
-            raise ValueError("nodes must be positive")
-        return float(num_poses) / (VINA_POSES_PER_SECOND_PER_NODE * nodes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.complexes import PK_TO_KCAL, ProteinLigandComplex
-from repro.docking.conveyorlc import CDT3Docking, CDT1Receptor, CDT4Mmgbsa
+from repro.docking.conveyorlc import CDT3Docking, CDT1Receptor
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.vina import VinaScorer
 from repro.eval.classification import BinaryClassificationResult, classify_by_threshold, evaluate_scores

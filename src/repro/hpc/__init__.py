@@ -11,7 +11,7 @@ offline, so this sub-package provides:
   wall-time limits, job failure and requeue semantics driven by a virtual
   wall clock;
 * :mod:`repro.hpc.mpi` / :mod:`repro.hpc.horovod` — an in-process MPI
-  communicator (point-to-point and collective operations over threads)
+  communicator (bcast, allgather and an exact all-reduce over thread ranks)
   and the thin Horovod-style wrapper the distributed trainer uses;
 * :mod:`repro.hpc.faults` — fault injection reproducing the paper's
   job-failure statistics (≈2 % at 1-2 nodes, ≈3 % at 4, ≈20 % at 8);

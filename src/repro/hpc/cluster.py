@@ -24,10 +24,6 @@ class NodeSpec:
     gpu: GPUSpec = field(default_factory=GPUSpec)
     memory_gb: float = 256.0
 
-    @property
-    def node_tflops(self) -> float:
-        return self.gpus_per_node * self.gpu.peak_tflops
-
 
 #: The Lassen node description from §3.2 of the paper.
 LASSEN_NODE = NodeSpec()
@@ -70,10 +66,6 @@ class SimulatedCluster:
     def free_nodes(self) -> int:
         return len(self._free)
 
-    @property
-    def busy_nodes(self) -> int:
-        return self.num_nodes - self.free_nodes
-
     # ------------------------------------------------------------------ #
     def can_allocate(self, num_nodes: int) -> bool:
         return 0 < num_nodes <= self.free_nodes
@@ -99,7 +91,3 @@ class SimulatedCluster:
         allocation = self._allocations.pop(job_name, None)
         if allocation is not None:
             self._free.update(allocation.node_ids)
-
-    def utilization(self) -> float:
-        """Fraction of nodes currently allocated."""
-        return self.busy_nodes / self.num_nodes

@@ -12,7 +12,6 @@ files on disk.
 from __future__ import annotations
 
 import os
-from typing import Iterator
 
 import numpy as np
 
@@ -79,13 +78,6 @@ class H5Store:
                 children.add(remainder.split("/")[0])
         return sorted(children)
 
-    def datasets_under(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
-        """Iterate ``(path, array)`` pairs below ``prefix``."""
-        prefix_norm = _normalize(prefix) + "/"
-        for key in sorted(self._datasets):
-            if key.startswith(prefix_norm):
-                yield key, self._datasets[key]
-
     # -- persistence ------------------------------------------------------ #
     def save(self, path: str | os.PathLike) -> None:
         """Persist the store to a ``.npz`` container.
@@ -125,10 +117,3 @@ class H5Store:
             store._datasets[key] = array.reshape([int(s) for s in record["shape"]])
         store._attrs = {k: dict(v) for k, v in meta.get("attrs", {}).items()}
         return store
-
-    # -- merging ----------------------------------------------------------- #
-    def merge(self, other: "H5Store") -> None:
-        """Merge another store's datasets/attributes (later writes win)."""
-        self._datasets.update(other._datasets)
-        for path, attrs in other._attrs.items():
-            self._attrs.setdefault(path, {}).update(attrs)

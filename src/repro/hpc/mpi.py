@@ -1,15 +1,14 @@
 """In-process MPI-style communicator.
 
 The paper's distributed programs are MPI jobs built with Horovod.  The
-reproduction runs all ranks of a job as threads of one Python process,
-but exposes the mpi4py-style API (lower-case methods communicate
-arbitrary Python objects, as in the mpi4py tutorial) so the distributed
-trainer reads like the original MPI program.
+reproduction runs all ranks of a job as threads of one Python process
+(:func:`run_spmd`) and keeps only the three collectives its programs
+call: ``bcast`` (the initial weights), ``allgather`` and the exact
+``allreduce_exact`` (the data-parallel trainer's gradient reduction).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence
@@ -61,8 +60,6 @@ class LocalCommunicator:
         self._lock = threading.Lock()
         self._collective_buffer: dict[str, dict[int, Any]] = {}
         self._collective_results: dict[str, Any] = {}
-        self._generation: dict[str, int] = {}
-        self._queues: dict[tuple[int, int, int], queue.Queue] = {}  # created lazily per (src, dst, tag)
 
     # ------------------------------------------------------------------ #
     @property
@@ -70,49 +67,8 @@ class LocalCommunicator:
         return self._size
 
     # ------------------------------------------------------------------ #
-    # Point-to-point
-    # ------------------------------------------------------------------ #
-    def _queue_for(self, src: int, dst: int, tag: int) -> queue.Queue:
-        key = (src, dst, tag)
-        with self._lock:
-            if key not in self._queues:
-                self._queues[key] = queue.Queue()
-            return self._queues[key]
-
-    def send(self, obj: Any, source: int, dest: int, tag: int = 0) -> None:
-        """Send a Python object from rank ``source`` to rank ``dest``."""
-        self._check_rank(source)
-        self._check_rank(dest)
-        self._queue_for(source, dest, tag).put(obj)
-
-    def recv(self, source: int, dest: int, tag: int = 0, timeout: float | None = 30.0) -> Any:
-        """Receive the next object sent from ``source`` to ``dest``.
-
-        Raises
-        ------
-        TimeoutError
-            When no message arrives within ``timeout`` seconds — naming
-            the endpoints and tag, instead of the bare ``queue.Empty``
-            the underlying queue raises (which says nothing about *which*
-            receive starved).
-        """
-        self._check_rank(source)
-        self._check_rank(dest)
-        try:
-            return self._queue_for(source, dest, tag).get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"recv timed out: no message from rank {source} to rank {dest} "
-                f"(tag={tag}) within {timeout}s"
-            ) from None
-
-    # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
-    def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
-        self._barrier.wait(timeout=self.barrier_timeout)
-
     def _collective(self, name: str, rank: int, value: Any, combine: Callable[[dict[int, Any]], Any]) -> Any:
         """Generic rendezvous collective: gather every rank's value, combine once.
 
@@ -136,8 +92,6 @@ class LocalCommunicator:
                 finally:
                     self._collective_buffer[name] = {}
                 self._collective_results[name] = result
-                generation = self._generation.get(name, 0) + 1
-                self._generation[name] = generation
         self._barrier.wait(timeout=self.barrier_timeout)
         result = self._collective_results[name]
         self._barrier.wait(timeout=self.barrier_timeout)
@@ -149,30 +103,10 @@ class LocalCommunicator:
         """Every rank contributes a value; every rank receives the rank-ordered list."""
         return self._collective(tag, rank, value, lambda bucket: [bucket[r] for r in sorted(bucket)])
 
-    def gather(self, rank: int, value: Any, root: int = 0, tag: str = "gather") -> list[Any] | None:
-        """Gather values on ``root``; other ranks receive ``None``."""
-        gathered = self.allgather(rank, value, tag=f"{tag}:impl")
-        return gathered if rank == root else None
-
     def bcast(self, rank: int, value: Any, root: int = 0, tag: str = "bcast") -> Any:
         """Broadcast ``value`` from ``root`` to every rank."""
         result = self._collective(tag, rank, value if rank == root else None, lambda bucket: bucket[root])
         return result
-
-    def scatter(self, rank: int, values: Sequence[Any] | None, root: int = 0, tag: str = "scatter") -> Any:
-        """Scatter ``values`` (given on root) so rank ``i`` receives ``values[i]``."""
-        def combine(bucket: dict[int, Any]):
-            root_values = bucket[root]
-            if root_values is None or len(root_values) != self._size:
-                raise ValueError("scatter requires a list with one element per rank on the root")
-            return list(root_values)
-
-        scattered = self._collective(tag, rank, values if rank == root else None, combine)
-        return scattered[rank]
-
-    def allreduce_sum(self, rank: int, value: float, tag: str = "allreduce") -> float:
-        """Sum a scalar contribution across ranks."""
-        return float(sum(self.allgather(rank, float(value), tag=f"{tag}:sum")))
 
     def allreduce_exact(
         self, rank: int, arrays: Sequence[np.ndarray], tag: str = "allreduce-exact"
@@ -199,11 +133,6 @@ class LocalCommunicator:
 
         return self._collective(f"{tag}:exact", rank, list(arrays), combine)
 
-    # ------------------------------------------------------------------ #
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self._size:
-            raise ValueError(f"rank {rank} outside communicator of size {self._size}")
-
 
 class RankContext:
     """Per-rank view of a :class:`LocalCommunicator` (what a rank's code receives)."""
@@ -216,29 +145,14 @@ class RankContext:
     def size(self) -> int:
         return self.comm.size
 
-    def barrier(self) -> None:
-        self.comm.barrier()
-
     def allgather(self, value, tag: str = "allgather"):
         return self.comm.allgather(self.rank, value, tag=tag)
-
-    def gather(self, value, root: int = 0, tag: str = "gather"):
-        return self.comm.gather(self.rank, value, root=root, tag=tag)
 
     def bcast(self, value=None, root: int = 0, tag: str = "bcast"):
         return self.comm.bcast(self.rank, value, root=root, tag=tag)
 
-    def scatter(self, values=None, root: int = 0, tag: str = "scatter"):
-        return self.comm.scatter(self.rank, values, root=root, tag=tag)
-
     def allreduce_exact(self, arrays: Sequence[np.ndarray], tag: str = "allreduce-exact") -> np.ndarray:
         return self.comm.allreduce_exact(self.rank, arrays, tag=tag)
-
-    def send(self, obj, dest: int, tag: int = 0) -> None:
-        self.comm.send(obj, source=self.rank, dest=dest, tag=tag)
-
-    def recv(self, source: int, tag: int = 0):
-        return self.comm.recv(source=source, dest=self.rank, tag=tag)
 
 
 def run_spmd(

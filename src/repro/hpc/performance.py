@@ -42,10 +42,6 @@ class PerformanceEstimate:
         return self.startup_minutes + self.evaluation_minutes + self.output_minutes
 
     @property
-    def total_hours(self) -> float:
-        return self.total_minutes / 60.0
-
-    @property
     def poses_per_second(self) -> float:
         return self.num_poses / (self.total_minutes * 60.0)
 
@@ -65,12 +61,6 @@ class ScorerCostModel:
 
     vina_poses_per_second_per_node: float = VINA_POSES_PER_SECOND_PER_NODE
     mmgbsa_poses_per_second_per_node: float = MMGBSA_POSES_PER_SECOND_PER_NODE
-
-    def vina_seconds(self, num_poses: int, nodes: int = 1) -> float:
-        return num_poses / (self.vina_poses_per_second_per_node * nodes)
-
-    def mmgbsa_seconds(self, num_poses: int, nodes: int = 1) -> float:
-        return num_poses / (self.mmgbsa_poses_per_second_per_node * nodes)
 
 
 class FusionThroughputModel:
@@ -97,9 +87,6 @@ class FusionThroughputModel:
     model_memory_gb / gpu_memory_gb / per_pose_memory_gb:
         GPU memory model limiting the feasible per-rank batch size (the
         1.5 GB Coherent Fusion model plus 56 poses fill a 16 GB V100).
-    gpu_peak_poses_per_second:
-        Rate the GPU could sustain if data loading were not the
-        bottleneck; used to report GPU utilization.
     """
 
     def __init__(
@@ -113,8 +100,6 @@ class FusionThroughputModel:
         model_memory_gb: float = 1.5,
         gpu_memory_gb: float = 16.0,
         per_pose_memory_gb: float = 0.258,
-        gpu_peak_poses_per_second: float = 25.0,
-        node_tflops: float = 110.6,
     ) -> None:
         self.startup_minutes = float(startup_minutes)
         self.base_rate_per_rank = float(base_rate_per_rank)
@@ -125,8 +110,6 @@ class FusionThroughputModel:
         self.model_memory_gb = float(model_memory_gb)
         self.gpu_memory_gb = float(gpu_memory_gb)
         self.per_pose_memory_gb = float(per_pose_memory_gb)
-        self.gpu_peak_poses_per_second = float(gpu_peak_poses_per_second)
-        self.node_tflops = float(node_tflops)
 
     # ------------------------------------------------------------------ #
     def max_batch_size(self) -> int:
@@ -146,10 +129,6 @@ class FusionThroughputModel:
             )
         b = float(batch_size_per_rank)
         return self.base_rate_per_rank * b / (b + self.batch_half_size)
-
-    def gpu_utilization(self, batch_size_per_rank: int) -> float:
-        """Fraction of GPU peak rate actually sustained (data-loading bound)."""
-        return min(1.0, self.rank_rate(batch_size_per_rank) / self.gpu_peak_poses_per_second)
 
     def _node_efficiency(self, num_nodes: int) -> float:
         """Parallel efficiency relative to perfect scaling across nodes."""
@@ -219,7 +198,3 @@ class FusionThroughputModel:
         estimate = self.estimate(num_nodes=num_nodes, batch_size_per_rank=batch_size_per_rank)
         fusion_rate_per_node = estimate.poses_per_second / num_nodes
         return fusion_rate_per_node / cost_model.mmgbsa_poses_per_second_per_node
-
-    def tflops(self, num_nodes: int) -> float:
-        """Aggregate nominal TFLOPS of ``num_nodes`` Lassen nodes."""
-        return self.node_tflops * num_nodes

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.hpc.cluster import SimulatedCluster
@@ -197,9 +197,6 @@ class JobScheduler:
     # ------------------------------------------------------------------ #
     def states(self) -> dict[str, JobState]:
         return {name: job.state for name, job in self.jobs.items()}
-
-    def completed_jobs(self) -> list[Job]:
-        return [j for j in self.jobs.values() if j.state is JobState.COMPLETED]
 
     def makespan(self) -> float:
         """Total simulated time from first submission to last completion."""

@@ -73,10 +73,6 @@ class PB2Scheduler(PBTScheduler):
         improvement = float(previous_score - new_score)
         self._observations.append((vector, float(epoch), improvement))
 
-    @property
-    def num_observations(self) -> int:
-        return len(self._observations)
-
     # ------------------------------------------------------------------ #
     def explore(self, trial: Trial, donor: Trial, trials: list[Trial]) -> dict[str, Any]:
         """GP-bandit exploration of the continuous dimensions (PB2's key step)."""

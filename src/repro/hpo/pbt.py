@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.hpo.space import Boolean, Choice, SearchSpace, Uniform
 from repro.hpo.trial import Trial
 from repro.utils.rng import ensure_rng

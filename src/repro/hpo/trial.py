@@ -58,10 +58,3 @@ class Trial:
         if score < self.best_score:
             self.best_score = float(score)
         self.history.append((int(epoch), float(score), dict(self.config)))
-
-    def config_at_best(self) -> dict[str, Any]:
-        """Configuration snapshot that achieved the best score."""
-        if not self.history:
-            return dict(self.config)
-        best = min(self.history, key=lambda item: item[1])
-        return dict(best[2])

@@ -37,6 +37,33 @@ def _masked_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(diff**2))
 
 
+def _calibrate_model(model: Module, samples: Sequence[FeaturizedComplex]) -> None:
+    """Centre the model's output on the finite training labels' distribution."""
+    targets = np.array([s.target for s in samples], dtype=np.float64)
+    targets = targets[np.isfinite(targets)]
+    if targets.size >= 2 and hasattr(model, "calibrate_output"):
+        model.calibrate_output(float(targets.mean()), float(targets.std()))
+
+
+def _trainable_parameters(model: Module):
+    """A fusion network's trainable parameters (its frozen heads excluded); else all."""
+    if isinstance(model, FusionNetwork):
+        return model.trainable_parameters()
+    return model.parameters()
+
+
+def _build_optimizer(model: Module, config: TrainerConfig | DistributedTrainerConfig):
+    """The configured optimizer over ``model``'s trainable parameters.
+
+    Adam, AdamW and SGD take the configured ``weight_decay``; other
+    optimizers take none.
+    """
+    kwargs = {}
+    if config.optimizer.lower() in ("adam", "adamw", "sgd"):
+        kwargs["weight_decay"] = config.weight_decay
+    return build_optimizer(config.optimizer, _trainable_parameters(model), lr=config.learning_rate, **kwargs)
+
+
 @dataclass
 class TrainerConfig:
     """Options of the generic training loop."""
@@ -97,9 +124,8 @@ class Trainer:
     train_samples / val_samples:
         Lists of :class:`FeaturizedComplex`.
     config:
-        Loop options. PB2 mutates ``learning_rate`` / ``batch_size``
-        between perturbation intervals through
-        :meth:`set_hyperparameters`.
+        Loop options.  PB2 changes hyper-parameters between perturbation
+        intervals by building a new trainer through its factory.
     """
 
     def __init__(
@@ -117,41 +143,8 @@ class Trainer:
             raise ValueError("trainer requires at least one training sample")
         self.history = TrainingHistory()
         self._rng = spawn_rng(self.config.seed, "trainer")
-        self._calibrate_model()
-        self._build_optimizer()
-
-    # ------------------------------------------------------------------ #
-    def _calibrate_model(self) -> None:
-        """Centre the model's output on the training-label distribution."""
-        targets = np.array([s.target for s in self.train_samples], dtype=np.float64)
-        targets = targets[np.isfinite(targets)]
-        if targets.size >= 2 and hasattr(self.model, "calibrate_output"):
-            self.model.calibrate_output(float(targets.mean()), float(targets.std()))
-
-    def _trainable_parameters(self):
-        if isinstance(self.model, FusionNetwork):
-            return self.model.trainable_parameters()
-        return self.model.parameters()
-
-    def _build_optimizer(self) -> None:
-        kwargs = {}
-        if self.config.optimizer.lower() in ("adam", "adamw", "sgd"):
-            kwargs["weight_decay"] = self.config.weight_decay
-        self.optimizer = build_optimizer(
-            self.config.optimizer, self._trainable_parameters(), lr=self.config.learning_rate, **kwargs
-        )
-
-    def set_hyperparameters(self, learning_rate: float | None = None, batch_size: int | None = None) -> None:
-        """Adjust hyper-parameters mid-training (used by PB2 explore steps)."""
-        if learning_rate is not None:
-            if learning_rate <= 0:
-                raise ValueError("learning_rate must be positive")
-            self.config.learning_rate = float(learning_rate)
-            self.optimizer.lr = float(learning_rate)
-        if batch_size is not None:
-            if batch_size <= 0:
-                raise ValueError("batch_size must be positive")
-            self.config.batch_size = int(batch_size)
+        _calibrate_model(self.model, self.train_samples)
+        self.optimizer = _build_optimizer(self.model, self.config)
 
     # ------------------------------------------------------------------ #
     def _loader(self, samples: Sequence[FeaturizedComplex], shuffle: bool) -> DataLoader:
@@ -182,7 +175,7 @@ class Trainer:
         return float(np.mean(losses))
 
     def _clip_gradients(self, max_norm: float) -> None:
-        params = [p for p in self._trainable_parameters() if p.grad is not None]
+        params = [p for p in _trainable_parameters(self.model) if p.grad is not None]
         if not params:
             return
         total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
@@ -286,12 +279,6 @@ class _DistributedSpec:
     epochs: int
 
 
-def _trainable_parameters_of(model: Module):
-    if isinstance(model, FusionNetwork):
-        return model.trainable_parameters()
-    return model.parameters()
-
-
 def _predict_flat(model: Module, samples: Sequence[FeaturizedComplex], batch_size: int) -> np.ndarray:
     """Inference over ``samples`` using the flat graph layout."""
     model.eval()
@@ -349,12 +336,7 @@ def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
     hvd.broadcast_parameters(model, root_rank=0)
     model.train()
     dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
-    optimizer = build_optimizer(
-        cfg.optimizer,
-        _trainable_parameters_of(model),
-        lr=cfg.learning_rate,
-        **({"weight_decay": cfg.weight_decay} if cfg.optimizer.lower() in ("adam", "adamw", "sgd") else {}),
-    )
+    optimizer = _build_optimizer(model, cfg)
     pack = optimizer.fuse()
     samples = spec.train_samples
     train_losses: list[float] = []
@@ -427,13 +409,7 @@ class DistributedTrainer:
         if not self.train_samples:
             raise ValueError("trainer requires at least one training sample")
         self.history = TrainingHistory()
-        self._calibrate_model()
-
-    def _calibrate_model(self) -> None:
-        targets = np.array([s.target for s in self.train_samples], dtype=np.float64)
-        targets = targets[np.isfinite(targets)]
-        if targets.size >= 2 and hasattr(self.model, "calibrate_output"):
-            self.model.calibrate_output(float(targets.mean()), float(targets.std()))
+        _calibrate_model(self.model, self.train_samples)
 
     def fit(self, epochs: int | None = None) -> TrainingHistory:
         """Train for ``epochs`` (default: config.epochs) across all ranks."""

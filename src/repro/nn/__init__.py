@@ -12,18 +12,16 @@ mini-batch loader of the scalar training loop.
 
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
 from repro.nn import functional
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     SELU,
     BatchNorm1d,
     Conv3d,
     Dropout,
-    Flatten,
     LeakyReLU,
     Linear,
     MaxPool3d,
     ReLU,
-    Residual,
 )
 from repro.nn.graph_layers import FlatEdges, FlatGraphBatch, GatedGraphConv, GraphGather, GraphBatch
 from repro.nn.optim import SGD, Adadelta, Adam, AdamW, Optimizer, ParameterPack, RMSprop, build_optimizer
@@ -37,17 +35,14 @@ __all__ = [
     "functional",
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
     "Conv3d",
     "MaxPool3d",
     "BatchNorm1d",
     "Dropout",
-    "Flatten",
     "ReLU",
     "LeakyReLU",
     "SELU",
-    "Residual",
     "GatedGraphConv",
     "GraphGather",
     "FlatEdges",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 
 # --------------------------------------------------------------------------- #
@@ -55,13 +55,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
     return x.tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -244,13 +237,6 @@ def max_pool3d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         return (grad_x,)
 
     return x._make(out_data, (x,), backward)
-
-
-def global_avg_pool3d(x: Tensor) -> Tensor:
-    """Average over the spatial axes of a ``(N, C, D, H, W)`` tensor."""
-    if x.ndim != 5:
-        raise ValueError(f"global_avg_pool3d expects 5-D input, got shape {x.shape}")
-    return x.mean(axis=(2, 3, 4))
 
 
 def flatten(x: Tensor, start_axis: int = 1) -> Tensor:

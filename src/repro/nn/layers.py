@@ -75,13 +75,6 @@ class MaxPool3d(Module):
         return F.max_pool3d(x, self.kernel_size, self.stride)
 
 
-class Flatten(Module):
-    """Flatten all but the batch axis."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.flatten(x, start_axis=1)
-
-
 class ReLU(Module):
     """Rectified linear unit layer."""
 
@@ -182,24 +175,3 @@ class BatchNorm3d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
-
-
-class Residual(Module):
-    """Residual wrapper ``y = x + f(x)`` used by the 3D-CNN residual options.
-
-    If the wrapped block changes the feature dimension an optional linear
-    projection aligns the skip connection, matching the "Residual Option
-    1/2" toggles fed to the hyper-parameter optimization in Figure 1.
-    """
-
-    def __init__(self, block: Module, in_features: int | None = None, out_features: int | None = None, rng=None) -> None:
-        super().__init__()
-        self.block = block
-        if in_features is not None and out_features is not None and in_features != out_features:
-            self.projection = Linear(in_features, out_features, bias=False, rng=rng)
-        else:
-            self.projection = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        skip = x if self.projection is None else self.projection(x)
-        return skip + self.block(x)

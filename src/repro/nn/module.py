@@ -76,10 +76,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))
-
     # -------------------------------------------------------------- #
     # Training / evaluation mode
     # -------------------------------------------------------------- #
@@ -145,33 +141,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """A container applying child modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: list[str] = []
-        for index, module in enumerate(modules):
-            name = f"layer{index}"
-            setattr(self, name, module)
-            self._order.append(name)
-
-    def append(self, module: Module) -> "Sequential":
-        """Append a module to the container."""
-        name = f"layer{len(self._order)}"
-        setattr(self, name, module)
-        self._order.append(name)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self._order)
-
-    def forward(self, x):
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x

@@ -78,13 +78,7 @@ class ParameterPack:
 
 
 class Optimizer:
-    """Base class holding a parameter list and a learning rate.
-
-    The learning rate is exposed as a mutable attribute because PB2
-    perturbs it between perturbation intervals without rebuilding the
-    optimizer (the "learned schedule of hyper-parameters" the paper
-    credits for the final models).
-    """
+    """Base class holding a parameter list and a learning rate."""
 
     def __init__(self, params: Iterable[Parameter], lr: float) -> None:
         self.params: list[Parameter] = list(params)

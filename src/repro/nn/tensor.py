@@ -106,10 +106,6 @@ class Tensor:
         """Return the value of a scalar tensor as a Python float."""
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None

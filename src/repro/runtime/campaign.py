@@ -459,7 +459,6 @@ class CampaignRuntime:
                 [pid for _cid, pid in keys],
                 np.array([site_predictions[key] for key in keys], dtype=np.float64),
                 job_name=f"{site_name}-stream",
-                timings={"evaluation": result.duration_s},
             )
             ids, scores = result.topk_arrays(site_name)
             write_topk(store, site_name, list(ids), scores, stats=result.stats[site_name].as_dict())
@@ -469,7 +468,6 @@ class CampaignRuntime:
                     site_name=site_name,
                     predictions=dict(site_predictions),
                     store=store,
-                    timings={"evaluation": result.duration_s},
                 )
             )
         report.attempts = result.total_attempts

@@ -137,18 +137,6 @@ class CheckpointStore:
             return None
         return attrs.get(f"{self.GROUP}/{stage_name}", {})
 
-    def completed_stages(self) -> dict[str, str]:
-        """Mapping of checkpointed stage name -> stored content key."""
-        if self.directory is None:
-            return {name: key for name, (key, _blob) in self._memory.items()}
-        out: dict[str, str] = {}
-        for path in sorted(self.directory.glob("*.npz")):
-            name = path.stem
-            key = self.stored_key(name)
-            if key is not None:
-                out[name] = key
-        return out
-
     def discard(self, stage_name: str) -> None:
         """Drop one stage's checkpoint (no-op if absent)."""
         if self.directory is None:

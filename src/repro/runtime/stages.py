@@ -116,16 +116,6 @@ class StageGraph:
         except KeyError as exc:
             raise KeyError(f"unknown stage '{name}'; stages: {self.names()}") from exc
 
-    def downstream_of(self, name: str) -> list[str]:
-        """Names of every stage that (transitively) depends on ``name``."""
-        self.stage(name)
-        tainted = {name}
-        for stage in self._stages:
-            if any(dep in tainted for dep in stage.deps):
-                tainted.add(stage.name)
-        tainted.discard(name)
-        return [s.name for s in self._stages if s.name in tainted]
-
 
 @dataclass
 class StageReport:

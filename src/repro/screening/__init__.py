@@ -2,7 +2,7 @@
 
 from repro.screening.partition import shard_bounds
 from repro.screening.job import JobResult
-from repro.screening.output import read_predictions, read_topk, write_job_output, write_topk
+from repro.screening.output import write_job_output, write_topk
 from repro.screening.costfunction import CompoundCostFunction, CompoundScore
 from repro.screening.throughput import figure4_series, table7_rows
 from repro.screening.pipeline import CampaignConfig, CampaignResult, ScreeningCampaign
@@ -22,7 +22,6 @@ _STREAM_EXPORTS = frozenset(
         "StreamShardError",
         "TopKEntry",
         "TopKSelector",
-        "topk_by_full_sort",
     }
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "shard_bounds",
     "JobResult",
     "write_job_output",
-    "read_predictions",
     "CompoundCostFunction",
     "CompoundScore",
     "table7_rows",
@@ -55,7 +53,5 @@ __all__ = [
     "StreamShardError",
     "TopKEntry",
     "TopKSelector",
-    "topk_by_full_sort",
     "write_topk",
-    "read_topk",
 ]

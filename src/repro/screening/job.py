@@ -4,8 +4,8 @@ The campaign's ``streamed_screen`` stage provides one ``JobResult`` per
 binding site, and stage checkpoints pickle it under this import path
 (``repro.screening.job.JobResult``), so the class stays here.  Pickles
 written while the class still carried ``num_ranks``, ``failed``,
-``failure_mode`` and ``modelled`` load unchanged: the extra keys land
-in the instance ``__dict__`` and nothing reads them.
+``failure_mode``, ``modelled`` or ``timings`` load unchanged: the extra
+keys land in the instance ``__dict__`` and nothing reads them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class JobResult:
     site_name: str
     predictions: dict[tuple[str, int], float]
     store: H5Store
-    timings: dict[str, float]
 
     @property
     def num_poses(self) -> int:

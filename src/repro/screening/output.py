@@ -2,9 +2,8 @@
 
 The streamed screen's results are written per binding site as parallel
 arrays of compound identifiers, pose ids and predicted binding
-affinities, plus throughput metadata as attributes — the same
-information ConveyorLC emits, so the downstream selection tooling can
-consume physics and ML scores uniformly.
+affinities — the same information ConveyorLC emits, so the downstream
+selection tooling can consume physics and ML scores uniformly.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ def write_job_output(
     pose_ids: list[int],
     predictions: np.ndarray,
     job_name: str = "job0",
-    timings: dict[str, float] | None = None,
 ) -> None:
     """Write one job's predictions for one site into ``store``."""
     if not (len(compound_ids) == len(pose_ids) == len(predictions)):
@@ -30,8 +28,6 @@ def write_job_output(
     store.write(f"{prefix}/compound_ids", np.array(compound_ids, dtype="U"))
     store.write(f"{prefix}/pose_ids", np.array(pose_ids, dtype=np.int64))
     store.write(f"{prefix}/fusion_pk", np.asarray(predictions, dtype=np.float64))
-    for key, value in (timings or {}).items():
-        store.write_attr(prefix, key, float(value))
 
 
 def write_topk(
@@ -56,26 +52,3 @@ def write_topk(
     store.write(f"{prefix}/score", np.asarray(scores, dtype=np.float64))
     for key, value in (stats or {}).items():
         store.write_attr(prefix, key, float(value))
-
-
-def read_topk(store: H5Store, site_name: str) -> tuple[list[str], np.ndarray]:
-    """Read one site's top-K table back as ``(compound_ids, scores)``."""
-    prefix = f"topk/{site_name}"
-    ids = store.read(f"{prefix}/compound_ids")
-    scores = store.read(f"{prefix}/score")
-    return [str(cid) for cid in ids], np.asarray(scores, dtype=np.float64)
-
-
-def read_predictions(store: H5Store, site_name: str) -> dict[tuple[str, int], float]:
-    """Read every job's predictions for a site back into a dictionary."""
-    out: dict[tuple[str, int], float] = {}
-    prefix = f"dock/{site_name}"
-    for path, preds in store.datasets_under(prefix):
-        if not path.endswith("/fusion_pk"):
-            continue
-        base = path[: -len("/fusion_pk")]
-        ids = store.read(f"{base}/compound_ids")
-        poses = store.read(f"{base}/pose_ids")
-        for cid, pid, pred in zip(ids, poses, preds):
-            out[(str(cid), int(pid))] = float(pred)
-    return out

@@ -139,13 +139,6 @@ class StreamingStats:
     def std(self) -> float:
         return math.sqrt(self.variance) if self.count else float("nan")
 
-    def as_array(self) -> np.ndarray:
-        """Canonical fingerprint array for exact (``np.array_equal``) comparison."""
-        return np.array(
-            [float(self.count), float(self.nan_count), self.minimum, self.maximum, self.mean, self.std],
-            dtype=np.float64,
-        )
-
     def as_dict(self) -> dict[str, float]:
         return {
             "count": float(self.count),
@@ -288,23 +281,6 @@ class TopKSelector:
         return [TopKEntry(compound_id=m.compound_id, score=m.score) for m in ordered]
 
 
-def topk_by_full_sort(offers: Sequence[tuple[str, float]], k: int) -> list[TopKEntry]:
-    """Reference full-sort selection the bounded selector must match bit-for-bit.
-
-    Dedupe to the best score per compound id (NaN dropped), sort by
-    ``(score desc, compound_id asc)``, truncate to ``k``.
-    """
-    best: dict[str, float] = {}
-    for compound_id, score in offers:
-        score = float(score)
-        if math.isnan(score):
-            continue
-        if compound_id not in best or score > best[compound_id]:
-            best[compound_id] = score
-    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return [TopKEntry(compound_id=cid, score=score) for cid, score in ordered[: int(k)]]
-
-
 # --------------------------------------------------------------------------- #
 # Stream configuration and results
 # --------------------------------------------------------------------------- #
@@ -435,11 +411,6 @@ class StreamingScreenResult:
     #: shard-local records merged in shard order — only with
     #: ``collect_records=True`` (campaign integration)
     records: list[DockingRecord] | None = None
-
-    @property
-    def shards_submitted(self) -> int:
-        """Shards handed to the pool: completed (executed + restored) + failed."""
-        return self.shards_executed + self.shards_restored + self.shards_failed
 
     def topk_arrays(self, site_name: str) -> tuple[np.ndarray, np.ndarray]:
         entries = self.top_k[site_name]

@@ -5,7 +5,7 @@ Three pieces, designed to be wired through the whole pipeline:
 * :class:`Tracer` — hierarchical ``span()`` context managers (thread-safe
   across worker pools) with a Chrome trace-event exporter, so a campaign
   run opens in Perfetto / ``chrome://tracing`` as a flamegraph.
-* :class:`MetricsRegistry` — central counters / gauges / mergeable
+* :class:`MetricsRegistry` — central counters and fixed-memory
   streaming histograms plus snapshot-time probes, behind one
   ``registry.snapshot()``.
 * :func:`build_run_record` — one schema-validated JSON document per run
@@ -33,7 +33,7 @@ from contextlib import contextmanager
 
 from repro.telemetry.exact import ExactSum, ExactVectorSum, exact_vector_sum
 from repro.telemetry.histogram import StreamingHistogram
-from repro.telemetry.registry import Counter, Gauge, MetricsRegistry
+from repro.telemetry.registry import Counter, MetricsRegistry
 from repro.telemetry.runrecord import (
     RUN_RECORD_SCHEMA,
     RUN_RECORD_VERSION,
@@ -41,7 +41,6 @@ from repro.telemetry.runrecord import (
     stage_entry,
     validate_run_record,
     worker_occupancy,
-    write_run_record,
 )
 from repro.telemetry.spans import NULL_TRACER, NullTracer, SpanRecord, Tracer
 
@@ -50,7 +49,6 @@ __all__ = [
     "ExactSum",
     "ExactVectorSum",
     "exact_vector_sum",
-    "Gauge",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -66,7 +64,6 @@ __all__ = [
     "stage_entry",
     "validate_run_record",
     "worker_occupancy",
-    "write_run_record",
 ]
 
 

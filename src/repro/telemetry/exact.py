@@ -47,11 +47,6 @@ class ExactSum:
             x = hi
         partials[i:] = [x]
 
-    def merge(self, other: "ExactSum") -> None:
-        """Fold another exact sum in; the result is order-invariant."""
-        for partial in other._partials:
-            self.add(partial)
-
     @property
     def value(self) -> float:
         return math.fsum(self._partials)
@@ -94,11 +89,6 @@ class ExactVectorSum:
             self._partials[i] = lo
             x = hi
         self._partials.append(x)
-
-    def merge(self, other: "ExactVectorSum") -> None:
-        """Fold another exact vector sum in; the result is order-invariant."""
-        for partial in other._partials:
-            self.add(partial)
 
     @property
     def value(self) -> np.ndarray:

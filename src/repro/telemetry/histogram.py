@@ -1,4 +1,4 @@
-"""A mergeable streaming histogram for latency percentiles.
+"""A fixed-memory streaming histogram for latency percentiles.
 
 :class:`StreamingHistogram` records non-negative observations into
 logarithmically-spaced buckets (HDR-histogram style), so memory is a
@@ -11,11 +11,9 @@ Guarantees (pinned by the property suite in ``tests/test_telemetry.py``):
 * **bounded quantile error** — for a true (nearest-rank) quantile ``t``,
   the estimate ``e`` satisfies ``t <= e <= t * growth`` whenever
   ``t >= min_value``, and ``t <= e <= min_value`` below the floor;
-* **exact mergeability** — :meth:`merge` adds integer bucket counts and
-  folds Shewchuk-exact totals, so merging is associative and commutative
-  in *every observable* (counts, sum, mean, min, max, every quantile):
-  any split of a stream across shards or workers merges back to the
-  same histogram;
+* **order invariance** — bucket counts are integers and the total is a
+  Shewchuk-exact sum, so every observable (counts, sum, mean, min, max,
+  every quantile) is independent of the order values arrive in;
 * **exact extremes** — ``min``/``max``/``count``/``sum`` are tracked
   exactly, not bucketed.
 """
@@ -33,7 +31,7 @@ __all__ = ["StreamingHistogram"]
 
 
 class StreamingHistogram:
-    """Fixed-memory histogram of non-negative values with mergeable buckets.
+    """Fixed-memory histogram of non-negative values in logarithmic buckets.
 
     Parameters
     ----------
@@ -96,36 +94,7 @@ class StreamingHistogram:
             if value > self._max:
                 self._max = value
 
-    def observe_many(self, values) -> None:
-        for value in values:
-            self.observe(value)
-
     # ------------------------------------------------------------------ #
-    def compatible_with(self, other: "StreamingHistogram") -> bool:
-        return (
-            self.min_value == other.min_value
-            and self.max_value == other.max_value
-            and self.growth == other.growth
-        )
-
-    def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Fold ``other`` into this histogram (exact; order-invariant)."""
-        if not self.compatible_with(other):
-            raise ValueError("cannot merge histograms with different bucket configurations")
-        with other._lock:
-            counts = other._counts.copy()
-            count = other._count
-            partials = list(other._sum._partials)
-            other_min, other_max = other._min, other._max
-        with self._lock:
-            self._counts += counts
-            self._count += count
-            for partial in partials:
-                self._sum.add(partial)
-            self._min = min(self._min, other_min)
-            self._max = max(self._max, other_max)
-        return self
-
     # ------------------------------------------------------------------ #
     @property
     def count(self) -> int:
@@ -152,11 +121,6 @@ class StreamingHistogram:
     def maximum(self) -> float:
         with self._lock:
             return self._max if self._count else float("nan")
-
-    def bucket_counts(self) -> np.ndarray:
-        """Copy of the raw bucket counts (for exact merge comparisons)."""
-        with self._lock:
-            return self._counts.copy()
 
     # ------------------------------------------------------------------ #
     def quantile(self, q: float) -> float:

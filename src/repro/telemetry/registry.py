@@ -1,4 +1,4 @@
-"""Central metrics registry: counters, gauges, histograms, probes.
+"""Central metrics registry: counters, histograms, probes.
 
 One :class:`MetricsRegistry` per run (or per long-lived service) absorbs
 what used to be scattered across ``serving/metrics.py`` accumulators,
@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 from repro.telemetry.histogram import StreamingHistogram
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry"]
+__all__ = ["Counter", "MetricsRegistry"]
 
 
 class Counter:
@@ -51,41 +51,12 @@ class Counter:
             self._value = 0
 
 
-class Gauge:
-    """A thread-safe last-value gauge (supports add for accumulation)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += float(amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
 class MetricsRegistry:
-    """Named counters, gauges, streaming histograms and snapshot probes."""
+    """Named counters, streaming histograms and snapshot probes."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, StreamingHistogram] = {}
         self._probes: dict[str, Callable[[], Mapping]] = {}
 
@@ -96,14 +67,6 @@ class MetricsRegistry:
             handle = self._counters.get(name)
             if handle is None:
                 handle = self._counters[name] = Counter(name)
-            return handle
-
-    def gauge(self, name: str) -> Gauge:
-        """Get-or-create the gauge named ``name``."""
-        with self._lock:
-            handle = self._gauges.get(name)
-            if handle is None:
-                handle = self._gauges[name] = Gauge(name)
             return handle
 
     def histogram(self, name: str, **config: float) -> StreamingHistogram:
@@ -132,22 +95,20 @@ class MetricsRegistry:
         """One point-in-time document of every registered metric."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             probes = dict(self._probes)
         return {
             "counters": {name: handle.value for name, handle in sorted(counters.items())},
-            "gauges": {name: handle.value for name, handle in sorted(gauges.items())},
             "histograms": {name: handle.summary() for name, handle in sorted(histograms.items())},
             "probes": {name: dict(probe()) for name, probe in sorted(probes.items())},
         }
 
     def reset(self) -> None:
-        """Reset every counter, gauge and histogram (probes are external state)."""
+        """Reset every counter and histogram (probes are external state)."""
         with self._lock:
-            handles = list(self._counters.values()) + list(self._gauges.values())
+            counters = list(self._counters.values())
             histograms = list(self._histograms.values())
-        for handle in handles:
-            handle.reset()
+        for counter in counters:
+            counter.reset()
         for histogram in histograms:
             histogram.reset()

@@ -13,7 +13,6 @@ assert structural compatibility without adding packages.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Mapping, Sequence
 
@@ -23,7 +22,6 @@ __all__ = [
     "build_run_record",
     "stage_entry",
     "validate_run_record",
-    "write_run_record",
 ]
 
 RUN_RECORD_VERSION = 1
@@ -246,12 +244,3 @@ def _jsonable(value):
     if callable(item):  # numpy scalar
         return item()
     return str(value)
-
-
-def write_run_record(record: Mapping, path: str) -> str:
-    """Validate ``record`` against the schema and write it as JSON."""
-    record = dict(record)
-    validate_run_record(record)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=False, default=str)
-    return str(path)

@@ -213,14 +213,6 @@ class Tracer:
             return len(self._records)
 
     # ------------------------------------------------------------------ #
-    def phase_totals(self, stage: str | None = None) -> dict[str, float]:
-        """Summed seconds per phase over *outermost* phase-tagged spans.
-
-        See :func:`phase_totals_of`; filter to one campaign stage with
-        ``stage=``.
-        """
-        return phase_totals_of(self.records(), stage=stage)
-
     # ------------------------------------------------------------------ #
     def to_chrome_trace(self) -> dict:
         """The trace as a Chrome trace-event JSON object.
@@ -350,9 +342,6 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-    def phase_totals(self, stage: str | None = None) -> dict[str, float]:
-        return {}
 
     def to_chrome_trace(self) -> dict:
         return {"traceEvents": [], "displayTimeUnit": "ms"}

@@ -4,18 +4,33 @@ These are the per-bond / per-candidate / per-atom loops that
 ``repro.chem`` ran before it derived each molecule's topology once. They
 are kept here only as test oracles: the production kernels must match
 them bit for bit (``np.array_equal``), including the RNG state they leave
-behind.
+behind.  The SMILES parser at the end is the round-trip oracle for
+:func:`repro.chem.smiles.to_smiles`.
 """
 
 from __future__ import annotations
 
+import re
+
 import networkx as nx
 import numpy as np
 
+from repro.chem.atom import Atom
 from repro.chem.conformer import BOND_LENGTH
+from repro.chem.elements import ELEMENTS
 from repro.chem.forcefield import ForceField, ForceFieldEnergy
-from repro.chem.molecule import Molecule
+from repro.chem.molecule import Bond, Molecule
 from repro.utils.rng import ensure_rng
+
+
+def molecule_graph(molecule: Molecule) -> nx.Graph:
+    """NetworkX graph of the covalent topology (nodes carry the element, edges the order)."""
+    graph = nx.Graph()
+    for atom in molecule.atoms:
+        graph.add_node(atom.index, element=atom.element)
+    for bond in molecule.bonds:
+        graph.add_edge(bond.i, bond.j, order=bond.order)
+    return graph
 
 
 def reference_neighbors(molecule: Molecule, index: int) -> list[int]:
@@ -32,7 +47,7 @@ def reference_neighbors(molecule: Molecule, index: int) -> list[int]:
 def reference_ring_bonds(molecule: Molecule) -> set[tuple[int, int]]:
     """Bonds on the networkx cycle basis of the covalent graph."""
     ring_bonds = set()
-    for ring in nx.cycle_basis(molecule.to_graph()):
+    for ring in nx.cycle_basis(molecule_graph(molecule)):
         cycle = list(ring) + [ring[0]]
         for a, b in zip(cycle[:-1], cycle[1:]):
             ring_bonds.add((min(a, b), max(a, b)))
@@ -161,7 +176,7 @@ def reference_embed(molecule: Molecule, rng=None, bond_length: float = BOND_LENG
     coords = np.zeros((out.num_atoms, 3))
     placed = np.zeros(out.num_atoms, dtype=bool)
     component_offset = np.zeros(3)
-    for component in (sorted(c) for c in nx.connected_components(out.to_graph())):
+    for component in (sorted(c) for c in nx.connected_components(molecule_graph(out))):
         root = component[0]
         coords[root] = component_offset
         placed[root] = True
@@ -211,3 +226,94 @@ def reference_fraction_csp3(molecule: Molecule) -> float:
         return 0.0
     sp3 = sum(1 for a in carbons if all(b.order == 1 for b in molecule.bonds if a.index in (b.i, b.j)))
     return sp3 / len(carbons)
+
+
+_SYMBOL_BOND = {"=": 2, "#": 3}
+
+_TOKEN_RE = re.compile(
+    r"(\[[^\]]+\]|Cl|Br|C|N|O|S|P|F|I|=|#|\(|\)|%\d{2}|\d)"
+)
+
+
+def parse_smiles(smiles: str, name: str = "") -> Molecule:
+    """Parse a string produced by :func:`repro.chem.smiles.to_smiles` back into a molecule.
+
+    Coordinates are initialized to zero; call
+    :func:`repro.chem.conformer.embed_3d` to generate a 3-D conformer.
+    """
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    if not smiles:
+        return Molecule(atoms, bonds, name=name)
+    for fragment in smiles.split("."):
+        _parse_fragment(fragment, atoms, bonds)
+    return Molecule(atoms, bonds, name=name)
+
+
+def _parse_fragment(fragment: str, atoms: list[Atom], bonds: list[Bond]) -> None:
+    tokens = _TOKEN_RE.findall(fragment)
+    if "".join(tokens) != fragment:
+        raise ValueError(f"could not tokenize SMILES fragment: {fragment!r}")
+    stack: list[int] = []
+    previous: int | None = None
+    pending_order = 1
+    open_rings: dict[int, tuple[int, int]] = {}
+    for token in tokens:
+        if token == "(":
+            if previous is None:
+                raise ValueError("branch opened before any atom")
+            stack.append(previous)
+        elif token == ")":
+            if not stack:
+                raise ValueError("unbalanced parentheses in SMILES")
+            previous = stack.pop()
+        elif token in _SYMBOL_BOND:
+            pending_order = _SYMBOL_BOND[token]
+        elif token.isdigit() or token.startswith("%"):
+            label = int(token[1:]) if token.startswith("%") else int(token)
+            if previous is None:
+                raise ValueError("ring closure before any atom")
+            if label in open_rings:
+                partner, order = open_rings.pop(label)
+                bonds.append(Bond(partner, previous, max(order, pending_order)))
+            else:
+                open_rings[label] = (previous, pending_order)
+            pending_order = 1
+        else:
+            atom = _parse_atom_token(token)
+            atom_index = len(atoms)
+            atoms.append(atom)
+            if previous is not None:
+                bonds.append(Bond(previous, atom_index, pending_order))
+            previous = atom_index
+            pending_order = 1
+    if open_rings:
+        raise ValueError(f"unclosed ring labels: {sorted(open_rings)}")
+    if stack:
+        raise ValueError("unbalanced parentheses in SMILES")
+
+
+def _parse_atom_token(token: str) -> Atom:
+    if token.startswith("["):
+        body = token[1:-1]
+        match = re.match(r"([A-Z][a-z]?)([+-]*\d*|\d*[+-]*)$", body)
+        if not match:
+            raise ValueError(f"cannot parse bracket atom {token!r}")
+        symbol = match.group(1)
+        charge_text = match.group(2)
+        charge = 0
+        if charge_text:
+            if charge_text in ("+", "++"):
+                charge = len(charge_text)
+            elif charge_text in ("-", "--"):
+                charge = -len(charge_text)
+            elif charge_text.startswith("+"):
+                charge = int(charge_text[1:] or 1)
+            elif charge_text.startswith("-"):
+                charge = -int(charge_text[1:] or 1)
+        if symbol not in ELEMENTS:
+            raise ValueError(f"unknown element in SMILES token {token!r}")
+        return Atom(element=symbol, position=np.zeros(3), formal_charge=charge)
+    if token not in ELEMENTS:
+        raise ValueError(f"unknown element in SMILES token {token!r}")
+    return Atom(element=token, position=np.zeros(3))

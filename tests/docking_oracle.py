@@ -11,7 +11,7 @@ campaign comparison in the suite is made against this reference.
 score or the latent pK, ``ScalarPoseGenerator`` is the per-pose docking
 loop the lockstep docker replaced (every restart chain on its own, every
 pose scored through a fresh :class:`~repro.chem.complexes.ProteinLigandComplex`,
-clustering with nested :func:`~repro.docking.poses.rmsd` calls) and
+clustering with nested :func:`rmsd` calls) and
 ``reference_rescore`` is the per-pose MM/GBSA loop.  They are test
 oracles only: production must match them bit for bit
 (``np.array_equal`` / ``==``).
@@ -46,8 +46,19 @@ from repro.docking.poses import (
     MaximizePkScorer,
     initial_pose_coords,
     molecule_with_coordinates,
-    rmsd,
 )
+
+
+def rmsd(pose_a: Molecule, pose_b: Molecule) -> float:
+    """Heavy-atom RMSD between two poses of the same molecule (no alignment).
+
+    Docking pose RMSD in the paper is computed against the crystal ligand
+    without re-alignment, since poses share the receptor frame.
+    """
+    if pose_a.num_atoms != pose_b.num_atoms:
+        raise ValueError("RMSD requires molecules with the same number of atoms")
+    diff = pose_a.coordinates - pose_b.coordinates
+    return float(np.sqrt((diff**2).sum(axis=1).mean()))
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,7 @@ def term_at(batch: BatchedInteractionTerms, index: int) -> InteractionTerms:
 def reference_terms(model: InteractionModel, complex_: ProteinLigandComplex) -> InteractionTerms:
     """Raw pairwise interaction terms of one complex, one ``(N, M)`` array per term."""
     lig_coords = complex_.ligand_coordinates()
-    pocket_coords = complex_.pocket_coordinates()
+    pocket_coords = complex_.site.coordinates()
     if lig_coords.size == 0 or pocket_coords.size == 0:
         raise ValueError("complex must contain both ligand and pocket atoms")
     lig_atoms = complex_.ligand.atoms

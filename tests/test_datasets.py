@@ -80,10 +80,10 @@ class TestPDBbind:
         assert all(e.subset in ("general", "refined") for e in train + val)
         assert len(val) >= 2
 
-    def test_label_statistics(self, tiny_pdbbind):
-        stats = tiny_pdbbind.label_statistics()
-        assert set(stats) == {"general", "refined", "core"}
-        assert stats["general"]["count"] == 16
+    def test_subset_sizes(self, tiny_pdbbind):
+        assert len(tiny_pdbbind.general) == 16
+        assert tiny_pdbbind.refined and tiny_pdbbind.core
+        assert len(tiny_pdbbind) == len(tiny_pdbbind.general) + len(tiny_pdbbind.refined) + len(tiny_pdbbind.core)
 
     def test_featurize_entries(self, tiny_pdbbind):
         featurizer = FeaturePipeline(VoxelGridConfig(grid_dim=10))
@@ -111,9 +111,10 @@ class TestLibraries:
     def test_deck_generation_and_ids(self):
         deck = build_screening_deck({"emolecules": 4, "enamine": 3}, seed=1)
         assert len(deck) == 7
-        assert len(deck.by_library("emolecules")) == 4
-        assert all(m.name.startswith("EMOL-") for m in deck.by_library("emolecules"))
-        assert all(m.name.startswith("ENAM-") for m in deck.by_library("enamine"))
+        libraries = [deck.library_of[m.name] for m in deck.molecules]
+        assert libraries == ["emolecules"] * 4 + ["enamine"] * 3
+        prefixes = {"emolecules": "EMOL-", "enamine": "ENAM-"}
+        assert all(m.name.startswith(prefixes[deck.library_of[m.name]]) for m in deck.molecules)
 
     def test_unknown_library_raises(self):
         with pytest.raises(KeyError):

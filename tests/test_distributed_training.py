@@ -18,7 +18,7 @@ from repro.hpc.horovod import HorovodContext
 from repro.hpc.mpi import run_spmd
 from repro.models.config import SGCNNConfig
 from repro.models.sgcnn import SGCNN
-from repro.models.train import DistributedTrainer, DistributedTrainerConfig
+from repro.models.train import DistributedTrainer, DistributedTrainerConfig, Trainer
 from repro.nn.graph_layers import FlatEdges, FlatGraphBatch, GraphBatch
 from repro.nn.layers import Linear
 from repro.nn.loss import mse_loss
@@ -56,12 +56,11 @@ class TestExactVectorSum:
         for seed in range(5):
             order = np.random.default_rng(seed).permutation(len(arrays))
             assert np.array_equal(exact_vector_sum([arrays[i] for i in order]), reference)
-        # any split into shards, merged in any order, is bit-identical
-        left, right = ExactVectorSum((5,)), ExactVectorSum((5,))
-        for i, array in enumerate(arrays):
-            (left if i % 3 == 0 else right).add(array)
-        right.merge(left)
-        assert np.array_equal(right.value, reference)
+        # the running accumulator agrees, whatever order the arrays arrive in
+        accumulator = ExactVectorSum((5,))
+        for i in np.random.default_rng(5).permutation(len(arrays)):
+            accumulator.add(arrays[i])
+        assert np.array_equal(accumulator.value, reference)
 
     def test_empty_and_shape_checks(self):
         acc = ExactVectorSum((3,))
@@ -340,3 +339,29 @@ class TestDistributedTrainer:
         )
         history = trainer.fit()
         assert history.val_losses[-1] <= history.val_losses[0] * 1.2
+
+
+class TestSharedTrainerRules:
+    """``Trainer`` and ``DistributedTrainer`` calibrate, pick trainable
+    parameters and apply the weight-decay rule through the same helpers."""
+
+    def test_both_trainers_calibrate_the_output_alike(self, workbench):
+        samples = workbench.train_samples[:6]
+        scalar = Trainer(SGCNN(SGCNNConfig.scaled_down(), seed=1), samples)
+        distributed = DistributedTrainer(SGCNN(SGCNNConfig.scaled_down(), seed=1), samples)
+        targets = np.array([s.target for s in samples])
+        for trainer in (scalar, distributed):
+            assert trainer.model.out_mean[0] == targets.mean()
+            assert trainer.model.out_std[0] == targets.std()
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd", "rmsprop", "adadelta"])
+    def test_every_optimizer_trains_with_weight_decay_configured(self, workbench, optimizer):
+        # rmsprop and adadelta take no weight decay: passing one would raise
+        config = DistributedTrainerConfig(
+            epochs=1, chunk_size=2, chunks_per_step=2, learning_rate=1e-3,
+            optimizer=optimizer, weight_decay=0.01, ranks=2,
+        )
+        model = SGCNN(SGCNNConfig.scaled_down(), seed=2)
+        history = DistributedTrainer(model, workbench.train_samples[:4], config=config).fit()
+        assert history.epochs_run == 1 and np.isfinite(history.train_losses).all()
+

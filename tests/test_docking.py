@@ -1,4 +1,6 @@
-"""Tests for the Vina scorer, pose generation, MM/GBSA, the AMPL surrogate and ConveyorLC."""
+"""Tests for the Vina scorer, pose generation, MM/GBSA, the AMPL surrogate and the ConveyorLC stages."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,16 +12,15 @@ from repro.docking.conveyorlc import (
     CDT2Ligand,
     CDT3Docking,
     CDT4Mmgbsa,
-    ConveyorLC,
     DockingDatabase,
     DockingRecord,
 )
 from repro.docking.mmgbsa import MMGBSARescorer
 from repro.docking.engine import PoseGenerator
-from repro.docking.poses import place_ligand_randomly, rmsd
+from repro.docking.poses import initial_pose_coords, molecule_with_coordinates
 from repro.docking.vina import VinaScorer
 
-from docking_oracle import reference_score
+from docking_oracle import reference_score, rmsd
 
 
 class TestVinaScorer:
@@ -35,14 +36,8 @@ class TestVinaScorer:
 
     def test_better_score_for_bound_pose(self, example_complex):
         vina = VinaScorer(noise_scale=0.0)
-        far = example_complex.with_ligand(example_complex.ligand.translate([0, 0, 50.0]))
+        far = dataclasses.replace(example_complex, ligand=example_complex.ligand.translate([0, 0, 50.0]))
         assert vina.score(example_complex) < vina.score(far)
-
-    def test_cost_model(self):
-        assert VinaScorer.cost_seconds(100, nodes=1) == pytest.approx(10.0)
-        assert VinaScorer.cost_seconds(100, nodes=2) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            VinaScorer.cost_seconds(10, nodes=0)
 
 
 class TestMMGBSA:
@@ -59,14 +54,17 @@ class TestMMGBSA:
         assert np.isfinite(corr_v) and np.isfinite(corr_m)
         assert corr_m > 0.1  # MM/GBSA tracks the latent physics
 
-    def test_cost_is_orders_of_magnitude_larger_than_vina(self):
-        assert MMGBSARescorer.cost_seconds(10) > 100 * VinaScorer.cost_seconds(10)
+
+def random_pose(site, ligand, seed):
+    """The ligand at a random initial placement near the pocket mouth."""
+    coords = initial_pose_coords(site, ligand.coordinates, np.random.default_rng(seed))
+    return molecule_with_coordinates(ligand, coords)
 
 
 class TestPoseGeneration:
-    def test_place_ligand_randomly_inside_pocket(self, protease_site, prepared_ligands):
+    def test_initial_placement_inside_pocket(self, protease_site, prepared_ligands):
         ligand = prepared_ligands[0].molecule
-        pose = place_ligand_randomly(protease_site, ligand, rng=np.random.default_rng(0))
+        pose = random_pose(protease_site, ligand, seed=0)
         assert np.linalg.norm(pose.centroid() - protease_site.center) < protease_site.radius + 5.0
 
     def test_dock_returns_sorted_distinct_poses(self, protease_site, prepared_ligands):
@@ -83,8 +81,8 @@ class TestPoseGeneration:
     def test_docking_improves_over_random_placement(self, protease_site, prepared_ligands):
         scorer = VinaScorer(noise_scale=0.0)
         ligand = prepared_ligands[1].molecule
-        random_pose = place_ligand_randomly(protease_site, ligand, rng=np.random.default_rng(5))
-        random_score = scorer.score(ProteinLigandComplex(protease_site, random_pose, "c"))
+        placed = random_pose(protease_site, ligand, seed=5)
+        random_score = scorer.score(ProteinLigandComplex(protease_site, placed, "c"))
         generator = PoseGenerator(scorer, num_poses=1, monte_carlo_steps=30, restarts=2, seed=2)
         best = generator.dock(protease_site, ligand, complex_id="c")[0]
         assert best.score <= random_score
@@ -92,7 +90,7 @@ class TestPoseGeneration:
     def test_rmsd_to_reference_recorded(self, protease_site, prepared_ligands):
         ligand = prepared_ligands[0].molecule
         generator = PoseGenerator(VinaScorer(), num_poses=2, monte_carlo_steps=10, restarts=1, seed=3)
-        reference = place_ligand_randomly(protease_site, ligand, rng=np.random.default_rng(9))
+        reference = random_pose(protease_site, ligand, seed=9)
         poses = generator.dock(protease_site, ligand, complex_id="c", reference=reference)
         assert all(np.isfinite(p.rmsd_to_reference) for p in poses)
 
@@ -112,8 +110,6 @@ class TestAMPLSurrogate:
         predictions = surrogate.predict_many(molecules)
         assert np.corrcoef(predictions, targets)[0, 1] > 0.9
         assert isinstance(surrogate.predict(molecules[0]), float)
-        importances = surrogate.feature_importances()
-        assert "molecular_weight" in importances
 
     def test_fit_validation(self, molecules):
         with pytest.raises(ValueError):
@@ -146,29 +142,20 @@ class TestDockingDatabase:
         with pytest.raises(ValueError):
             db.best_pose("s", "c", by="unknown")
 
-    def test_merge(self, prepared_ligands):
-        mol = prepared_ligands[0].molecule
-        a, b = DockingDatabase(), DockingDatabase()
-        a.add(self._record(pose=0, pose_mol=mol))
-        b.add(self._record(pose=1, pose_mol=mol))
-        a.merge(b)
-        assert len(a) == 2
-
 
 class TestConveyorLC:
     def test_full_pipeline(self, sarscov2_sites, molecules):
-        sites = [sarscov2_sites["spike1"]]
-        conveyor = ConveyorLC(
-            docking=CDT3Docking(num_poses=2, monte_carlo_steps=8, restarts=1, seed=0),
-            mmgbsa=CDT4Mmgbsa(max_poses=2, subset_fraction=1.0),
-        )
-        database = conveyor.run(sites, molecules[:3], library="test")
+        receptors = CDT1Receptor().run([sarscov2_sites["spike1"]])
+        ligands = CDT2Ligand().run(molecules[:3], library="test")
+        docking = CDT3Docking(num_poses=2, monte_carlo_steps=8, restarts=1, seed=0)
+        mmgbsa = CDT4Mmgbsa(max_poses=2, subset_fraction=1.0)
+        database = docking.run(receptors, ligands)
+        mmgbsa.run(database, {name: record.site for name, record in receptors.items()})
         assert database.sites() == ["spike1"]
         assert len(database.compounds("spike1")) >= 2
         # every rescored record has a finite MM/GBSA score
         rescored = [r for r in database if np.isfinite(r.mmgbsa_score)]
         assert len(rescored) > 0
-        assert conveyor.modelled_cost_seconds > 0
 
     def test_receptor_stage_validation(self):
         from repro.chem.protein import BindingSite, PocketFamily

@@ -10,6 +10,7 @@ Three invariant families:
   freshly computed ones, even after evictions forced recomputation.
 """
 
+import dataclasses
 import pickle
 from collections import OrderedDict
 
@@ -260,5 +261,5 @@ class TestFeatureKeys:
     def test_pose_id_changes_key(self, pose_complexes):
         digest = featurizer_config_digest(VoxelGridConfig(grid_dim=8), GraphConfig())
         original = pose_complexes[0]
-        other_pose = original.with_ligand(original.ligand, pose_id=original.pose_id + 1)
+        other_pose = dataclasses.replace(original, pose_id=original.pose_id + 1)
         assert feature_key(original, digest) != feature_key(other_pose, digest)

@@ -7,6 +7,8 @@ seeded rotation augmentation — the contract that let the engine replace
 the per-atom loops without perturbing a single campaign score.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,8 +282,7 @@ class TestFeaturePipelineEquivalence:
     def test_cached_graph_id_restamped_per_request(self, pose_complexes):
         engine = FeaturePipeline(VoxelGridConfig(grid_dim=8))
         original = pose_complexes[0]
-        renamed = original.with_ligand(original.ligand)
-        renamed.complex_id = "renamed"
+        renamed = dataclasses.replace(original, complex_id="renamed")
         first = engine.featurize(original)
         second = engine.featurize(renamed)  # same content key, different id
         assert engine.stats().hits == 1

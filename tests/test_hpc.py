@@ -36,7 +36,6 @@ class TestCluster:
         allocation = cluster.allocate("job1", 4)
         assert allocation.num_nodes == 4
         assert cluster.free_nodes == 4
-        assert cluster.utilization() == 0.5
         with pytest.raises(RuntimeError):
             cluster.allocate("job2", 6)
         with pytest.raises(ValueError):
@@ -114,71 +113,72 @@ class TestMPI:
     def test_collectives(self):
         def program(ctx: RankContext):
             gathered = ctx.allgather(ctx.rank)
-            total = ctx.comm.allreduce_sum(ctx.rank, ctx.rank + 1.0)
-            chunk = ctx.scatter([i * 10 for i in range(ctx.size)] if ctx.rank == 0 else None)
             broadcast = ctx.bcast({"v": 42} if ctx.rank == 2 else None, root=2)
-            root_only = ctx.gather(ctx.rank * 2, root=1)
-            return gathered, total, chunk, broadcast["v"], root_only
+            reduced = ctx.allreduce_exact([np.array([ctx.rank + 1.0])])
+            return gathered, broadcast["v"], reduced
 
-        results = run_spmd(program, 4)
-        for rank, (gathered, total, chunk, bval, root_only) in enumerate(results):
+        for gathered, bval, reduced in run_spmd(program, 4):
             assert gathered == [0, 1, 2, 3]
-            assert total == pytest.approx(10.0)
-            assert chunk == rank * 10
             assert bval == 42
-            if rank == 1:
-                assert root_only == [0, 2, 4, 6]
-            else:
-                assert root_only is None
+            assert np.array_equal(reduced, np.array([10.0]))
 
-    def test_point_to_point(self):
-        def program(ctx: RankContext):
-            if ctx.rank == 0:
-                ctx.send({"payload": 7}, dest=1)
-                return None
-            if ctx.rank == 1:
-                return ctx.recv(source=0)["payload"]
-            return None
-
-        results = run_spmd(program, 2)
-        assert results[1] == 7
-
-    def test_failed_collective_raises_on_every_rank_and_stays_usable(self):
-        """Regression: a raising combine used to leave its partial bucket in
-        the collective buffer (so the next same-tag collective saw a full
-        bucket prematurely) and raised on one rank only, deadlocking the
-        rest at the barrier until timeout.  Now every rank raises the same
-        descriptive CollectiveError and the communicator stays usable."""
+    @pytest.mark.parametrize(
+        "failing, tag, cause",
+        [
+            # the root is no rank of the communicator: combine finds no value
+            (lambda ctx: ctx.bcast("payload", root=7), "bcast", KeyError),
+            # a rank id that does not sort with the others: combine cannot order the values
+            (lambda ctx: ctx.comm.allgather("x" if ctx.rank == 1 else ctx.rank, ctx.rank), "allgather", TypeError),
+            # partials of different shapes cannot be summed elementwise
+            (lambda ctx: ctx.allreduce_exact([np.ones(ctx.rank + 1)]), "allreduce-exact:exact", ValueError),
+        ],
+        ids=["bcast", "allgather", "allreduce_exact"],
+    )
+    def test_failed_collective_raises_on_every_rank_and_stays_usable(self, failing, tag, cause):
+        """A raising combine must not leave its partial bucket behind (the
+        next same-tag collective would see a full bucket too early) or
+        raise on one rank only (the rest would wait at the barrier until
+        it times out): every rank raises the same CollectiveError, and
+        the same collective then succeeds."""
 
         def program(ctx: RankContext):
-            # wrong-length scatter list: combine raises on the closing rank
-            with pytest.raises(CollectiveError, match="collective 'scatter' failed") as info:
-                ctx.scatter([0, 1] if ctx.rank == 0 else None)
-            assert "one element per rank" in str(info.value.__cause__)
-            # same tag, correct payload: the cleared bucket and reusable
-            # barrier make the retry succeed
-            chunk = ctx.scatter([i * 10 for i in range(ctx.size)] if ctx.rank == 0 else None)
-            gathered = ctx.allgather(chunk)
-            return chunk, gathered
+            with pytest.raises(CollectiveError, match=f"collective '{tag}' failed") as info:
+                failing(ctx)
+            assert isinstance(info.value.__cause__, cause) and info.value.tag == tag
+            return ctx.bcast(ctx.rank, root=1), ctx.allgather(ctx.rank), ctx.allreduce_exact([np.ones(2)])
 
-        results = run_spmd(program, 3)
-        for rank, (chunk, gathered) in enumerate(results):
-            assert chunk == rank * 10
-            assert gathered == [0, 10, 20]
-
-    def test_recv_timeout_names_endpoints_and_tag(self):
-        """Regression: a starved recv used to surface as a bare queue.Empty
-        with no hint of which endpoint pair starved."""
-        comm = LocalCommunicator(2)
-        with pytest.raises(TimeoutError, match=r"rank 0 to rank 1 \(tag=5\) within 0.01s"):
-            comm.recv(source=0, dest=1, tag=5, timeout=0.01)
+        for broadcast, gathered, reduced in run_spmd(program, 3, barrier_timeout=30):
+            assert (broadcast, gathered) == (1, [0, 1, 2])
+            assert np.array_equal(reduced, np.full(2, 3.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LocalCommunicator(0)
-        comm = LocalCommunicator(2)
-        with pytest.raises(ValueError):
-            comm.send(1, source=0, dest=5)
+
+    def test_surface_is_the_three_collectives(self):
+        collectives = {"bcast", "allgather", "allreduce_exact"}
+        assert {n for n in dir(LocalCommunicator) if not n.startswith("_")} == collectives | {"size"}
+        assert {n for n in dir(RankContext) if not n.startswith("_")} == collectives | {"size"}
+
+    def test_same_tag_collectives_stay_in_lockstep_over_many_rounds(self):
+        def program(ctx: RankContext):
+            return [
+                (ctx.allgather(ctx.rank * round_), ctx.bcast(round_ if ctx.rank == 1 else None, root=1))
+                for round_ in range(25)
+            ]
+
+        for per_round in run_spmd(program, 3):
+            assert per_round == [([0, round_, 2 * round_], round_) for round_ in range(25)]
+
+    def test_allgather_and_bcast_pass_objects_through_unchanged(self):
+        payload = {"weights": np.arange(3.0), "tag": ("a", 1)}
+
+        def program(ctx: RankContext):
+            return ctx.bcast(payload if ctx.rank == 0 else None, root=0), ctx.allgather(payload)
+
+        for received, gathered in run_spmd(program, 2):
+            assert received is payload
+            assert all(item is payload for item in gathered)
 
 
 class TestHorovod:
@@ -259,13 +259,6 @@ class TestThreadSpmd:
         results = run_spmd(lambda ctx: ctx.bcast(("from", ctx.rank), root=root), 3)
         assert results == [("from", root)] * 3
 
-    def test_scatter_from_non_zero_root(self):
-        def program(ctx: RankContext):
-            values = [f"chunk-{i}" for i in range(ctx.size)] if ctx.rank == 3 else None
-            return ctx.scatter(values, root=3)
-
-        assert run_spmd(program, 4) == ["chunk-0", "chunk-1", "chunk-2", "chunk-3"]
-
     @pytest.mark.parametrize("size", [0, -1])
     def test_non_positive_size_is_rejected(self, size):
         with pytest.raises(ValueError, match="communicator size must be positive"):
@@ -297,13 +290,11 @@ class TestThreadSpmd:
     @pytest.mark.parametrize(
         "collective",
         [
-            lambda ctx: ctx.barrier(),
             lambda ctx: ctx.bcast("payload", root=0),
-            lambda ctx: ctx.gather(ctx.rank, root=0),
-            lambda ctx: ctx.scatter(None, root=0),
+            lambda ctx: ctx.allgather(ctx.rank),
             lambda ctx: ctx.allreduce_exact([np.ones(2)]),
         ],
-        ids=["barrier", "bcast", "gather", "scatter", "allreduce_exact"],
+        ids=["bcast", "allgather", "allreduce_exact"],
     )
     def test_raising_root_wakes_peers_in_every_collective(self, collective):
         # the root raises before a collective its peers are blocked in:
@@ -380,25 +371,6 @@ class TestThreadSpmd:
         for reduced in run_spmd(program, 3):
             assert np.array_equal(reduced, np.ones(2))
 
-    def test_messages_arrive_in_order_per_tag(self):
-        def program(ctx: RankContext):
-            if ctx.rank == 0:
-                for i in range(3):
-                    ctx.send(i, dest=1, tag=0)
-                ctx.send("other", dest=1, tag=7)
-                return None
-            tagged = ctx.recv(source=0, tag=7)
-            return tagged, [ctx.recv(source=0, tag=0) for _ in range(3)]
-
-        assert run_spmd(program, 2)[1] == ("other", [0, 1, 2])
-
-    def test_recv_validates_both_ranks(self):
-        comm = LocalCommunicator(2)
-        with pytest.raises(ValueError, match="rank 2 outside communicator of size 2"):
-            comm.recv(source=2, dest=0, timeout=0.01)
-        with pytest.raises(ValueError, match="rank -1 outside communicator of size 2"):
-            comm.recv(source=0, dest=-1, timeout=0.01)
-
 
 class TestFaults:
     def test_failure_rates_match_paper_shape(self):
@@ -468,7 +440,7 @@ class TestPerformanceModel:
         single = model.estimate()
         assert single.startup_minutes == pytest.approx(20.0)
         assert 250 <= single.evaluation_minutes <= 310
-        assert 4.5 <= single.total_hours <= 6.0
+        assert 4.5 <= single.total_minutes / 60 <= 6.0
         assert 90 <= single.poses_per_second <= 130
         peak = model.peak_estimate()
         assert peak.poses_per_second > 100 * single.poses_per_second
@@ -479,7 +451,7 @@ class TestPerformanceModel:
         assert 2.0 <= model.speedup_vs_vina() <= 3.5
         assert model.speedup_vs_mmgbsa() >= 300
         costs = ScorerCostModel()
-        assert costs.mmgbsa_seconds(10) > costs.vina_seconds(10)
+        assert costs.mmgbsa_poses_per_second_per_node < costs.vina_poses_per_second_per_node
 
     def test_memory_model_limits_batch(self):
         model = FusionThroughputModel()
@@ -503,11 +475,6 @@ class TestPerformanceModel:
         t56 = model.estimate(batch_size_per_rank=56).total_minutes
         assert 0 < t12 - t56 < 30
 
-    def test_gpu_underutilized(self):
-        model = FusionThroughputModel()
-        assert model.gpu_utilization(56) < 0.6
-        assert model.tflops(66) > 7000
-
 
 class TestH5Store:
     def test_write_read_groups(self):
@@ -518,7 +485,7 @@ class TestH5Store:
         assert "dock/protease1/job0/fusion_pk" in store
         assert store.groups("dock") == ["protease1"]
         assert store.attrs("dock/protease1/job0")["startup"] == 20.0
-        assert len(list(store.datasets_under("dock/protease1"))) == 2
+        assert store.groups("dock/protease1") == ["job0"] and len(store) == 2
         with pytest.raises(KeyError):
             store.read("nope")
         with pytest.raises(ValueError):
@@ -535,13 +502,6 @@ class TestH5Store:
         np.testing.assert_allclose(loaded.read("a/b"), np.linspace(0, 1, 5))
         assert list(loaded.read("a/ids")) == ["x", "yy", "zzz"]
         assert loaded.attrs("a")["note"] == "hello"
-
-    def test_merge(self):
-        a, b = H5Store(), H5Store()
-        a.write("x", np.zeros(2))
-        b.write("y", np.ones(2))
-        a.merge(b)
-        assert len(a) == 2
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=20))
     @settings(max_examples=20, deadline=None)
@@ -573,8 +533,7 @@ class TestBarrierTimeoutPlumbing:
         def program(ctx):
             if ctx.rank == 1:
                 time.sleep(1.0)
-            ctx.barrier()
-            return ctx.rank
+            return ctx.allgather(ctx.rank)
 
         started = time.perf_counter()
         with pytest.raises(threading.BrokenBarrierError):

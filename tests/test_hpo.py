@@ -153,7 +153,6 @@ class TestSchedulers:
                 trial.config["learning_rate"] = lr
                 improvement_driver = np.log10(lr)
                 scheduler.record_interval(trial, epoch, previous_score=5.0, new_score=5.0 - (improvement_driver + 4) * 0.1)
-        assert scheduler.num_observations > 4
         config = scheduler.explore(trials[3], trials[0], trials)
         assert 1e-4 <= config["learning_rate"] <= 1e-1
 
@@ -175,7 +174,7 @@ class TestTrialAndRandomSearch:
         trial.report(2, 3.0)
         trial.report(3, 4.0)
         assert trial.best_score == 3.0
-        assert trial.config_at_best() == {"a": 1}
+        assert [score for _, score, _ in trial.history] == [5.0, 3.0, 4.0]
         assert trial.epoch == 3
         assert trial.state is TrialState.PENDING
 

@@ -1,5 +1,6 @@
 """Tests for the 3D-CNN, SG-CNN, Fusion variants and the training loop."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -179,15 +180,23 @@ class TestTrainer:
         trainer = Trainer(workbench.sgcnn, samples, [], TrainerConfig(batch_size=4))
         assert np.isnan(trainer.validate())
 
-    def test_set_hyperparameters(self, workbench, samples):
-        trainer = Trainer(workbench.sgcnn, samples, [], TrainerConfig(batch_size=4, learning_rate=1e-3))
-        trainer.set_hyperparameters(learning_rate=5e-4, batch_size=2)
-        assert trainer.optimizer.lr == pytest.approx(5e-4)
-        assert trainer.config.batch_size == 2
-        with pytest.raises(ValueError):
-            trainer.set_hyperparameters(learning_rate=-1)
-        with pytest.raises(ValueError):
-            trainer.set_hyperparameters(batch_size=0)
+    @pytest.mark.parametrize(
+        "optimizer, decayed", [("adam", True), ("adamw", True), ("sgd", True), ("rmsprop", False)]
+    )
+    def test_optimizer_follows_config(self, workbench, samples, optimizer, decayed):
+        config = TrainerConfig(batch_size=4, learning_rate=5e-4, optimizer=optimizer, weight_decay=0.01)
+        trainer = Trainer(copy.deepcopy(workbench.sgcnn), samples, [], config)
+        assert type(trainer.optimizer).__name__.lower() == optimizer
+        assert trainer.optimizer.lr == 5e-4
+        # only Adam, AdamW and SGD take the configured weight decay
+        assert getattr(trainer.optimizer, "weight_decay", None) == (0.01 if decayed else None)
+
+    def test_fusion_trainer_optimizes_only_the_fusion_layers(self, workbench):
+        model = copy.deepcopy(workbench.mid_fusion)  # frozen heads: not every parameter trains
+        trainer = Trainer(model, workbench.train_samples[:4], [], TrainerConfig(batch_size=4))
+        trained = {id(p) for p in trainer.optimizer.params}
+        assert trained == {id(p) for p in model.trainable_parameters()}
+        assert len(trained) < len(list(model.parameters()))
 
     def test_requires_training_samples(self, workbench):
         with pytest.raises(ValueError):

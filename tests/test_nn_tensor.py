@@ -152,11 +152,6 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError):
             Tensor(np.ones(1)).backward()
 
-    def test_detach_breaks_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
-
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
     @settings(max_examples=20, deadline=None)
     def test_chain_rule_random_shapes(self, n, m):

@@ -67,7 +67,7 @@ def selection_map(result) -> dict[str, list[str]]:
 
 def stage_checkpoints(runtime) -> list[str]:
     """Checkpointed stage names, without the streamed screen's shard files."""
-    return sorted(name for name in runtime.checkpoints.completed_stages() if name in runtime.stages)
+    return sorted(name for name in runtime.stages.names() if runtime.checkpoints.stored_key(name) is not None)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestStageGraph:
         with pytest.raises(ValueError):
             Stage("a", provides=())
 
-    def test_downstream_closure(self):
+    def test_stage_lookup_in_declaration_order(self):
         graph = StageGraph(
             [
                 Stage("a", ("x",)),
@@ -104,10 +104,10 @@ class TestStageGraph:
                 Stage("d", ("w",)),
             ]
         )
-        assert graph.downstream_of("a") == ["b", "c"]
-        assert graph.downstream_of("d") == []
-        with pytest.raises(KeyError):
-            graph.downstream_of("nope")
+        assert graph.names() == ["a", "b", "c", "d"]
+        assert graph.stage("c").deps == ("b",) and "d" in graph and "x" not in graph
+        with pytest.raises(KeyError, match="unknown stage 'nope'"):
+            graph.stage("nope")
 
 
 # --------------------------------------------------------------------- #
@@ -123,7 +123,8 @@ class TestCheckpointStore:
         # a different content key means the checkpoint is stale: miss
         assert checkpoint_store.load("docking", "key-b") is None
         assert checkpoint_store.load("never-saved", "key-a") is None
-        assert checkpoint_store.completed_stages() == {"docking": "key-a"}
+        assert checkpoint_store.stored_key("docking") == "key-a"
+        assert checkpoint_store.stored_key("never-saved") is None
 
     def test_corrupt_file_is_a_miss(self, checkpoint_dir):
         store = CheckpointStore(checkpoint_dir)
@@ -136,15 +137,16 @@ class TestCheckpointStore:
         checkpoint_store.save("b", "k2", 2)
         checkpoint_store.discard("a")
         assert checkpoint_store.load("a", "k1") is None
+        assert checkpoint_store.stored_key("b") == "k2"
         checkpoint_store.clear()
-        assert checkpoint_store.completed_stages() == {}
+        assert checkpoint_store.stored_key("b") is None
 
     def test_in_memory_mode(self):
         store = CheckpointStore(directory=None)
         store.save("s", "k", {"x": 3})
         assert store.load("s", "k") == {"x": 3}
         assert store.load("s", "other") is None
-        assert store.completed_stages() == {"s": "k"}
+        assert store.stored_key("s") == "k" and store.stored_key("t") is None
 
     def test_checkpoint_key_sensitivity(self):
         key = checkpoint_key("docking", {"seed": 1}, ["dep1"])

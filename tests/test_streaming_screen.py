@@ -52,11 +52,11 @@ from repro.screening.stream import (
     StreamingStats,
     StreamShardError,
     TopKSelector,
-    topk_by_full_sort,
 )
 from repro.utils.rng import derive_seed
 
 from campaign_oracle import reference_campaign
+from screening_oracle import read_predictions, read_topk, stats_array, topk_by_full_sort
 
 SEED = 41
 SITE_NAMES = ("protease1", "protease2")
@@ -153,14 +153,14 @@ class TestGoldenShardInvariance:
         for cell, result in stream_matrix.items():
             for site in stream_sites:
                 assert np.array_equal(
-                    result.stats[site].as_array(), reference.stats[site].as_array()
+                    stats_array(result.stats[site]), stats_array(reference.stats[site])
                 ), (cell, site)
 
     def test_every_compound_streamed_exactly_once(self, stream_matrix, stream_deck):
         for result in stream_matrix.values():
             assert result.num_compounds == len(stream_deck)
             assert result.shards_failed == 0
-            assert result.shards_submitted == result.num_shards
+            assert result.shards_executed + result.shards_restored == result.num_shards
 
     def test_per_compound_batching_is_also_invariant(self, workbench, stream_sites, stream_deck):
         """fusion_batch_size=0 (one batch per compound) is a different batch
@@ -171,7 +171,7 @@ class TestGoldenShardInvariance:
         for site in stream_sites:
             assert np.array_equal(a.topk_arrays(site)[0], b.topk_arrays(site)[0])
             assert np.array_equal(a.topk_arrays(site)[1], b.topk_arrays(site)[1])
-            assert np.array_equal(a.stats[site].as_array(), b.stats[site].as_array())
+            assert np.array_equal(stats_array(a.stats[site]), stats_array(b.stats[site]))
 
     def test_streaming_campaign_matches_materialized_campaign(
         self, materialized_campaign, streaming_campaign, stream_sites
@@ -235,7 +235,7 @@ class TestGoldenShardInvariance:
         for site in stream_sites:
             assert np.array_equal(resumed.topk_arrays(site)[0], reference.topk_arrays(site)[0])
             assert np.array_equal(resumed.topk_arrays(site)[1], reference.topk_arrays(site)[1])
-            assert np.array_equal(resumed.stats[site].as_array(), reference.stats[site].as_array())
+            assert np.array_equal(stats_array(resumed.stats[site]), stats_array(reference.stats[site]))
 
     def test_stale_checkpoint_salt_misses(self, workbench, stream_sites, stream_deck, tmp_path):
         config = make_stream_config(shard_size=4)
@@ -352,12 +352,12 @@ class TestConcurrencyStress:
         )
         assert faulty.total_retries > 0
         assert faulty.shards_failed == 0
-        assert faulty.shards_submitted == faulty.shards_executed + faulty.shards_restored
+        assert faulty.shards_executed + faulty.shards_restored == faulty.num_shards
         for site in stream_sites:
             # retried shards are folded exactly once: bit-identical to clean
             assert np.array_equal(faulty.topk_arrays(site)[0], clean.topk_arrays(site)[0])
             assert np.array_equal(faulty.topk_arrays(site)[1], clean.topk_arrays(site)[1])
-            assert np.array_equal(faulty.stats[site].as_array(), clean.stats[site].as_array())
+            assert np.array_equal(stats_array(faulty.stats[site]), stats_array(clean.stats[site]))
             ids = faulty.topk_arrays(site)[0]
             assert len(set(ids.tolist())) == len(ids)
 
@@ -371,10 +371,7 @@ class TestConcurrencyStress:
             fault_injector=FaultInjector.uniform(0.5, seed=3),
         )
         assert result.shards_failed > 0
-        assert result.shards_submitted == (
-            result.shards_executed + result.shards_restored + result.shards_failed
-        )
-        assert result.shards_submitted == result.num_shards
+        assert result.shards_executed + result.shards_restored + result.shards_failed == result.num_shards
         # failed shards contribute nothing: stats count the completed
         # compounds only, and no compound appears twice
         completed_compounds = result.shards_executed  # shard_size=1
@@ -382,6 +379,43 @@ class TestConcurrencyStress:
             assert result.stats[site].count == completed_compounds
             ids = result.topk_arrays(site)[0]
             assert len(set(ids.tolist())) == len(ids)
+
+    def test_skip_policy_ledger_closes_across_a_resume(
+        self, workbench, stream_sites, stream_deck, tmp_path, stream_matrix
+    ):
+        """``executed + restored + failed == num_shards`` on every run: a
+        skip-policy run that loses shards, the same faults again (every
+        completed shard restores, the same shards fail), then a fault-free
+        resume that re-executes only the failed shards."""
+        store = CheckpointStore(tmp_path / "skip-ckpt")
+        config = make_stream_config(
+            shard_size=1, workers=3, retry=RetryPolicy(max_retries=0), on_shard_failure="skip",
+        )
+
+        def run(fault_injector=None):
+            return StreamingScreen(
+                workbench.coherent_fusion, workbench.featurizer, stream_sites, config,
+                checkpoints=store, checkpoint_salt="skip", fault_injector=fault_injector,
+            ).run(stream_deck.molecules)
+
+        first = run(FaultInjector.uniform(0.5, seed=3))
+        again = run(FaultInjector.uniform(0.5, seed=3))
+        resumed = run()
+        for result in (first, again, resumed):
+            assert result.shards_executed + result.shards_restored + result.shards_failed == result.num_shards
+            assert result.num_shards == len(stream_deck)
+        assert first.shards_failed > 0 and first.shards_restored == 0
+        assert (again.shards_executed, again.shards_restored, again.shards_failed) == (
+            0, first.shards_executed, first.shards_failed,
+        )
+        assert (resumed.shards_executed, resumed.shards_restored, resumed.shards_failed) == (
+            first.shards_failed, first.shards_executed, 0,
+        )
+        # once every shard has folded, the result is the clean run's
+        reference = stream_matrix[(1, 1, "thread")]
+        for site in stream_sites:
+            assert np.array_equal(resumed.topk_arrays(site)[1], reference.topk_arrays(site)[1])
+            assert np.array_equal(stats_array(resumed.stats[site]), stats_array(reference.stats[site]))
 
     def test_raise_policy_propagates_after_folding_completed_shards(
         self, workbench, stream_sites, stream_deck, tmp_path
@@ -552,8 +586,8 @@ class TestShardBodyExceptions:
         result = _RaisingShardEngine(stream_sites, config, raise_on=3).run(self.DECK)
         assert result.failed_shards == [3]
         assert result.total_retries == 0
-        assert result.shards_submitted == result.shards_executed + result.shards_restored + result.shards_failed
-        assert result.shards_submitted == result.num_shards == len(self.DECK)
+        assert result.shards_executed + result.shards_restored + result.shards_failed == result.num_shards
+        assert result.num_shards == len(self.DECK)
 
     def test_raise_policy_fails_on_the_first_attempt(self, stream_sites):
         config = make_stream_config(
@@ -610,8 +644,6 @@ class TestStreamingCampaignRuntime:
         assert third.report.stage("streamed_screen").restored
 
     def test_streamed_store_layout_roundtrips(self, streaming_campaign, stream_sites):
-        from repro.screening.output import read_predictions, read_topk
-
         assert len(streaming_campaign.job_results) == len(stream_sites)
         for job in streaming_campaign.job_results:
             stored = read_predictions(job.store, job.site_name)
@@ -862,7 +894,7 @@ class TestStreamingStats:
             a.add(v)
         for v in shuffled:
             b.add(v)
-        assert np.array_equal(a.as_array(), b.as_array(), equal_nan=True)
+        assert np.array_equal(stats_array(a), stats_array(b), equal_nan=True)
 
     @given(values=st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=60))
     @settings(max_examples=60, deadline=None)
