@@ -68,8 +68,8 @@ def main() -> None:
     describe(killed)
     checkpointed = [name for name in killed.stages.names() if killed.checkpoints.stored_key(name) is not None]
     print(f"  checkpointed stages: {sorted(checkpointed)}")
-    shards = [path for path in killed.checkpoints.directory.glob("*.npz") if path.stem not in killed.stages]
-    print(f"  checkpointed shards: {len(shards)}")
+    stream = killed.report.stage("streamed_screen").extra["stream"]
+    print(f"  checkpointed shards: {stream['shards_executed']:.0f} of {stream['num_shards']:.0f}")
 
     print("\n=== 2. Resumed campaign: completed stages restore, the rest execute ===")
     resumed = make_runtime(workbench, RuntimeConfig(checkpoint_dir=checkpoint_dir))

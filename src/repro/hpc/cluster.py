@@ -11,7 +11,6 @@ class GPUSpec:
 
     name: str = "V100"
     memory_gb: float = 16.0
-    peak_tflops: float = 7.0  # FP32-ish sustained throughput used for FLOPS accounting
 
 
 @dataclass(frozen=True)

@@ -265,27 +265,25 @@ class Tracer:
         return str(path)
 
 
-def phase_totals_of(records: list[SpanRecord], stage: str | None = None) -> dict[str, float]:
+def phase_totals_of(records: list[SpanRecord]) -> dict[str, float]:
     """Summed seconds per phase over *outermost* phase-tagged spans.
 
-    A span nested (by ``parent_id``) inside another phase-tagged span of
-    the same stage is excluded, so concurrent worker sub-spans can carry
-    phases without double-counting the coordinator's sections.  Works on
-    any record slice — e.g. the spans one campaign stage emitted.
+    A span nested (by ``parent_id``) inside another phase-tagged span is
+    excluded, so concurrent worker sub-spans can carry phases without
+    double-counting the coordinator's sections.  Works on any record
+    slice — e.g. the spans one campaign stage emitted.
     """
     phased = {r.span_id: r for r in records if r.phase is not None}
     by_id = {r.span_id: r for r in records}
     totals: dict[str, float] = {}
     for record in phased.values():
-        if stage is not None and record.stage != stage:
-            continue
         parent = record.parent_id
         shadowed = False
         while parent is not None:
             ancestor = by_id.get(parent)
             if ancestor is None:
                 break
-            if ancestor.span_id in phased and (stage is None or ancestor.stage == record.stage):
+            if ancestor.span_id in phased:
                 shadowed = True
                 break
             parent = ancestor.parent_id

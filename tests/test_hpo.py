@@ -142,7 +142,21 @@ class TestSchedulers:
         assert 1e-4 <= config["learning_rate"] <= 1e-1
         assert config["batch_size"] in (2, 4, 8)
 
-    def test_pb2_explore_uses_gp_after_enough_observations(self):
+    @staticmethod
+    def _spy_gp_fits(monkeypatch) -> list[int]:
+        """Record the number of observations every ``TimeVaryingGP.fit`` call sees."""
+        fitted_rows: list[int] = []
+        original_fit = TimeVaryingGP.fit
+
+        def spying_fit(gp, x, t, y):
+            fitted_rows.append(len(y))
+            return original_fit(gp, x, t, y)
+
+        monkeypatch.setattr(TimeVaryingGP, "fit", spying_fit)
+        return fitted_rows
+
+    def test_pb2_explore_uses_gp_after_enough_observations(self, monkeypatch):
+        fitted_rows = self._spy_gp_fits(monkeypatch)
         space = toy_space()
         scheduler = PB2Scheduler(space, seed=2, num_candidates=16)
         trials = self._population([1.0, 2.0, 3.0, 4.0])
@@ -153,14 +167,30 @@ class TestSchedulers:
                 trial.config["learning_rate"] = lr
                 improvement_driver = np.log10(lr)
                 scheduler.record_interval(trial, epoch, previous_score=5.0, new_score=5.0 - (improvement_driver + 4) * 0.1)
+        # every interval was recorded, and explore fitted the GP on all of them
+        assert len(scheduler._observations) == 32
         config = scheduler.explore(trials[3], trials[0], trials)
+        assert fitted_rows == [32]
         assert 1e-4 <= config["learning_rate"] <= 1e-1
 
-    def test_pb2_falls_back_to_pbt_without_observations(self):
+    def test_pb2_skips_non_finite_intervals(self):
+        scheduler = PB2Scheduler(toy_space(), seed=4)
+        trial = self._population([1.0])[0]
+        scheduler.record_interval(trial, 0, previous_score=float("nan"), new_score=1.0)
+        scheduler.record_interval(trial, 0, previous_score=2.0, new_score=float("inf"))
+        assert scheduler._observations == []
+        scheduler.record_interval(trial, 1, previous_score=2.0, new_score=1.5)
+        ((vector, epoch, improvement),) = scheduler._observations
+        assert np.array_equal(vector, toy_space().to_unit_vector(trial.config))
+        assert (epoch, improvement) == (1.0, 0.5)
+
+    def test_pb2_falls_back_to_pbt_without_observations(self, monkeypatch):
+        fitted_rows = self._spy_gp_fits(monkeypatch)
         scheduler = PB2Scheduler(toy_space(), seed=3)
         trials = self._population([1.0, 2.0])
         config = scheduler.explore(trials[1], trials[0], trials)
         assert set(config) == set(trials[0].config)
+        assert fitted_rows == []
 
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
@@ -174,7 +204,10 @@ class TestTrialAndRandomSearch:
         trial.report(2, 3.0)
         trial.report(3, 4.0)
         assert trial.best_score == 3.0
-        assert [score for _, score, _ in trial.history] == [5.0, 3.0, 4.0]
+        assert trial.history == [(1, 5.0, {"a": 1}), (2, 3.0, {"a": 1}), (3, 4.0, {"a": 1})]
+        # the history keeps a snapshot per report, not the live config
+        trial.config["a"] = 2
+        assert all(config == {"a": 1} for _, _, config in trial.history)
         assert trial.epoch == 3
         assert trial.state is TrialState.PENDING
 

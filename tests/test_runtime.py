@@ -66,7 +66,7 @@ def selection_map(result) -> dict[str, list[str]]:
 
 
 def stage_checkpoints(runtime) -> list[str]:
-    """Checkpointed stage names, without the streamed screen's shard files."""
+    """Names of the stages whose checkpoint the store holds."""
     return sorted(name for name in runtime.stages.names() if runtime.checkpoints.stored_key(name) is not None)
 
 
