@@ -6,6 +6,8 @@ model inference for each head and fusion variant, docking score evaluation
 and MM/GBSA rescoring.
 """
 
+import copy
+
 import numpy as np
 
 from repro.docking.mmgbsa import MMGBSARescorer
@@ -79,15 +81,17 @@ def test_coherent_fusion_training_step(benchmark, workbench):
     from repro.nn.tensor import Tensor
 
     batch = _batch(workbench)
-    model = workbench.coherent_fusion
+    # train a copy: the cached workbench model is shared with every other benchmark
+    model = copy.deepcopy(workbench.coherent_fusion)
     optimizer = Adam(model.trainable_parameters(), lr=1e-4)
+    pack = optimizer.fuse()
 
     def step():
         model.train()
         loss = mse_loss(model(batch), Tensor(batch["target"]))
         optimizer.zero_grad()
         loss.backward()
-        optimizer.step()
+        optimizer.step_fused(pack.grad_vector())
         return loss.item()
 
     value = benchmark(step)

@@ -64,7 +64,8 @@ def test_fault_tolerant_campaign_scheduling(benchmark):
         scheduler = JobScheduler(
             cluster,
             SchedulerConfig(walltime_limit_seconds=12 * 3600),
-            FaultInjector(seed=3),
+            # seed 1 draws 3 requeues, near the 3.75 expected of 125 jobs at the 3 % 4-node rate
+            FaultInjector(seed=1),
         )
         for index in range(125):
             scheduler.submit(Job(name=f"fusion-job-{index}", num_nodes=4, duration_seconds=job_minutes * 60, max_retries=3))
@@ -83,6 +84,7 @@ def test_fault_tolerant_campaign_scheduling(benchmark):
         f"campaign makespan: {makespan_hours:.2f} h (single fault-free wave would be {job_minutes / 60:.2f} h)",
     ])
     write_artifact("fault_tolerant_scheduling.txt", text)
+    assert retried >= 1  # the injector drew faults, so the requeue path ran
     assert completed == 125  # requeueing recovers every failed job
     # failures only add waves for the affected jobs; overall makespan stays below 3 fault-free waves
     assert makespan_hours < 3.2 * job_minutes / 60.0

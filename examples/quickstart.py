@@ -20,7 +20,7 @@ import numpy as np
 from repro.datasets import PDBbindConfig, generate_pdbbind
 from repro.eval import regression_report
 from repro.eval.reports import format_table
-from repro.featurize import FeaturePipeline, GraphConfig, VoxelGridConfig
+from repro.featurize import FeaturePipeline, GraphConfig, VoxelGridConfig, predict_samples
 from repro.models import CNN3D, CNN3DConfig, LateFusion, SGCNN, SGCNNConfig, Trainer, TrainerConfig
 
 
@@ -68,11 +68,11 @@ def main() -> None:
     print(f"\nbest val MSE: SG-CNN {sg_history.best_val_loss:.2f}, 3D-CNN {cnn_history.best_val_loss:.2f}")
 
     print("\n=== 4. Core-set evaluation (Table 6 metrics) ===")
-    late_fusion = LateFusion(cnn3d, sgcnn)
+    late_fusion = LateFusion(cnn3d, sgcnn).eval()
     targets = np.array([s.target for s in core])
     rows = []
     for name, model in (("SG-CNN", sgcnn), ("3D-CNN", cnn3d), ("Late Fusion", late_fusion)):
-        predictions = Trainer(model, core[:1], [], TrainerConfig(batch_size=8)).predict(core)
+        predictions = predict_samples(model, core, batch_size=8)
         report = regression_report(targets, predictions)
         rows.append([name, report["rmse"], report["mae"], report["r2"], report["pearson"], report["spearman"]])
     print(format_table(["model", "RMSE", "MAE", "R2", "Pearson", "Spearman"], rows,

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.datasets.splits import coverage_by_bin, quintile_split, random_split
 from repro.experiments.common import Workbench, _clone_cnn3d, _clone_sgcnn
+from repro.featurize.pipeline import FeaturizedComplex, predict_samples
 from repro.featurize.voxelize import random_axis_rotation
 from repro.models.config import CNN3DConfig, CoherentFusionConfig, SGCNNConfig
 from repro.models.fusion import CoherentFusion
@@ -128,16 +129,10 @@ def rotation_invariance_probe(workbench: Workbench, num_samples: int = 8, seed: 
             entry.complex, rotation=random_axis_rotation(rng, probability=1.0)
         )
         graph = workbench.featurizer.graph_builder.build(entry.complex)
-        from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
-        from repro.nn.tensor import no_grad
-
         samples = [
             FeaturizedComplex(voxel=base, graph=graph, target=np.nan, complex_id=entry.entry_id),
             FeaturizedComplex(voxel=rotated, graph=graph, target=np.nan, complex_id=entry.entry_id),
         ]
-        batch = collate_complexes(samples)
-        workbench.cnn3d.eval()
-        with no_grad():
-            predictions = workbench.cnn3d(batch).numpy()
+        predictions = predict_samples(workbench.cnn3d, samples, batch_size=2)
         deltas.append(abs(float(predictions[0] - predictions[1])))
     return float(np.mean(deltas))

@@ -17,7 +17,7 @@ from repro.chem.complexes import InteractionModel
 from repro.datasets.pdbbind import PDBbindConfig, PDBbindDataset, generate_pdbbind
 from repro.featurize.engine import FeaturePipeline
 from repro.featurize.graph import GraphConfig
-from repro.featurize.pipeline import FeaturizedComplex
+from repro.featurize.pipeline import FeaturizedComplex, predict_samples
 from repro.featurize.voxelize import VoxelGridConfig
 from repro.models.cnn3d import CNN3D
 from repro.models.config import CNN3DConfig, CoherentFusionConfig, MidFusionConfig, SGCNNConfig
@@ -100,9 +100,8 @@ class Workbench:
         }
 
     def predict(self, model, samples: list[FeaturizedComplex]) -> np.ndarray:
-        """Predict pK for samples with any model of the zoo."""
-        trainer = Trainer(model, train_samples=samples[:1], val_samples=[], config=TrainerConfig(batch_size=8))
-        return trainer.predict(samples)
+        """Predict pK for samples with any model of the zoo (dense layout, batches of 8)."""
+        return predict_samples(model, samples, batch_size=8)
 
 
 #: In-process caches of the expensive artefacts.  Guarded by per-cache
@@ -181,7 +180,7 @@ def _build_workbench(scale: WorkbenchScale) -> Workbench:
     histories["sgcnn"] = sg_trainer.fit()
 
     # -- fusion variants -------------------------------------------------- #
-    late = LateFusion(cnn3d, sgcnn)
+    late = LateFusion(cnn3d, sgcnn).eval()  # zoo models stay in eval mode between fits
 
     mid_config = MidFusionConfig.scaled_down()
     mid = MidFusion(cnn3d, sgcnn, mid_config, seed=scale.seed)

@@ -17,7 +17,7 @@ from repro.featurize.atom_features import (
 )
 from repro.featurize.voxelize import VoxelGridConfig, random_axis_rotation
 from repro.featurize.graph import GraphConfig
-from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
+from repro.featurize.pipeline import FeaturizedComplex, collate_complexes, predict_samples
 from repro.featurize.cache import (
     FeatureCache,
     FeatureCacheStats,
@@ -40,6 +40,7 @@ __all__ = [
     "GraphConfig",
     "FeaturizedComplex",
     "collate_complexes",
+    "predict_samples",
     "FeatureCache",
     "FeatureCacheStats",
     "feature_key",

@@ -9,7 +9,8 @@ from repro.models.config import (
 )
 from repro.models.cnn3d import CNN3D
 from repro.models.sgcnn import SGCNN
-from repro.models.fusion import BatchScoringMixin, CoherentFusion, FusionNetwork, LateFusion, MidFusion
+from repro.featurize.pipeline import BatchScoringMixin
+from repro.models.fusion import CoherentFusion, FusionNetwork, LateFusion, MidFusion
 from repro.models.train import (
     DistributedTrainer,
     DistributedTrainerConfig,

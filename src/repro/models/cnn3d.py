@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.featurize.pipeline import BatchScoringMixin
 from repro.models.config import CNN3DConfig
 from repro.nn import functional as F
 from repro.nn.layers import BatchNorm3d, Conv3d, Dropout, Linear, MaxPool3d, make_activation
@@ -22,7 +23,7 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 
-class CNN3D(Module):
+class CNN3D(BatchScoringMixin, Module):
     """Voxel-grid 3D-CNN predicting absolute binding affinity (pK).
 
     Parameters

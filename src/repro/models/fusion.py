@@ -13,11 +13,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
+from repro.featurize.pipeline import BatchScoringMixin
 from repro.models.cnn3d import CNN3D
 from repro.models.config import CoherentFusionConfig, FusionConfig, MidFusionConfig
 from repro.models.sgcnn import SGCNN
@@ -25,35 +23,6 @@ from repro.nn.layers import BatchNorm1d, Dropout, Linear, make_activation
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import spawn_rng
-
-
-class BatchScoringMixin:
-    """Batched inference entry point shared by the fusion models.
-
-    ``predict_batch`` is what fusion scoring (the streamed screen's shard
-    workers and the serving backend) calls: it accepts either an
-    already-collated batch dict or a sequence of
-    :class:`~repro.featurize.pipeline.FeaturizedComplex` samples straight
-    from the featurization engine, runs one inference-mode forward pass
-    and returns plain float64 scores.  The ops are exactly the scoring
-    loops' historical ``no_grad`` forward, so routing through this entry
-    point is bit-neutral.
-    """
-
-    def predict_batch(self, batch: dict | Sequence[FeaturizedComplex]) -> np.ndarray:
-        """Score one feature batch; returns a ``(N,)`` float64 array."""
-        if not isinstance(batch, dict):
-            batch = collate_complexes(list(batch))
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                out = self(batch)
-            return np.asarray(out.numpy(), dtype=np.float64).reshape(-1)
-        finally:
-            if was_training:
-                self.train()
 
 
 class LateFusion(BatchScoringMixin, Module):

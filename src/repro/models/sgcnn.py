@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.featurize.pipeline import BatchScoringMixin
 from repro.models.config import SGCNNConfig
 from repro.nn.graph_layers import GatedGraphConv, GraphBatch, GraphGather
 from repro.nn.layers import Linear, make_activation
@@ -22,7 +23,7 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 
-class SGCNN(Module):
+class SGCNN(BatchScoringMixin, Module):
     """Spatial-graph CNN predicting absolute binding affinity (pK)."""
 
     def __init__(self, config: SGCNNConfig | None = None, seed: int = 0) -> None:

@@ -1,4 +1,10 @@
-"""Training loop shared by the individual heads, the fusion models and PB2 trials."""
+"""Training loops shared by the individual heads, the fusion models and PB2 trials.
+
+Both trainers take one optimizer step per batch through the fused path:
+the flat gradient of the optimizer's :class:`~repro.nn.optim.ParameterPack`,
+optionally clipped, goes to ``step_fused``.  Validation scores through
+:func:`~repro.featurize.pipeline.predict_samples`.
+"""
 
 from __future__ import annotations
 
@@ -9,18 +15,29 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.featurize.pipeline import FeaturizedComplex, collate_complexes
+from repro.featurize.pipeline import FeaturizedComplex, collate_complexes, predict_samples
 from repro.hpc.horovod import HorovodContext
 from repro.hpc.mpi import run_spmd
 from repro.models.fusion import FusionNetwork
-from repro.nn.dataloader import DataLoader
 from repro.nn.layers import Dropout
 from repro.nn.loss import mse_loss
 from repro.nn.module import Module
 from repro.nn.optim import build_optimizer
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.telemetry import current as current_telemetry
 from repro.utils.rng import spawn_rng
+
+
+def _clip_by_norm(grad: np.ndarray, views: Sequence[np.ndarray], max_norm: float) -> np.ndarray:
+    """``grad`` scaled to L2 norm ``max_norm`` when it is longer.
+
+    The norm sums squares per parameter view, in parameter order: the
+    summation order the scalar trainer's goldens were recorded with.
+    """
+    total = float(np.sqrt(sum(float((g**2).sum()) for g in views)))
+    if total > max_norm and total > 0:
+        return grad * (max_norm / total)
+    return grad
 
 
 def _masked_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -77,6 +94,10 @@ class TrainerConfig:
     grad_clip: float | None = 5.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+
 
 @dataclass
 class TrainingHistory:
@@ -118,9 +139,11 @@ class Trainer:
     Parameters
     ----------
     model:
-        Any model whose ``forward(batch)`` accepts the dict produced by
-        :func:`repro.featurize.collate_complexes` and returns a
-        ``(batch,)`` prediction tensor.
+        A model of the zoo: its ``forward(batch)`` accepts the dict
+        produced by :func:`repro.featurize.collate_complexes` and returns
+        a ``(batch,)`` prediction tensor, and it scores through
+        ``predict_batch``.  ``fit`` leaves it in eval mode with no
+        gradients attached.
     train_samples / val_samples:
         Lists of :class:`FeaturizedComplex`.
     config:
@@ -146,67 +169,39 @@ class Trainer:
         _calibrate_model(self.model, self.train_samples)
         self.optimizer = _build_optimizer(self.model, self.config)
 
-    # ------------------------------------------------------------------ #
-    def _loader(self, samples: Sequence[FeaturizedComplex], shuffle: bool) -> DataLoader:
-        return DataLoader(
-            samples,
-            batch_size=self.config.batch_size,
-            shuffle=shuffle,
-            collate_fn=collate_complexes,
-            rng=self._rng,
-        )
-
     def train_epoch(self) -> float:
         """Run one epoch of optimization; returns the mean training MSE."""
+        cfg = self.config
         self.model.train()
+        pack = self.optimizer.fuse()
+        order = np.arange(len(self.train_samples))
+        if cfg.shuffle:
+            self._rng.shuffle(order)
         losses = []
         with current_telemetry().span("train-epoch") as span:
-            for batch in self._loader(self.train_samples, shuffle=self.config.shuffle):
+            for start in range(0, len(order), cfg.batch_size):
+                batch = collate_complexes([self.train_samples[int(i)] for i in order[start : start + cfg.batch_size]])
                 prediction = self.model(batch)
                 loss = mse_loss(prediction, Tensor(batch["target"]))
                 self.optimizer.zero_grad()
                 loss.backward()
-                if self.config.grad_clip is not None:
-                    self._clip_gradients(self.config.grad_clip)
-                self.optimizer.step()
+                grad = pack.grad_vector()
+                if cfg.grad_clip is not None:
+                    grad = _clip_by_norm(grad, pack.views(grad), cfg.grad_clip)
+                self.optimizer.step_fused(grad)
                 losses.append(loss.item())
                 span.add("batches")
                 span.add("samples", len(batch["target"]))
         return float(np.mean(losses))
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        params = [p for p in _trainable_parameters(self.model) if p.grad is not None]
-        if not params:
-            return
-        total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for p in params:
-                p.grad *= scale
 
     def validate(self, samples: Sequence[FeaturizedComplex] | None = None) -> float:
         """Mean squared error on the validation set (PB2's objective Q)."""
         samples = self.val_samples if samples is None else list(samples)
         if not samples:
             return float("nan")
-        predictions = self.predict(samples)
+        predictions = predict_samples(self.model, samples, max(self.config.batch_size, 8))
         targets = np.array([s.target for s in samples])
         return _masked_mse(predictions, targets)
-
-    def predict(self, samples: Sequence[FeaturizedComplex], batch_size: int | None = None) -> np.ndarray:
-        """Predict pK for ``samples`` without touching gradients."""
-        self.model.eval()
-        loader = DataLoader(
-            list(samples),
-            batch_size=batch_size or max(self.config.batch_size, 8),
-            shuffle=False,
-            collate_fn=collate_complexes,
-        )
-        outputs = []
-        with no_grad():
-            for batch in loader:
-                outputs.append(self.model(batch).numpy().copy())
-        return np.concatenate(outputs) if outputs else np.array([])
 
     # ------------------------------------------------------------------ #
     def fit(self, epochs: int | None = None, log_fn=None) -> TrainingHistory:
@@ -219,6 +214,8 @@ class Trainer:
             self.history.val_losses.append(val_loss)
             if log_fn is not None:
                 log_fn(epoch, train_loss, val_loss)
+        self.model.zero_grad()
+        self.model.eval()
         return self.history
 
 
@@ -279,17 +276,6 @@ class _DistributedSpec:
     epochs: int
 
 
-def _predict_flat(model: Module, samples: Sequence[FeaturizedComplex], batch_size: int) -> np.ndarray:
-    """Inference over ``samples`` using the flat graph layout."""
-    model.eval()
-    outputs = []
-    with no_grad():
-        for start in range(0, len(samples), batch_size):
-            batch = collate_complexes(samples[start : start + batch_size], graph_layout="flat")
-            outputs.append(model(batch).numpy().copy())
-    return np.concatenate(outputs) if outputs else np.array([])
-
-
 def _epoch_chunks(num_samples: int, config: DistributedTrainerConfig, epoch: int) -> list[np.ndarray]:
     """The epoch's global chunk list — a function of seed and epoch only."""
     if config.shuffle:
@@ -310,7 +296,10 @@ def _distributed_validate(model: Module, samples: Sequence[FeaturizedComplex], c
     if not samples:
         return float("nan")
     starts = range(0, len(samples), chunk_size)
-    mine = [_predict_flat(model, samples[i : i + chunk_size], chunk_size) for i in starts[ctx.rank :: ctx.size]]
+    mine = [
+        predict_samples(model, samples[i : i + chunk_size], chunk_size, graph_layout="flat")
+        for i in starts[ctx.rank :: ctx.size]
+    ]
     gathered = ctx.allgather(mine, tag="val-predictions")
     # chunk j ran on rank j % size, as that rank's (j // size)-th chunk
     predictions = np.concatenate([gathered[j % ctx.size][j // ctx.size] for j in range(len(starts))])
@@ -375,7 +364,6 @@ def _distributed_train_worker(spec: _DistributedSpec, ctx) -> dict:
     hvd.broadcast_parameters(model, root_rank=0)
     return {
         "state": model.state_dict(),
-        "weights_flat": pack.get_flat(),
         "train_losses": train_losses,
         "val_losses": val_losses,
     }
@@ -432,7 +420,3 @@ class DistributedTrainer:
         self.history.train_losses.extend(result["train_losses"])
         self.history.val_losses.extend(result["val_losses"])
         return self.history
-
-    def predict(self, samples: Sequence[FeaturizedComplex], batch_size: int | None = None) -> np.ndarray:
-        """Predict pK for ``samples`` with the (trained) model, flat layout."""
-        return _predict_flat(self.model, samples, batch_size or max(self.config.chunk_size, 8))

@@ -26,7 +26,6 @@ from repro.nn.layers import (
 from repro.nn.graph_layers import FlatEdges, FlatGraphBatch, GatedGraphConv, GraphGather, GraphBatch
 from repro.nn.optim import SGD, Adadelta, Adam, AdamW, Optimizer, ParameterPack, RMSprop, build_optimizer
 from repro.nn.loss import mse_loss
-from repro.nn.dataloader import DataLoader
 
 __all__ = [
     "Tensor",
@@ -57,5 +56,4 @@ __all__ = [
     "Adadelta",
     "build_optimizer",
     "mse_loss",
-    "DataLoader",
 ]

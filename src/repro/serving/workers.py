@@ -14,7 +14,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.tensor import no_grad
 from repro.serving.requests import model_fingerprint
 
 
@@ -33,7 +32,7 @@ class ScoringBackend(Protocol):
 
 
 class ModuleBackend:
-    """Wrap any ``repro.nn`` module (LateFusion, FusionNetwork, heads...)."""
+    """Wrap a model of the zoo (heads or fusion); scores through its ``predict_batch``."""
 
     def __init__(self, model: Module, name: str = "") -> None:
         self.model = model
@@ -47,11 +46,4 @@ class ModuleBackend:
         return self._fingerprint
 
     def score_batch(self, batch: dict) -> np.ndarray:
-        # fusion models expose the batched inference entry point directly;
-        # it performs the exact ops of the fallback, so scores are unchanged
-        predict = getattr(self.model, "predict_batch", None)
-        if predict is not None:
-            return predict(batch)
-        with no_grad():
-            out = self.model(batch)
-        return np.asarray(out.numpy(), dtype=np.float64).reshape(-1)
+        return self.model.predict_batch(batch)

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.featurize.pipeline import collate_complexes
+from repro.featurize.pipeline import collate_complexes, predict_samples
 from repro.models.cnn3d import CNN3D
 from repro.models.config import CNN3DConfig, CoherentFusionConfig, MidFusionConfig, SGCNNConfig
 from repro.models.fusion import CoherentFusion, LateFusion, MidFusion
 from repro.models.sgcnn import SGCNN
 from repro.models.train import Trainer, TrainerConfig, TrainingHistory
 from repro.nn.tensor import Tensor, no_grad
+from repro.utils.rng import spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +171,80 @@ class TestTrainer:
         assert history.val_losses[-1] <= history.val_losses[0] * 1.2
         assert history.best_epoch >= 0
 
-    def test_predict_shape_and_eval_mode(self, workbench, samples):
-        trainer = Trainer(workbench.sgcnn, samples, [], TrainerConfig(batch_size=4))
-        predictions = trainer.predict(samples)
-        assert predictions.shape == (len(samples),)
-        assert np.isfinite(predictions).all()
+    def test_fit_leaves_the_model_in_eval_mode_without_gradients(self, samples):
+        model = SGCNN(SGCNNConfig.scaled_down(), seed=4)
+        Trainer(model, samples[:4], [], TrainerConfig(epochs=1, batch_size=2)).fit()
+        assert not any(m.training for m in model.modules())
+        assert all(p.grad is None for p in model.parameters())
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainerConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_each_epoch_batches_one_shuffle_of_the_samples(self, samples, monkeypatch, shuffle):
+        """An epoch cuts ``batch_size`` batches from one ``rng.shuffle`` of the sample order."""
+        import repro.models.train as train_module
+
+        seen = []
+        collate = train_module.collate_complexes
+
+        def recording_collate(batch, *args, **kwargs):
+            seen.append([s.complex_id for s in batch])
+            return collate(batch, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "collate_complexes", recording_collate)
+        model = SGCNN(SGCNNConfig.scaled_down(), seed=4)
+        trainer = Trainer(model, samples[:7], [], TrainerConfig(batch_size=3, shuffle=shuffle, seed=5))
+        rng = spawn_rng(5, "trainer")
+        for _ in range(2):
+            seen.clear()
+            trainer.train_epoch()
+            order = np.arange(7)
+            if shuffle:
+                rng.shuffle(order)
+            ids = [samples[i].complex_id for i in order]
+            assert seen == [ids[0:3], ids[3:6], ids[6:7]]
+
+
+class TestPredictSamples:
+    @pytest.mark.parametrize("layout", ["dense", "flat"])
+    def test_batches_and_mode(self, workbench, samples, layout):
+        model = copy.deepcopy(workbench.sgcnn).train()
+        predictions = predict_samples(model, samples, batch_size=5, graph_layout=layout)
+        assert predictions.shape == (len(samples),) and np.isfinite(predictions).all()
+        assert all(m.training for m in model.modules())  # the mode is restored
+        model.eval()
+        with no_grad():
+            whole = model(collate_complexes(samples, graph_layout=layout)).numpy()
+        np.testing.assert_allclose(predictions, whole, rtol=1e-12, atol=1e-12)
+        assert predict_samples(model, [], batch_size=5).shape == (0,)
+
+    @pytest.mark.parametrize("head", ["cnn3d", "sgcnn"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_head_predict_batch_is_the_no_grad_forward(self, workbench, samples, head, training):
+        model = copy.deepcopy(getattr(workbench, head)).train(training)
+        batch = collate_complexes(samples[:5])
+        scores = model.predict_batch(samples[:5])
+        assert scores.dtype == np.float64 and scores.shape == (5,)
+        assert model.training is training
+        model.eval()
+        with no_grad():
+            direct = model(batch).numpy()
+        assert scores.tobytes() == np.asarray(direct, dtype=np.float64).reshape(-1).tobytes()
+
+    def test_workbench_predict_leaves_every_zoo_model_untouched(self, workbench):
+        for name, model in workbench.models().items():
+            params = model.parameters()
+            data = [p.data for p in params]
+            values = [p.data.tobytes() for p in params]
+            modes = [m.training for m in model.modules()]
+            predictions = workbench.predict(model, workbench.core_samples)
+            assert predictions.shape == (len(workbench.core_samples),), name
+            assert all(p.data is d for p, d in zip(params, data)), name
+            assert [p.data.tobytes() for p in params] == values, name
+            assert [m.training for m in model.modules()] == modes, name
 
     def test_validate_empty_returns_nan(self, workbench, samples):
         trainer = Trainer(workbench.sgcnn, samples, [], TrainerConfig(batch_size=4))

@@ -603,10 +603,9 @@ def test_module_backend_fingerprint_is_the_model_fingerprint(workbench):
     assert ModuleBackend(workbench.coherent_fusion, name="cf").name == "cf"
 
 
-def test_module_backend_forward_fallback_matches_direct_forward(workbench, traffic):
-    """A head without ``predict_batch`` is scored by its plain forward."""
+def test_module_backend_scores_a_head_like_its_direct_forward(workbench, traffic):
+    """A head scores through its own ``predict_batch``, bit-identical to its plain forward."""
     model = workbench.sgcnn
-    assert getattr(model, "predict_batch", None) is None
     was_training = model.training
     try:
         backend = ModuleBackend(model)
